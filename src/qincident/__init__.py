@@ -3,7 +3,7 @@ detection from zone-aggregated connected-vehicle data.
 
 Subpackages:
 
-* ``qsim``        exact statevector simulation of the quantum layer
+* ``qsim``        exact simulation of the quantum layer (closed form at L=1)
 * ``nn``          dense layers, BCE loss, Adam, backprop primitives
 * ``model``       the classical baseline and hybrid model stacks
 * ``data``        zone aggregation, features, labels, normalization, splits

@@ -306,7 +306,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
+        try:
+            args.seed = _default_seed()
+        except ValueError:
+            parser.error(f"QINC_SEED must be an integer, got {os.environ['QINC_SEED']!r}")
     try:
         return args.func(args)
     except (ParseError, FormatError, OSError) as exc:

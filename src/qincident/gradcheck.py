@@ -6,7 +6,9 @@ from different primitives:
 
 * forward oracle: the layer circuit rebuilt as explicit Kronecker-product
   gate matrices multiplied into a dense 2**n x 2**n unitary;
-* parameter shift vs central finite differences of the forward map;
+* the layer's exact gradients (closed form for one entangler layer,
+  parameter shift for deeper circuits) vs central finite differences of
+  the statevector forward map;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
   scalar loss over every trainable parameter.
 
@@ -21,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from . import model as model_mod
-from . import qsim
+from . import nn, qsim
 
 _I2 = np.eye(2, dtype=np.complex128)
 _Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -106,16 +108,16 @@ def check_forward_oracle(
     layer_counts: tuple[int, ...] = (1, 2),
     tol: float = 1e-10,
 ) -> SuiteResult:
-    """quantum_forward against the dense-matrix oracle on random circuits."""
+    """The batched kernel the models run (``forward_batch``) against the
+    dense-matrix oracle on random circuits."""
     rng = np.random.default_rng(seed)
     max_err, worst, n_cases = 0.0, "", 0
     for n in qubit_counts:
         for layers in layer_counts:
-            spec = qsim.QuantumLayerSpec(n, layers)
             for _ in range(cases_per_shape):
                 inputs = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
                 weights = rng.uniform(-2 * np.pi, 2 * np.pi, size=(layers, n))
-                got = qsim.quantum_forward(inputs, qsim.QuantumLayerParams(weights), spec)
+                got = qsim.forward_batch(inputs[np.newaxis], weights)[0]
                 want = dense_matrix_forward(inputs, weights)
                 err = float(np.max(np.abs(got - want)))
                 n_cases += 1
@@ -172,6 +174,11 @@ def _bump(values: np.ndarray, index: int, delta: float) -> np.ndarray:
     return out
 
 
+# Smallest finite-difference step tried before a coordinate whose probes
+# keep crossing a ReLU kink is counted as a failure.
+MIN_STEP = 1e-8
+
+
 def check_hybrid_gradients(
     seed: int = 0,
     n_draws: int = 20,
@@ -182,7 +189,11 @@ def check_hybrid_gradients(
     """Backprop through the full hybrid stack vs finite differences of the loss.
 
     Relative error is checked per coordinate wherever the analytic gradient
-    magnitude exceeds ``grad_floor``.
+    magnitude exceeds ``grad_floor``.  The loss at each probe comes from the
+    forward pass alone.  A probe pair that crosses a ReLU kink measures the
+    slope of a different linear piece, so its step is halved until both
+    probes keep the base point's activation pattern (see
+    ``_central_difference``).
     """
     rng = np.random.default_rng(seed)
     config = model_mod.HybridModelConfig(kind="hybrid", n_qubits=4)
@@ -196,25 +207,60 @@ def check_hybrid_gradients(
         params = model_mod.get_parameters(net)
         flat = np.concatenate([p.ravel() for p in params])
 
-        def loss_at(vec: np.ndarray) -> float:
+        def probe(vec: np.ndarray) -> tuple[float, np.ndarray]:
             model_mod.set_parameters(net, _unflatten(vec, params))
-            loss, _ = model_mod.loss_and_gradients(net, features, label)
-            return loss
+            probs = model_mod.forward(net, features)
+            loss = float(np.mean(nn.bce_loss(probs, label)))
+            return loss, _relu_pattern(net, features)
 
+        _, base_pattern = probe(flat)
         for k in range(flat.size):
             if abs(flat_grad[k]) <= grad_floor:
                 continue
             n_checked += 1
-            fd = (loss_at(_bump(flat, k, step)) - loss_at(_bump(flat, k, -step))) / (
-                2 * step
-            )
-            rel = abs(fd - flat_grad[k]) / max(abs(fd), abs(flat_grad[k]))
+            fd = _central_difference(probe, flat, k, step, base_pattern)
+            if fd is None:
+                rel, where = float("inf"), f"draw {draw} coord {k} (probes cross a ReLU kink)"
+            else:
+                rel = abs(fd - flat_grad[k]) / max(abs(fd), abs(flat_grad[k]))
+                where = f"draw {draw} coord {k}"
             if rel > max_rel:
-                max_rel, worst = rel, f"draw {draw} coord {k}"
+                max_rel, worst = rel, where
         model_mod.set_parameters(net, params)
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
+
+
+def _relu_pattern(net: model_mod.Model, features: np.ndarray) -> np.ndarray:
+    """Which ReLU units are active, over every ReLU layer of the stack."""
+    h, active = features, []
+    for entry in net.layers:
+        if isinstance(entry, nn.DenseLayer):
+            z, h = nn.dense_forward(entry, h)
+            if entry.activation == "relu":
+                active.append(z.ravel() > 0)
+        else:
+            h = model_mod._QUANTUM_FORWARD(h, entry.weights)
+    return np.concatenate(active)
+
+
+def _central_difference(probe, flat: np.ndarray, k: int, step: float, base_pattern):
+    """Central difference of the loss along coordinate ``k``.
+
+    ``probe(vec)`` returns the loss and the ReLU pattern at ``vec``.  The
+    step is halved until both probes show ``base_pattern``; None when that
+    needs a step below ``MIN_STEP``.
+    """
+    while step >= MIN_STEP:
+        loss_plus, pattern_plus = probe(_bump(flat, k, step))
+        loss_minus, pattern_minus = probe(_bump(flat, k, -step))
+        if np.array_equal(pattern_plus, base_pattern) and np.array_equal(
+            pattern_minus, base_pattern
+        ):
+            return (loss_plus - loss_minus) / (2 * step)
+        step *= 0.5
+    return None
 
 
 def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:

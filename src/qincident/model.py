@@ -168,7 +168,7 @@ def loss_and_gradients(
     """Mean BCE over the batch plus exact gradients for every parameter.
 
     Dense segments are backpropagated with cached pre-activations; the
-    quantum segment contributes its parameter-shift Jacobians.
+    quantum segment contributes its exact Jacobians.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)

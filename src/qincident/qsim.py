@@ -15,6 +15,25 @@ Conventions:
 * All angles are radians; gates are 2*pi periodic in their parameter.
 * The CNOT ring for n >= 3 qubits is (0->1), (1->2), ..., (n-1->0).
   Two qubits get a single CNOT (0->1); one qubit gets no entangling gate.
+
+One entangler layer (L=1, the shipped models) has an exact closed form.
+The embedding RX(x_i) and the trained RX(w_i) act back to back on qubit i,
+so they merge into RX(a_i) with a_i = x_i + w_i, and the register is a
+product state whose bits b_i are independent with <(-1)**b_i> = cos(a_i).
+The CNOT ring only permutes basis states: output bit j is the XOR of the
+input bits in a set S_j (a linear map over GF(2)).  Hence
+
+    <Z_j> = prod_{i in S_j} cos(a_i),
+    d<Z_j>/dx_i = d<Z_j>/dw_i = -sin(a_i) * prod_{k in S_j, k != i} cos(a_k)
+
+for i in S_j, and 0 otherwise.  For 4 qubits S = {1,2,3}, {0,1}, {0,1,2},
+{0,1,2,3}; for 2 qubits S = {0}, {0,1}; one qubit gives S = {0}.  In the
+terms of Schuld, Sweke & Meyer (arXiv:2008.08605) the L=1 layer is a
+degree-1 Fourier series in each angle.  ``forward_batch`` and
+``gradients_batch`` use this closed form for L=1, which is the training and
+inference hot path; deeper circuits (L >= 2) run the statevector and
+stacked parameter-shift kernels.  The Kronecker-product oracle in
+``gradcheck`` judges both.
 """
 
 from __future__ import annotations
@@ -245,17 +264,61 @@ def quantum_forward(inputs, params: QuantumLayerParams, spec: QuantumLayerSpec) 
     return z_expectations(state)
 
 
-# -- batched evaluation and parameter-shift gradients --------------------------
+# -- batched evaluation: closed form for L=1, statevector for L >= 2 ----------
 
-def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations for a batch of embeddings.
+_XOR_SETS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _xor_sets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S_j sets of the L=1 closed form (see the module docstring).
+
+    Returns ``sets``, an [n, n] boolean matrix whose row j marks S_j, and
+    ``others``, an [n, n, n] mask with ``others[i, j]`` = S_j without i.
+    Each bit is tracked as a GF(2) mask over the input bits through the ring.
+    """
+    cached = _XOR_SETS_CACHE.get(n)
+    if cached is None:
+        masks = [1 << qubit for qubit in range(n)]
+        for control, target in _ring(n):
+            masks[target] ^= masks[control]
+        sets = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=bool)
+        others = sets[np.newaxis] & ~np.eye(n, dtype=bool)[:, np.newaxis, :]
+        cached = _XOR_SETS_CACHE[n] = (sets, others)
+    return cached
+
+
+def _one_layer_forward(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """<Z_j> = prod_{i in S_j} cos(x_i + w_i) for (..., n) inputs, (1, n) weights."""
+    sets, _ = _xor_sets(inputs.shape[-1])
+    cos = np.cos(inputs + weights[0])
+    return np.prod(np.where(sets, cos[..., np.newaxis, :], 1.0), axis=-1)
+
+
+def _one_layer_gradients(
+    inputs: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form values and derivatives for shared (1, n) weights.
+
+    The derivative in angle i is -sin(a_i) times the product over S_j
+    without factor i, built from the cosines that remain rather than by
+    dividing the full product by cos(a_i), which may be zero.
+    """
+    sets, others = _xor_sets(inputs.shape[-1])
+    angles = inputs + weights[0]
+    cos = np.cos(angles)
+    values = np.prod(np.where(sets, cos[:, np.newaxis, :], 1.0), axis=-1)
+    rest = np.prod(np.where(others, cos[:, np.newaxis, np.newaxis, :], 1.0), axis=-1)
+    d_inputs = np.where(sets.T, -np.sin(angles)[:, :, np.newaxis] * rest, 0.0)
+    return values, d_inputs, d_inputs[:, np.newaxis].copy()
+
+
+def _statevector_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Z expectations by simulating all 2**n amplitudes; any L.
 
     ``inputs`` has shape (..., n).  ``weights`` is either a shared (L, n)
     array or a (V, L, n) array whose leading axis matches the leading axis
     of ``inputs`` (used for stacked parameter-shift variants).
     """
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     n = inputs.shape[-1]
     batch = inputs.shape[:-1]
     psi = np.zeros(batch + (2,) * n, dtype=np.complex128)
@@ -275,21 +338,16 @@ def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _expectations(psi, n)
 
 
-def gradients_batch(
+def _shift_gradients(
     inputs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values plus exact parameter-shift derivatives for a batch.
+    """Values plus exact parameter-shift derivatives on the statevector path.
 
     Every parameterized gate is a single-parameter rotation, so
     d<Z_j>/d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2 exactly.
     All shifted circuits are stacked into one leading axis and evaluated in
     a single pass.
-
-    inputs: (B, n); weights: (L, n).
-    Returns (values (B, n), d_inputs (B, n, n), d_weights (B, L, n, n)).
     """
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     n_samples, n = inputs.shape
     n_layers = weights.shape[0]
     n_coords = n + n_layers * n
@@ -306,7 +364,7 @@ def gradients_batch(
         w_stack[variant, layer, qubit] += _HALF_PI
         w_stack[variant + 1, layer, qubit] -= _HALF_PI
 
-    results = forward_batch(in_stack, w_stack)  # (V, B, n)
+    results = _statevector_batch(in_stack, w_stack)  # (V, B, n)
     values = results[0]
     diffs = 0.5 * (results[1::2] - results[2::2])  # (n_coords, B, n)
     d_inputs = np.transpose(diffs[:n], (1, 0, 2))
@@ -314,6 +372,37 @@ def gradients_batch(
         diffs[n:].reshape(n_layers, n, n_samples, n), (2, 0, 1, 3)
     )
     return values, d_inputs, d_weights
+
+
+def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Z expectations for a batch of embeddings.
+
+    ``inputs`` has shape (..., n) and ``weights`` (L, n).  One entangler
+    layer takes the closed form, deeper circuits the statevector simulation.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[0] == 1:
+        return _one_layer_forward(inputs, weights)
+    return _statevector_batch(inputs, weights)
+
+
+def gradients_batch(
+    inputs: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values plus exact derivatives for a batch.
+
+    One entangler layer takes the closed form; deeper circuits take the
+    parameter-shift rule over stacked statevector circuits.
+
+    inputs: (B, n); weights: (L, n).
+    Returns (values (B, n), d_inputs (B, n, n), d_weights (B, L, n, n)).
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[0] == 1:
+        return _one_layer_gradients(inputs, weights)
+    return _shift_gradients(inputs, weights)
 
 
 def quantum_gradients(

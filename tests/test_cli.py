@@ -179,3 +179,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["features", "--bsm", "x.csv", "--bucket", "30"])
         assert excinfo.value.code == cli.EXIT_USAGE
+
+    def test_non_integer_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QINC_SEED", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["gradcheck"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert "QINC_SEED" in capsys.readouterr().err

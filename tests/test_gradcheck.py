@@ -1,6 +1,7 @@
 """The verification suites themselves: oracle pinning and negative controls."""
 
 import numpy as np
+import pytest
 
 from qincident import gradcheck
 
@@ -46,6 +47,12 @@ class TestSuites:
         result = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
         assert result.passed
 
+    @pytest.mark.parametrize("seed", [1, 2, 12])
+    def test_hybrid_gradients_pass_where_probes_cross_relu_kinks(self, seed):
+        # at step 1e-4 some probe pairs of these seeds straddle a ReLU kink
+        result = gradcheck.check_hybrid_gradients(seed=seed)
+        assert result.passed, result.line()
+
     def test_run_all_reports_three_suites(self):
         results = gradcheck.run_all(seed=4)
         assert [r.name for r in results] == [
@@ -56,3 +63,19 @@ class TestSuites:
         assert all(r.passed for r in results)
         for r in results:
             assert "max err" in r.line()
+
+
+class TestCentralDifference:
+    @staticmethod
+    def relu_probe(vec):
+        return max(vec[0], 0.0), vec[:1] > 0
+
+    def test_step_halved_until_probes_keep_the_base_pattern(self):
+        # at step 1e-4 the minus probe lands on the flat piece: slope 0.65
+        flat = np.array([3e-5])
+        fd = gradcheck._central_difference(self.relu_probe, flat, 0, 1e-4, flat > 0)
+        assert fd == pytest.approx(1.0, rel=1e-9)
+
+    def test_base_point_on_a_kink_is_unresolved(self):
+        flat = np.array([0.0])
+        assert gradcheck._central_difference(self.relu_probe, flat, 0, 1e-4, flat > 0) is None

@@ -6,6 +6,9 @@ random sweeps are pinned against the dense-matrix oracle in gradcheck.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qincident import gradcheck, qsim
 
@@ -290,3 +293,73 @@ class TestSpecValidation:
         params = qsim.QuantumLayerParams.random(spec, np.random.default_rng(0))
         assert params.weights.shape == (3, 4)
         assert np.all((params.weights >= 0) & (params.weights < 2 * np.pi))
+
+
+@st.composite
+def circuits(draw):
+    """A batch of 1-3 embeddings and shared weights: n = 1..5, L = 1..3."""
+    n = draw(st.integers(1, 5))
+    layers = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 3))
+    angles = st.floats(-2 * np.pi, 2 * np.pi)
+    return draw(arrays(float, (batch, n), elements=angles)), draw(
+        arrays(float, (layers, n), elements=angles)
+    )
+
+
+def oracle_gradients(inputs, weights):
+    """Parameter shift applied to the Kronecker-product oracle, per row."""
+    n = inputs.shape[1]
+    d_inputs = np.empty((len(inputs), n, n))
+    d_weights = np.empty((len(inputs),) + weights.shape + (n,))
+    for row, x in enumerate(inputs):
+        for i in range(n):
+            shift = np.eye(n)[i] * np.pi / 2
+            d_inputs[row, i] = 0.5 * (
+                gradcheck.dense_matrix_forward(x + shift, weights)
+                - gradcheck.dense_matrix_forward(x - shift, weights)
+            )
+        for layer in range(weights.shape[0]):
+            for i in range(n):
+                shift = np.zeros(weights.shape)
+                shift[layer, i] = np.pi / 2
+                d_weights[row, layer, i] = 0.5 * (
+                    gradcheck.dense_matrix_forward(x, weights + shift)
+                    - gradcheck.dense_matrix_forward(x, weights - shift)
+                )
+    return d_inputs, d_weights
+
+
+class TestHotKernelAgainstOracles:
+    """forward_batch and gradients_batch (closed form for L=1) against the
+    Kronecker oracle and the statevector path, to 1e-10."""
+
+    def test_xor_sets(self):
+        sets = {n: [set(np.flatnonzero(row)) for row in qsim._xor_sets(n)[0]] for n in (1, 2, 4)}
+        assert sets[4] == [{1, 2, 3}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}]
+        assert sets[2] == [{0}, {0, 1}]
+        assert sets[1] == [{0}]
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits())
+    def test_values(self, circuit):
+        inputs, weights = circuit
+        got = qsim.forward_batch(inputs, weights)
+        oracle = np.array([gradcheck.dense_matrix_forward(x, weights) for x in inputs])
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got, qsim._statevector_batch(inputs, weights), rtol=0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(circuits())
+    def test_gradients(self, circuit):
+        inputs, weights = circuit
+        values, d_inputs, d_weights = qsim.gradients_batch(inputs, weights)
+        assert d_inputs.shape == (len(inputs),) + (inputs.shape[1],) * 2
+        assert d_weights.shape == (len(inputs),) + weights.shape + (inputs.shape[1],)
+        np.testing.assert_allclose(values, qsim.forward_batch(inputs, weights), rtol=0, atol=1e-10)
+        for want_inputs, want_weights in (
+            oracle_gradients(inputs, weights),
+            qsim._shift_gradients(inputs, weights)[1:],
+        ):
+            np.testing.assert_allclose(d_inputs, want_inputs, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(d_weights, want_weights, rtol=0, atol=1e-10)
