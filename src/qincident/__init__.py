@@ -13,7 +13,9 @@ Subpackages:
 * ``cli``         the ``qincident`` command-line driver
 """
 
-from . import cli, data, evaluation, gradcheck, model, nn, qsim, scenario
+import importlib
+
+from . import data, evaluation, gradcheck, model, nn, qsim, scenario
 from .errors import ConfigError, DataError, FormatError, ParseError
 
 __version__ = "0.1.0"
@@ -33,3 +35,11 @@ __all__ = [
     "ParseError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so that ``python -m qincident.cli`` does
+    # not find it already imported by the package
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

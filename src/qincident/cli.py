@@ -78,7 +78,7 @@ def _labeled_rows(config: scenario.ScenarioConfig, bucket_seconds: int):
         records, bucket_seconds, config.n_zones, duration_s=config.duration_s
     )
     rows = data.build_features(aggregates, data.default_topology(config.n_zones))
-    return data.label(rows, events, bucket_seconds=bucket_seconds), records, events
+    return data.label(rows, events, bucket_seconds=bucket_seconds)
 
 
 def _prevalence(rows) -> float:
@@ -102,14 +102,18 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         incidents=tuple(events),
     )
-    rows, records, _ = _labeled_rows(config, bucket_seconds=1)
+    records, _ = scenario.generate(config)
     os.makedirs(args.out, exist_ok=True)
     bsm_path = os.path.join(args.out, "bsm.csv")
     schedule_path = os.path.join(args.out, "schedule.json")
     data.write_bsm_csv(records, bsm_path)
     scenario.write_schedule_json(events, schedule_path)
     print(f"wrote {bsm_path} ({len(records)} records) and {schedule_path} ({len(events)} incidents)")
-    print(f"feature rows: {len(rows)}  positive prevalence: {_prevalence(rows):.4f}")
+    # the config keeps every incident inside the zones x seconds grid, so
+    # the schedule alone gives the labeled rows' count and prevalence
+    n_rows = config.n_zones * config.duration_s
+    prevalence = scenario._positive_rows(events, config.duration_s, 1) / n_rows
+    print(f"feature rows: {n_rows}  positive prevalence: {prevalence:.4f}")
     return EXIT_OK
 
 
@@ -177,7 +181,7 @@ def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
             seed=config.seed,
             incidents=tuple(events),
         )
-        rows, _, _ = _labeled_rows(base, bucket_seconds=1)
+        rows = _labeled_rows(base, bucket_seconds=1)
         for name in ("DS-1", "DS-2"):
             if name in config.splits:
                 splits[name] = data.normalize(data.split(rows, name))
@@ -194,7 +198,7 @@ def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
             seed=config.seed,
             incidents=tuple(events),
         )
-        rows, _, _ = _labeled_rows(ds3, bucket_seconds=60)
+        rows = _labeled_rows(ds3, bucket_seconds=60)
         splits["DS-3"] = data.normalize(data.split(rows, "DS-3"))
     return splits
 

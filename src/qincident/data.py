@@ -441,19 +441,11 @@ def read_feature_csv(path) -> list[FeatureRow]:
                 lab = int(fields[8])
                 if lab not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {lab}")
-                rows.append(
-                    FeatureRow(
-                        bucket_start=int(fields[0]),
-                        zone_id=int(fields[1]),
-                        avg_speed_zone=float(fields[2]),
-                        count_zone=float(fields[3]),
-                        avg_speed_up=float(fields[4]),
-                        count_up=float(fields[5]),
-                        avg_speed_down=float(fields[6]),
-                        count_down=float(fields[7]),
-                        label=lab,
-                    )
-                )
+                values = [float(v) for v in fields[2:8]]
+                bad = [name for name, v in zip(FEATURE_HEADER[2:8], values) if not math.isfinite(v)]
+                if bad:
+                    raise ValueError(f"non-finite feature {', '.join(bad)}")
+                rows.append(FeatureRow(int(fields[0]), int(fields[1]), *values, label=lab))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return rows

@@ -139,36 +139,30 @@ def check_parameter_shift(
     for case in range(n_cases):
         n = int(rng.integers(1, 5))
         layers = int(rng.integers(1, 3))
-        spec = qsim.QuantumLayerSpec(n, layers)
         inputs = rng.uniform(-np.pi, np.pi, size=n)
         weights = rng.uniform(-np.pi, np.pi, size=(layers, n))
-        params = qsim.QuantumLayerParams(weights)
-        grad = qsim.quantum_gradients(inputs, params, spec)
-        d_inputs = grad.d_inputs.copy()
+        _, d_inputs, d_weights = qsim.quantum_gradients(inputs, weights)
         if corrupt and case == 0:
+            d_inputs = d_inputs.copy()
             d_inputs[0, 0] += 1e-3  # negative-control hook
         for i in range(n):
-            plus = qsim.quantum_forward(_bump(inputs, i, step), params, spec)
-            minus = qsim.quantum_forward(_bump(inputs, i, -step), params, spec)
+            plus = qsim.quantum_forward(_bump(inputs, i, step), weights)
+            minus = qsim.quantum_forward(_bump(inputs, i, -step), weights)
             err = float(np.max(np.abs(d_inputs[i] - (plus - minus) / (2 * step))))
             if err > max_err:
                 max_err, worst = err, f"case {case} input {i}"
         for layer in range(layers):
             for qubit in range(n):
-                w_plus = weights.copy()
-                w_plus[layer, qubit] += step
-                w_minus = weights.copy()
-                w_minus[layer, qubit] -= step
-                plus = qsim.quantum_forward(inputs, qsim.QuantumLayerParams(w_plus), spec)
-                minus = qsim.quantum_forward(inputs, qsim.QuantumLayerParams(w_minus), spec)
+                plus = qsim.quantum_forward(inputs, _bump(weights, (layer, qubit), step))
+                minus = qsim.quantum_forward(inputs, _bump(weights, (layer, qubit), -step))
                 fd = (plus - minus) / (2 * step)
-                err = float(np.max(np.abs(grad.d_weights[layer, qubit] - fd)))
+                err = float(np.max(np.abs(d_weights[layer, qubit] - fd)))
                 if err > max_err:
                     max_err, worst = err, f"case {case} weight ({layer},{qubit})"
     return SuiteResult("parameter-shift", max_err <= tol, max_err, tol, n_cases, worst)
 
 
-def _bump(values: np.ndarray, index: int, delta: float) -> np.ndarray:
+def _bump(values: np.ndarray, index, delta: float) -> np.ndarray:
     out = values.copy()
     out[index] += delta
     return out
@@ -202,31 +196,27 @@ def check_hybrid_gradients(
         net = model_mod.build_model(config, seed=seed * 1000 + draw)
         features = rng.uniform(0.0, 1.0, size=(1, 6))
         label = np.array([float(rng.integers(0, 2))])
-        _, grads = model_mod.loss_and_gradients(net, features, label)
-        flat_grad = np.concatenate([g.ravel() for g in grads])
-        params = model_mod.get_parameters(net)
-        flat = np.concatenate([p.ravel() for p in params])
+        _, grad = model_mod.loss_and_gradients(net, features, label)
 
-        def probe(vec: np.ndarray) -> tuple[float, np.ndarray]:
-            model_mod.set_parameters(net, _unflatten(vec, params))
+        def probe(params: np.ndarray) -> tuple[float, np.ndarray]:
+            # ``params`` is ``net.params``, so the forward pass sees it
             probs = model_mod.forward(net, features)
             loss = float(np.mean(nn.bce_loss(probs, label)))
             return loss, _relu_pattern(net, features)
 
-        _, base_pattern = probe(flat)
-        for k in range(flat.size):
-            if abs(flat_grad[k]) <= grad_floor:
+        _, base_pattern = probe(net.params)
+        for k in range(net.params.size):
+            if abs(grad[k]) <= grad_floor:
                 continue
             n_checked += 1
-            fd = _central_difference(probe, flat, k, step, base_pattern)
+            fd = _central_difference(probe, net.params, k, step, base_pattern)
             if fd is None:
                 rel, where = float("inf"), f"draw {draw} coord {k} (probes cross a ReLU kink)"
             else:
-                rel = abs(fd - flat_grad[k]) / max(abs(fd), abs(flat_grad[k]))
+                rel = abs(fd - grad[k]) / max(abs(fd), abs(grad[k]))
                 where = f"draw {draw} coord {k}"
             if rel > max_rel:
                 max_rel, worst = rel, where
-        model_mod.set_parameters(net, params)
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
@@ -235,40 +225,36 @@ def check_hybrid_gradients(
 def _relu_pattern(net: model_mod.Model, features: np.ndarray) -> np.ndarray:
     """Which ReLU units are active, over every ReLU layer of the stack."""
     h, active = features, []
-    for entry in net.layers:
-        if isinstance(entry, nn.DenseLayer):
-            z, h = nn.dense_forward(entry, h)
-            if entry.activation == "relu":
-                active.append(z.ravel() > 0)
-        else:
-            h = model_mod._QUANTUM_FORWARD(h, entry.weights)
+    for layer in net.layers:
+        h = layer.forward(h)
+        if getattr(layer, "activation", None) == "relu":
+            active.append(h.ravel() > 0)  # relu(z) > 0 exactly where z > 0
     return np.concatenate(active)
 
 
 def _central_difference(probe, flat: np.ndarray, k: int, step: float, base_pattern):
-    """Central difference of the loss along coordinate ``k``.
+    """Central difference of the loss along coordinate ``k`` of ``flat``.
 
-    ``probe(vec)`` returns the loss and the ReLU pattern at ``vec``.  The
-    step is halved until both probes show ``base_pattern``; None when that
-    needs a step below ``MIN_STEP``.
+    ``flat[k]`` is bumped in place for each probe and restored afterwards;
+    ``probe(flat)`` returns the loss and the ReLU pattern there.  The step
+    is halved until both probes show ``base_pattern``; None when that needs
+    a step below ``MIN_STEP``.
     """
-    while step >= MIN_STEP:
-        loss_plus, pattern_plus = probe(_bump(flat, k, step))
-        loss_minus, pattern_minus = probe(_bump(flat, k, -step))
-        if np.array_equal(pattern_plus, base_pattern) and np.array_equal(
-            pattern_minus, base_pattern
-        ):
-            return (loss_plus - loss_minus) / (2 * step)
-        step *= 0.5
-    return None
-
-
-def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    out, offset = [], 0
-    for arr in like:
-        out.append(flat[offset : offset + arr.size].reshape(arr.shape))
-        offset += arr.size
-    return out
+    base = flat[k]
+    try:
+        while step >= MIN_STEP:
+            flat[k] = base + step
+            loss_plus, pattern_plus = probe(flat)
+            flat[k] = base - step
+            loss_minus, pattern_minus = probe(flat)
+            if np.array_equal(pattern_plus, base_pattern) and np.array_equal(
+                pattern_minus, base_pattern
+            ):
+                return (loss_plus - loss_minus) / (2 * step)
+            step *= 0.5
+        return None
+    finally:
+        flat[k] = base
 
 
 def run_all(seed: int = 0, corrupt: bool = False) -> list[SuiteResult]:

@@ -10,17 +10,26 @@ Stacks (the input is the six zone features):
 The 2-qubit hybrid narrows the pre- and post-quantum dense layers to width 2.
 Training is plain mini-batch Adam on mean binary cross-entropy; everything is
 deterministic for a fixed seed.
+
+Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
+``forward(x)``; ``forward_cached(x)`` -> (out, cache) and
+``backward(cache, d_out)`` -> (d_in, grads in ``param_names`` order);
+``to_dict``/``from_dict``.  A model keeps all trainable numbers in one
+float64 vector, ``Model.params``, and the layers' arrays are views into it,
+so gradients and Adam work on that one vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
 from . import nn, qsim
+from .errors import DataError
 
 MODEL_KINDS = ("classical", "hybrid")
 
@@ -55,31 +64,95 @@ class HybridModelConfig:
         return "classical" if self.kind == "classical" else f"hybrid-{self.n_qubits}q"
 
 
-LayerEntry = Union[nn.DenseLayer, qsim.QuantumLayerParams]
+@dataclass
+class QuantumLayer:
+    """The ``qsim`` circuit as a layer: weights [n_entangler_layers, n_qubits].
+
+    Reaches the kernels through ``_QUANTUM_FORWARD`` and
+    ``_QUANTUM_GRADIENTS`` at call time, so they can be swapped out.
+    """
+
+    weights: np.ndarray
+    param_names: ClassVar[tuple[str, ...]] = ("weights",)
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.ndim != 2:
+            raise ValueError("weights must be a 2-d [layers, qubits] array")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return _QUANTUM_FORWARD(x, self.weights)
+
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, self.weights)
+        return values, (d_inputs, d_weights)
+
+    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Chain rule through the exact Jacobians: d_inputs [B, n, n] and
+        d_weights [B, L, n, n]."""
+        d_inputs, d_weights = cache
+        return (
+            np.einsum("bij,bj->bi", d_inputs, d_out),
+            (np.einsum("blij,bj->li", d_weights, d_out),),
+        )
+
+    def to_dict(self) -> dict:
+        n_layers, n_qubits = self.weights.shape
+        return {
+            "type": "quantum",
+            "n_qubits": n_qubits,
+            "n_entangler_layers": n_layers,
+            "weights": self.weights.ravel().tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "QuantumLayer":
+        shape = (doc["n_entangler_layers"], doc["n_qubits"])
+        return cls(np.array(doc["weights"], dtype=float).reshape(shape))
+
+
+_LAYER_TYPES = {"dense": nn.DenseLayer, "quantum": QuantumLayer}
+
+
+def _flat_views(layers: list) -> np.ndarray:
+    """Copy every layer's trainable arrays into one float64 vector, in stack
+    order, and rebind them as reshaped views of it."""
+    arrays = [(layer, name) for layer in layers for name in layer.param_names]
+    params = np.concatenate([getattr(layer, name).ravel() for layer, name in arrays])
+    offset = 0
+    for layer, name in arrays:
+        array = getattr(layer, name)
+        setattr(layer, name, params[offset : offset + array.size].reshape(array.shape))
+        offset += array.size
+    return params
 
 
 @dataclass
 class Model:
     """A (possibly trained) model.
 
-    ``layers`` holds dense layers and, for hybrid models, the quantum layer
-    parameters in stack order.  After training the model carries its own
-    normalization bounds and per-epoch history, so inference on raw feature
-    rows is self-contained.
+    ``layers`` is the stack, dense and quantum layers alike; every trainable
+    number lives in ``params``, of which the layers' arrays are views.
+    After training the model carries its own normalization bounds and
+    per-epoch history, so inference on raw feature rows is self-contained.
     """
 
     config: HybridModelConfig
-    layers: list[LayerEntry]
-    quantum_spec: qsim.QuantumLayerSpec | None
+    layers: list
     seed: int
     normalization: tuple[np.ndarray, np.ndarray] | None = None
     history: dict = field(default_factory=dict)
+    params: np.ndarray = field(init=False, repr=False)
 
-    def forward(self, features):
-        return forward(self, features)
+    def __post_init__(self):
+        self.params = _flat_views(self.layers)
 
-    def predict(self, features):
-        return predict(self, features)
+    def __setstate__(self, state: dict):
+        # pickle and deepcopy copy views as separate arrays: bind them again
+        self.__dict__.update(state)
+        self.params = _flat_views(self.layers)
 
 
 N_FEATURES = 6
@@ -89,31 +162,18 @@ def build_model(config: HybridModelConfig, seed: int) -> Model:
     """Fresh model with Glorot dense layers and uniform [0, 2*pi) quantum angles."""
     rng = np.random.default_rng(seed)
     w1, w2 = config.hidden_widths
-    layers: list[LayerEntry] = [
-        nn.init_layer(N_FEATURES, w1, rng, "relu"),
-        nn.init_layer(w1, w2, rng, "relu"),
-    ]
-    quantum_spec = None
+    layers = [nn.init_layer(N_FEATURES, w1, rng, "relu"), nn.init_layer(w1, w2, rng, "relu")]
     if config.kind == "classical":
         layers.append(nn.init_layer(w2, 1, rng, "sigmoid"))
     else:
         n_q = config.n_qubits
-        quantum_spec = qsim.QuantumLayerSpec(n_q, config.n_entangler_layers)
         layers.append(nn.init_layer(w2, n_q, rng, "relu"))
-        layers.append(qsim.QuantumLayerParams.random(quantum_spec, rng))
+        layers.append(
+            QuantumLayer(rng.uniform(0.0, 2.0 * np.pi, size=(config.n_entangler_layers, n_q)))
+        )
         layers.append(nn.init_layer(n_q, n_q, rng, "relu"))
         layers.append(nn.init_layer(n_q, 1, rng, "sigmoid"))
-    return Model(config=config, layers=layers, quantum_spec=quantum_spec, seed=seed)
-
-
-def parameter_count(model: Model) -> int:
-    total = 0
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            total += entry.weights.size + entry.biases.size
-        else:
-            total += entry.weights.size
-    return total
+    return Model(config=config, layers=layers, seed=seed)
 
 
 def forward(model: Model, features) -> float | np.ndarray:
@@ -123,11 +183,8 @@ def forward(model: Model, features) -> float | np.ndarray:
     if x.shape[-1] != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} features, got {x.shape[-1]}")
     h = x[np.newaxis] if single else x
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            _, h = nn.dense_forward(entry, h)
-        else:
-            h = _QUANTUM_FORWARD(h, entry.weights)
+    for layer in model.layers:
+        h = layer.forward(h)
     probs = h[:, 0]
     return float(probs[0]) if single else probs
 
@@ -140,35 +197,14 @@ def predict(model: Model, features) -> int | np.ndarray:
     return (probs >= model.config.output_threshold).astype(int)
 
 
-def get_parameters(model: Model) -> list[np.ndarray]:
-    """Trainable arrays in stack order: (weights, biases) per dense layer,
-    the rotation angles for the quantum layer."""
-    params: list[np.ndarray] = []
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            params.extend((entry.weights, entry.biases))
-        else:
-            params.append(entry.weights)
-    return params
-
-
-def set_parameters(model: Model, params: list[np.ndarray]) -> None:
-    it = iter(params)
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            entry.weights = next(it)
-            entry.biases = next(it)
-        else:
-            entry.weights = next(it)
-
-
 def loss_and_gradients(
     model: Model, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """Mean BCE over the batch plus exact gradients for every parameter.
+) -> tuple[float, np.ndarray]:
+    """Mean BCE over the batch plus its exact gradient, laid out like
+    ``model.params``.
 
-    Dense segments are backpropagated with cached pre-activations; the
-    quantum segment contributes its exact Jacobians.
+    Dense layers are backpropagated with cached pre-activations; the
+    quantum layer contributes its exact Jacobians.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -176,65 +212,52 @@ def loss_and_gradients(
         raise ValueError("features must be a [batch, 6] array")
     h = x
     caches = []
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            z, out = nn.dense_forward(entry, h)
-            caches.append(("dense", entry, h, z))
-            h = out
-        else:
-            values, d_inputs, d_weights = _QUANTUM_GRADIENTS(h, entry.weights)
-            caches.append(("quantum", entry, d_inputs, d_weights))
-            h = values
+    for layer in model.layers:
+        h, cache = layer.forward_cached(h)
+        caches.append(cache)
     probs = h[:, 0]
     loss = float(np.mean(nn.bce_loss(probs, y)))
 
     d_out = (nn.bce_grad(probs, y) / len(y))[:, np.newaxis]
-    grads_reversed: list[np.ndarray] = []
-    for kind, entry, a, b in reversed(caches):
-        if kind == "dense":
-            d_w, d_b, d_out = nn.dense_backward(entry, a, b, d_out)
-            grads_reversed.extend((d_b, d_w))
-        else:
-            # a = d_inputs [B, n, n], b = d_weights [B, L, n, n]
-            grads_reversed.append(np.einsum("blij,bj->li", b, d_out))
-            d_out = np.einsum("bij,bj->bi", a, d_out)
-    return loss, grads_reversed[::-1]
+    grads_reversed = []
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        d_out, layer_grads = layer.backward(cache, d_out)
+        grads_reversed.append(layer_grads)
+    return loss, np.concatenate(
+        [g.ravel() for layer_grads in reversed(grads_reversed) for g in layer_grads]
+    )
 
 
-def _rows_to_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(rows, tuple) and len(rows) == 2:
-        features, labels = rows
-        return np.asarray(features, dtype=float), np.asarray(labels, dtype=float)
-    features = np.array([r.features() for r in rows], dtype=float)
-    labels = np.array([r.label for r in rows], dtype=float)
-    return features, labels
+def train(model: Model, data, config: nn.TrainConfig) -> Model:
+    """Mini-batch Adam on mean BCE, updating ``model.params`` in place.
 
-
-def train(model: Model, rows, config: nn.TrainConfig) -> Model:
-    """Mini-batch Adam on mean BCE.
-
-    ``rows`` is a list of (already normalized) feature rows, or a prebuilt
-    ``(features, labels)`` pair.  History records the running mean batch
-    loss and the full-train-set accuracy after each epoch.
+    ``data`` is a ``(features [N, 6], labels [N])`` pair of already
+    normalized rows.  History records the running mean batch loss and the
+    full-train-set accuracy after each epoch.  A non-finite batch loss
+    raises ``DataError`` naming the epoch, batch and seed.
     """
-    features, labels = _rows_to_arrays(rows)
+    features, labels = (np.asarray(a, dtype=float) for a in data)
     n_rows = len(features)
     if n_rows == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(config.seed)
-    params = get_parameters(model)
-    adam = nn.AdamState.for_params(params, learning_rate=config.learning_rate)
+    adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     base_order = np.arange(n_rows)
+    n_batches = math.ceil(n_rows / config.batch_size)
     loss_history, accuracy_history = [], []
     threshold = model.config.output_threshold
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n_rows) if config.shuffle else base_order
         running = 0.0
-        for start in range(0, n_rows, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(model, features[batch], labels[batch])
-            params = nn.adam_step(params, grads, adam)
-            set_parameters(model, params)
+        for index in range(n_batches):
+            batch = order[index * config.batch_size : (index + 1) * config.batch_size]
+            loss, grad = loss_and_gradients(model, features[batch], labels[batch])
+            if not math.isfinite(loss):
+                raise DataError(
+                    f"training diverged: loss {loss} at epoch {epoch + 1}/{config.epochs}, "
+                    f"batch {index + 1}/{n_batches} (seed {config.seed})"
+                )
+            nn.adam_step(model.params, grad, adam)
             running += loss * len(batch)
         loss_history.append(running / n_rows)
         probs = forward(model, features)
@@ -255,28 +278,6 @@ def train(model: Model, rows, config: nn.TrainConfig) -> Model:
 
 def model_to_dict(model: Model) -> dict:
     """JSON-safe document: layer list with shapes, row-major arrays, tags."""
-    entries = []
-    for entry in model.layers:
-        if isinstance(entry, nn.DenseLayer):
-            entries.append(
-                {
-                    "type": "dense",
-                    "in_dim": entry.in_dim,
-                    "out_dim": entry.out_dim,
-                    "activation": entry.activation,
-                    "weights": entry.weights.ravel().tolist(),
-                    "biases": entry.biases.tolist(),
-                }
-            )
-        else:
-            entries.append(
-                {
-                    "type": "quantum",
-                    "n_qubits": model.quantum_spec.n_qubits,
-                    "n_entangler_layers": model.quantum_spec.n_entangler_layers,
-                    "weights": entry.weights.ravel().tolist(),
-                }
-            )
     return {
         "config": {
             "kind": model.config.kind,
@@ -285,7 +286,7 @@ def model_to_dict(model: Model) -> dict:
             "n_entangler_layers": model.config.n_entangler_layers,
             "output_threshold": model.config.output_threshold,
         },
-        "layers": entries,
+        "layers": [layer.to_dict() for layer in model.layers],
         "seed": model.seed,
         "normalization": None
         if model.normalization is None
@@ -306,20 +307,7 @@ def model_from_dict(doc: dict) -> Model:
         n_entangler_layers=cfg["n_entangler_layers"],
         output_threshold=cfg["output_threshold"],
     )
-    layers: list[LayerEntry] = []
-    quantum_spec = None
-    for entry in doc["layers"]:
-        if entry["type"] == "dense":
-            weights = np.array(entry["weights"], dtype=float).reshape(
-                entry["out_dim"], entry["in_dim"]
-            )
-            layers.append(nn.DenseLayer(weights, np.array(entry["biases"]), entry["activation"]))
-        else:
-            quantum_spec = qsim.QuantumLayerSpec(
-                entry["n_qubits"], entry["n_entangler_layers"]
-            )
-            weights = np.array(entry["weights"], dtype=float).reshape(quantum_spec.weights_shape)
-            layers.append(qsim.QuantumLayerParams(weights))
+    layers = [_LAYER_TYPES[entry["type"]].from_dict(entry) for entry in doc["layers"]]
     normalization = None
     if doc.get("normalization") is not None:
         normalization = (
@@ -329,7 +317,6 @@ def model_from_dict(doc: dict) -> Model:
     return Model(
         config=config,
         layers=layers,
-        quantum_spec=quantum_spec,
         seed=doc["seed"],
         normalization=normalization,
         history=doc.get("history", {}),

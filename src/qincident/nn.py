@@ -9,6 +9,7 @@ of an epoch is used at its natural size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,11 +53,17 @@ def activate_deriv(kind: str, pre_activation) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: weights [out, in], biases [out]."""
+    """Fully connected layer: weights [out, in], biases [out].
+
+    Follows the layer protocol of ``model``: ``forward``,
+    ``forward_cached``/``backward``, ``to_dict``/``from_dict``, and
+    ``param_names``, the trainable arrays in their flat-vector order.
+    """
 
     weights: np.ndarray
     biases: np.ndarray
     activation: str = "relu"
+    param_names: ClassVar[tuple[str, ...]] = ("weights", "biases")
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -77,6 +84,33 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return dense_forward(self, x)[1]
+
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        z, out = dense_forward(self, x)
+        return out, (x, z)
+
+    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(d_input, (d_weights, d_biases)) from ``forward_cached``'s cache."""
+        d_w, d_b, d_in = dense_backward(self, *cache, d_out)
+        return d_in, (d_w, d_b)
+
+    def to_dict(self) -> dict:
+        return {
+            "type": "dense",
+            "in_dim": self.in_dim,
+            "out_dim": self.out_dim,
+            "activation": self.activation,
+            "weights": self.weights.ravel().tolist(),
+            "biases": self.biases.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DenseLayer":
+        weights = np.array(doc["weights"], dtype=float).reshape(doc["out_dim"], doc["in_dim"])
+        return cls(weights, np.array(doc["biases"]), doc["activation"])
 
 
 def init_layer(in_dim: int, out_dim: int, seed, activation: str = "relu") -> DenseLayer:
@@ -147,10 +181,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments laid out like the flat parameter vector, plus
+    the shared step counter."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.001
     beta1: float = 0.9
@@ -158,28 +193,17 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], learning_rate: float = 0.001) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-        )
+    def for_params(cls, params: np.ndarray, learning_rate: float = 0.001) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params), learning_rate=learning_rate)
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter arrays."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("params, grads and state must have matching lengths")
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat ``params``, in place."""
+    if params.shape != grad.shape or params.shape != state.first_moment.shape:
+        raise ValueError("params, grad and state must have matching shapes")
     state.step_count += 1
     mc = 1.0 - state.beta1**state.step_count
     vc = 1.0 - state.beta2**state.step_count
-    updated = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.beta1 * state.first_moment[i] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.second_moment[i] + (1.0 - state.beta2) * g * g
-        state.first_moment[i] = m
-        state.second_moment[i] = v
-        updated.append(p - state.learning_rate * (m / mc) / (np.sqrt(v / vc) + state.epsilon))
-    return updated
+    m = state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
+    v = state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
+    params -= state.learning_rate * (m / mc) / (np.sqrt(v / vc) + state.epsilon)

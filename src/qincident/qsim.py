@@ -1,136 +1,41 @@
-"""Exact statevector simulation of the trainable quantum layer.
+"""Exact simulation of the trainable quantum layer.
 
-The layer circuit is an angle embedding (one RX rotation per qubit, angles
-taken from the classical inputs) followed by one or more basic entangler
-layers (one trainable RX per qubit, then a ring of CNOTs).  Readout is the
-vector of per-qubit Pauli-Z expectations, computed exactly from the 2**n
-complex amplitudes.  There is no shot sampling anywhere, so every output is
-deterministic and the parameter-shift rule gives analytically exact
-derivatives.
+The circuit is an angle embedding (RX(x_i) on qubit i) followed by L basic
+entangler layers (a trainable RX per qubit, then a ring of CNOTs); the
+readout is the vector of per-qubit Pauli-Z expectations, computed exactly
+with no shot sampling.  Qubit 0 is the most significant bit of the
+basis-state index.  The CNOT ring for n >= 3 qubits is (0->1), (1->2), ...,
+(n-1->0); two qubits get a single CNOT (0->1), one qubit none.
 
-Conventions:
-
-* Qubit 0 is the most significant bit of the basis-state index, i.e.
-  ``|q0 q1 ... q_{n-1}>`` lives at index ``q0*2**(n-1) + ... + q_{n-1}``.
-* All angles are radians; gates are 2*pi periodic in their parameter.
-* The CNOT ring for n >= 3 qubits is (0->1), (1->2), ..., (n-1->0).
-  Two qubits get a single CNOT (0->1); one qubit gets no entangling gate.
-
-One entangler layer (L=1, the shipped models) has an exact closed form.
-The embedding RX(x_i) and the trained RX(w_i) act back to back on qubit i,
-so they merge into RX(a_i) with a_i = x_i + w_i, and the register is a
-product state whose bits b_i are independent with <(-1)**b_i> = cos(a_i).
-The CNOT ring only permutes basis states: output bit j is the XOR of the
-input bits in a set S_j (a linear map over GF(2)).  Hence
+One entangler layer (L=1, the shipped models) has a closed form.  RX(x_i)
+and RX(w_i) merge into RX(a_i) with a_i = x_i + w_i, the register is a
+product state with <(-1)**b_i> = cos(a_i), and the ring only XORs bits:
+output bit j is the XOR of the input bits in a set S_j.  Hence
 
     <Z_j> = prod_{i in S_j} cos(a_i),
     d<Z_j>/dx_i = d<Z_j>/dw_i = -sin(a_i) * prod_{k in S_j, k != i} cos(a_k)
 
-for i in S_j, and 0 otherwise.  For 4 qubits S = {1,2,3}, {0,1}, {0,1,2},
-{0,1,2,3}; for 2 qubits S = {0}, {0,1}; one qubit gives S = {0}.  In the
-terms of Schuld, Sweke & Meyer (arXiv:2008.08605) the L=1 layer is a
-degree-1 Fourier series in each angle.  ``forward_batch`` and
-``gradients_batch`` use this closed form for L=1, which is the training and
-inference hot path; deeper circuits (L >= 2) run the statevector and
-stacked parameter-shift kernels.  The Kronecker-product oracle in
-``gradcheck`` judges both.
+for i in S_j, and 0 otherwise; for 4 qubits S = {1,2,3}, {0,1}, {0,1,2},
+{0,1,2,3}.  In the terms of Schuld, Sweke & Meyer (arXiv:2008.08605) the
+L=1 layer is a degree-1 Fourier series in each angle.
+
+``forward_batch`` and ``gradients_batch`` are what the models run: the
+closed form for L=1, the statevector simulation and stacked parameter-shift
+rule for L >= 2.  ``quantum_forward`` and ``quantum_gradients`` wrap them
+for one embedding, for ``gradcheck``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-NORM_ATOL = 1e-10
 _HALF_PI = 0.5 * np.pi
-
-
-@dataclass(frozen=True)
-class QuantumLayerSpec:
-    """Circuit shape: register width and number of entangler layers."""
-
-    n_qubits: int
-    n_entangler_layers: int = 1
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_entangler_layers < 1:
-            raise ValueError(
-                f"n_entangler_layers must be >= 1, got {self.n_entangler_layers}"
-            )
-
-    @property
-    def weights_shape(self) -> tuple[int, int]:
-        return (self.n_entangler_layers, self.n_qubits)
-
-
-@dataclass
-class QuantumLayerParams:
-    """Trainable rotation angles, shape [n_entangler_layers, n_qubits]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be a 2-d [layers, qubits] array")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-
-    @classmethod
-    def random(cls, spec: QuantumLayerSpec, rng: np.random.Generator) -> "QuantumLayerParams":
-        """Angles drawn uniform in [0, 2*pi), the natural domain of the gates."""
-        return cls(rng.uniform(0.0, 2.0 * np.pi, size=spec.weights_shape))
-
-
-@dataclass
-class StateVector:
-    """An n-qubit register as a flat array of 2**n complex amplitudes."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} "
-                f"qubits, got shape {self.amplitudes.shape}"
-            )
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
-
-
-@dataclass(frozen=True)
-class QuantumGradient:
-    """Exact derivatives of all Z expectations.
-
-    ``d_inputs[i, j]`` is the derivative of output j with respect to input
-    angle i; ``d_weights[l, i, j]`` the derivative of output j with respect
-    to the layer-l rotation on qubit i.
-    """
-
-    d_inputs: np.ndarray
-    d_weights: np.ndarray
 
 
 # -- tensor kernels ----------------------------------------------------------
 #
-# States are handled as arrays of shape batch_shape + (2,)*n so a single code
-# path serves the per-register public ops (empty batch) and the batched
-# training/gradient evaluations (stacked shifted circuits).
+# States are arrays of shape batch_shape + (2,)*n: a batch of embeddings,
+# and for parameter shift a leading axis of stacked shifted circuits.
 
 def _rx(psi: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
     """RX(angle) on one qubit; ``angle`` broadcasts over the batch axes."""
@@ -187,81 +92,6 @@ def _ring(n: int) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 1)]  # a 2-cycle ring would add a redundant second CNOT
     return [(q, (q + 1) % n) for q in range(n)]
-
-
-# -- public register operations ----------------------------------------------
-
-def apply_rx(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """Rotate one qubit by RX(angle) = [[cos a/2, -i sin a/2], [-i sin a/2, cos a/2]]."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    out = _rx(state._tensor(), state.n_qubits, qubit, float(angle))
-    return StateVector(state.n_qubits, out.reshape(-1))
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """CNOT with the given control and target qubits."""
-    n = state.n_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not (0 <= control < n and 0 <= target < n):
-        raise IndexError(f"qubit pair ({control}, {target}) out of range for {n} qubits")
-    out = _cnot(state._tensor(), n, control, target)
-    return StateVector(n, out.reshape(-1))
-
-
-def angle_embedding(state: StateVector, inputs) -> StateVector:
-    """RX(inputs[i]) on qubit i, ascending; encodes classical values as angles."""
-    inputs = np.asarray(inputs, dtype=float)
-    n = state.n_qubits
-    if inputs.shape != (n,):
-        raise ValueError(f"expected {n} input angles, got shape {inputs.shape}")
-    psi = state._tensor()
-    for qubit in range(n):
-        psi = _rx(psi, n, qubit, inputs[qubit])
-    return StateVector(n, psi.reshape(-1))
-
-
-def basic_entangler_layer(state: StateVector, layer_weights) -> StateVector:
-    """One trainable RX per qubit, then the CNOT ring."""
-    layer_weights = np.asarray(layer_weights, dtype=float)
-    n = state.n_qubits
-    if layer_weights.shape != (n,):
-        raise ValueError(f"expected {n} layer weights, got shape {layer_weights.shape}")
-    psi = state._tensor()
-    for qubit in range(n):
-        psi = _rx(psi, n, qubit, layer_weights[qubit])
-    for control, target in _ring(n):
-        psi = _cnot(psi, n, control, target)
-    return StateVector(n, psi.reshape(-1))
-
-
-def z_expectations(state: StateVector) -> np.ndarray:
-    """Per-qubit <Z>: +1 weight where the qubit bit is 0, -1 where it is 1."""
-    return _expectations(state._tensor(), state.n_qubits)
-
-
-def _check_shapes(inputs: np.ndarray, params: QuantumLayerParams, spec: QuantumLayerSpec):
-    if inputs.shape != (spec.n_qubits,):
-        raise ValueError(
-            f"expected {spec.n_qubits} input angles, got shape {inputs.shape}"
-        )
-    if params.weights.shape != spec.weights_shape:
-        raise ValueError(
-            f"weights shape {params.weights.shape} does not match spec "
-            f"{spec.weights_shape}"
-        )
-
-
-def quantum_forward(inputs, params: QuantumLayerParams, spec: QuantumLayerSpec) -> np.ndarray:
-    """Full layer pass: fresh |0..0>, embed, entangle, read out Z expectations."""
-    inputs = np.asarray(inputs, dtype=float)
-    _check_shapes(inputs, params, spec)
-    state = StateVector.zero(spec.n_qubits)
-    state = angle_embedding(state, inputs)
-    for layer_weights in params.weights:
-        state = basic_entangler_layer(state, layer_weights)
-    return z_expectations(state)
 
 
 # -- batched evaluation: closed form for L=1, statevector for L >= 2 ----------
@@ -405,11 +235,27 @@ def gradients_batch(
     return _shift_gradients(inputs, weights)
 
 
-def quantum_gradients(
-    inputs, params: QuantumLayerParams, spec: QuantumLayerSpec
-) -> QuantumGradient:
-    """Parameter-shift derivatives of every output w.r.t. every angle."""
+def _one_sample(inputs, weights) -> tuple[np.ndarray, np.ndarray]:
     inputs = np.asarray(inputs, dtype=float)
-    _check_shapes(inputs, params, spec)
-    _, d_inputs, d_weights = gradients_batch(inputs[np.newaxis], params.weights)
-    return QuantumGradient(d_inputs=d_inputs[0], d_weights=d_weights[0])
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or inputs.shape != (weights.shape[1],):
+        raise ValueError(
+            f"expected inputs (n,) and weights (L, n), got {inputs.shape} and {weights.shape}"
+        )
+    return inputs[np.newaxis], weights
+
+
+def quantum_forward(inputs, weights) -> np.ndarray:
+    """Z expectations of one embedding [n] by statevector simulation, any L.
+
+    ``gradcheck`` differentiates this numerically, so its reference never
+    goes through the L=1 closed form that ``gradients_batch`` takes.
+    """
+    return _statevector_batch(*_one_sample(inputs, weights))[0]
+
+
+def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gradients_batch`` for one embedding [n]: (values [n], d_inputs
+    [n, n], d_weights [L, n, n]); ``d_inputs[i, j]`` is d<Z_j>/dx_i."""
+    values, d_inputs, d_weights = gradients_batch(*_one_sample(inputs, weights))
+    return values[0], d_inputs[0], d_weights[0]

@@ -1,10 +1,15 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from qincident import cli, data
+import qincident
+from qincident import cli, data, model, qsim, scenario
 
 
 def run_cli(args):
@@ -31,6 +36,31 @@ class TestGen:
         assert code == 0
         captured = capsys.readouterr().out
         assert "prevalence: 0.0000" in captured
+
+    @pytest.mark.parametrize("zones,duration,seed", [(8, 180, 7), (6, 120, 0)])
+    @pytest.mark.parametrize("schedule_file", [False, True])
+    def test_prevalence_line_matches_the_labeled_pipeline(
+        self, tmp_path, capsys, zones, duration, seed, schedule_file
+    ):
+        args = ["gen", "--zones", str(zones), "--duration", str(duration), "--seed", str(seed)]
+        if schedule_file:
+            # a hand-made schedule with an incident in the first and last zone
+            path = tmp_path / "schedule.json"
+            events = [scenario.IncidentEvent(0, 0, 50), scenario.IncidentEvent(zones - 1, 70, 40)]
+            scenario.write_schedule_json(events, path)
+            args += ["--schedule", str(path)]
+        out = tmp_path / "o"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        records = data.read_bsm_csv(out / "bsm.csv")
+        events = scenario.read_schedule_json(out / "schedule.json")
+        rows = data.build_features(
+            data.aggregate(records, 1, zones, duration_s=duration), data.default_topology(zones)
+        )
+        rows = data.label(rows, events, bucket_seconds=1)
+        prevalence = sum(r.label for r in rows) / len(rows)
+        assert prevalence > 0
+        assert printed == f"feature rows: {len(rows)}  positive prevalence: {prevalence:.4f}"
 
     def test_bsm_csv_parses_back(self, tmp_path):
         out = tmp_path / "o"
@@ -139,6 +169,22 @@ class TestExperiment:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 5
 
+    def test_diverged_training_exits_1_with_a_partial_report(self, tmp_path, monkeypatch, capsys):
+        def nan_layer(x, weights):
+            values, d_inputs, d_weights = qsim.gradients_batch(x, weights)
+            return np.full_like(values, np.nan), d_inputs, d_weights
+
+        monkeypatch.setattr(model, "_QUANTUM_GRADIENTS", nan_layer)
+        out = tmp_path / "exp"
+        args = [a if a != "classical" else "hybrid-2q" for a in SMALL_EXPERIMENT]
+        assert run_cli(args + ["--out", str(out)]) == cli.EXIT_FAIL
+        message = "training diverged: loss nan at epoch 1/2, batch 1/"
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["partial"] is True
+        assert report["error"].startswith(f"DataError: {message}")
+        assert report["error"].endswith("(seed 5)")
+
 
 class TestSmoke:
     def test_default_scenario_single_run_single_epoch_under_60s(self, tmp_path):
@@ -186,3 +232,18 @@ class TestUsage:
             run_cli(["gradcheck"])
         assert excinfo.value.code == cli.EXIT_USAGE
         assert "QINC_SEED" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_runtime_warning(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qincident.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "qincident.cli", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "usage: qincident" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_cli_is_an_attribute_of_the_package(self):
+        assert getattr(qincident, "cli") is cli

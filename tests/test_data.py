@@ -275,6 +275,14 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError):
             data.read_bsm_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "features.csv"
+        header = ",".join(data.FEATURE_HEADER)
+        path.write_text(f"{header}\n0,0,1.0,2.0,3.0,4.0,5.0,6.0,0\n1,0,1.0,2.0,{value},4.0,5.0,6.0,1\n")
+        with pytest.raises(ParseError, match=r"features.csv:3: non-finite feature spd_up"):
+            data.read_feature_csv(path)
+
     def test_topology_round_trip(self, tmp_path):
         topo = data.default_topology(10)
         path = tmp_path / "topo.json"

@@ -1,66 +1,62 @@
 """Model assembly, forward/predict semantics, training, serialization."""
 
+import copy
+import json
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qincident import data, model, nn, qsim
+from qincident import model, nn
+from qincident.errors import DataError
 
 
 def zeroed(net):
-    model.set_parameters(net, [np.zeros_like(p) for p in model.get_parameters(net)])
+    net.params[:] = 0.0
     return net
 
 
 def separable_rows(n_rows=200, seed=0):
-    """Two tight clusters: slow congested positives vs free-flow negatives."""
+    """Two tight clusters: slow congested positives vs free-flow negatives,
+    as a (features [n, 6], labels [n]) pair."""
     rng = np.random.default_rng(seed)
-    rows = []
+    features, labels = [], []
     for i in range(n_rows):
         positive = i % 2 == 0
         if positive:
-            feats = rng.normal([0.05, 0.3, 0.15, 0.8, 0.9, 0.05], 0.03)
+            features.append(rng.normal([0.05, 0.3, 0.15, 0.8, 0.9, 0.05], 0.03))
         else:
-            feats = rng.normal([0.85, 0.3, 0.85, 0.3, 0.85, 0.3], 0.03)
-        rows.append(
-            data.FeatureRow(
-                bucket_start=i,
-                zone_id=0,
-                avg_speed_zone=feats[0],
-                count_zone=feats[1],
-                avg_speed_up=feats[2],
-                count_up=feats[3],
-                avg_speed_down=feats[4],
-                count_down=feats[5],
-                label=1 if positive else 0,
-            )
-        )
-    return rows
+            features.append(rng.normal([0.85, 0.3, 0.85, 0.3, 0.85, 0.3], 0.03))
+        labels.append(1.0 if positive else 0.0)
+    return np.array(features), np.array(labels)
 
 
 class TestBuildModel:
     def test_hybrid_parameter_count(self):
         net = model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=4), seed=0)
         # (6*48+48)+(48*32+32)+(32*4+4)+(1*4)+(4*4+4)+(4*1+1)
-        assert model.parameter_count(net) == 2065
+        assert net.params.size == 2065
 
     def test_classical_parameter_count(self):
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=0)
-        assert model.parameter_count(net) == 1937  # 336 + 1568 + 33
+        assert net.params.size == 1937  # 336 + 1568 + 33
 
     def test_two_qubit_parameter_count(self):
         net = model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=2), seed=0)
-        assert model.parameter_count(net) == 336 + 1568 + 66 + 2 + 6 + 3
+        assert net.params.size == 336 + 1568 + 66 + 2 + 6 + 3
 
     def test_same_seed_identical(self):
         a = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=3)
         b = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=3)
-        for pa, pb in zip(model.get_parameters(a), model.get_parameters(b)):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
     def test_quantum_weights_in_natural_domain(self):
         net = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=1)
-        qw = [e for e in net.layers if isinstance(e, qsim.QuantumLayerParams)][0]
-        assert np.all((qw.weights >= 0) & (qw.weights < 2 * np.pi))
+        quantum = net.layers[3]
+        assert quantum.to_dict()["type"] == "quantum"
+        assert np.all((quantum.weights >= 0) & (quantum.weights < 2 * np.pi))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -132,14 +128,29 @@ class TestTrain:
             net = model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=2), seed=5)
             model.train(net, rows, nn.TrainConfig(epochs=3, batch_size=16, seed=5))
             nets.append(net)
-        for pa, pb in zip(model.get_parameters(nets[0]), model.get_parameters(nets[1])):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(nets[0].params, nets[1].params)
         assert nets[0].history == nets[1].history
 
     def test_empty_training_set(self):
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=0)
         with pytest.raises(ValueError):
-            model.train(net, [], nn.TrainConfig())
+            model.train(net, (np.empty((0, 6)), np.empty(0)), nn.TrainConfig())
+
+    def test_non_finite_loss_names_epoch_batch_and_seed(self):
+        features, labels = separable_rows(40)
+        features[21, 2] = np.nan  # second batch of 16 in the unshuffled order
+        net = model.build_model(model.HybridModelConfig(kind="classical"), seed=1)
+        with pytest.raises(DataError, match=r"epoch 1/3, batch 2/3 \(seed 4\)"):
+            model.train(net, (features, labels), nn.TrainConfig(epochs=3, seed=4))
+
+    @pytest.mark.parametrize("kind", ["classical", "hybrid"])
+    def test_layers_stay_views_of_params(self, kind):
+        net = model.build_model(model.HybridModelConfig(kind=kind), seed=2)
+        model.train(net, separable_rows(40), nn.TrainConfig(epochs=2, seed=2))
+        arrays = [getattr(layer, name) for layer in net.layers for name in layer.param_names]
+        assert all(np.shares_memory(a, net.params) for a in arrays)
+        assert sum(a.size for a in arrays) == net.params.size
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), net.params)
 
     def test_shuffle_changes_trajectory_but_stays_deterministic(self):
         rows = separable_rows(80)
@@ -147,9 +158,8 @@ class TestTrain:
         for _ in range(2):
             net = model.build_model(model.HybridModelConfig(kind="classical"), seed=6)
             model.train(net, rows, nn.TrainConfig(epochs=2, seed=6, shuffle=True))
-            outs.append(model.get_parameters(net))
-        for pa, pb in zip(*outs):
-            assert np.array_equal(pa, pb)
+            outs.append(net.params)
+        assert np.array_equal(outs[0], outs[1])
 
 
 class TestGradients:
@@ -158,11 +168,11 @@ class TestGradients:
         net = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=7)
         feats = rng.uniform(0, 1, (16, 6))
         labels = rng.integers(0, 2, 16).astype(float)
-        _, grads = model.loss_and_gradients(net, feats, labels)
+        _, grad = model.loss_and_gradients(net, feats, labels)
+        assert grad.shape == net.params.shape
         perm = rng.permutation(16)
-        _, grads_perm = model.loss_and_gradients(net, feats[perm], labels[perm])
-        for a, b in zip(grads, grads_perm):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        _, grad_perm = model.loss_and_gradients(net, feats[perm], labels[perm])
+        np.testing.assert_allclose(grad, grad_perm, atol=1e-12)
 
     def test_quantum_identity_parity(self, monkeypatch):
         """With the quantum layer patched to a pass-through, the hybrid stack
@@ -173,9 +183,8 @@ class TestGradients:
         feats = rng.uniform(0, 1, (5, 6))
         got = model.forward(net, feats)
         h = feats
-        for entry in net.layers:
-            if isinstance(entry, nn.DenseLayer):
-                _, h = nn.dense_forward(entry, h)
+        for layer in net.layers[:3] + net.layers[4:]:  # the dense layers
+            _, h = nn.dense_forward(layer, h)
         np.testing.assert_allclose(got, h[:, 0], atol=1e-12)
 
 
@@ -189,8 +198,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         model.save_model(net, path)
         loaded = model.load_model(path)
-        for pa, pb in zip(model.get_parameters(net), model.get_parameters(loaded)):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(loaded.params, net.params)
         assert loaded.history == net.history
         assert loaded.config == net.config
         rng = np.random.default_rng(10)
@@ -205,3 +213,38 @@ class TestSerialization:
             model.save_model(net, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+class TestCopies:
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
+    def test_copy_keeps_layers_as_views_of_its_params(self, copier):
+        net = model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=2), seed=3)
+        twin = copier(net)
+        assert np.array_equal(twin.params, net.params)
+        twin.params[:] = 0.0
+        assert model.forward(twin, np.ones(6)) == pytest.approx(0.5)
+        assert np.any(net.params != 0.0)
+
+
+class TestJsonRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["classical", "hybrid"]),
+        n_qubits=st.integers(1, 4),
+        n_layers=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_params_outputs_and_bytes_survive(self, tmp_path_factory, kind, n_qubits, n_layers, seed):
+        config = model.HybridModelConfig(kind=kind, n_qubits=n_qubits, n_entangler_layers=n_layers)
+        net = model.build_model(config, seed=seed)
+        net.params += np.random.default_rng(seed).normal(0.0, 1e-3, net.params.size)
+        first = tmp_path_factory.mktemp("rt") / "model.json"
+        model.save_model(net, first)
+        loaded = model.load_model(first)
+        assert loaded.params.tobytes() == net.params.tobytes()
+        feats = np.random.default_rng(seed).uniform(0, 1, (8, 6))
+        np.testing.assert_array_equal(model.forward(loaded, feats), model.forward(net, feats))
+        second = first.with_name("again.json")
+        model.save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert json.loads(first.read_text())["config"]["kind"] == kind

@@ -160,31 +160,38 @@ class TestInitLayer:
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
         state = nn.AdamState.for_params(params)
-        out = nn.adam_step(params, [np.zeros(2)], state)
-        np.testing.assert_allclose(out[0], params[0])
+        nn.adam_step(params, np.zeros(2), state)
+        np.testing.assert_allclose(params, [1.0, -2.0])
 
     def test_first_step_hand_value(self):
         # g = 1: bias correction gives mhat = vhat = 1, update = -lr
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = nn.AdamState.for_params(params, learning_rate=0.001)
-        out = nn.adam_step(params, [np.array([1.0])], state)
-        assert out[0][0] == pytest.approx(-0.001, rel=1e-6)
+        nn.adam_step(params, np.array([1.0]), state)
+        assert params[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_step_count_increments(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = nn.AdamState.for_params(params)
-        nn.adam_step(params, [np.ones(3)], state)
+        nn.adam_step(params, np.ones(3), state)
         assert state.step_count == 1
-        nn.adam_step(params, [np.ones(3)], state)
+        nn.adam_step(params, np.ones(3), state)
         assert state.step_count == 2
 
     def test_length_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = nn.AdamState.for_params(params)
         with pytest.raises(ValueError):
-            nn.adam_step(params, [np.ones(3), np.ones(2)], state)
+            nn.adam_step(params, np.ones(5), state)
+
+    def test_updates_views_of_the_vector(self):
+        params = np.zeros(5)
+        weights, biases = params[:3].reshape(3, 1), params[3:]
+        nn.adam_step(params, np.ones(5), nn.AdamState.for_params(params))
+        np.testing.assert_allclose(weights, np.full((3, 1), -0.001))
+        np.testing.assert_allclose(biases, [-0.001, -0.001])
 
 
 class TestTrainConfig:

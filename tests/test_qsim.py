@@ -1,7 +1,9 @@
-"""Statevector layer: gate semantics, readout, forward pass, gradients.
+"""The quantum layer: gate kernels, readout, forward pass, gradients.
 
 Fixed expected values are hand-derived from the 2x2 / 4x4 gate matrices;
 random sweeps are pinned against the dense-matrix oracle in gradcheck.
+Registers are the (2,)*n amplitude tensors the ``qsim`` kernels act on,
+with qubit 0 as the most significant bit.
 """
 
 import numpy as np
@@ -10,180 +12,172 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qincident import gradcheck, qsim
+from qincident import gradcheck, model, qsim
+
+NORM_ATOL = 1e-10
 
 
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return qsim.StateVector(n, amps / np.linalg.norm(amps))
+    return (amps / np.linalg.norm(amps)).reshape((2,) * n)
+
+
+def basis_state(n, index):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return amps.reshape((2,) * n)
+
+
+def norm(psi):
+    return float(np.sqrt(np.sum(np.abs(psi) ** 2)))
+
+
+def embed(inputs):
+    """RX(inputs[:, q]) on qubit q of a batch of |0..0> registers: the
+    embedding step of the statevector path, with per-sample angles."""
+    batch, n = inputs.shape
+    psi = np.zeros((batch,) + (2,) * n, dtype=complex)
+    psi[(slice(None),) + (0,) * n] = 1.0
+    for qubit in range(n):
+        psi = qsim._rx(psi, n, qubit, inputs[:, qubit])
+    return psi.reshape(batch, -1)
+
+
+def entangle(psi, layer_weights):
+    """One basic entangler layer: RX(w_q) on every qubit, then the CNOT ring."""
+    n = psi.ndim
+    for qubit, angle in enumerate(layer_weights):
+        psi = qsim._rx(psi, n, qubit, angle)
+    for control, target in qsim._ring(n):
+        psi = qsim._cnot(psi, n, control, target)
+    return psi
 
 
 class TestStateVector:
     def test_zero_state(self):
-        s = qsim.StateVector.zero(3)
-        assert s.amplitudes[0] == 1.0
-        assert np.all(s.amplitudes[1:] == 0)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            qsim.StateVector(2, np.ones(3))
+        # the statevector path starts from |000>: zero angles read +1 everywhere
+        np.testing.assert_array_equal(
+            qsim._statevector_batch(np.zeros((1, 3)), np.zeros((2, 3))), [[1.0, 1.0, 1.0]]
+        )
 
 
 class TestApplyRx:
     def test_zero_angle_is_identity(self):
         s = random_state(3, seed=1)
-        out = qsim.apply_rx(s, 1, 0.0)
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(qsim._rx(s, 3, 1, 0.0), s, atol=1e-15)
 
     def test_pi_flips_single_qubit(self):
         # RX(pi)|0> = -i|1>, so <Z> = -1
-        s = qsim.StateVector.zero(1)
-        out = qsim.apply_rx(s, 0, np.pi)
-        np.testing.assert_allclose(out.amplitudes, [0.0, -1.0j], atol=1e-15)
-        np.testing.assert_allclose(qsim.z_expectations(out), [-1.0], atol=1e-15)
+        out = qsim._rx(basis_state(1, 0), 1, 0, np.pi)
+        np.testing.assert_allclose(out, [0.0, -1.0j], atol=1e-15)
+        np.testing.assert_allclose(qsim._expectations(out, 1), [-1.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed + 100)
-        s = random_state(4, seed)
-        out = qsim.apply_rx(s, int(rng.integers(4)), rng.uniform(-10, 10))
-        assert abs(out.norm() - 1.0) < qsim.NORM_ATOL
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(IndexError):
-            qsim.apply_rx(qsim.StateVector.zero(2), 2, 0.1)
+        out = qsim._rx(random_state(4, seed), 4, int(rng.integers(4)), rng.uniform(-10, 10))
+        assert abs(norm(out) - 1.0) < NORM_ATOL
 
 
 class TestApplyCnot:
     def test_control_zero_unchanged(self):
-        s = qsim.StateVector.zero(2)  # |00>
-        out = qsim.apply_cnot(s, 0, 1)
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes)
+        s = basis_state(2, 0)  # |00>
+        np.testing.assert_allclose(qsim._cnot(s, 2, 0, 1), s)
 
     def test_control_one_flips_target(self):
         # |10> (qubit 0 set, index 2) -> |11> (index 3)
-        amps = np.zeros(4, dtype=complex)
-        amps[2] = 1.0
-        out = qsim.apply_cnot(qsim.StateVector(2, amps), 0, 1)
-        expected = np.zeros(4, dtype=complex)
-        expected[3] = 1.0
-        np.testing.assert_allclose(out.amplitudes, expected)
+        np.testing.assert_allclose(qsim._cnot(basis_state(2, 2), 2, 0, 1), basis_state(2, 3))
 
     def test_permutes_amplitudes(self):
         # 4x4 CNOT(0->1) permutation swaps indices 2 and 3
         amps = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
         amps /= np.linalg.norm(amps)
-        out = qsim.apply_cnot(qsim.StateVector(2, amps), 0, 1)
-        np.testing.assert_allclose(out.amplitudes, amps[[0, 1, 3, 2]])
-        assert abs(out.norm() - 1.0) < qsim.NORM_ATOL
-
-    def test_control_equals_target(self):
-        with pytest.raises(ValueError):
-            qsim.apply_cnot(qsim.StateVector.zero(2), 1, 1)
+        out = qsim._cnot(amps.reshape(2, 2), 2, 0, 1)
+        np.testing.assert_allclose(out.reshape(-1), amps[[0, 1, 3, 2]])
+        assert abs(norm(out) - 1.0) < NORM_ATOL
 
 
 class TestAngleEmbedding:
     def test_all_zero_inputs_identity(self):
-        s = qsim.StateVector.zero(4)
-        out = qsim.angle_embedding(s, np.zeros(4))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes)
+        np.testing.assert_allclose(embed(np.zeros((2, 4))), basis_state(4, 0).reshape(1, -1).repeat(2, 0))
 
     def test_pi_on_first_qubit(self):
         # flips qubit 0 up to the global -i phase: amplitude lands at index 8
-        out = qsim.angle_embedding(qsim.StateVector.zero(4), [np.pi, 0, 0, 0])
-        assert abs(abs(out.amplitudes[8]) - 1.0) < 1e-12
-        np.testing.assert_allclose(out.amplitudes[8], -1.0j, atol=1e-12)
+        out = embed(np.array([[np.pi, 0, 0, 0], [0, 0, 0, 0]]))
+        assert abs(abs(out[0, 8]) - 1.0) < 1e-12
+        np.testing.assert_allclose(out[0, 8], -1.0j, atol=1e-12)
+        np.testing.assert_allclose(out[1, 0], 1.0, atol=1e-12)  # per-sample angles
 
     def test_norm_one(self):
         rng = np.random.default_rng(7)
-        out = qsim.angle_embedding(qsim.StateVector.zero(4), rng.uniform(-5, 5, 4))
-        assert abs(out.norm() - 1.0) < qsim.NORM_ATOL
+        out = embed(rng.uniform(-5, 5, (3, 4)))
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=NORM_ATOL)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            qsim.angle_embedding(qsim.StateVector.zero(4), [0.0, 0.0])
+            qsim.quantum_forward([0.0, 0.0], np.zeros((1, 4)))
 
 
 class TestBasicEntanglerLayer:
     def test_zero_weights_on_zero_state(self):
-        s = qsim.StateVector.zero(4)
-        out = qsim.basic_entangler_layer(s, np.zeros(4))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes)
+        s = basis_state(4, 0)
+        np.testing.assert_allclose(entangle(s, np.zeros(4)), s)
 
     def test_cnot_ring_cascade(self):
         # |1000> -> |1100> -> |1110> -> |1111> -> |0111>: index 8 to index 7
-        amps = np.zeros(16, dtype=complex)
-        amps[8] = 1.0
-        out = qsim.basic_entangler_layer(qsim.StateVector(4, amps), np.zeros(4))
-        expected = np.zeros(16, dtype=complex)
-        expected[7] = 1.0
-        np.testing.assert_allclose(out.amplitudes, expected)
+        np.testing.assert_allclose(entangle(basis_state(4, 8), np.zeros(4)), basis_state(4, 7))
 
     def test_two_qubits_single_cnot(self):
         # |10> with zero weights: one CNOT (0->1) gives |11>
-        amps = np.zeros(4, dtype=complex)
-        amps[2] = 1.0
-        out = qsim.basic_entangler_layer(qsim.StateVector(2, amps), np.zeros(2))
-        assert abs(out.amplitudes[3]) == pytest.approx(1.0)
+        assert qsim._ring(2) == [(0, 1)]
+        out = entangle(basis_state(2, 2), np.zeros(2))
+        assert abs(out.reshape(-1)[3]) == pytest.approx(1.0)
 
     def test_random_weights_norm(self):
         rng = np.random.default_rng(3)
-        out = qsim.basic_entangler_layer(random_state(4, 3), rng.uniform(-7, 7, 4))
-        assert abs(out.norm() - 1.0) < qsim.NORM_ATOL
+        out = entangle(random_state(4, 3), rng.uniform(-7, 7, 4))
+        assert abs(norm(out) - 1.0) < NORM_ATOL
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            qsim.basic_entangler_layer(qsim.StateVector.zero(3), np.zeros(4))
+            qsim.quantum_forward(np.zeros(3), np.zeros((1, 4)))
 
 
 class TestZExpectations:
     def test_zero_state(self):
-        np.testing.assert_allclose(
-            qsim.z_expectations(qsim.StateVector.zero(4)), [1, 1, 1, 1]
-        )
+        np.testing.assert_allclose(qsim._expectations(basis_state(4, 0), 4), [1, 1, 1, 1])
 
     def test_first_qubit_set(self):
-        amps = np.zeros(16, dtype=complex)
-        amps[8] = 1.0  # |1000>
-        np.testing.assert_allclose(
-            qsim.z_expectations(qsim.StateVector(4, amps)), [-1, 1, 1, 1]
-        )
+        # |1000>
+        np.testing.assert_allclose(qsim._expectations(basis_state(4, 8), 4), [-1, 1, 1, 1])
 
     def test_uniform_superposition(self):
-        amps = np.full(4, 0.5, dtype=complex)
-        np.testing.assert_allclose(
-            qsim.z_expectations(qsim.StateVector(2, amps)), [0, 0], atol=1e-15
-        )
+        amps = np.full((2, 2), 0.5, dtype=complex)
+        np.testing.assert_allclose(qsim._expectations(amps, 2), [0, 0], atol=1e-15)
 
     def test_range_bounds(self):
         for seed in range(10):
-            exps = qsim.z_expectations(random_state(3, seed))
+            exps = qsim._expectations(random_state(3, seed), 3)
             assert np.all(exps <= 1.0 + 1e-12) and np.all(exps >= -1.0 - 1e-12)
 
 
 class TestQuantumForward:
     def test_all_zeros(self):
-        spec = qsim.QuantumLayerSpec(4, 1)
-        params = qsim.QuantumLayerParams(np.zeros((1, 4)))
-        np.testing.assert_allclose(
-            qsim.quantum_forward(np.zeros(4), params, spec), [1, 1, 1, 1]
-        )
+        np.testing.assert_allclose(qsim.quantum_forward(np.zeros(4), np.zeros((1, 4))), [1, 1, 1, 1])
 
     def test_pi_embedding_traces_ring(self):
         # embedding flips qubit 0; the ring then cascades it through 1..3 and clears it
-        spec = qsim.QuantumLayerSpec(4, 1)
-        params = qsim.QuantumLayerParams(np.zeros((1, 4)))
-        out = qsim.quantum_forward([np.pi, 0, 0, 0], params, spec)
+        out = qsim.quantum_forward([np.pi, 0, 0, 0], np.zeros((1, 4)))
         np.testing.assert_allclose(out, [1, -1, -1, -1], atol=1e-12)
 
     def test_shape_mismatch(self):
-        spec = qsim.QuantumLayerSpec(4, 1)
-        params = qsim.QuantumLayerParams(np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros(3), params, spec)
+            qsim.quantum_forward(np.zeros(3), np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros(4), qsim.QuantumLayerParams(np.zeros((2, 4))), spec)
+            qsim.quantum_forward(np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            qsim.quantum_gradients(np.zeros((2, 4)), np.zeros((1, 4)))
 
     def test_matches_dense_matrix_oracle(self):
         result = gradcheck.check_forward_oracle(seed=11, cases_per_shape=20)
@@ -192,49 +186,36 @@ class TestQuantumForward:
     @pytest.mark.parametrize("n,layers", [(2, 1), (3, 2), (4, 2)])
     def test_two_pi_periodicity(self, n, layers):
         rng = np.random.default_rng(n * 10 + layers)
-        spec = qsim.QuantumLayerSpec(n, layers)
         inputs = rng.uniform(-np.pi, np.pi, n)
-        params = qsim.QuantumLayerParams(rng.uniform(0, 2 * np.pi, (layers, n)))
-        base = qsim.quantum_forward(inputs, params, spec)
-        shifted = qsim.quantum_forward(inputs + 2 * np.pi, params, spec)
+        weights = rng.uniform(0, 2 * np.pi, (layers, n))
+        base = qsim.quantum_forward(inputs, weights)
+        shifted = qsim.quantum_forward(inputs + 2 * np.pi, weights)
         np.testing.assert_allclose(shifted, base, atol=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        spec = qsim.QuantumLayerSpec(3, 2)
         inputs = rng.uniform(-2, 2, 3)
-        params = qsim.QuantumLayerParams(rng.uniform(0, 6, (2, 3)))
-        first = qsim.quantum_forward(inputs, params, spec)
-        second = qsim.quantum_forward(inputs, params, spec)
-        assert np.array_equal(first, second)
+        weights = rng.uniform(0, 6, (2, 3))
+        assert np.array_equal(qsim.quantum_forward(inputs, weights), qsim.quantum_forward(inputs, weights))
 
     def test_outputs_within_unit_interval(self):
         rng = np.random.default_rng(6)
-        spec = qsim.QuantumLayerSpec(4, 2)
         for _ in range(20):
-            out = qsim.quantum_forward(
-                rng.uniform(-9, 9, 4),
-                qsim.QuantumLayerParams(rng.uniform(-9, 9, (2, 4))),
-                spec,
-            )
+            out = qsim.quantum_forward(rng.uniform(-9, 9, 4), rng.uniform(-9, 9, (2, 4)))
             assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
 class TestQuantumGradients:
     def test_single_qubit_analytic(self):
         # circuit RX(theta) then RX(0): <Z> = cos(theta), slope -1 at pi/2
-        spec = qsim.QuantumLayerSpec(1, 1)
-        params = qsim.QuantumLayerParams(np.zeros((1, 1)))
-        grad = qsim.quantum_gradients([np.pi / 2], params, spec)
-        np.testing.assert_allclose(grad.d_inputs, [[-1.0]], atol=1e-12)
-        np.testing.assert_allclose(grad.d_weights, [[[-1.0]]], atol=1e-12)
+        _, d_inputs, d_weights = qsim.quantum_gradients([np.pi / 2], np.zeros((1, 1)))
+        np.testing.assert_allclose(d_inputs, [[-1.0]], atol=1e-12)
+        np.testing.assert_allclose(d_weights, [[[-1.0]]], atol=1e-12)
 
     def test_zero_angles_extremum(self):
-        spec = qsim.QuantumLayerSpec(4, 1)
-        params = qsim.QuantumLayerParams(np.zeros((1, 4)))
-        grad = qsim.quantum_gradients(np.zeros(4), params, spec)
+        _, d_inputs, _ = qsim.quantum_gradients(np.zeros(4), np.zeros((1, 4)))
         for i in range(4):
-            assert abs(grad.d_inputs[i, i]) < 1e-12
+            assert abs(d_inputs[i, i]) < 1e-12
 
     def test_matches_finite_differences(self):
         result = gradcheck.check_parameter_shift(seed=12, n_cases=50)
@@ -242,14 +223,11 @@ class TestQuantumGradients:
 
     def test_entries_bounded_and_finite(self):
         rng = np.random.default_rng(13)
-        spec = qsim.QuantumLayerSpec(4, 2)
         for _ in range(10):
-            grad = qsim.quantum_gradients(
-                rng.uniform(-6, 6, 4),
-                qsim.QuantumLayerParams(rng.uniform(-6, 6, (2, 4))),
-                spec,
+            _, d_inputs, d_weights = qsim.quantum_gradients(
+                rng.uniform(-6, 6, 4), rng.uniform(-6, 6, (2, 4))
             )
-            for arr in (grad.d_inputs, grad.d_weights):
+            for arr in (d_inputs, d_weights):
                 assert np.all(np.isfinite(arr))
                 assert np.all(np.abs(arr) <= 1.0 + 1e-12)
 
@@ -259,40 +237,37 @@ class TestBatchedPath:
         rng = np.random.default_rng(21)
         weights = rng.uniform(0, 2 * np.pi, (2, 4))
         inputs = rng.uniform(-3, 3, (9, 4))
-        spec = qsim.QuantumLayerSpec(4, 2)
-        params = qsim.QuantumLayerParams(weights)
         batch = qsim.forward_batch(inputs, weights)
         for i, row in enumerate(inputs):
-            np.testing.assert_allclose(
-                batch[i], qsim.quantum_forward(row, params, spec), atol=1e-12
-            )
+            np.testing.assert_allclose(batch[i], qsim.quantum_forward(row, weights), atol=1e-12)
 
     def test_gradients_batch_matches_single(self):
         rng = np.random.default_rng(22)
         weights = rng.uniform(0, 2 * np.pi, (1, 3))
         inputs = rng.uniform(-3, 3, (5, 3))
-        spec = qsim.QuantumLayerSpec(3, 1)
-        params = qsim.QuantumLayerParams(weights)
         values, d_in, d_w = qsim.gradients_batch(inputs, weights)
         for i, row in enumerate(inputs):
-            single = qsim.quantum_gradients(row, params, spec)
-            np.testing.assert_allclose(values[i], qsim.quantum_forward(row, params, spec), atol=1e-12)
-            np.testing.assert_allclose(d_in[i], single.d_inputs, atol=1e-12)
-            np.testing.assert_allclose(d_w[i], single.d_weights, atol=1e-12)
+            single = qsim.quantum_gradients(row, weights)
+            np.testing.assert_allclose(values[i], qsim.quantum_forward(row, weights), atol=1e-12)
+            np.testing.assert_allclose(values[i], single[0], atol=1e-12)
+            np.testing.assert_allclose(d_in[i], single[1], atol=1e-12)
+            np.testing.assert_allclose(d_w[i], single[2], atol=1e-12)
 
 
 class TestSpecValidation:
+    """The circuit shape a model accepts and the angles it starts from."""
+
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            qsim.QuantumLayerSpec(0, 1)
+            model.HybridModelConfig(kind="hybrid", n_qubits=0)
         with pytest.raises(ValueError):
-            qsim.QuantumLayerSpec(2, 0)
+            model.HybridModelConfig(kind="hybrid", n_qubits=2, n_entangler_layers=0)
 
     def test_random_params_shape_and_range(self):
-        spec = qsim.QuantumLayerSpec(4, 3)
-        params = qsim.QuantumLayerParams.random(spec, np.random.default_rng(0))
-        assert params.weights.shape == (3, 4)
-        assert np.all((params.weights >= 0) & (params.weights < 2 * np.pi))
+        config = model.HybridModelConfig(kind="hybrid", n_qubits=4, n_entangler_layers=3)
+        weights = model.build_model(config, seed=0).layers[3].weights
+        assert weights.shape == (3, 4)
+        assert np.all((weights >= 0) & (weights < 2 * np.pi))
 
 
 @st.composite
