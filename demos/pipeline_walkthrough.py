@@ -1,8 +1,10 @@
 """From raw vehicle records to a trained detector, at desk scale.
 
-Generates a small corridor with two incidents, walks the records through
-aggregation, feature construction, labeling and normalization, then trains
-the classical and hybrid models and prints their test metrics.
+Generates a small corridor with two incidents and builds its labeled
+feature rows (zone aggregation, the six features, incident labels) in one
+call, splits them chronologically with normalization fitted on the
+training rows, then trains the classical and hybrid models and prints
+their test metrics.
 """
 
 import numpy as np
@@ -17,23 +19,21 @@ events = [
 config = scenario.ScenarioConfig(
     n_zones=12, duration_s=600, seed=3, incidents=tuple(events)
 )
-records, _ = scenario.generate(config)
-print(f"{len(records)} vehicle records from {config.n_zones} zones x {config.duration_s}s")
 
-# Aggregate per second, build the six-feature rows, attach labels.
-aggregates = data.aggregate(records, bucket_seconds=1, n_zones=12, duration_s=600)
-rows = data.build_features(aggregates, data.default_topology(12))
-rows = data.label(rows, events, bucket_seconds=1)
-positives = sum(r.label for r in rows)
-print(f"{len(rows)} rows, {positives} labeled positive ({positives / len(rows):.1%})")
+# Generate the records, aggregate per second, build the six-feature rows,
+# attach labels.
+table = scenario.synthetic_dataset(config, bucket_seconds=1)
+positives = int(table.labels.sum())
+print(f"{len(table)} rows from {config.n_zones} zones x {config.duration_s}s, "
+      f"{positives} labeled positive ({positives / len(table):.1%})")
 
-example = next(r for r in rows if r.label == 1 and r.bucket_start == 100)
+example = table.features[(table.labels == 1) & (table.bucket_start == 100)][0]
 print("a positive row (zone, upstream, downstream speed/count):")
-print(" ", np.round(example.features(), 2))
+print(" ", np.round(example, 2))
 
 # Chronological split, normalization fitted on the training rows only.
-split = data.normalize(data.split(rows, "DS-1"))
-print(f"train {len(split.train_rows)} rows / test {len(split.test_rows)} rows")
+split = data.split(table, "DS-1")
+print(f"train {len(split.train_y)} rows / test {len(split.test_y)} rows")
 
 # Train both model kinds and compare on the held-out rows.
 train_config = nn.TrainConfig(epochs=20, batch_size=16, seed=0)
@@ -48,6 +48,6 @@ for kind, qubits in (("classical", 4), ("hybrid", 4)):
     )
     aggregates_out.append(agg)
 
-_, table = evaluation.compare(aggregates_out)
+_, comparison = evaluation.compare(aggregates_out)
 print()
-print(table)
+print(comparison)

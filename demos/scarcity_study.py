@@ -16,15 +16,7 @@ N_RUNS = 3
 
 def build_split(name, n_zones, duration_s, bucket_seconds):
     config = scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, seed=1)
-    events = scenario.default_schedule(config, bucket_seconds=bucket_seconds)
-    config = scenario.ScenarioConfig(
-        n_zones=n_zones, duration_s=duration_s, seed=1, incidents=tuple(events)
-    )
-    records, _ = scenario.generate(config)
-    aggregates = data.aggregate(records, bucket_seconds, n_zones, duration_s=duration_s)
-    rows = data.build_features(aggregates, data.default_topology(n_zones))
-    rows = data.label(rows, events, bucket_seconds=bucket_seconds)
-    return data.normalize(data.split(rows, name))
+    return data.split(scenario.synthetic_dataset(config, bucket_seconds), name)
 
 
 train_config = nn.TrainConfig(epochs=20, batch_size=16, seed=0)
@@ -40,9 +32,9 @@ regimes = (
 for name, n_zones, duration, bucket in regimes:
     split = build_split(name, n_zones, duration, bucket)
     print(
-        f"\n{name}: {len(split.train_rows)} train rows "
-        f"({sum(r.label for r in split.train_rows)} positive), "
-        f"{len(split.test_rows)} test rows"
+        f"\n{name}: {len(split.train_y)} train rows "
+        f"({split.train_y.sum()} positive), "
+        f"{len(split.test_y)} test rows"
     )
     aggregates_out = [
         evaluation.run_experiment(c, split, train_config, n_runs=N_RUNS, base_seed=0)

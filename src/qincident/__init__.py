@@ -6,7 +6,7 @@ Subpackages:
 * ``qsim``        exact simulation of the quantum layer (closed form at L=1)
 * ``nn``          dense layers, BCE loss, Adam, backprop primitives
 * ``model``       the classical baseline and hybrid model stacks
-* ``data``        zone aggregation, features, labels, normalization, splits
+* ``data``        the columnar dataset builder, normalized splits, CSV I/O
 * ``scenario``    synthetic corridor traffic with scheduled incidents
 * ``evaluation``  confusion counts, metrics, repeated-run comparisons
 * ``gradcheck``   independent oracles for circuits and gradients

@@ -72,19 +72,6 @@ def _default_seed() -> int:
     return int(os.environ.get("QINC_SEED", "0"))
 
 
-def _labeled_rows(config: scenario.ScenarioConfig, bucket_seconds: int):
-    records, events = scenario.generate(config)
-    aggregates = data.aggregate(
-        records, bucket_seconds, config.n_zones, duration_s=config.duration_s
-    )
-    rows = data.build_features(aggregates, data.default_topology(config.n_zones))
-    return data.label(rows, events, bucket_seconds=bucket_seconds)
-
-
-def _prevalence(rows) -> float:
-    return sum(r.label for r in rows) / len(rows) if rows else 0.0
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -124,12 +111,11 @@ def cmd_features(args) -> int:
         events = []
     else:
         events = scenario.read_schedule_json(args.schedule)
-    n_zones = max(r.zone_id for r in records) + 1 if records else 0
-    aggregates = data.aggregate(records, args.bucket, n_zones)
-    rows = data.build_features(aggregates, data.default_topology(n_zones))
-    rows = data.label(rows, events, bucket_seconds=args.bucket)
-    data.write_feature_csv(rows, args.out)
-    print(f"wrote {args.out}: {len(rows)} rows, prevalence {_prevalence(rows):.4f}")
+    n_zones = int(records.zone.max()) + 1 if len(records) else 0
+    table = data.build_dataset(records, events, n_zones, args.bucket)
+    data.write_feature_csv(table, args.out)
+    prevalence = table.labels.sum() / len(table) if len(table) else 0.0
+    print(f"wrote {args.out}: {len(table)} rows, prevalence {prevalence:.4f}")
     return EXIT_OK
 
 
@@ -166,40 +152,24 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
-    splits: dict[str, data.DatasetSplit] = {}
-    schedule = None
+    schedule = ()
     if config.schedule_path:
-        schedule = scenario.read_schedule_json(config.schedule_path)
+        schedule = tuple(scenario.read_schedule_json(config.schedule_path))
+
+    def dataset(duration_s: int, bucket_seconds: int) -> data.Dataset:
+        corridor = scenario.ScenarioConfig(
+            n_zones=config.zones, duration_s=duration_s, seed=config.seed, incidents=schedule
+        )
+        return scenario.synthetic_dataset(corridor, bucket_seconds, n_incidents=config.n_incidents)
+
+    splits: dict[str, data.DatasetSplit] = {}
     if "DS-1" in config.splits or "DS-2" in config.splits:
-        base = scenario.ScenarioConfig(
-            n_zones=config.zones, duration_s=config.duration_s, seed=config.seed
-        )
-        events = schedule or scenario.default_schedule(base, n_incidents=config.n_incidents)
-        base = scenario.ScenarioConfig(
-            n_zones=config.zones,
-            duration_s=config.duration_s,
-            seed=config.seed,
-            incidents=tuple(events),
-        )
-        rows = _labeled_rows(base, bucket_seconds=1)
+        per_second = dataset(config.duration_s, bucket_seconds=1)
         for name in ("DS-1", "DS-2"):
             if name in config.splits:
-                splits[name] = data.normalize(data.split(rows, name))
+                splits[name] = data.split(per_second, name)
     if "DS-3" in config.splits:
-        ds3 = scenario.ScenarioConfig(
-            n_zones=config.zones, duration_s=config.ds3_duration_s, seed=config.seed
-        )
-        events = schedule or scenario.default_schedule(
-            ds3, n_incidents=config.n_incidents, bucket_seconds=60
-        )
-        ds3 = scenario.ScenarioConfig(
-            n_zones=config.zones,
-            duration_s=config.ds3_duration_s,
-            seed=config.seed,
-            incidents=tuple(events),
-        )
-        rows = _labeled_rows(ds3, bucket_seconds=60)
-        splits["DS-3"] = data.normalize(data.split(rows, "DS-3"))
+        splits["DS-3"] = data.split(dataset(config.ds3_duration_s, bucket_seconds=60), "DS-3")
     return splits
 
 

@@ -128,11 +128,11 @@ def aggregate_runs(
 
 
 def _single_run(args) -> MetricsReport:
-    model_config, train_x, train_y, test_x, test_y, train_config, seed = args
+    model_config, split, train_config, seed = args
     net = model_mod.build_model(model_config, seed=seed)
-    model_mod.train(net, (train_x, train_y), dc_replace(train_config, seed=seed))
-    preds = model_mod.predict(net, test_x)
-    return metrics(confusion(preds, test_y))
+    model_mod.train(net, (split.train_x, split.train_y), dc_replace(train_config, seed=seed))
+    preds = model_mod.predict(net, split.test_x)
+    return metrics(confusion(preds, split.test_y))
 
 
 def run_experiment(
@@ -145,22 +145,13 @@ def run_experiment(
 ) -> RunAggregate:
     """Train/evaluate ``n_runs`` fresh models, seeds base_seed .. base_seed+n-1.
 
-    The split must already be normalized.  Runs are independent, so with
-    ``jobs`` > 1 they execute in a process pool; aggregation order is the
-    run order either way, keeping results bit-reproducible.
+    Runs are independent, so with ``jobs`` > 1 they execute in a process
+    pool; aggregation order is the run order either way, keeping results
+    bit-reproducible.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if split.normalization is None:
-        raise ValueError("split must be normalized before running experiments")
-    train_x = np.array([r.features() for r in split.train_rows])
-    train_y = np.array([r.label for r in split.train_rows], dtype=float)
-    test_x = np.array([r.features() for r in split.test_rows])
-    test_y = np.array([r.label for r in split.test_rows], dtype=int)
-    tasks = [
-        (model_config, train_x, train_y, test_x, test_y, train_config, base_seed + i)
-        for i in range(n_runs)
-    ]
+    tasks = [(model_config, split, train_config, base_seed + i) for i in range(n_runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_single_run, tasks))
@@ -170,8 +161,8 @@ def run_experiment(
         reports,
         model_label=model_config.label,
         split_name=split.name,
-        train_size=len(split.train_rows),
-        test_size=len(split.test_rows),
+        train_size=len(split.train_y),
+        test_size=len(split.test_y),
         base_seed=base_seed,
     )
 

@@ -199,10 +199,16 @@ def check_hybrid_gradients(
         _, grad = model_mod.loss_and_gradients(net, features, label)
 
         def probe(params: np.ndarray) -> tuple[float, np.ndarray]:
-            # ``params`` is ``net.params``, so the forward pass sees it
-            probs = model_mod.forward(net, features)
-            loss = float(np.mean(nn.bce_loss(probs, label)))
-            return loss, _relu_pattern(net, features)
+            # ``params`` is ``net.params``, so the forward pass sees it.  One
+            # walk over the stack gives the loss and which ReLU units are
+            # active (relu(z) > 0 exactly where z > 0).
+            h, active = features, []
+            for layer in net.layers:
+                h = layer.forward(h)
+                if getattr(layer, "activation", None) == "relu":
+                    active.append(h.ravel() > 0)
+            loss = float(np.mean(nn.bce_loss(h[:, 0], label)))
+            return loss, np.concatenate(active)
 
         _, base_pattern = probe(net.params)
         for k in range(net.params.size):
@@ -220,16 +226,6 @@ def check_hybrid_gradients(
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
-
-
-def _relu_pattern(net: model_mod.Model, features: np.ndarray) -> np.ndarray:
-    """Which ReLU units are active, over every ReLU layer of the stack."""
-    h, active = features, []
-    for layer in net.layers:
-        h = layer.forward(h)
-        if getattr(layer, "activation", None) == "relu":
-            active.append(h.ravel() > 0)  # relu(z) > 0 exactly where z > 0
-    return np.concatenate(active)
 
 
 def _central_difference(probe, flat: np.ndarray, k: int, step: float, base_pattern):

@@ -135,14 +135,14 @@ class Model:
 
     ``layers`` is the stack, dense and quantum layers alike; every trainable
     number lives in ``params``, of which the layers' arrays are views.
-    After training the model carries its own normalization bounds and
-    per-epoch history, so inference on raw feature rows is self-contained.
+    After training the model carries its per-epoch history.  It takes
+    features already scaled by ``data.split``; the bounds stay with the
+    split, in ``DatasetSplit.normalization``.
     """
 
     config: HybridModelConfig
     layers: list
     seed: int
-    normalization: tuple[np.ndarray, np.ndarray] | None = None
     history: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
 
@@ -288,12 +288,6 @@ def model_to_dict(model: Model) -> dict:
         },
         "layers": [layer.to_dict() for layer in model.layers],
         "seed": model.seed,
-        "normalization": None
-        if model.normalization is None
-        else {
-            "mins": model.normalization[0].tolist(),
-            "maxs": model.normalization[1].tolist(),
-        },
         "history": model.history,
     }
 
@@ -308,17 +302,10 @@ def model_from_dict(doc: dict) -> Model:
         output_threshold=cfg["output_threshold"],
     )
     layers = [_LAYER_TYPES[entry["type"]].from_dict(entry) for entry in doc["layers"]]
-    normalization = None
-    if doc.get("normalization") is not None:
-        normalization = (
-            np.array(doc["normalization"]["mins"], dtype=float),
-            np.array(doc["normalization"]["maxs"], dtype=float),
-        )
     return Model(
         config=config,
         layers=layers,
         seed=doc["seed"],
-        normalization=normalization,
         history=doc.get("history", {}),
     )
 

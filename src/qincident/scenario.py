@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class ScenarioConfig:
                 )
 
 
-def _zone_profiles(config: ScenarioConfig, topology: data.ZoneTopology):
-    """Per-zone speed-mean and count-rate profiles over [0, duration)."""
+def _zone_profiles(config: ScenarioConfig, neighbors: tuple[np.ndarray, np.ndarray]):
+    """Per-zone speed-mean and count-rate profiles over [0, duration);
+    ``neighbors`` are the (upstream, downstream) index arrays of the zones."""
     duration = config.duration_s
     base_speed = config.free_flow_speed
     base_rate = config.demand_rate
@@ -109,14 +110,14 @@ def _zone_profiles(config: ScenarioConfig, topology: data.ZoneTopology):
         start, end = event.start_s, min(event.end_s, duration)
         window = np.arange(start, end)
         progress = (window - start + 1) / event.duration_s
-        approach, departure = topology.neighbors(event.zone)
+        approach, departure = (int(side[event.zone]) for side in neighbors)
 
         speed_mean[event.zone][start:end] = config.incident_speed
         rate[event.zone][start:end] = base_rate * config.blocked_flow
         ramp_back(speed_mean[event.zone], end, config.incident_speed, base_speed)
         ramp_back(rate[event.zone], end, base_rate * config.blocked_flow, base_rate)
 
-        if approach is not None:
+        if approach != event.zone:
             queue_speed = base_speed + (config.queue_speed - base_speed) * progress
             queue_rate = base_rate * (1.0 + (config.queue_growth - 1.0) * progress)
             speed_mean[approach][start:end] = queue_speed
@@ -124,7 +125,7 @@ def _zone_profiles(config: ScenarioConfig, topology: data.ZoneTopology):
             ramp_back(speed_mean[approach], end, config.queue_speed, base_speed)
             ramp_back(rate[approach], end, base_rate * config.queue_growth, base_rate)
 
-        if departure is not None:
+        if departure != event.zone:
             starved = base_rate * np.clip(1.0 - config.starvation * progress, 0.0, None)
             rate[departure][start:end] = starved
             ramp_back(
@@ -136,10 +137,9 @@ def _zone_profiles(config: ScenarioConfig, topology: data.ZoneTopology):
     return speed_mean, rate
 
 
-def generate(config: ScenarioConfig) -> tuple[list[data.BsmRecord], list[IncidentEvent]]:
+def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]:
     """Vehicle record stream plus the incident schedule that shaped it."""
-    topology = data.default_topology(config.n_zones)
-    speed_mean, rate = _zone_profiles(config, topology)
+    speed_mean, rate = _zone_profiles(config, _neighbors(config.n_zones))
 
     all_times: list[np.ndarray] = []
     all_zones: list[np.ndarray] = []
@@ -163,28 +163,46 @@ def generate(config: ScenarioConfig) -> tuple[list[data.BsmRecord], list[Inciden
         all_ordinals.append(ordinals)
 
     if not all_times:
-        return [], list(config.incidents)
+        return data.Records([], [], [], []), list(config.incidents)
     times = np.concatenate(all_times)
     zones = np.concatenate(all_zones)
     speeds = np.concatenate(all_speeds)
     ordinals = np.concatenate(all_ordinals)
     order = np.lexsort((ordinals, zones, times))
-
-    records = [
-        data.BsmRecord(
-            time=int(times[i]),
-            vehicle_id=f"v{zones[i]:02d}-{times[i]}-{ordinals[i]}",
-            zone_id=int(zones[i]),
-            speed=float(speeds[i]),
-        )
-        for i in order
+    times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
+    vehicle_ids = [
+        f"v{zone:02d}-{time}-{ordinal}"
+        for zone, time, ordinal in zip(zones.tolist(), times.tolist(), ordinals.tolist())
     ]
-    return records, list(config.incidents)
+    return data.Records(times, vehicle_ids, zones, speeds), list(config.incidents)
 
 
-def _affected_zones(zone: int, topology: data.ZoneTopology) -> set[int]:
-    up, down = topology.neighbors(zone)
-    return {zone} | {z for z in (up, down) if z is not None}
+def synthetic_dataset(
+    config: ScenarioConfig, bucket_seconds: int, n_incidents: int | None = None
+) -> data.Dataset:
+    """The labeled rows of one synthetic corridor: ``default_schedule``,
+    ``generate`` and ``data.build_dataset`` over [0, config.duration_s).
+
+    ``config.incidents`` is the schedule when it is not empty; otherwise
+    ``default_schedule`` places ``n_incidents`` (default: auto) for this
+    bucketing.
+    """
+    events = list(config.incidents) or default_schedule(
+        config, n_incidents=n_incidents, bucket_seconds=bucket_seconds
+    )
+    records, _ = generate(replace(config, incidents=tuple(events)))
+    return data.build_dataset(
+        records, events, config.n_zones, bucket_seconds, duration_s=config.duration_s
+    )
+
+
+def _neighbors(n_zones: int) -> tuple[np.ndarray, np.ndarray]:
+    return data.default_topology(n_zones).neighbor_index(n_zones)
+
+
+def _affected_zones(zone: int, neighbors: tuple[np.ndarray, np.ndarray]) -> set[int]:
+    up, down = neighbors
+    return {zone, int(up[zone]), int(down[zone])}
 
 
 def _positive_rows(events: list[IncidentEvent], duration_s: int, bucket_seconds: int) -> int:
@@ -220,7 +238,7 @@ def default_schedule(
         return []
     if rng is None:
         rng = np.random.default_rng([config.seed, 104729])
-    topology = data.default_topology(config.n_zones)
+    neighbors = _neighbors(config.n_zones)
     n_rows = config.n_zones * math.ceil(config.duration_s / bucket_seconds)
     pad = 10
     events: list[IncidentEvent] = []
@@ -248,7 +266,7 @@ def default_schedule(
                 lo = EARLY_WINDOW_S + pad if config.duration_s - duration > 2 * EARLY_WINDOW_S else 0
                 start = int(rng.integers(lo, config.duration_s - duration + 1))
             zone = int(rng.integers(0, config.n_zones))
-            zones = _affected_zones(zone, topology)
+            zones = _affected_zones(zone, neighbors)
             if not collides(zones, start, start + duration):
                 blocks.append((zones, start, start + duration))
                 return IncidentEvent(zone, start, duration)

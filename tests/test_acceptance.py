@@ -26,13 +26,8 @@ def announce(number, passed, detail):
 
 
 def build_rows(seed, duration, bucket):
-    config = scenario.ScenarioConfig(seed=seed, duration_s=duration)
-    events = scenario.default_schedule(config, bucket_seconds=bucket)
-    config = scenario.ScenarioConfig(seed=seed, duration_s=duration, incidents=tuple(events))
-    records, _ = scenario.generate(config)
-    aggregates = data.aggregate(records, bucket, N_ZONES, duration_s=duration)
-    rows = data.build_features(aggregates, data.default_topology(N_ZONES))
-    return data.label(rows, events, bucket_seconds=bucket)
+    config = scenario.ScenarioConfig(n_zones=N_ZONES, seed=seed, duration_s=duration)
+    return scenario.synthetic_dataset(config, bucket)
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +36,9 @@ def pipeline_products():
     rows_second = build_rows(BASE_SEED, PER_SECOND_DURATION, 1)
     rows_minute = build_rows(BASE_SEED, PER_MINUTE_DURATION, 60)
     splits = {
-        "DS-1": data.normalize(data.split(rows_second, "DS-1")),
-        "DS-2": data.normalize(data.split(rows_second, "DS-2")),
-        "DS-3": data.normalize(data.split(rows_minute, "DS-3")),
+        "DS-1": data.split(rows_second, "DS-1"),
+        "DS-2": data.split(rows_second, "DS-2"),
+        "DS-3": data.split(rows_minute, "DS-3"),
     }
     elapsed = time.perf_counter() - start
     return rows_second, rows_minute, splits, elapsed
@@ -180,10 +175,10 @@ def test_criterion_4_metric_table_reproduction():
 
 def test_criterion_5_pipeline_scale_fidelity(pipeline_products):
     rows_second, rows_minute, splits, elapsed = pipeline_products
-    prev_second = sum(r.label for r in rows_second) / len(rows_second)
-    prev_minute = sum(r.label for r in rows_minute) / len(rows_minute)
+    prev_second = rows_second.labels.sum() / len(rows_second)
+    prev_minute = rows_minute.labels.sum() / len(rows_minute)
     sizes = {
-        name: (len(split.train_rows), len(split.test_rows))
+        name: (len(split.train_y), len(split.test_y))
         for name, split in splits.items()
     }
     ok = (
@@ -208,8 +203,7 @@ def test_criterion_6_training_regime(pipeline_products):
     split = splits["DS-1"]
     start = time.perf_counter()
     train_config = nn.TrainConfig(seed=BASE_SEED)
-    features = np.array([r.features() for r in split.train_rows])
-    labels = np.array([r.label for r in split.train_rows], dtype=float)
+    features, labels = split.train_x, split.train_y
     results = {}
     for kind in ("classical", "hybrid"):
         config = model.HybridModelConfig(kind=kind, n_qubits=4)
@@ -219,8 +213,8 @@ def test_criterion_6_training_regime(pipeline_products):
             net = model.build_model(config, seed=seed)
             model.train(net, (features, labels), nn.TrainConfig(seed=seed))
             best_accs.append(max(net.history["train_accuracy"]))
-            preds = model.predict(net, np.array([r.features() for r in split.test_rows]))
-            counts = evaluation.confusion(preds, [r.label for r in split.test_rows])
+            preds = model.predict(net, split.test_x)
+            counts = evaluation.confusion(preds, split.test_y)
             recalls.append(evaluation.metrics(counts).recall)
         results[kind] = (float(np.mean(best_accs)), float(np.mean(recalls)))
     elapsed = time.perf_counter() - start

@@ -54,19 +54,16 @@ class TestGen:
         printed = capsys.readouterr().out.splitlines()[-1]
         records = data.read_bsm_csv(out / "bsm.csv")
         events = scenario.read_schedule_json(out / "schedule.json")
-        rows = data.build_features(
-            data.aggregate(records, 1, zones, duration_s=duration), data.default_topology(zones)
-        )
-        rows = data.label(rows, events, bucket_seconds=1)
-        prevalence = sum(r.label for r in rows) / len(rows)
+        table = data.build_dataset(records, events, zones, 1, duration_s=duration)
+        prevalence = table.labels.sum() / len(table)
         assert prevalence > 0
-        assert printed == f"feature rows: {len(rows)}  positive prevalence: {prevalence:.4f}"
+        assert printed == f"feature rows: {len(table)}  positive prevalence: {prevalence:.4f}"
 
     def test_bsm_csv_parses_back(self, tmp_path):
         out = tmp_path / "o"
         run_cli(["gen", "--zones", "4", "--duration", "60", "--seed", "1", "--out", str(out)])
         records = data.read_bsm_csv(out / "bsm.csv")
-        assert records and all(r.zone_id < 4 for r in records)
+        assert len(records) and records.zone.max() < 4
 
 
 class TestFeatures:
@@ -82,8 +79,7 @@ class TestFeatures:
             ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--out", str(out)]
         )
         assert code == 0
-        rows = data.read_feature_csv(out)
-        assert len(rows) == 6 * 240
+        assert len(data.read_feature_csv(out)) == 6 * 240
 
     def test_per_minute_bucket(self, tmp_path):
         bsm, schedule = self.make_inputs(tmp_path)
@@ -101,7 +97,7 @@ class TestFeatures:
         code = run_cli(["features", "--bsm", str(bsm), "--out", str(out)])
         assert code == 0
         assert "warning" in capsys.readouterr().err.lower()
-        assert all(r.label == 0 for r in data.read_feature_csv(out))
+        assert not data.read_feature_csv(out).labels.any()
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])

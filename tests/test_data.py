@@ -1,66 +1,88 @@
-"""Aggregation, feature construction, labeling, normalization, splits, I/O."""
+"""The columnar dataset builder, normalized splits and CSV I/O."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qincident import data
 from qincident.errors import ConfigError, DataError, FormatError, ParseError
 
 
-def rec(time, vid, zone, speed):
-    return data.BsmRecord(time=time, vehicle_id=vid, zone_id=zone, speed=speed)
+def records(*rows):
+    """Records from (time, vehicle id, zone, speed) tuples."""
+    columns = zip(*rows) if rows else ([], [], [], [])
+    return data.Records(*columns)
+
+
+def at(table, bucket_start, zone_id):
+    """The features of the (bucket_start, zone_id) row."""
+    hit = (table.bucket_start == bucket_start) & (table.zone_id == zone_id)
+    return table.features[np.flatnonzero(hit)[0]]
+
+
+def table_of(features, labels=None):
+    """A Dataset with one row per bucket second, all in zone 0."""
+    features = np.asarray(features, dtype=float).reshape(-1, 6)
+    n = len(features)
+    labels = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels)
+    return data.Dataset(np.arange(n), np.zeros(n, dtype=np.int64), features, labels)
+
+
+def assert_records_equal(a, b):
+    for column in ("time", "vehicle_id", "zone", "speed"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
 
 class TestAggregate:
     def test_simple_mean_and_count(self):
-        records = [rec(12, "a", 5, 20.0), rec(12, "b", 5, 30.0)]
-        aggs = data.aggregate(records, 1, n_zones=6, duration_s=13)
-        by_key = {(a.zone_id, a.bucket_start): a for a in aggs}
-        hit = by_key[(5, 12)]
-        assert hit.avg_speed == pytest.approx(25.0)
-        assert hit.count == 2
+        recs = records((12, "a", 5, 20.0), (12, "b", 5, 30.0))
+        table = data.build_dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=13)
+        speed, count = at(table, 12, 5)[:2]
+        assert speed == pytest.approx(25.0)
+        assert count == 2
 
     def test_empty_bucket_gets_fill(self):
-        aggs = data.aggregate([rec(0, "a", 0, 10.0)], 1, n_zones=2, duration_s=2)
-        by_key = {(a.zone_id, a.bucket_start): a for a in aggs}
-        assert by_key[(1, 0)].count == 0
-        assert by_key[(1, 0)].avg_speed == data.EMPTY_SPEED_FILL
+        table = data.build_dataset(records((0, "a", 0, 10.0)), [], 2, 1, duration_s=2)
+        speed, count = at(table, 0, 1)[:2]
+        assert count == 0
+        assert speed == data.EMPTY_SPEED_FILL
 
     def test_per_minute_constant_stream(self):
         # one vehicle at speed 10 every second: avg 10, count 1
-        records = [rec(t, f"v{t}", 0, 10.0) for t in range(60)]
-        aggs = data.aggregate(records, 60, n_zones=1, duration_s=60)
-        assert len(aggs) == 1
-        assert aggs[0].avg_speed == pytest.approx(10.0)
-        assert aggs[0].count == pytest.approx(1.0)
+        recs = records(*[(t, f"v{t}", 0, 10.0) for t in range(60)])
+        table = data.build_dataset(recs, [], 1, 60, duration_s=60)
+        assert len(table) == 1
+        assert table.features[0, 0] == pytest.approx(10.0)
+        assert table.features[0, 1] == pytest.approx(1.0)
 
     def test_duplicate_vehicle_within_second_counted_once(self):
-        records = [rec(3, "dup", 0, 10.0), rec(3, "dup", 0, 99.0), rec(3, "x", 0, 20.0)]
-        aggs = data.aggregate(records, 1, n_zones=1, duration_s=4)
-        hit = [a for a in aggs if a.bucket_start == 3][0]
-        assert hit.count == 2
-        assert hit.avg_speed == pytest.approx(15.0)
+        recs = records((3, "dup", 0, 10.0), (3, "dup", 0, 99.0), (3, "x", 0, 20.0))
+        table = data.build_dataset(recs, [], 1, 1, duration_s=4)
+        speed, count = at(table, 3, 0)[:2]
+        assert count == 2
+        assert speed == pytest.approx(15.0)
 
     def test_full_grid_emitted(self):
-        aggs = data.aggregate([rec(0, "a", 0, 1.0)], 1, n_zones=3, duration_s=5)
-        assert len(aggs) == 15
-        keys = [(a.bucket_start, a.zone_id) for a in aggs]
+        table = data.build_dataset(records((0, "a", 0, 1.0)), [], 3, 1, duration_s=5)
+        assert len(table) == 15
+        keys = list(zip(table.bucket_start.tolist(), table.zone_id.tolist()))
         assert keys == sorted(keys)
 
     def test_bad_bucket_size(self):
         with pytest.raises(ConfigError):
-            data.aggregate([], 30, n_zones=1, duration_s=10)
+            data.build_dataset(records(), [], 1, 30, duration_s=10)
 
     def test_zone_out_of_range(self):
         with pytest.raises(DataError):
-            data.aggregate([rec(0, "a", 7, 1.0)], 1, n_zones=3, duration_s=1)
+            data.build_dataset(records((0, "a", 7, 1.0)), [], 3, 1, duration_s=1)
 
     def test_partial_final_minute_divides_by_covered_seconds(self):
         # 30-second tail bucket with one vehicle per second: count stays 1
-        records = [rec(t, f"v{t}", 0, 10.0) for t in range(90)]
-        aggs = data.aggregate(records, 60, n_zones=1, duration_s=90)
-        assert len(aggs) == 2
-        assert aggs[1].count == pytest.approx(1.0)
+        recs = records(*[(t, f"v{t}", 0, 10.0) for t in range(90)])
+        table = data.build_dataset(recs, [], 1, 60, duration_s=90)
+        assert len(table) == 2
+        assert table.features[1, 1] == pytest.approx(1.0)
 
 
 class TestTopology:
@@ -70,11 +92,11 @@ class TestTopology:
         assert topo.directions[1] == list(range(28, 56))
 
     def test_neighbors_interior_and_boundary(self):
-        topo = data.default_topology(8)
-        assert topo.neighbors(1) == (0, 2)
-        assert topo.neighbors(0) == (None, 1)
-        assert topo.neighbors(3) == (2, None)
-        assert topo.neighbors(4) == (None, 5)
+        up, down = data.default_topology(8).neighbor_index(8)
+        assert (up[1], down[1]) == (0, 2)
+        assert (up[0], down[0]) == (0, 1)  # no upstream: itself
+        assert (up[3], down[3]) == (2, 3)  # no downstream: itself
+        assert (up[4], down[4]) == (4, 5)
 
     def test_duplicate_zone_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,138 +104,126 @@ class TestTopology:
 
 
 class TestBuildFeatures:
-    def make_aggs(self):
-        # 3 zones, 1 bucket, distinct values
-        return [
-            data.ZoneAggregate(0, 0, 10.0, 1.0),
-            data.ZoneAggregate(1, 0, 20.0, 2.0),
-            data.ZoneAggregate(2, 0, 30.0, 3.0),
-        ]
+    def make_table(self):
+        # zones 0, 1, 2 of direction [0, 1, 2]: speeds 10/20/30, counts 1/2/3
+        recs = records(
+            (0, "a", 0, 10.0),
+            (0, "b", 1, 15.0), (0, "c", 1, 25.0),
+            (0, "d", 2, 30.0), (0, "e", 2, 30.0), (0, "f", 2, 30.0),
+        )
+        return data.build_dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=1)
 
     def test_interior_zone_copies_neighbors(self):
-        rows = data.build_features(self.make_aggs(), data.ZoneTopology([[0, 1, 2]]))
-        mid = [r for r in rows if r.zone_id == 1][0]
-        assert mid.features().tolist() == [20.0, 2.0, 10.0, 1.0, 30.0, 3.0]
+        assert at(self.make_table(), 0, 1).tolist() == [20.0, 2.0, 10.0, 1.0, 30.0, 3.0]
 
     def test_boundary_self_substitution(self):
-        rows = data.build_features(self.make_aggs(), data.ZoneTopology([[0, 1, 2]]))
-        first = [r for r in rows if r.zone_id == 0][0]
-        assert first.features().tolist() == [10.0, 1.0, 10.0, 1.0, 20.0, 2.0]
-        last = [r for r in rows if r.zone_id == 2][0]
-        assert last.features().tolist() == [30.0, 3.0, 20.0, 2.0, 30.0, 3.0]
+        table = self.make_table()
+        assert at(table, 0, 0).tolist() == [10.0, 1.0, 10.0, 1.0, 20.0, 2.0]
+        assert at(table, 0, 2).tolist() == [30.0, 3.0, 20.0, 2.0, 30.0, 3.0]
 
     def test_unknown_zone_rejected(self):
         with pytest.raises(DataError):
-            data.build_features(self.make_aggs(), data.ZoneTopology([[0, 1]]))
+            data.ZoneTopology([[0, 1]]).neighbor_index(3)
 
     def test_row_count_matches_grid(self):
-        records = [rec(t, f"v{t}-{z}", z, 25.0) for t in range(10) for z in range(4)]
-        aggs = data.aggregate(records, 1, n_zones=4, duration_s=10)
-        rows = data.build_features(aggs, data.default_topology(4))
-        assert len(rows) == len(aggs) == 40
+        recs = records(*[(t, f"v{t}-{z}", z, 25.0) for t in range(10) for z in range(4)])
+        assert len(data.build_dataset(recs, [], 4, 1, duration_s=10)) == 40
 
 
 class TestLabel:
-    def make_rows(self, buckets=5, zones=3, bucket_seconds=1):
-        return [
-            data.FeatureRow(b * bucket_seconds, z, 1, 1, 1, 1, 1, 1)
-            for b in range(buckets)
-            for z in range(zones)
-        ]
+    def labels(self, events, n_zones=3, duration_s=5, bucket_seconds=1):
+        table = data.build_dataset(records(), events, n_zones, bucket_seconds, duration_s)
+        return table.labels.reshape(-1, n_zones)  # [bucket, zone]
 
     def test_empty_schedule_all_zero(self):
-        rows = data.label(self.make_rows(), [])
-        assert all(r.label == 0 for r in rows)
+        assert not self.labels([]).any()
 
     def test_per_second_interval(self):
-        rows = [data.FeatureRow(t, 3, 1, 1, 1, 1, 1, 1) for t in range(90, 170)]
-        labeled = data.label(rows, [(3, 100, 60)], bucket_seconds=1)
-        for row in labeled:
-            assert row.label == (1 if 100 <= row.bucket_start < 160 else 0)
+        labels = self.labels([(3, 100, 60)], n_zones=4, duration_s=170)
+        assert labels[:, 3].tolist() == [int(100 <= t < 160) for t in range(170)]
+        assert not labels[:, :3].any()
 
     def test_per_minute_overlap(self):
-        rows = [data.FeatureRow(m * 60, 3, 1, 1, 1, 1, 1, 1) for m in range(5)]
-        labeled = data.label(rows, [(3, 100, 60)], bucket_seconds=60)
+        labels = self.labels([(3, 100, 60)], n_zones=4, duration_s=300, bucket_seconds=60)
         # the [100, 160) incident overlaps minutes 1 and 2 only
-        assert [r.label for r in labeled] == [0, 1, 1, 0, 0]
+        assert labels[:, 3].tolist() == [0, 1, 1, 0, 0]
 
     def test_other_zone_untouched(self):
-        rows = self.make_rows()
-        labeled = data.label(rows, [(1, 0, 100)], bucket_seconds=1)
-        assert all(r.label == (1 if r.zone_id == 1 else 0) for r in labeled)
+        labels = self.labels([(1, 0, 100)])
+        assert (labels == np.array([0, 1, 0])).all()
 
 
 class TestNormalize:
     def split_from_columns(self, train_col, test_col):
-        def mk(vals):
-            return [
-                data.FeatureRow(i, 0, v, 1.0, 1.0, 1.0, 1.0, 1.0) for i, v in enumerate(vals)
-            ]
-
-        return data.DatasetSplit("DS-1", mk(train_col), mk(test_col))
+        # DS-1 trains on 4/7 of the rows: the column lengths are chosen so
+        # that the first len(train_col) rows train
+        column = np.asarray(train_col + test_col, dtype=float)
+        features = np.ones((len(column), 6))
+        features[:, 0] = column
+        out = data.split(table_of(features), "DS-1")
+        assert len(out.train_y) == len(train_col)
+        return out
 
     def test_min_max_mapping(self):
-        out = data.normalize(self.split_from_columns([10.0, 20.0, 30.0], []))
-        got = [r.avg_speed_zone for r in out.train_rows]
-        assert got == pytest.approx([0.0, 0.5, 1.0])
+        out = self.split_from_columns([10.0, 20.0, 30.0], [0.0, 0.0])
+        assert out.train_x[:, 0] == pytest.approx([0.0, 0.5, 1.0])
+        assert out.normalization[0][0] == 10.0 and out.normalization[1][0] == 30.0
 
     def test_constant_column_maps_to_zero(self):
-        out = data.normalize(self.split_from_columns([7.0, 7.0], [7.0, 9.0]))
-        assert [r.avg_speed_zone for r in out.train_rows] == [0.0, 0.0]
-        assert [r.avg_speed_zone for r in out.test_rows] == [0.0, 0.0]
+        out = self.split_from_columns([7.0, 7.0], [7.0, 9.0])
+        assert out.train_x[:, 0].tolist() == [0.0, 0.0]
+        assert out.test_x[:, 0].tolist() == [0.0, 0.0]
 
     def test_test_rows_not_clamped(self):
-        out = data.normalize(self.split_from_columns([10.0, 30.0], [40.0]))
-        assert out.test_rows[0].avg_speed_zone == pytest.approx(1.5)
+        out = self.split_from_columns([10.0, 30.0], [40.0])
+        assert out.test_x[0, 0] == pytest.approx(1.5)
 
     def test_train_rows_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        rows = [
-            data.FeatureRow(i, 0, *rng.uniform(-5, 40, 6)) for i in range(50)
-        ]
-        out = data.normalize(data.DatasetSplit("DS-1", rows, []))
-        mat = np.array([r.features() for r in out.train_rows])
-        assert mat.min() >= 0.0 and mat.max() <= 1.0
+        out = data.split(table_of(rng.uniform(-5, 40, (70, 6))), "DS-1")
+        assert out.train_x.min() >= 0.0 and out.train_x.max() <= 1.0
 
     def test_double_normalize_is_identity_on_train(self):
         rng = np.random.default_rng(1)
-        rows = [data.FeatureRow(i, 0, *rng.uniform(0, 30, 6)) for i in range(20)]
-        once = data.normalize(data.DatasetSplit("DS-1", rows, []))
-        twice = data.normalize(once)
-        a = np.array([r.features() for r in once.train_rows])
-        b = np.array([r.features() for r in twice.train_rows])
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        once = data.split(table_of(rng.uniform(0, 30, (28, 6))), "DS-1")
+        twice = data.split(table_of(np.vstack([once.train_x, once.test_x])), "DS-1")
+        np.testing.assert_allclose(twice.train_x, once.train_x, atol=1e-12)
 
     def test_empty_train_rejected(self):
         with pytest.raises(DataError):
-            data.normalize(data.DatasetSplit("DS-1", [], []))
+            data.split(table_of(np.empty((0, 6))), "DS-1")
 
 
 class TestSplit:
     def make_rows(self, n):
-        return [data.FeatureRow(i, 0, 1, 1, 1, 1, 1, 1) for i in range(n)]
+        features = np.ones((n, 6))
+        features[:, 0] = np.arange(n)
+        return table_of(features, labels=np.arange(n) % 2)
 
     def test_canonical_ds1(self):
         out = data.split(self.make_rows(70000), "DS-1")
-        assert (len(out.train_rows), len(out.test_rows)) == (40000, 30000)
+        assert (len(out.train_y), len(out.test_y)) == (40000, 30000)
 
     def test_canonical_ds2(self):
         out = data.split(self.make_rows(70000), "DS-2")
-        assert (len(out.train_rows), len(out.test_rows)) == (15000, 55000)
+        assert (len(out.train_y), len(out.test_y)) == (15000, 55000)
 
     def test_canonical_ds3(self):
         out = data.split(self.make_rows(1400), "DS-3")
-        assert (len(out.train_rows), len(out.test_rows)) == (150, 1250)
+        assert (len(out.train_y), len(out.test_y)) == (150, 1250)
 
     def test_proportional_scaling(self):
         out = data.split(self.make_rows(7000), "DS-1")
-        assert (len(out.train_rows), len(out.test_rows)) == (4000, 3000)
+        assert (len(out.train_y), len(out.test_y)) == (4000, 3000)
 
     def test_prefix_is_chronological(self):
-        rows = self.make_rows(1400)
-        out = data.split(rows, "DS-3")
-        assert out.train_rows == rows[:150]
-        assert out.test_rows == rows[150:]
+        table = self.make_rows(1400)
+        out = data.split(table, "DS-3")
+        np.testing.assert_array_equal(out.train_y, table.labels[:150])
+        np.testing.assert_array_equal(out.test_y, table.labels[150:])
+        # the first column counts rows, and the train rows span [0, 149]
+        np.testing.assert_allclose(out.train_x[:, 0] * 149, np.arange(150))
+        np.testing.assert_allclose(out.test_x[:, 0] * 149, np.arange(150, 1400))
 
     def test_too_few_rows(self):
         with pytest.raises(DataError):
@@ -224,38 +234,49 @@ class TestSplit:
             data.split(self.make_rows(100), "DS-9")
 
     def test_unordered_rows_rejected(self):
-        rows = self.make_rows(100)
-        rows[0], rows[50] = rows[50], rows[0]
+        table = self.make_rows(100)
+        table.bucket_start[[0, 50]] = table.bucket_start[[50, 0]]
         with pytest.raises(DataError):
-            data.split(rows, "DS-1")
+            data.split(table, "DS-1")
+
+    def test_unordered_zones_within_a_bucket_rejected(self):
+        table = self.make_rows(100)
+        table.bucket_start[:] = 0
+        table.zone_id[:] = np.arange(100)
+        table.zone_id[[0, 50]] = table.zone_id[[50, 0]]
+        with pytest.raises(DataError):
+            data.split(table, "DS-1")
 
 
 class TestCsvRoundTrip:
     def test_bsm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        records = [
-            rec(int(rng.integers(0, 100)), f"veh{i}", int(rng.integers(0, 8)), float(rng.uniform(0, 40)))
-            for i in range(1000)
-        ]
+        recs = data.Records(
+            rng.integers(0, 100, 1000),
+            [f"veh{i}" for i in range(1000)],
+            rng.integers(0, 8, 1000),
+            rng.uniform(0, 40, 1000),
+        )
         path = tmp_path / "bsm.csv"
-        data.write_bsm_csv(records, path)
-        back = data.read_bsm_csv(path)
-        assert back == records
+        data.write_bsm_csv(recs, path)
+        assert_records_equal(data.read_bsm_csv(path), recs)
 
     def test_feature_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        rows = [
-            data.FeatureRow(i, int(rng.integers(0, 5)), *rng.uniform(0, 30, 6), label=int(rng.integers(0, 2)))
-            for i in range(500)
-        ]
+        table = data.Dataset(
+            np.arange(500), rng.integers(0, 5, 500), rng.uniform(0, 30, (500, 6)),
+            rng.integers(0, 2, 500),
+        )
         path = tmp_path / "features.csv"
-        data.write_feature_csv(rows, path)
-        assert data.read_feature_csv(path) == rows
+        data.write_feature_csv(table, path)
+        back = data.read_feature_csv(path)
+        for column in ("bucket_start", "zone_id", "features", "labels"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(table, column))
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "bsm.csv"
         path.write_text("time_s,vehicle_id,zone_id,speed_mps\n")
-        assert data.read_bsm_csv(path) == []
+        assert len(data.read_bsm_csv(path)) == 0
 
     def test_negative_speed_is_parse_error(self, tmp_path):
         path = tmp_path / "bsm.csv"
@@ -268,6 +289,26 @@ class TestCsvRoundTrip:
         path.write_text("time_s,vehicle_id,zone_id,speed_mps\n0,a,0,1.0\nnot,good\n")
         with pytest.raises(ParseError, match=r":3:"):
             data.read_bsm_csv(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("0,a,0,1.0,9", "expected 4 fields"),
+            ("x,a,0,1.0", "invalid literal for int() with base 10: 'x'"),
+            ("0,a,1.5,1.0", "invalid literal for int() with base 10: '1.5'"),
+            ("0,a,0,fast", "could not convert string to float: 'fast'"),
+            ("-1,a,0,1.0", "time must be >= 0, got -1"),
+            ("0,a,0,nan", "speed must be finite and >= 0, got nan"),
+            ("0,a,0,inf", "speed must be finite and >= 0, got inf"),
+            ("0,a\x00,0,1.0", "vehicle id contains a NUL character"),
+        ],
+    )
+    def test_bad_field_message(self, tmp_path, line, message):
+        path = tmp_path / "bsm.csv"
+        path.write_text(f"time_s,vehicle_id,zone_id,speed_mps\n0,a,0,1.0\n\n{line}\n")
+        with pytest.raises(ParseError) as excinfo:
+            data.read_bsm_csv(path)
+        assert str(excinfo.value) == f"{path}:4: {message}"
 
     def test_unknown_header_is_format_error(self, tmp_path):
         path = tmp_path / "bsm.csv"
@@ -283,9 +324,76 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"features.csv:3: non-finite feature spd_up"):
             data.read_feature_csv(path)
 
-    def test_topology_round_trip(self, tmp_path):
-        topo = data.default_topology(10)
-        path = tmp_path / "topo.json"
-        data.write_topology_json(topo, path)
-        back = data.read_topology_json(path)
-        assert back.directions == topo.directions
+
+# -- the builder against a per-row reference ----------------------------------------
+
+def reference_rows(rows, events, n_zones, bucket_seconds, duration):
+    """(bucket_start, zone, six features, label) per row, one row at a time."""
+    first_seen = {}  # (zone, second) -> {vehicle: speed of its first record}
+    for time, vehicle, zone, speed in rows:
+        first_seen.setdefault((zone, time), {}).setdefault(vehicle, speed)
+    half = (n_zones + 1) // 2
+
+    def neighbors(zone):
+        lo, hi = (0, half - 1) if zone < half else (half, n_zones - 1)
+        return (zone - 1 if zone > lo else zone), (zone + 1 if zone < hi else zone)
+
+    out = []
+    for start in range(0, duration, bucket_seconds):
+        seconds = range(start, min(start + bucket_seconds, duration))
+        own = []
+        for zone in range(n_zones):
+            speeds = [s for t in seconds for s in first_seen.get((zone, t), {}).values()]
+            mean = sum(speeds) / len(speeds) if speeds else data.EMPTY_SPEED_FILL
+            own.append((mean, len(speeds) / len(seconds)))
+        for zone in range(n_zones):
+            up, down = neighbors(zone)
+            hit = any(
+                z == zone and s < start + bucket_seconds and start < s + d for z, s, d in events
+            )
+            out.append((start, zone, [*own[zone], *own[up], *own[down]], int(hit)))
+    return out
+
+
+@st.composite
+def corridors(draw):
+    n_zones = draw(st.integers(1, 6))
+    duration = draw(st.integers(1, 130))
+    bucket = draw(st.sampled_from(data.BUCKET_SIZES))
+    # few vehicle ids and seconds, so (vehicle, zone, second) repeats and cells empty
+    row = st.tuples(
+        st.integers(0, duration - 1),
+        st.sampled_from(["a", "b", "v1", "v10", "v2"]),
+        st.integers(0, n_zones - 1),
+        st.floats(0.0, 50.0),
+    )
+    rows = draw(st.lists(row, max_size=60))
+    event = st.tuples(st.integers(-1, n_zones), st.integers(0, duration + 5), st.integers(1, 90))
+    events = draw(st.lists(event, max_size=3))
+    return rows, events, n_zones, bucket, duration
+
+
+class TestBuilderProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(corridors())
+    def test_matches_the_per_row_reference(self, corridor):
+        rows, events, n_zones, bucket, duration = corridor
+        table = data.build_dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
+        want = reference_rows(rows, events, n_zones, bucket, duration)
+        assert len(table) == len(want)
+        assert table.bucket_start.tolist() == [r[0] for r in want]
+        assert table.zone_id.tolist() == [r[1] for r in want]
+        assert table.labels.tolist() == [r[3] for r in want]
+        # counts are exact; mean speeds may differ in summation order only
+        features = np.array([r[2] for r in want]).reshape(-1, 6)
+        np.testing.assert_array_equal(table.features[:, 1::2], features[:, 1::2])
+        np.testing.assert_allclose(table.features[:, 0::2], features[:, 0::2], rtol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corridors())
+    def test_counts_are_conserved(self, corridor):
+        rows, events, n_zones, bucket, duration = corridor
+        table = data.build_dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
+        covered = np.minimum(table.bucket_start + bucket, duration) - table.bucket_start
+        distinct = {(vehicle, zone, time) for time, vehicle, zone, _ in rows}
+        assert np.sum(table.features[:, 1] * covered) == pytest.approx(len(distinct))

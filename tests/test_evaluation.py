@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qincident import data, evaluation, model, nn
+
+# confusion counts: run averages can be fractional, and zeros make metrics undefined
+COUNT = st.one_of(
+    st.just(0), st.integers(0, 2000), st.floats(0.0, 2000.0, allow_nan=False)
+)
 
 
 class TestConfusion:
@@ -75,17 +82,37 @@ class TestMetrics:
         with pytest.raises(ValueError):
             evaluation.ConfusionCounts(-1, 0, 0, 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COUNT, min_size=4, max_size=4))
+    def test_metric_identities(self, values):
+        tp, fp, fn, tn = values
+        report = evaluation.metrics(evaluation.ConfusionCounts(tp, fp, fn, tn))
+        p, r = report.precision, report.recall
+        assert (report.accuracy is None) == (tp + fp + fn + tn == 0)
+        assert (p is None) == (tp + fp == 0)
+        assert (r is None) == (tp + fn == 0)
+        assert (report.f2 is None) == (p is None or r is None or 4 * p + r == 0)
+        if report.accuracy is not None:
+            assert report.accuracy * (tp + fp + fn + tn) == pytest.approx(tp + tn, rel=1e-12)
+        if r is not None:
+            assert r == tp / (tp + fn)
+        if report.f2 is not None:
+            assert report.f2 == pytest.approx(5 * p * r / (4 * p + r), rel=1e-12)
 
-def tiny_split(seed=0, n_train=48, n_test=64):
+
+def tiny_split(seed=0, n_rows=84):
+    """DS-1 of ``n_rows`` separable rows: the first 4/7 (48 of 84) train."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n_train + n_test):
+    features, labels = [], []
+    for _ in range(n_rows):
         positive = rng.uniform() < 0.3
         base = [0.05, 0.4, 0.2, 0.8, 0.9, 0.1] if positive else [0.9, 0.4, 0.9, 0.4, 0.9, 0.4]
-        feats = rng.normal(base, 0.05)
-        rows.append(data.FeatureRow(i, 0, *feats, label=int(positive)))
-    split = data.DatasetSplit("DS-1", rows[:n_train], rows[n_train:])
-    return data.normalize(split)
+        features.append(rng.normal(base, 0.05))
+        labels.append(int(positive))
+    table = data.Dataset(
+        np.arange(n_rows), np.zeros(n_rows, dtype=np.int64), np.array(features), np.array(labels)
+    )
+    return data.split(table, "DS-1")
 
 
 class TestRunExperiment:
@@ -113,7 +140,7 @@ class TestRunExperiment:
         tc = nn.TrainConfig(epochs=2, seed=0)
         agg = evaluation.run_experiment(config, split, tc, n_runs=4, base_seed=0)
         mean_total = agg.mean_counts.total
-        assert mean_total == pytest.approx(len(split.test_rows))
+        assert mean_total == pytest.approx(len(split.test_y))
 
     def test_mean_of_counts_equals_pooled_counts(self):
         split = tiny_split()
@@ -122,14 +149,6 @@ class TestRunExperiment:
         agg = evaluation.run_experiment(config, split, tc, n_runs=3, base_seed=0)
         pooled_tp = sum(r.counts.tp for r in agg.per_run)
         assert agg.mean_counts.tp == pytest.approx(pooled_tp / 3)
-
-    def test_unnormalized_split_rejected(self):
-        rows = [data.FeatureRow(i, 0, 1, 1, 1, 1, 1, 1, label=i % 2) for i in range(40)]
-        split = data.DatasetSplit("DS-1", rows[:20], rows[20:])
-        with pytest.raises(ValueError):
-            evaluation.run_experiment(
-                model.HybridModelConfig(kind="classical"), split, nn.TrainConfig()
-            )
 
     def test_parallel_jobs_match_serial(self):
         split = tiny_split()

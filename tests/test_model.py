@@ -194,7 +194,6 @@ class TestSerialization:
         rows = separable_rows(40)
         net = model.build_model(model.HybridModelConfig(kind=kind), seed=9)
         model.train(net, rows, nn.TrainConfig(epochs=2, seed=9))
-        net.normalization = (np.zeros(6), np.ones(6))
         path = tmp_path / "model.json"
         model.save_model(net, path)
         loaded = model.load_model(path)

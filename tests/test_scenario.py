@@ -7,11 +7,11 @@ from qincident import data, scenario
 from qincident.errors import ConfigError
 
 
-def pipeline(config, events, bucket_seconds=1):
-    records, _ = scenario.generate(config)
-    aggs = data.aggregate(records, bucket_seconds, config.n_zones, duration_s=config.duration_s)
-    rows = data.build_features(aggs, data.default_topology(config.n_zones))
-    return data.label(rows, events, bucket_seconds=bucket_seconds)
+def same_records(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(a, column), getattr(b, column))
+        for column in ("time", "vehicle_id", "zone", "speed")
+    )
 
 
 class TestGenerate:
@@ -19,10 +19,9 @@ class TestGenerate:
         config = scenario.ScenarioConfig(n_zones=6, duration_s=300, seed=0)
         records, events = scenario.generate(config)
         assert events == []
-        rows = pipeline(config, events)
-        assert all(r.label == 0 for r in rows)
-        speeds = np.array([r.speed for r in records])
-        zones = np.array([r.zone_id for r in records])
+        table = scenario.synthetic_dataset(config, bucket_seconds=1, n_incidents=0)
+        assert len(table) == 6 * 300 and not table.labels.any()
+        speeds, zones = records.speed, records.zone
         for zone in range(6):
             sample = speeds[zones == zone]
             se = config.speed_noise_sd / np.sqrt(len(sample))
@@ -31,18 +30,19 @@ class TestGenerate:
     def test_no_negative_speeds_or_times(self):
         config = scenario.ScenarioConfig(n_zones=4, duration_s=200, seed=1)
         records, _ = scenario.generate(config)
-        assert all(r.speed >= 0 and 0 <= r.time < 200 for r in records)
+        assert np.all(records.speed >= 0)
+        assert np.all((records.time >= 0) & (records.time < 200))
 
     def test_seed_determinism(self):
         config = scenario.ScenarioConfig(n_zones=5, duration_s=150, seed=7)
         a, _ = scenario.generate(config)
         b, _ = scenario.generate(config)
-        assert a == b
+        assert same_records(a, b)
 
     def test_different_seeds_differ(self):
         a, _ = scenario.generate(scenario.ScenarioConfig(n_zones=3, duration_s=50, seed=0))
         b, _ = scenario.generate(scenario.ScenarioConfig(n_zones=3, duration_s=50, seed=1))
-        assert a != b
+        assert not same_records(a, b)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_incident_effects(self, seed):
@@ -52,9 +52,7 @@ class TestGenerate:
             n_zones=8, duration_s=240, seed=seed, incidents=(event,)
         )
         records, _ = scenario.generate(config)
-        speeds = np.array([r.speed for r in records])
-        zones = np.array([r.zone_id for r in records])
-        times = np.array([r.time for r in records])
+        speeds, zones, times = records.speed, records.zone, records.time
 
         window = (times >= 60) & (times < 120)
         in_zone = speeds[(zones == 2) & window]
@@ -75,7 +73,7 @@ class TestGenerate:
         event = scenario.IncidentEvent(zone=0, start_s=30, duration_s=40)
         config = scenario.ScenarioConfig(n_zones=4, duration_s=120, seed=2, incidents=(event,))
         records, _ = scenario.generate(config)
-        assert records  # no crash, stream produced
+        assert len(records)  # no crash, stream produced
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -128,11 +126,11 @@ class TestDefaultSchedule:
     def test_no_zone_time_overlap(self):
         config = scenario.ScenarioConfig(seed=5)
         events = scenario.default_schedule(config)
-        topo = data.default_topology(config.n_zones)
+        neighbors = data.default_topology(config.n_zones).neighbor_index(config.n_zones)
         for i, a in enumerate(events):
             for b in events[i + 1 :]:
-                zones_a = scenario._affected_zones(a.zone, topo)
-                zones_b = scenario._affected_zones(b.zone, topo)
+                zones_a = scenario._affected_zones(a.zone, neighbors)
+                zones_b = scenario._affected_zones(b.zone, neighbors)
                 if zones_a & zones_b:
                     assert a.end_s <= b.start_s or b.end_s <= a.start_s
 
