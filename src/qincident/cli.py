@@ -33,6 +33,17 @@ SPLIT_NAMES = ("DS-1", "DS-2", "DS-3")
 MODEL_NAMES = ("classical", "hybrid-2q", "hybrid-4q")
 
 
+# what each ExperimentConfig annotation accepts (a config file gives lists)
+_VALUE_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+    "tuple[str, ...]": (tuple, list),
+}
+
+
 @dataclass
 class ExperimentConfig:
     zones: int = 56
@@ -51,6 +62,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         self.splits = tuple(self.splits)
         self.models = tuple(self.models)
         if not self.splits or any(s not in SPLIT_NAMES for s in self.splits):
@@ -83,12 +98,7 @@ def cmd_gen(args) -> int:
         if args.schedule is None
         else scenario.read_schedule_json(args.schedule)
     )
-    config = scenario.ScenarioConfig(
-        n_zones=args.zones,
-        duration_s=args.duration,
-        seed=args.seed,
-        incidents=tuple(events),
-    )
+    config = dataclasses.replace(config, incidents=tuple(events))
     records, _ = scenario.generate(config)
     os.makedirs(args.out, exist_ok=True)
     bsm_path = os.path.join(args.out, "bsm.csv")
@@ -123,7 +133,10 @@ def _experiment_config(args) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except ValueError as exc:
+                raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise FormatError(f"{args.config}: expected a JSON object")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -152,7 +165,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
-    schedule = ()
+    schedule = None  # synthetic_dataset then places the default schedule
     if config.schedule_path:
         schedule = tuple(scenario.read_schedule_json(config.schedule_path))
 

@@ -6,7 +6,9 @@
 speeds into one- or sixty-second buckets; ``build_features`` forms six
 features per (bucket, zone), the zone's own mean speed and count then its
 upstream and downstream neighbor's; ``label`` marks rows that overlap an
-incident.  ``split`` cuts a ``Dataset`` into the chronological
+incident.  The corridor's two directions of travel are fixed, zones
+[0, ceil(n/2)) and [ceil(n/2), n), and ``neighbor_index`` gives each zone's
+neighbors along them.  ``split`` cuts a ``Dataset`` into the chronological
 DS-1/DS-2/DS-3 regimes, min-max scaled by ``normalize`` with bounds fitted
 on the training rows.
 
@@ -86,38 +88,16 @@ class Dataset:
         return len(self.labels)
 
 
-@dataclass
-class ZoneTopology:
-    """Ordered zone ids per travel direction."""
-
-    directions: list[list[int]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for direction in self.directions:
-            for zone in direction:
-                if zone in seen:
-                    raise ConfigError(f"zone {zone} appears in two directions")
-                seen.add(zone)
-        self._zones = seen
-
-    def neighbor_index(self, n_zones: int) -> tuple[np.ndarray, np.ndarray]:
-        """(upstream, downstream) zone of each zone in [0, n_zones), in
-        travel order; a boundary zone is its own neighbor on the missing side."""
-        missing = sorted(set(range(n_zones)) - self._zones)
-        if missing:
-            raise DataError(f"zone {missing[0]} not covered by the topology")
-        up, down = np.arange(n_zones), np.arange(n_zones)
-        for direction in self.directions:
-            up[direction[1:]] = direction[:-1]
-            down[direction[:-1]] = direction[1:]
-        return up, down
-
-
-def default_topology(n_zones: int) -> ZoneTopology:
-    """Two equal directions: [0 .. n/2) and [n/2 .. n)."""
+def neighbor_index(n_zones: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upstream, downstream) zone of each zone in [0, n_zones).  The
+    corridor has two directions of travel, [0, ceil(n/2)) and
+    [ceil(n/2), n), each in increasing zone order; the first zone of a
+    direction is its own upstream and the last its own downstream."""
+    zones = np.arange(n_zones)
     half = (n_zones + 1) // 2
-    return ZoneTopology([list(range(half)), list(range(half, n_zones))])
+    up = np.where((zones == 0) | (zones == half), zones, zones - 1)
+    down = np.where((zones == half - 1) | (zones == n_zones - 1), zones, zones + 1)
+    return up, down
 
 
 # -- the builder ----------------------------------------------------------------
@@ -130,8 +110,7 @@ def build_dataset(
     duration_s: int | None = None,
 ) -> Dataset:
     """One labeled row per (bucket, zone) over [0, duration_s), empties
-    included: ``aggregate``, then ``build_features`` over the default
-    topology, then ``label``.
+    included: ``aggregate``, then ``build_features``, then ``label``.
 
     When ``duration_s`` is not given it is the latest record time + 1 (0
     without records).  ``events`` entries need ``zone``, ``start_s`` and
@@ -143,7 +122,7 @@ def build_dataset(
     return Dataset(
         bucket_start=bucket_start,
         zone_id=zone_id,
-        features=build_features(speed, count, default_topology(n_zones)),
+        features=build_features(speed, count),
         labels=label(bucket_start, zone_id, events, bucket_seconds),
     )
 
@@ -195,11 +174,11 @@ def aggregate(
     return starts, speed, count / covered[:, np.newaxis]
 
 
-def build_features(speed: np.ndarray, count: np.ndarray, topology: ZoneTopology) -> np.ndarray:
+def build_features(speed: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Six features per (bucket, zone) row, buckets outer: own (speed,
-    count), then upstream, then downstream.  A boundary zone substitutes
-    its own values for the missing neighbor."""
-    up, down = topology.neighbor_index(speed.shape[1])
+    count), then upstream, then downstream (``neighbor_index``).  A
+    boundary zone substitutes its own values for the missing neighbor."""
+    up, down = neighbor_index(speed.shape[1])
     features = np.stack(
         [speed, count, speed[:, up], count[:, up], speed[:, down], count[:, down]], axis=-1
     )
@@ -288,55 +267,72 @@ def split(table: Dataset, name: str) -> DatasetSplit:
 
 # -- CSV interchange ---------------------------------------------------------------
 
-def write_bsm_csv(records: Records, path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(BSM_HEADER)
-        writer.writerows(
-            zip(
-                records.time.tolist(),
-                records.vehicle_id.tolist(),
-                records.zone.tolist(),
-                map(repr, records.speed.tolist()),
-            )
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_bsm_csv(path) -> Records:
-    times, vids, zones, speeds = [], [], [], []
+def _read_csv(path, header: list[str], parse_row) -> None:
+    """Check the header, then hand each non-blank line's fields to
+    ``parse_row``; a ``ValueError`` from a line becomes a ``ParseError``
+    naming the path and line number."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != BSM_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(BSM_HEADER)}")
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise FormatError(f"{path}: expected header {','.join(header)}")
         for lineno, fields in enumerate(reader, start=2):
             if not fields:
                 continue
             try:
-                if len(fields) != len(BSM_HEADER):
-                    raise ValueError(f"expected {len(BSM_HEADER)} fields")
-                time, zone, speed = int(fields[0]), int(fields[2]), float(fields[3])
-                if "\x00" in fields[1]:
-                    # numpy strings drop trailing NULs, which would merge ids
-                    raise ValueError("vehicle id contains a NUL character")
-                if time < 0:
-                    raise ValueError(f"time must be >= 0, got {time}")
-                if not math.isfinite(speed) or speed < 0:
-                    raise ValueError(f"speed must be finite and >= 0, got {speed}")
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields")
+                parse_row(fields)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            times.append(time)
-            vids.append(fields[1])
-            zones.append(zone)
-            speeds.append(speed)
-    return Records(times, vids, zones, speeds)
+
+
+def write_bsm_csv(records: Records, path) -> None:
+    _write_csv(
+        path,
+        BSM_HEADER,
+        zip(
+            records.time.tolist(),
+            records.vehicle_id.tolist(),
+            records.zone.tolist(),
+            map(repr, records.speed.tolist()),
+        ),
+    )
+
+
+def read_bsm_csv(path) -> Records:
+    times, vids, zones, speeds = columns = [], [], [], []
+
+    def parse_row(fields):
+        time, zone, speed = int(fields[0]), int(fields[2]), float(fields[3])
+        if "\x00" in fields[1]:
+            # numpy strings drop trailing NULs, which would merge ids
+            raise ValueError("vehicle id contains a NUL character")
+        if time < 0:
+            raise ValueError(f"time must be >= 0, got {time}")
+        if not math.isfinite(speed) or speed < 0:
+            raise ValueError(f"speed must be finite and >= 0, got {speed}")
+        times.append(time)
+        vids.append(fields[1])
+        zones.append(zone)
+        speeds.append(speed)
+
+    _read_csv(path, BSM_HEADER, parse_row)
+    return Records(*columns)
 
 
 def write_feature_csv(table: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FEATURE_HEADER)
-        writer.writerows(
+    _write_csv(
+        path,
+        FEATURE_HEADER,
+        (
             [bucket, zone, *map(repr, values), label]
             for bucket, zone, values, label in zip(
                 table.bucket_start.tolist(),
@@ -344,36 +340,28 @@ def write_feature_csv(table: Dataset, path) -> None:
                 table.features.tolist(),
                 table.labels.tolist(),
             )
-        )
+        ),
+    )
 
 
 def read_feature_csv(path) -> Dataset:
     buckets, zones, features, labels = [], [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != FEATURE_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(FEATURE_HEADER)}")
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
-                if len(fields) != len(FEATURE_HEADER):
-                    raise ValueError(f"expected {len(FEATURE_HEADER)} fields")
-                lab = int(fields[8])
-                if lab not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {lab}")
-                values = [float(v) for v in fields[2:8]]
-                bad = [name for name, v in zip(FEATURE_HEADER[2:8], values) if not math.isfinite(v)]
-                if bad:
-                    raise ValueError(f"non-finite feature {', '.join(bad)}")
-                bucket, zone = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            buckets.append(bucket)
-            zones.append(zone)
-            features.append(values)
-            labels.append(lab)
+
+    def parse_row(fields):
+        lab = int(fields[8])
+        if lab not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {lab}")
+        values = [float(v) for v in fields[2:8]]
+        bad = [name for name, v in zip(FEATURE_HEADER[2:8], values) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite feature {', '.join(bad)}")
+        bucket, zone = int(fields[0]), int(fields[1])
+        buckets.append(bucket)
+        zones.append(zone)
+        features.append(values)
+        labels.append(lab)
+
+    _read_csv(path, FEATURE_HEADER, parse_row)
     return Dataset(
         bucket_start=np.array(buckets, dtype=np.int64),
         zone_id=np.array(zones, dtype=np.int64),

@@ -176,25 +176,19 @@ def build_model(config: HybridModelConfig, seed: int) -> Model:
     return Model(config=config, layers=layers, seed=seed)
 
 
-def forward(model: Model, features) -> float | np.ndarray:
-    """Probability of an incident for one row [6] or a batch [B, 6]."""
-    x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if x.shape[-1] != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} features, got {x.shape[-1]}")
-    h = x[np.newaxis] if single else x
+def forward(model: Model, features) -> np.ndarray:
+    """Probability of an incident for each row of a [B, 6] batch."""
+    h = np.asarray(features, dtype=float)
+    if h.ndim != 2 or h.shape[1] != N_FEATURES:
+        raise ValueError(f"expected a [batch, {N_FEATURES}] array, got shape {h.shape}")
     for layer in model.layers:
         h = layer.forward(h)
-    probs = h[:, 0]
-    return float(probs[0]) if single else probs
+    return h[:, 0]
 
 
-def predict(model: Model, features) -> int | np.ndarray:
+def predict(model: Model, features) -> np.ndarray:
     """1 iff the forward probability reaches the threshold (inclusive)."""
-    probs = forward(model, features)
-    if isinstance(probs, float):
-        return int(probs >= model.config.output_threshold)
-    return (probs >= model.config.output_threshold).astype(int)
+    return (forward(model, features) >= model.config.output_threshold).astype(int)
 
 
 def loss_and_gradients(

@@ -1,9 +1,9 @@
 """Dense-layer building blocks: activations, binary cross-entropy,
 Glorot initialization, and Adam.
 
-Everything works on single vectors or on batches stacked along the first
-axis.  Batch losses are averaged (not summed), and the final partial batch
-of an epoch is used at its natural size.
+Layers work on batches stacked along the first axis.  Batch losses are
+averaged (not summed), and the final partial batch of an epoch is used at
+its natural size.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "sigmoid")
 BCE_EPS = 1e-7
 
 
@@ -33,8 +33,6 @@ def activate(kind: str, x) -> np.ndarray:
         return np.maximum(x, 0.0)
     if kind == "sigmoid":
         return _sigmoid(x)
-    if kind == "identity":
-        return x
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -46,8 +44,6 @@ def activate_deriv(kind: str, pre_activation) -> np.ndarray:
     if kind == "sigmoid":
         s = _sigmoid(z)
         return s * (1.0 - s)
-    if kind == "identity":
-        return np.ones_like(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -113,22 +109,20 @@ class DenseLayer:
         return cls(weights, np.array(doc["biases"]), doc["activation"])
 
 
-def init_layer(in_dim: int, out_dim: int, seed, activation: str = "relu") -> DenseLayer:
-    """Glorot-uniform weights in +/- sqrt(6/(in+out)), zero biases.
-
-    ``seed`` may be an int or an existing Generator (so a model can draw
-    all of its layers from one stream).
-    """
+def init_layer(
+    in_dim: int, out_dim: int, rng: np.random.Generator, activation: str = "relu"
+) -> DenseLayer:
+    """Glorot-uniform weights in +/- sqrt(6/(in+out)) drawn from ``rng``
+    (a model draws all of its layers from one stream), zero biases."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError("layer dimensions must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
     return DenseLayer(weights, np.zeros(out_dim), activation)
 
 
 def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pre_activation, output); ``x`` is [in] or [batch, in]."""
+    """Returns (pre_activation, output) for ``x`` [batch, in]."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"expected input width {layer.in_dim}, got {x.shape[-1]}")
@@ -139,15 +133,10 @@ def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
 def dense_backward(
     layer: DenseLayer, x: np.ndarray, z: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain-rule step: returns (d_weights, d_biases, d_input)."""
+    """Chain-rule step for a [batch, in] input: returns (d_weights,
+    d_biases, d_input)."""
     dz = d_out * activate_deriv(layer.activation, z)
-    if x.ndim == 1:
-        d_w = np.outer(dz, x)
-        d_b = dz
-    else:
-        d_w = dz.T @ x
-        d_b = dz.sum(axis=0)
-    return d_w, d_b, dz @ layer.weights
+    return dz.T @ x, dz.sum(axis=0), dz @ layer.weights
 
 
 def bce_loss(prediction, label) -> np.ndarray:

@@ -2,17 +2,21 @@
 
 The generator models zone-level statistics directly (the downstream pipeline
 only ever sees zone aggregates): per (zone, second) the vehicle count is
-Poisson and per-vehicle speeds are Gaussian around a zone speed profile.
-A scheduled incident reshapes three zones:
+Poisson with mean ``BASE_RATE`` and per-vehicle speeds are Gaussian, with
+standard deviation ``SPEED_NOISE_SD``, around a zone speed profile that is
+``FREE_FLOW_SPEED`` away from incidents.  The corridor is fixed; only its
+size, length, schedule and seed are settable.  A scheduled incident
+reshapes three zones (``data.neighbor_index`` gives the neighbors):
 
-* the incident zone's speed collapses to ``incident_speed``;
+* the incident zone's speed collapses to ``INCIDENT_SPEED`` while its
+  demand stays at base;
 * the approach-side neighbor (previous zone in travel order) builds a queue,
-  its count ramping up to ``queue_growth`` times baseline and its speed
-  ramping down to ``queue_speed`` over the incident;
-* the departure-side neighbor starves, its count ramping toward zero.
+  its count ramping up to ``QUEUE_GROWTH`` times base and its speed ramping
+  down to ``QUEUE_SPEED`` over the incident;
+* the departure-side neighbor starves, its count ramping down to zero.
 
-After the incident all three zones relax linearly back to baseline over
-``recovery_s`` seconds.  Generation is a pure function of the config: each
+After the incident all three zones relax linearly back to base over
+``RECOVERY_S`` seconds.  Generation is a pure function of the config: each
 zone draws from its own (seed, zone) random stream, so streams are
 bit-reproducible and zones could be generated in parallel.
 """
@@ -27,6 +31,14 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, FormatError
+
+FREE_FLOW_SPEED = 30.0  # m/s
+SPEED_NOISE_SD = 2.0
+BASE_RATE = 4.0  # vehicles per zone-second
+INCIDENT_SPEED = 2.0
+QUEUE_SPEED = 5.0
+QUEUE_GROWTH = 3.0  # approach-zone demand at the incident's end, times base
+RECOVERY_S = 15
 
 PREVALENCE_TARGET = 0.022  # auto-scheduling fills the [1%, 3%] band to here
 MIN_INCIDENT_S = 40
@@ -52,19 +64,13 @@ class IncidentEvent:
 
 @dataclass
 class ScenarioConfig:
+    """One corridor run.  ``incidents`` None means no schedule was given:
+    ``generate`` then runs without incidents and ``synthetic_dataset``
+    places ``default_schedule``."""
+
     n_zones: int = 56
     duration_s: int = 1250
-    free_flow_speed: float = 30.0
-    speed_noise_sd: float = 2.0
-    demand_rate: float = 4.0
-    incidents: tuple[IncidentEvent, ...] = ()
-    queue_growth: float = 3.0
-    starvation: float = 1.0
-    recovery_s: int = 15
-    incident_speed: float = 2.0
-    queue_speed: float = 5.0
-    blocked_flow: float = 1.0  # incident-zone count factor (1.0: unchanged demand)
-    penetration: float = 1.0
+    incidents: tuple[IncidentEvent, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -72,12 +78,8 @@ class ScenarioConfig:
             raise ConfigError(f"n_zones must be >= 1, got {self.n_zones}")
         if self.duration_s < 1:
             raise ConfigError(f"duration_s must be >= 1, got {self.duration_s}")
-        if self.free_flow_speed <= 0 or self.demand_rate <= 0:
-            raise ConfigError("free_flow_speed and demand_rate must be positive")
-        if self.speed_noise_sd < 0 or self.recovery_s < 0:
-            raise ConfigError("speed_noise_sd and recovery_s must be >= 0")
-        if not 0.0 < self.penetration <= 1.0:
-            raise ConfigError(f"penetration must be in (0, 1], got {self.penetration}")
+        if self.incidents is None:
+            return
         self.incidents = tuple(self.incidents)
         for event in self.incidents:
             if not 0 <= event.zone < self.n_zones:
@@ -88,58 +90,46 @@ class ScenarioConfig:
                 )
 
 
-def _zone_profiles(config: ScenarioConfig, neighbors: tuple[np.ndarray, np.ndarray]):
-    """Per-zone speed-mean and count-rate profiles over [0, duration);
-    ``neighbors`` are the (upstream, downstream) index arrays of the zones."""
+def _zone_profiles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(speed mean, count rate), each [n_zones, duration_s]."""
     duration = config.duration_s
-    base_speed = config.free_flow_speed
-    base_rate = config.demand_rate
-    speed_mean = {z: np.full(duration, base_speed) for z in range(config.n_zones)}
-    rate = {z: np.full(duration, base_rate) for z in range(config.n_zones)}
+    speed_mean = np.full((config.n_zones, duration), FREE_FLOW_SPEED)
+    rate = np.full((config.n_zones, duration), BASE_RATE)
+    up, down = data.neighbor_index(config.n_zones)
 
     def ramp_back(profile: np.ndarray, end: int, end_value: float, base: float):
-        if config.recovery_s == 0:
-            return
-        stop = min(end + config.recovery_s, duration)
-        if stop <= end:
-            return
-        frac = (np.arange(end, stop) - end + 1) / config.recovery_s
+        stop = min(end + RECOVERY_S, duration)
+        frac = (np.arange(end, stop) - end + 1) / RECOVERY_S
         profile[end:stop] = end_value + (base - end_value) * frac
 
-    for event in sorted(config.incidents, key=lambda e: (e.start_s, e.zone)):
-        start, end = event.start_s, min(event.end_s, duration)
-        window = np.arange(start, end)
-        progress = (window - start + 1) / event.duration_s
-        approach, departure = (int(side[event.zone]) for side in neighbors)
+    for event in sorted(config.incidents or (), key=lambda e: (e.start_s, e.zone)):
+        zone, start, end = event.zone, event.start_s, event.end_s
+        progress = (np.arange(start, end) - start + 1) / event.duration_s
+        approach, departure = int(up[zone]), int(down[zone])
 
-        speed_mean[event.zone][start:end] = config.incident_speed
-        rate[event.zone][start:end] = base_rate * config.blocked_flow
-        ramp_back(speed_mean[event.zone], end, config.incident_speed, base_speed)
-        ramp_back(rate[event.zone], end, base_rate * config.blocked_flow, base_rate)
+        speed_mean[zone, start:end] = INCIDENT_SPEED
+        ramp_back(speed_mean[zone], end, INCIDENT_SPEED, FREE_FLOW_SPEED)
+        # an earlier incident's queue or starvation may cover this zone
+        rate[zone, start : min(end + RECOVERY_S, duration)] = BASE_RATE
 
-        if approach != event.zone:
-            queue_speed = base_speed + (config.queue_speed - base_speed) * progress
-            queue_rate = base_rate * (1.0 + (config.queue_growth - 1.0) * progress)
-            speed_mean[approach][start:end] = queue_speed
-            rate[approach][start:end] = queue_rate
-            ramp_back(speed_mean[approach], end, config.queue_speed, base_speed)
-            ramp_back(rate[approach], end, base_rate * config.queue_growth, base_rate)
-
-        if departure != event.zone:
-            starved = base_rate * np.clip(1.0 - config.starvation * progress, 0.0, None)
-            rate[departure][start:end] = starved
-            ramp_back(
-                rate[departure],
-                end,
-                base_rate * max(0.0, 1.0 - config.starvation),
-                base_rate,
+        if approach != zone:
+            speed_mean[approach, start:end] = (
+                FREE_FLOW_SPEED + (QUEUE_SPEED - FREE_FLOW_SPEED) * progress
             )
+            rate[approach, start:end] = BASE_RATE * (1.0 + (QUEUE_GROWTH - 1.0) * progress)
+            ramp_back(speed_mean[approach], end, QUEUE_SPEED, FREE_FLOW_SPEED)
+            ramp_back(rate[approach], end, BASE_RATE * QUEUE_GROWTH, BASE_RATE)
+
+        if departure != zone:
+            rate[departure, start:end] = BASE_RATE * (1.0 - progress)
+            ramp_back(rate[departure], end, 0.0, BASE_RATE)
     return speed_mean, rate
 
 
 def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]:
     """Vehicle record stream plus the incident schedule that shaped it."""
-    speed_mean, rate = _zone_profiles(config, _neighbors(config.n_zones))
+    speed_mean, rate = _zone_profiles(config)
+    events = list(config.incidents or ())
 
     all_times: list[np.ndarray] = []
     all_zones: list[np.ndarray] = []
@@ -148,14 +138,12 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     for zone in range(config.n_zones):
         rng = np.random.default_rng([config.seed, zone])
         counts = rng.poisson(rate[zone])
-        if config.penetration < 1.0:
-            counts = rng.binomial(counts, config.penetration)
         total = int(counts.sum())
         if total == 0:
             continue
         times = np.repeat(np.arange(config.duration_s), counts)
         means = np.repeat(speed_mean[zone], counts)
-        speeds = np.maximum(rng.normal(means, config.speed_noise_sd), 0.0)
+        speeds = np.maximum(rng.normal(means, SPEED_NOISE_SD), 0.0)
         ordinals = np.concatenate([np.arange(c) for c in counts if c > 0])
         all_times.append(times)
         all_zones.append(np.full(total, zone))
@@ -163,7 +151,7 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
         all_ordinals.append(ordinals)
 
     if not all_times:
-        return data.Records([], [], [], []), list(config.incidents)
+        return data.Records([], [], [], []), events
     times = np.concatenate(all_times)
     zones = np.concatenate(all_zones)
     speeds = np.concatenate(all_speeds)
@@ -174,7 +162,7 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
         f"v{zone:02d}-{time}-{ordinal}"
         for zone, time, ordinal in zip(zones.tolist(), times.tolist(), ordinals.tolist())
     ]
-    return data.Records(times, vehicle_ids, zones, speeds), list(config.incidents)
+    return data.Records(times, vehicle_ids, zones, speeds), events
 
 
 def synthetic_dataset(
@@ -183,21 +171,18 @@ def synthetic_dataset(
     """The labeled rows of one synthetic corridor: ``default_schedule``,
     ``generate`` and ``data.build_dataset`` over [0, config.duration_s).
 
-    ``config.incidents`` is the schedule when it is not empty; otherwise
-    ``default_schedule`` places ``n_incidents`` (default: auto) for this
-    bucketing.
+    ``config.incidents`` is the schedule when it is given, even empty;
+    when it is None, ``default_schedule`` places ``n_incidents`` (default:
+    auto) for this bucketing.
     """
-    events = list(config.incidents) or default_schedule(
-        config, n_incidents=n_incidents, bucket_seconds=bucket_seconds
-    )
+    if config.incidents is None:
+        events = default_schedule(config, n_incidents=n_incidents, bucket_seconds=bucket_seconds)
+    else:
+        events = list(config.incidents)
     records, _ = generate(replace(config, incidents=tuple(events)))
     return data.build_dataset(
         records, events, config.n_zones, bucket_seconds, duration_s=config.duration_s
     )
-
-
-def _neighbors(n_zones: int) -> tuple[np.ndarray, np.ndarray]:
-    return data.default_topology(n_zones).neighbor_index(n_zones)
 
 
 def _affected_zones(zone: int, neighbors: tuple[np.ndarray, np.ndarray]) -> set[int]:
@@ -238,14 +223,14 @@ def default_schedule(
         return []
     if rng is None:
         rng = np.random.default_rng([config.seed, 104729])
-    neighbors = _neighbors(config.n_zones)
+    neighbors = data.neighbor_index(config.n_zones)
     n_rows = config.n_zones * math.ceil(config.duration_s / bucket_seconds)
     pad = 10
     events: list[IncidentEvent] = []
     blocks: list[tuple[set[int], int, int]] = []
 
     def collides(zones: set[int], start: int, end: int) -> bool:
-        lo, hi = start - pad, end + config.recovery_s + pad
+        lo, hi = start - pad, end + RECOVERY_S + pad
         return any(zs & zones and lo < b_hi and b_lo < hi for zs, b_lo, b_hi in blocks)
 
     def place(early: bool) -> IncidentEvent:
@@ -304,14 +289,29 @@ def write_schedule_json(events: list[IncidentEvent], path) -> None:
 
 
 def read_schedule_json(path) -> list[IncidentEvent]:
+    """The schedule in ``path``: a JSON array of objects with integer
+    ``zone``, ``start_s`` and ``duration_s`` (> 0).  Anything else raises
+    ``FormatError`` naming the path and, for a bad entry, its index."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise FormatError(f"{path}: expected a JSON array of incident objects")
-    try:
-        return [
-            IncidentEvent(int(e["zone"]), int(e["start_s"]), int(e["duration_s"]))
-            for e in doc
-        ]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed incident entry ({exc})") from exc
+    events = []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: entry {i}: expected an object, got {entry!r}")
+        values = []
+        for key in ("zone", "start_s", "duration_s"):
+            if key not in entry:
+                raise FormatError(f"{path}: entry {i}: missing {key!r}")
+            value = entry[key]
+            if type(value) is not int:  # bool, float and str are not integers here
+                raise FormatError(f"{path}: entry {i}: {key} must be an integer, got {value!r}")
+            values.append(value)
+        if values[2] <= 0:
+            raise FormatError(f"{path}: entry {i}: duration_s must be > 0, got {values[2]}")
+        events.append(IncidentEvent(*values))
+    return events

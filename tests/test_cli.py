@@ -182,6 +182,66 @@ class TestExperiment:
         assert report["error"].endswith("(seed 5)")
 
 
+    def test_empty_schedule_file_is_used_as_given(self, tmp_path):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text("[]")
+        config = cli.ExperimentConfig(
+            zones=8, duration_s=400, seed=5, splits=("DS-1",), schedule_path=str(schedule)
+        )
+        split = cli._build_splits(config)["DS-1"]
+        assert len(split.train_y) + len(split.test_y) == 8 * 400
+        assert split.train_y.sum() + split.test_y.sum() == 0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_runs", "3"), ("zones", "8"), ("jobs", True), ("epochs", 2.0),
+         ("learning_rate", "0.1"), ("ds3_duration_s", "1500"), ("schedule_path", 1), ("splits", "DS-1")],
+    )
+    def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_FAIL
+        assert f"error: {key} must be " in capsys.readouterr().err
+
+    def test_invalid_config_json_exits_3(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"zones": 8,')
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_IO
+        assert f"error: {config_path}: invalid JSON" in capsys.readouterr().err
+
+
+class TestScheduleFile:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"zone": 1, "start_s": 0', "invalid JSON"),
+            ('[{"zone": 1, "start_s": 0, "duration_s": 5}, 3]', "entry 1: expected an object, got 3"),
+            ('[{"zone": 1, "start_s": 0}]', "entry 0: missing 'duration_s'"),
+            ('[{"zone": true, "start_s": 0, "duration_s": 5}]', "entry 0: zone must be an integer, got True"),
+            ('[{"zone": 2.9, "start_s": 0, "duration_s": 5}]', "entry 0: zone must be an integer, got 2.9"),
+            ('[{"zone": 1, "start_s": "40", "duration_s": 5}]', "entry 0: start_s must be an integer, got '40'"),
+            ('[{"zone": 1, "start_s": 0, "duration_s": "abc"}]', "entry 0: duration_s must be an integer, got 'abc'"),
+            ('[{"zone": 1, "start_s": 0, "duration_s": 0}]', "entry 0: duration_s must be > 0, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gen", "features"])
+    def test_malformed_schedule_exits_3_naming_path_and_entry(
+        self, tmp_path, capsys, command, text, message
+    ):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        if command == "gen":
+            args = ["gen", "--zones", "4", "--duration", "60", "--out", str(tmp_path / "o")]
+        else:
+            bsm = tmp_path / "bsm.csv"
+            bsm.write_text("time_s,vehicle_id,zone_id,speed_mps\n0,a,0,1.0\n")
+            args = ["features", "--bsm", str(bsm), "--out", str(tmp_path / "f.csv")]
+        assert run_cli(args + ["--schedule", str(path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
 class TestSmoke:
     def test_default_scenario_single_run_single_epoch_under_60s(self, tmp_path):
         import time

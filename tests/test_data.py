@@ -87,20 +87,17 @@ class TestAggregate:
 
 class TestTopology:
     def test_default_two_directions(self):
-        topo = data.default_topology(56)
-        assert topo.directions[0] == list(range(28))
-        assert topo.directions[1] == list(range(28, 56))
+        # [0, 28) and [28, 56), each in increasing zone order
+        up, down = data.neighbor_index(56)
+        assert up.tolist() == [0, *range(27), 28, *range(28, 55)]
+        assert down.tolist() == [*range(1, 28), 27, *range(29, 56), 55]
 
     def test_neighbors_interior_and_boundary(self):
-        up, down = data.default_topology(8).neighbor_index(8)
+        up, down = data.neighbor_index(8)
         assert (up[1], down[1]) == (0, 2)
         assert (up[0], down[0]) == (0, 1)  # no upstream: itself
         assert (up[3], down[3]) == (2, 3)  # no downstream: itself
         assert (up[4], down[4]) == (4, 5)
-
-    def test_duplicate_zone_rejected(self):
-        with pytest.raises(ConfigError):
-            data.ZoneTopology([[0, 1], [1, 2]])
 
 
 class TestBuildFeatures:
@@ -120,10 +117,6 @@ class TestBuildFeatures:
         table = self.make_table()
         assert at(table, 0, 0).tolist() == [10.0, 1.0, 10.0, 1.0, 20.0, 2.0]
         assert at(table, 0, 2).tolist() == [30.0, 3.0, 20.0, 2.0, 30.0, 3.0]
-
-    def test_unknown_zone_rejected(self):
-        with pytest.raises(DataError):
-            data.ZoneTopology([[0, 1]]).neighbor_index(3)
 
     def test_row_count_matches_grid(self):
         recs = records(*[(t, f"v{t}-{z}", z, 25.0) for t in range(10) for z in range(4)])

@@ -71,11 +71,11 @@ class TestForward:
     def test_zero_parameter_hybrid_gives_half(self):
         # zeros -> quantum sees zero angles -> all-one expectations -> zero head -> sigmoid(0)
         net = zeroed(model.build_model(model.HybridModelConfig(kind="hybrid"), seed=0))
-        assert model.forward(net, np.zeros(6)) == pytest.approx(0.5)
+        assert model.forward(net, np.zeros((1, 6))) == pytest.approx([0.5])
 
     def test_zero_parameter_classical_gives_half(self):
         net = zeroed(model.build_model(model.HybridModelConfig(kind="classical"), seed=0))
-        assert model.forward(net, np.zeros(6)) == pytest.approx(0.5)
+        assert model.forward(net, np.zeros((1, 6))) == pytest.approx([0.5])
 
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -86,14 +86,20 @@ class TestForward:
     def test_wrong_feature_length(self):
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=0)
         with pytest.raises(ValueError):
-            model.forward(net, np.zeros(5))
+            model.forward(net, np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("call", [model.forward, model.predict])
+    def test_single_row_rejected(self, call):
+        net = model.build_model(model.HybridModelConfig(kind="classical"), seed=0)
+        with pytest.raises(ValueError, match=r"got shape \(6,\)"):
+            call(net, np.zeros(6))
 
 
 class TestPredict:
     def test_threshold_inclusive(self):
         net = zeroed(model.build_model(model.HybridModelConfig(kind="classical"), seed=0))
         # zero parameters give exactly 0.5, the inclusive boundary
-        assert model.predict(net, np.zeros(6)) == 1
+        assert model.predict(net, np.zeros((1, 6))).tolist() == [1]
 
     def test_monotone_in_probability(self):
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=4)
@@ -221,7 +227,7 @@ class TestCopies:
         twin = copier(net)
         assert np.array_equal(twin.params, net.params)
         twin.params[:] = 0.0
-        assert model.forward(twin, np.ones(6)) == pytest.approx(0.5)
+        assert model.forward(twin, np.ones((1, 6))) == pytest.approx([0.5])
         assert np.any(net.params != 0.0)
 
 

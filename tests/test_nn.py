@@ -34,25 +34,27 @@ class TestActivations:
 class TestDenseForward:
     def test_zero_layer_relu(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-        _, out = nn.dense_forward(layer, np.array([1.0, -2.0]))
-        np.testing.assert_allclose(out, np.zeros(3))
+        _, out = nn.dense_forward(layer, np.array([[1.0, -2.0]]))
+        np.testing.assert_allclose(out, np.zeros((1, 3)))
 
     def test_identity_layer(self):
-        layer = nn.DenseLayer(np.eye(4), np.zeros(4), "identity")
-        x = np.array([1.0, -2.0, 3.0, 0.5])
-        _, out = nn.dense_forward(layer, x)
-        np.testing.assert_allclose(out, x)
+        # identity weights: relu passes the non-negative entries through
+        layer = nn.DenseLayer(np.eye(4), np.zeros(4), "relu")
+        x = np.array([[1.0, -2.0, 3.0, 0.5]])
+        z, out = nn.dense_forward(layer, x)
+        np.testing.assert_allclose(z, x)
+        np.testing.assert_allclose(out, [[1.0, 0.0, 3.0, 0.5]])
 
     def test_hand_computed_case(self):
         layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "relu")
-        z, out = nn.dense_forward(layer, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(z, [3.0, 7.0])
-        np.testing.assert_allclose(out, [3.0, 7.0])
+        z, out = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(z, [[3.0, 7.0]])
+        np.testing.assert_allclose(out, [[3.0, 7.0]])
 
     def test_dimension_mismatch(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
         with pytest.raises(ValueError):
-            nn.dense_forward(layer, np.zeros(4))
+            nn.dense_forward(layer, np.zeros((1, 4)))
 
     def test_batched_matches_rows(self):
         rng = np.random.default_rng(0)
@@ -60,8 +62,8 @@ class TestDenseForward:
         batch = rng.normal(size=(7, 3))
         _, out = nn.dense_forward(layer, batch)
         for i, row in enumerate(batch):
-            _, single = nn.dense_forward(layer, row)
-            np.testing.assert_allclose(out[i], single, atol=1e-12)
+            _, single = nn.dense_forward(layer, row[np.newaxis])
+            np.testing.assert_allclose(out[i], single[0], atol=1e-12)
 
 
 class TestBceLoss:
@@ -97,30 +99,30 @@ class TestDenseBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(2)
         layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         z, _ = nn.dense_forward(layer, x)
-        d_w, d_b, d_x = nn.dense_backward(layer, x, z, np.zeros(3))
+        d_w, d_b, d_x = nn.dense_backward(layer, x, z, np.zeros((1, 3)))
         assert not np.any(d_w) and not np.any(d_b) and not np.any(d_x)
 
-    @pytest.mark.parametrize("activation", ["identity", "sigmoid", "relu"])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_single_layer_finite_difference(self, activation):
         rng = np.random.default_rng(3)
         layer = nn.DenseLayer(rng.normal(size=(1, 4)), rng.normal(size=1), activation)
-        x = rng.normal(size=4) + 0.1  # keep relu units away from the kink
+        x = rng.normal(size=(1, 4)) + 0.1  # keep relu units away from the kink
         label = 1.0
 
         def loss():
             _, out = nn.dense_forward(layer, x)
-            prob = out[0] if activation == "sigmoid" else nn.activate("sigmoid", out[0])
+            prob = out[0, 0] if activation == "sigmoid" else nn.activate("sigmoid", out[0, 0])
             return float(nn.bce_loss(prob, label))
 
         z, out = nn.dense_forward(layer, x)
-        prob = out[0] if activation == "sigmoid" else float(nn.activate("sigmoid", out[0]))
+        prob = out[0, 0] if activation == "sigmoid" else float(nn.activate("sigmoid", out[0, 0]))
         d_prob = nn.bce_grad(prob, label)
         if activation == "sigmoid":
-            d_out = np.array([d_prob])
+            d_out = np.array([[d_prob]])
         else:
-            d_out = np.array([d_prob * prob * (1 - prob)])
+            d_out = np.array([[d_prob * prob * (1 - prob)]])
         d_w, d_b, _ = nn.dense_backward(layer, x, z, d_out)
 
         h = 1e-6
@@ -136,26 +138,26 @@ class TestDenseBackward:
 
 class TestInitLayer:
     def test_deterministic(self):
-        a = nn.init_layer(6, 48, seed=9)
-        b = nn.init_layer(6, 48, seed=9)
+        a = nn.init_layer(6, 48, np.random.default_rng(9))
+        b = nn.init_layer(6, 48, np.random.default_rng(9))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
     def test_bound_and_zero_bias(self):
-        layer = nn.init_layer(10, 20, seed=0)
+        layer = nn.init_layer(10, 20, np.random.default_rng(0))
         limit = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(layer.weights) <= limit)
         assert not np.any(layer.biases)
 
     def test_mean_near_zero(self):
-        layer = nn.init_layer(100, 100, seed=4)  # 10^4 draws
+        layer = nn.init_layer(100, 100, np.random.default_rng(4))  # 10^4 draws
         limit = np.sqrt(6.0 / 200.0)
         sigma = limit / np.sqrt(3.0)
         assert abs(layer.weights.mean()) <= 3 * sigma / 100.0
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
-            nn.init_layer(0, 5, seed=0)
+            nn.init_layer(0, 5, np.random.default_rng(0))
 
 
 class TestAdam:

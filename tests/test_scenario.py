@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qincident import data, scenario
-from qincident.errors import ConfigError
+from qincident.errors import ConfigError, FormatError
 
 
 def same_records(a, b):
@@ -24,8 +24,8 @@ class TestGenerate:
         speeds, zones = records.speed, records.zone
         for zone in range(6):
             sample = speeds[zones == zone]
-            se = config.speed_noise_sd / np.sqrt(len(sample))
-            assert abs(sample.mean() - config.free_flow_speed) < 3 * se + 0.05
+            se = scenario.SPEED_NOISE_SD / np.sqrt(len(sample))
+            assert abs(sample.mean() - scenario.FREE_FLOW_SPEED) < 3 * se + 0.05
 
     def test_no_negative_speeds_or_times(self):
         config = scenario.ScenarioConfig(n_zones=4, duration_s=200, seed=1)
@@ -56,7 +56,7 @@ class TestGenerate:
 
         window = (times >= 60) & (times < 120)
         in_zone = speeds[(zones == 2) & window]
-        assert in_zone.mean() < 0.2 * config.free_flow_speed
+        assert in_zone.mean() < 0.2 * scenario.FREE_FLOW_SPEED
 
         # queue builds on the approach side (zone 1): late-window count inflated
         late = (times >= 90) & (times < 120)
@@ -79,18 +79,33 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(n_zones=0)
         with pytest.raises(ConfigError):
-            scenario.ScenarioConfig(demand_rate=0.0)
-        with pytest.raises(ConfigError):
             scenario.ScenarioConfig(
                 duration_s=100, incidents=(scenario.IncidentEvent(0, 80, 40),)
             )
 
-    def test_penetration_thins_stream(self):
-        full, _ = scenario.generate(scenario.ScenarioConfig(n_zones=4, duration_s=200, seed=3))
-        thin, _ = scenario.generate(
-            scenario.ScenarioConfig(n_zones=4, duration_s=200, seed=3, penetration=0.5)
+    def test_incident_zone_demand_reset_under_overlap(self):
+        # zone 2's incident queues zone 1 and starves zone 3; the later
+        # incidents in zones 1 and 3 set their demand back to base over the
+        # incident and its recovery
+        events = (
+            scenario.IncidentEvent(2, 20, 60),
+            scenario.IncidentEvent(1, 40, 30),
+            scenario.IncidentEvent(3, 50, 20),
         )
-        assert len(thin) < 0.7 * len(full)
+        config = scenario.ScenarioConfig(n_zones=8, duration_s=180, seed=0, incidents=events)
+        _, rate = scenario._zone_profiles(config)
+        recovered = 70 + scenario.RECOVERY_S
+        assert np.all(rate[1, 40:recovered] == scenario.BASE_RATE)
+        assert np.all(rate[3, 50:recovered] == scenario.BASE_RATE)
+        # outside those windows the first incident's queue and starvation hold
+        assert np.all(rate[1, 20:40] > scenario.BASE_RATE)
+        assert np.all(rate[3, 20:50] < scenario.BASE_RATE)
+
+
+class TestSyntheticDataset:
+    def test_given_empty_schedule_is_used_as_given(self):
+        config = scenario.ScenarioConfig(n_zones=8, duration_s=400, seed=5, incidents=())
+        assert not scenario.synthetic_dataset(config, bucket_seconds=1).labels.any()
 
 
 class TestDefaultSchedule:
@@ -126,7 +141,7 @@ class TestDefaultSchedule:
     def test_no_zone_time_overlap(self):
         config = scenario.ScenarioConfig(seed=5)
         events = scenario.default_schedule(config)
-        neighbors = data.default_topology(config.n_zones).neighbor_index(config.n_zones)
+        neighbors = data.neighbor_index(config.n_zones)
         for i, a in enumerate(events):
             for b in events[i + 1 :]:
                 zones_a = scenario._affected_zones(a.zone, neighbors)
@@ -154,5 +169,5 @@ class TestScheduleJson:
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not": "a list"}')
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError):
             scenario.read_schedule_json(path)
