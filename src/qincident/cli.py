@@ -58,7 +58,6 @@ class ExperimentConfig:
     epochs: int = 20
     batch_size: int = 16
     learning_rate: float = 0.001
-    jobs: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -72,8 +71,12 @@ class ExperimentConfig:
             raise ConfigError(f"splits must be a non-empty subset of {SPLIT_NAMES}")
         if not self.models or any(m not in MODEL_NAMES for m in self.models):
             raise ConfigError(f"models must be a non-empty subset of {MODEL_NAMES}")
-        if self.n_runs < 1 or self.jobs < 1:
-            raise ConfigError("n_runs and jobs must be >= 1")
+        if self.n_runs < 1:
+            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.schedule_path is not None and self.n_incidents is not None:
+            raise ConfigError(
+                "schedule_path and n_incidents are exclusive: a schedule file fixes the incidents"
+            )
 
 
 def _model_config(name: str) -> model_mod.HybridModelConfig:
@@ -122,6 +125,14 @@ def cmd_features(args) -> int:
     else:
         events = scenario.read_schedule_json(args.schedule)
     n_zones = int(records.zone.max()) + 1 if len(records) else 0
+    if events:
+        # the records imply the corridor; an incident outside it is an
+        # error here as it is in gen, not a schedule entry to drop
+        duration_s = int(records.time.max()) + 1 if len(records) else 0
+        try:
+            scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, incidents=events)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.schedule}: {exc} (the corridor of {args.bsm})") from None
     table = data.build_dataset(records, events, n_zones, args.bucket)
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0
@@ -155,7 +166,6 @@ def _experiment_config(args) -> ExperimentConfig:
         "epochs": args.epochs,
         "batch_size": args.batch,
         "learning_rate": args.lr,
-        "jobs": args.jobs,
         "out_dir": args.out,
     }
     for key, value in overrides.items():
@@ -208,7 +218,6 @@ def cmd_experiment(args) -> int:
                     train_config,
                     n_runs=config.n_runs,
                     base_seed=config.seed,
-                    jobs=config.jobs,
                 )
                 for name in config.models
             ]
@@ -278,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--epochs", type=int, default=None)
     exp.add_argument("--batch", type=int, default=None)
     exp.add_argument("--lr", type=float, default=None)
-    exp.add_argument("--jobs", type=int, default=None)
     exp.add_argument("--out", default=None)
     exp.set_defaults(func=cmd_experiment)
 

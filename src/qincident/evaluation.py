@@ -6,11 +6,14 @@ both reported: counts are averaged as plain means (possibly fractional),
 while each metric mean is taken over the runs where it is defined, with the
 defined-run count recorded.  An undefined metric (zero denominator) is kept
 as ``None`` in reports and rendered as ``NaN`` in text tables.
+
+The runs of one (model, split) train as one population
+(``model.build_population``): they share every batch, and run r is the
+model of seed base_seed + r, bit for bit as if it had trained alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -127,36 +130,25 @@ def aggregate_runs(
     )
 
 
-def _single_run(args) -> MetricsReport:
-    model_config, split, train_config, seed = args
-    net = model_mod.build_model(model_config, seed=seed)
-    model_mod.train(net, (split.train_x, split.train_y), dc_replace(train_config, seed=seed))
-    preds = model_mod.predict(net, split.test_x)
-    return metrics(confusion(preds, split.test_y))
-
-
 def run_experiment(
     model_config: model_mod.HybridModelConfig,
     split: data.DatasetSplit,
     train_config: nn.TrainConfig,
     n_runs: int = 30,
     base_seed: int = 0,
-    jobs: int = 1,
 ) -> RunAggregate:
     """Train/evaluate ``n_runs`` fresh models, seeds base_seed .. base_seed+n-1.
 
-    Runs are independent, so with ``jobs`` > 1 they execute in a process
-    pool; aggregation order is the run order either way, keeping results
-    bit-reproducible.
+    The runs train as one population, each with its own seed for both
+    initialization and training (``train_config.seed`` is replaced), and
+    each run's confusion counts come from its own row of predictions.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    tasks = [(model_config, split, train_config, base_seed + i) for i in range(n_runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_single_run, tasks))
-    else:
-        reports = [_single_run(task) for task in tasks]
+    population = model_mod.build_population(model_config, base_seed, n_runs)
+    model_mod.train(
+        population, (split.train_x, split.train_y), dc_replace(train_config, seed=base_seed)
+    )
+    predictions = model_mod.predict(population, split.test_x)
+    reports = [metrics(confusion(row, split.test_y)) for row in predictions]
     return aggregate_runs(
         reports,
         model_label=model_config.label,

@@ -17,10 +17,21 @@ Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
 ``to_dict``/``from_dict``.  A model keeps all trainable numbers in one
 float64 vector, ``Model.params``, and the layers' arrays are views into it,
 so gradients and Adam work on that one vector.
+
+A population (``build_population``) is R models of one config that train
+together: ``params`` is [R, P], every layer array has a leading run axis,
+and each training step is one stacked forward/backward pass and one Adam
+update for all runs.  Without shuffling every run sees the same batches in
+the same order, so only the initial parameters differ.  Run r is bit for
+bit the model ``build_model(config, seed + r)`` trained with seed + r.  A
+single model is the same code with no run axis: ``train``,
+``loss_and_gradients``, ``forward`` and ``predict`` serve both, and their
+per-run results carry the model's run axis, (R, ...) for a population.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,7 +77,8 @@ class HybridModelConfig:
 
 @dataclass
 class QuantumLayer:
-    """The ``qsim`` circuit as a layer: weights [n_entangler_layers, n_qubits].
+    """The ``qsim`` circuit as a layer: weights [n_entangler_layers, n_qubits],
+    with a leading run axis in a population.
 
     Reaches the kernels through ``_QUANTUM_FORWARD`` and
     ``_QUANTUM_GRADIENTS`` at call time, so they can be swapped out.
@@ -90,12 +102,12 @@ class QuantumLayer:
         return values, (d_inputs, d_weights)
 
     def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Chain rule through the exact Jacobians: d_inputs [B, n, n] and
-        d_weights [B, L, n, n]."""
+        """Chain rule through the exact Jacobians: d_inputs [..., B, n, n]
+        and d_weights [..., B, L, n, n]."""
         d_inputs, d_weights = cache
         return (
-            np.einsum("bij,bj->bi", d_inputs, d_out),
-            (np.einsum("blij,bj->li", d_weights, d_out),),
+            np.einsum("...bij,...bj->...bi", d_inputs, d_out),
+            (np.einsum("...blij,...bj->...li", d_weights, d_out),),
         )
 
     def to_dict(self) -> dict:
@@ -116,28 +128,33 @@ class QuantumLayer:
 _LAYER_TYPES = {"dense": nn.DenseLayer, "quantum": QuantumLayer}
 
 
-def _flat_views(layers: list) -> np.ndarray:
-    """Copy every layer's trainable arrays into one float64 vector, in stack
-    order, and rebind them as reshaped views of it."""
+def _flat_views(layers: list, runs: tuple[int, ...] = ()) -> np.ndarray:
+    """Copy every layer's trainable arrays, each with the leading ``runs``
+    axes, into one float64 array of shape ``runs + (P,)``, in stack order,
+    and rebind them as reshaped views of it."""
     arrays = [(layer, name) for layer in layers for name in layer.param_names]
-    params = np.concatenate([getattr(layer, name).ravel() for layer, name in arrays])
+    params = np.concatenate(
+        [getattr(layer, name).reshape(runs + (-1,)) for layer, name in arrays], axis=-1
+    )
     offset = 0
     for layer, name in arrays:
         array = getattr(layer, name)
-        setattr(layer, name, params[offset : offset + array.size].reshape(array.shape))
-        offset += array.size
+        size = array.size // math.prod(runs)
+        setattr(layer, name, params[..., offset : offset + size].reshape(array.shape))
+        offset += size
     return params
 
 
 @dataclass
 class Model:
-    """A (possibly trained) model.
+    """A (possibly trained) model, or a population of R of them.
 
     ``layers`` is the stack, dense and quantum layers alike; every trainable
-    number lives in ``params``, of which the layers' arrays are views.
-    After training the model carries its per-epoch history.  It takes
-    features already scaled by ``data.split``; the bounds stay with the
-    split, in ``DatasetSplit.normalization``.
+    number lives in ``params``, [P] for one model and [R, P] for a
+    population, of which the layers' arrays are views.  After training the
+    model carries its per-epoch history.  It takes features already scaled
+    by ``data.split``; the bounds stay with the split, in
+    ``DatasetSplit.normalization``.
     """
 
     config: HybridModelConfig
@@ -152,7 +169,7 @@ class Model:
     def __setstate__(self, state: dict):
         # pickle and deepcopy copy views as separate arrays: bind them again
         self.__dict__.update(state)
-        self.params = _flat_views(self.layers)
+        self.params = _flat_views(self.layers, self.params.shape[:-1])
 
 
 N_FEATURES = 6
@@ -176,14 +193,59 @@ def build_model(config: HybridModelConfig, seed: int) -> Model:
     return Model(config=config, layers=layers, seed=seed)
 
 
+def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model:
+    """``n_runs`` models to train as one: run r is ``build_model(config,
+    seed + r)``, its arrays stacked along a leading run axis.  The
+    population's ``seed`` is run 0's."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    members = [build_model(config, seed + r) for r in range(n_runs)]
+    population = members[0]
+    for index, layer in enumerate(population.layers):
+        for name in layer.param_names:
+            setattr(layer, name, np.stack([getattr(m.layers[index], name) for m in members]))
+    population.params = _flat_views(population.layers, (n_runs,))
+    return population
+
+
+# A stacked forward pass holds runs x rows x width activations; a pass over
+# more run-rows than this goes one group of runs at a time.
+_STACKED_ROWS = 1 << 16
+
+
+def _run_group(layers: list, runs: slice) -> list:
+    """Shallow copies of ``layers`` whose arrays are views of runs ``runs``."""
+    group = []
+    for layer in layers:
+        part = copy.copy(layer)
+        for name in layer.param_names:
+            setattr(part, name, getattr(layer, name)[runs])
+        group.append(part)
+    return group
+
+
+def _forward_layers(layers: list, h: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        h = layer.forward(h)
+    return h[..., 0]
+
+
 def forward(model: Model, features) -> np.ndarray:
-    """Probability of an incident for each row of a [B, 6] batch."""
+    """Probability of an incident for each row of a [B, 6] batch: [B] for
+    one model, [R, B] for a population."""
     h = np.asarray(features, dtype=float)
     if h.ndim != 2 or h.shape[1] != N_FEATURES:
         raise ValueError(f"expected a [batch, {N_FEATURES}] array, got shape {h.shape}")
-    for layer in model.layers:
-        h = layer.forward(h)
-    return h[:, 0]
+    runs = model.params.shape[:-1]
+    group = max(1, _STACKED_ROWS // max(1, len(h)))
+    if not runs or runs[0] <= group:
+        return _forward_layers(model.layers, h)
+    return np.concatenate(
+        [
+            _forward_layers(_run_group(model.layers, slice(start, start + group)), h)
+            for start in range(0, runs[0], group)
+        ]
+    )
 
 
 def predict(model: Model, features) -> np.ndarray:
@@ -193,32 +255,37 @@ def predict(model: Model, features) -> np.ndarray:
 
 def loss_and_gradients(
     model: Model, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean BCE over the batch plus its exact gradient, laid out like
-    ``model.params``.
+    ``model.params``: per run for a population, a loss of [R] and
+    gradients of [R, P].
 
+    ``features`` is a [B, 6] batch that every run sees, or a population's
+    [R, B, 6] with one batch per run; ``labels`` is [B] or [R, B] to match.
     Dense layers are backpropagated with cached pre-activations; the
     quantum layer contributes its exact Jacobians.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be a [batch, 6] array")
+    if x.ndim not in (2, 3) or x.shape[-1] != N_FEATURES:
+        raise ValueError("features must be a [batch, 6] or [runs, batch, 6] array")
     h = x
     caches = []
     for layer in model.layers:
         h, cache = layer.forward_cached(h)
         caches.append(cache)
-    probs = h[:, 0]
-    loss = float(np.mean(nn.bce_loss(probs, y)))
+    probs = h[..., 0]
+    loss = np.mean(nn.bce_loss(probs, y), axis=-1)
 
-    d_out = (nn.bce_grad(probs, y) / len(y))[:, np.newaxis]
+    d_out = (nn.bce_grad(probs, y) / probs.shape[-1])[..., np.newaxis]
     grads_reversed = []
     for layer, cache in zip(reversed(model.layers), reversed(caches)):
         d_out, layer_grads = layer.backward(cache, d_out)
         grads_reversed.append(layer_grads)
+    runs = model.params.shape[:-1]
     return loss, np.concatenate(
-        [g.ravel() for layer_grads in reversed(grads_reversed) for g in layer_grads]
+        [g.reshape(runs + (-1,)) for layer_grads in reversed(grads_reversed) for g in layer_grads],
+        axis=-1,
     )
 
 
@@ -226,44 +293,55 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     """Mini-batch Adam on mean BCE, updating ``model.params`` in place.
 
     ``data`` is a ``(features [N, 6], labels [N])`` pair of already
-    normalized rows.  History records the running mean batch loss and the
-    full-train-set accuracy after each epoch.  A non-finite batch loss
-    raises ``DataError`` naming the epoch, batch and seed.
+    normalized rows.  Run r of a population trains with seed
+    ``config.seed + r``; with ``shuffle`` each run draws its own batch
+    order from its seed, and without it every run sees the same batches.
+    History records each run's running mean batch loss and full-train-set
+    accuracy after each epoch, and its seed; a population's entries are
+    per-run lists.  A non-finite batch loss in any run raises ``DataError``
+    naming the epoch, the batch and the seed of the first run that diverged.
     """
     features, labels = (np.asarray(a, dtype=float) for a in data)
     n_rows = len(features)
     if n_rows == 0:
         raise ValueError("training set is empty")
-    rng = np.random.default_rng(config.seed)
+    runs = model.params.shape[:-1]
+    seeds = config.seed + np.arange(math.prod(runs))
+    rngs = [np.random.default_rng(seed) for seed in seeds.tolist()]
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     base_order = np.arange(n_rows)
     n_batches = math.ceil(n_rows / config.batch_size)
     loss_history, accuracy_history = [], []
     threshold = model.config.output_threshold
     for epoch in range(config.epochs):
-        order = rng.permutation(n_rows) if config.shuffle else base_order
-        running = 0.0
+        if config.shuffle:
+            order = np.stack([rng.permutation(n_rows) for rng in rngs]).reshape(runs + (n_rows,))
+        else:
+            order = base_order
+        running = np.zeros(runs)
         for index in range(n_batches):
-            batch = order[index * config.batch_size : (index + 1) * config.batch_size]
+            batch = order[..., index * config.batch_size : (index + 1) * config.batch_size]
             loss, grad = loss_and_gradients(model, features[batch], labels[batch])
-            if not math.isfinite(loss):
+            if not np.isfinite(loss).all():
+                run = np.flatnonzero(~np.isfinite(loss))[0]
                 raise DataError(
-                    f"training diverged: loss {loss} at epoch {epoch + 1}/{config.epochs}, "
-                    f"batch {index + 1}/{n_batches} (seed {config.seed})"
+                    f"training diverged: loss {np.ravel(loss)[run]} at epoch "
+                    f"{epoch + 1}/{config.epochs}, batch {index + 1}/{n_batches} "
+                    f"(seed {seeds[run]})"
                 )
             nn.adam_step(model.params, grad, adam)
-            running += loss * len(batch)
+            running += loss * batch.shape[-1]
         loss_history.append(running / n_rows)
         probs = forward(model, features)
-        accuracy_history.append(float(np.mean((probs >= threshold) == (labels > 0.5))))
+        accuracy_history.append(np.mean((probs >= threshold) == (labels > 0.5), axis=-1))
     model.history = {
-        "loss": loss_history,
-        "train_accuracy": accuracy_history,
+        "loss": np.stack(loss_history, axis=-1).tolist(),
+        "train_accuracy": np.stack(accuracy_history, axis=-1).tolist(),
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "learning_rate": config.learning_rate,
         "shuffle": config.shuffle,
-        "seed": config.seed,
+        "seed": seeds.reshape(runs).tolist(),
     }
     return model
 
@@ -272,6 +350,8 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
 
 def model_to_dict(model: Model) -> dict:
     """JSON-safe document: layer list with shapes, row-major arrays, tags."""
+    if model.params.ndim != 1:
+        raise ValueError(f"a model document holds one model, not a population of {len(model.params)}")
     return {
         "config": {
             "kind": model.config.kind,

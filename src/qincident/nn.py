@@ -1,9 +1,12 @@
 """Dense-layer building blocks: activations, binary cross-entropy,
 Glorot initialization, and Adam.
 
-Layers work on batches stacked along the first axis.  Batch losses are
-averaged (not summed), and the final partial batch of an epoch is used at
-its natural size.
+Layers work on batches of rows along the second-to-last axis.  A layer of a
+population of R models holds its arrays with a leading run axis, weights
+[R, out, in] and biases [R, out], and maps an input of [B, in] (one batch
+shared by every run) or [R, B, in] to [R, B, out]; each run's slice is the
+same arithmetic as one model's.  Batch losses are averaged (not summed),
+and the final partial batch of an epoch is used at its natural size.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def activate_deriv(kind: str, pre_activation) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: weights [out, in], biases [out].
+    """Fully connected layer: weights [out, in], biases [out], each with a
+    leading run axis in a population.
 
     Follows the layer protocol of ``model``: ``forward``,
     ``forward_cached``/``backward``, ``to_dict``/``from_dict``, and
@@ -75,11 +79,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return dense_forward(self, x)[1]
@@ -122,21 +126,21 @@ def init_layer(
 
 
 def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pre_activation, output) for ``x`` [batch, in]."""
+    """Returns (pre_activation, output) for ``x`` [..., batch, in]."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"expected input width {layer.in_dim}, got {x.shape[-1]}")
-    z = x @ layer.weights.T + layer.biases
+    z = x @ layer.weights.swapaxes(-1, -2) + layer.biases[..., np.newaxis, :]
     return z, activate(layer.activation, z)
 
 
 def dense_backward(
     layer: DenseLayer, x: np.ndarray, z: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain-rule step for a [batch, in] input: returns (d_weights,
-    d_biases, d_input)."""
+    """Chain-rule step for a [..., batch, in] input: returns (d_weights,
+    d_biases, d_input), summed over the batch axis."""
     dz = d_out * activate_deriv(layer.activation, z)
-    return dz.T @ x, dz.sum(axis=0), dz @ layer.weights
+    return dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2), dz @ layer.weights
 
 
 def bce_loss(prediction, label) -> np.ndarray:
@@ -170,8 +174,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moments laid out like the flat parameter vector, plus
-    the shared step counter."""
+    """First/second moments laid out like the flat parameters, plus the
+    step counter, which every run of a population shares because all runs
+    take every step together."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -187,7 +192,9 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update of the flat ``params``, in place."""
+    """One bias-corrected Adam update of the flat ``params``, in place.
+
+    Element-wise, so a population's [R, P] parameters update as R models."""
     if params.shape != grad.shape or params.shape != state.first_moment.shape:
         raise ValueError("params, grad and state must have matching shapes")
     state.step_count += 1

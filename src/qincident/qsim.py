@@ -21,7 +21,8 @@ L=1 layer is a degree-1 Fourier series in each angle.
 
 ``forward_batch`` and ``gradients_batch`` are what the models run: the
 closed form for L=1, the statevector simulation and stacked parameter-shift
-rule for L >= 2.  ``quantum_forward`` and ``quantum_gradients`` wrap them
+rule for L >= 2.  Both take a population's circuits at once, inputs
+(R, B, n) with weights (R, L, n).  ``quantum_forward`` and ``quantum_gradients`` wrap them
 for one embedding, for ``gradcheck``.
 """
 
@@ -118,28 +119,30 @@ def _xor_sets(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _one_layer_forward(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<Z_j> = prod_{i in S_j} cos(x_i + w_i) for (..., n) inputs, (1, n) weights."""
+    """<Z_j> = prod_{i in S_j} cos(x_i + w_i) for (..., B, n) inputs and
+    (..., 1, n) weights."""
     sets, _ = _xor_sets(inputs.shape[-1])
-    cos = np.cos(inputs + weights[0])
+    cos = np.cos(inputs + weights)
     return np.prod(np.where(sets, cos[..., np.newaxis, :], 1.0), axis=-1)
 
 
 def _one_layer_gradients(
     inputs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form values and derivatives for shared (1, n) weights.
+    """Closed-form values and derivatives for (..., B, n) inputs and
+    (..., 1, n) weights.
 
     The derivative in angle i is -sin(a_i) times the product over S_j
     without factor i, built from the cosines that remain rather than by
     dividing the full product by cos(a_i), which may be zero.
     """
     sets, others = _xor_sets(inputs.shape[-1])
-    angles = inputs + weights[0]
+    angles = inputs + weights
     cos = np.cos(angles)
-    values = np.prod(np.where(sets, cos[:, np.newaxis, :], 1.0), axis=-1)
-    rest = np.prod(np.where(others, cos[:, np.newaxis, np.newaxis, :], 1.0), axis=-1)
-    d_inputs = np.where(sets.T, -np.sin(angles)[:, :, np.newaxis] * rest, 0.0)
-    return values, d_inputs, d_inputs[:, np.newaxis].copy()
+    values = np.prod(np.where(sets, cos[..., np.newaxis, :], 1.0), axis=-1)
+    rest = np.prod(np.where(others, cos[..., np.newaxis, np.newaxis, :], 1.0), axis=-1)
+    d_inputs = np.where(sets.T, -np.sin(angles)[..., np.newaxis] * rest, 0.0)
+    return values, d_inputs, d_inputs[..., np.newaxis, :, :].copy()
 
 
 def _statevector_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -207,12 +210,13 @@ def _shift_gradients(
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Z expectations for a batch of embeddings.
 
-    ``inputs`` has shape (..., n) and ``weights`` (L, n).  One entangler
-    layer takes the closed form, deeper circuits the statevector simulation.
+    ``inputs`` has shape (B, n) with ``weights`` (L, n), or (R, B, n) with
+    (R, L, n) for a population of R circuits.  One entangler layer takes
+    the closed form, deeper circuits the statevector simulation.
     """
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] == 1:
+    if weights.shape[-2] == 1:
         return _one_layer_forward(inputs, weights)
     return _statevector_batch(inputs, weights)
 
@@ -223,16 +227,22 @@ def gradients_batch(
     """Values plus exact derivatives for a batch.
 
     One entangler layer takes the closed form; deeper circuits take the
-    parameter-shift rule over stacked statevector circuits.
+    parameter-shift rule over stacked statevector circuits, one run of a
+    population at a time.
 
     inputs: (B, n); weights: (L, n).
     Returns (values (B, n), d_inputs (B, n, n), d_weights (B, L, n, n)).
+    A population's (R, B, n) inputs and (R, L, n) weights give the same
+    with a leading R axis.
     """
     inputs = np.asarray(inputs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] == 1:
+    if weights.shape[-2] == 1:
         return _one_layer_gradients(inputs, weights)
-    return _shift_gradients(inputs, weights)
+    if weights.ndim == 2:
+        return _shift_gradients(inputs, weights)
+    runs = [_shift_gradients(x, w) for x, w in zip(inputs, weights)]
+    return tuple(np.stack(parts) for parts in zip(*runs))
 
 
 def _one_sample(inputs, weights) -> tuple[np.ndarray, np.ndarray]:

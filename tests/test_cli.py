@@ -99,6 +99,29 @@ class TestFeatures:
         assert "warning" in capsys.readouterr().err.lower()
         assert not data.read_feature_csv(out).labels.any()
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                [{"zone": 9, "start_s": 10, "duration_s": 20}, {"zone": 1, "start_s": 500, "duration_s": 20}],
+                "incident zone 9 outside [0, 4)",
+            ),
+            ([{"zone": 1, "start_s": 500, "duration_s": 20}], "incident [500, 520) outside [0, 60)"),
+        ],
+    )
+    def test_schedule_outside_the_records_corridor_exits_1(self, tmp_path, capsys, entries, message):
+        out = tmp_path / "gen"
+        assert run_cli(["gen", "--zones", "4", "--duration", "60", "--seed", "0", "--out", str(out)]) == 0
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps(entries))
+        features = tmp_path / "features.csv"
+        code = run_cli(
+            ["features", "--bsm", str(out / "bsm.csv"), "--schedule", str(schedule), "--out", str(features)]
+        )
+        assert code == cli.EXIT_FAIL
+        assert capsys.readouterr().err.startswith(f"error: {schedule}: {message}")
+        assert not features.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == cli.EXIT_IO
@@ -194,7 +217,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_runs", "3"), ("zones", "8"), ("jobs", True), ("epochs", 2.0),
+        [("n_runs", "3"), ("zones", "8"), ("epochs", 2.0),
          ("learning_rate", "0.1"), ("ds3_duration_s", "1500"), ("schedule_path", 1), ("splits", "DS-1")],
     )
     def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys, key, value):
@@ -203,6 +226,28 @@ class TestExperiment:
         code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_FAIL
         assert f"error: {key} must be " in capsys.readouterr().err
+
+    def test_config_naming_jobs_is_an_unknown_key(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"jobs": 2}))
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_FAIL
+        assert "unknown config keys ['jobs']" in capsys.readouterr().err
+
+    def test_schedule_file_with_an_incident_count_exits_1(self, tmp_path, capsys):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text("[]")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 8, "duration_s": 400, "seed": 5, "splits": ["DS-1"],
+            "models": ["classical"], "n_runs": 1, "epochs": 1, "schedule_path": str(schedule),
+        }))
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--incidents", "3", "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "schedule_path" in err and "n_incidents" in err
+        assert not out.exists()
 
     def test_invalid_config_json_exits_3(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -150,13 +150,16 @@ class TestRunExperiment:
         pooled_tp = sum(r.counts.tp for r in agg.per_run)
         assert agg.mean_counts.tp == pytest.approx(pooled_tp / 3)
 
-    def test_parallel_jobs_match_serial(self):
+    @pytest.mark.parametrize("kind", ["classical", "hybrid"])
+    def test_each_run_matches_its_model_trained_alone(self, kind):
         split = tiny_split()
-        config = model.HybridModelConfig(kind="classical")
-        tc = nn.TrainConfig(epochs=2, seed=0)
-        serial = evaluation.run_experiment(config, split, tc, n_runs=2, base_seed=0, jobs=1)
-        parallel = evaluation.run_experiment(config, split, tc, n_runs=2, base_seed=0, jobs=2)
-        assert serial == parallel
+        config = model.HybridModelConfig(kind=kind, n_qubits=2)
+        agg = evaluation.run_experiment(config, split, nn.TrainConfig(epochs=2), n_runs=3, base_seed=4)
+        for run, report in enumerate(agg.per_run):
+            net = model.build_model(config, seed=4 + run)
+            model.train(net, (split.train_x, split.train_y), nn.TrainConfig(epochs=2, seed=4 + run))
+            preds = model.predict(net, split.test_x)
+            assert report == evaluation.metrics(evaluation.confusion(preds, split.test_y))
 
 
 class TestCompare:

@@ -3,13 +3,14 @@
 import copy
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qincident import model, nn
+from qincident import model, nn, qsim
 from qincident.errors import DataError
 
 
@@ -166,6 +167,87 @@ class TestTrain:
             model.train(net, rows, nn.TrainConfig(epochs=2, seed=6, shuffle=True))
             outs.append(net.params)
         assert np.array_equal(outs[0], outs[1])
+
+
+@st.composite
+def population_cases(draw):
+    """A model config, a population size, and a training set and schedule
+    whose last batch is partial."""
+    kind = draw(st.sampled_from(["classical", "hybrid"]))
+    config = model.HybridModelConfig(
+        kind=kind,
+        n_qubits=draw(st.integers(1, 4)) if kind == "hybrid" else 4,
+        n_entangler_layers=draw(st.integers(1, 2)) if kind == "hybrid" else 1,
+    )
+    batch_size = draw(st.integers(2, 12))
+    n_rows = batch_size * draw(st.integers(0, 3)) + draw(st.integers(1, batch_size - 1))
+    train_config = nn.TrainConfig(
+        epochs=draw(st.integers(1, 2)),
+        batch_size=batch_size,
+        seed=draw(st.integers(0, 2**16)),
+        shuffle=draw(st.booleans()),
+    )
+    return config, draw(st.integers(1, 5)), n_rows, train_config, draw(st.integers(0, 2**16))
+
+
+class TestPopulation:
+    @settings(max_examples=40, deadline=None)
+    @given(case=population_cases())
+    def test_each_run_is_its_model_trained_alone(self, case):
+        config, n_runs, n_rows, train_config, seed = case
+        rng = np.random.default_rng(seed)
+        rows = (rng.uniform(0, 1, (n_rows, 6)), rng.integers(0, 2, n_rows).astype(float))
+        test_x = rng.uniform(0, 1, (7, 6))
+        population = model.build_population(config, seed, n_runs)
+        model.train(population, rows, train_config)
+        probs = model.forward(population, test_x)
+        preds = model.predict(population, test_x)
+        assert population.params.shape[0] == probs.shape[0] == preds.shape[0] == n_runs
+        for run in range(n_runs):
+            alone = model.build_model(config, seed + run)
+            model.train(alone, rows, replace(train_config, seed=train_config.seed + run))
+            assert population.params[run].tobytes() == alone.params.tobytes()
+            for key in ("loss", "train_accuracy", "seed"):
+                assert population.history[key][run] == alone.history[key]
+            assert probs[run].tobytes() == model.forward(alone, test_x).tobytes()
+            assert np.array_equal(preds[run], model.predict(alone, test_x))
+
+    @pytest.mark.parametrize("nan_runs, seed", [([2], 12), ([3, 1], 11)])
+    def test_divergence_names_the_seed_of_the_first_run_that_diverged(
+        self, monkeypatch, nan_runs, seed
+    ):
+        def nan_in_some_runs(x, weights):
+            values, d_inputs, d_weights = qsim.gradients_batch(x, weights)
+            values = values.copy()
+            values[nan_runs] = np.nan
+            return values, d_inputs, d_weights
+
+        monkeypatch.setattr(model, "_QUANTUM_GRADIENTS", nan_in_some_runs)
+        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 3, n_runs=4)
+        with pytest.raises(DataError, match=rf"epoch 1/2, batch 1/3 \(seed {seed}\)$"):
+            model.train(population, separable_rows(40), nn.TrainConfig(epochs=2, seed=10))
+
+    def test_forward_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
+        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=5)
+        features = np.random.default_rng(0).uniform(0, 1, (9, 6))
+        whole = model.forward(population, features)
+        monkeypatch.setattr(model, "_STACKED_ROWS", 20)  # two runs of 9 rows per pass
+        assert model.forward(population, features).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
+    def test_copy_keeps_the_run_axis_and_the_views(self, copier):
+        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=3)
+        twin = copier(population)
+        assert twin.params.shape == population.params.shape == (3, 2065)
+        arrays = [getattr(layer, name) for layer in twin.layers for name in layer.param_names]
+        assert all(a.shape[0] == 3 and np.shares_memory(a, twin.params) for a in arrays)
+        features = np.ones((2, 6))
+        assert model.forward(twin, features).tobytes() == model.forward(population, features).tobytes()
+
+    def test_a_population_has_no_single_model_document(self):
+        population = model.build_population(model.HybridModelConfig(kind="classical"), 0, n_runs=2)
+        with pytest.raises(ValueError, match="population"):
+            model.model_to_dict(population)
 
 
 class TestGradients:
