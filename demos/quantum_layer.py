@@ -2,9 +2,9 @@
 
 Builds the 4-qubit circuit as one dense unitary (the Kronecker-product
 oracle in ``gradcheck``), reads out its Z expectations, checks them against
-the one-layer closed form that ``qsim.forward_batch`` evaluates, then shows
-that the exact gradients of ``qsim.gradients_batch`` match finite
-differences.
+the term formula that ``qsim.forward_batch`` evaluates (at one entangler
+layer a product of cosines), then shows that the exact gradients of
+``qsim.gradients_batch`` match finite differences.
 """
 
 import numpy as np
@@ -36,9 +36,9 @@ cos = np.cos(inputs + weights[0])
 xor_sets = [[1, 2, 3], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
 print("product of cosines   :", np.round([np.prod(cos[s]) for s in xor_sets], 4))
 
-# Exact gradients: the closed form's derivatives for one entangler layer;
-# deeper circuits use the parameter-shift rule, (f(t + pi/2) - f(t - pi/2)) / 2,
-# which is exact because every parameterized gate is a single-parameter rotation.
+# Exact gradients: the derivatives of the term formula, at every depth.  Each
+# term is a product of one cos or sin per angle, so its slope in an angle is
+# that factor's derivative times the product of the other factors.
 _, d_inputs, _ = qsim.gradients_batch(inputs[np.newaxis], weights)
 print("\nd outputs / d input angles:")
 print(np.round(d_inputs[0], 4))

@@ -3,7 +3,7 @@ detection from zone-aggregated connected-vehicle data.
 
 Subpackages:
 
-* ``qsim``        exact simulation of the quantum layer (closed form at L=1)
+* ``qsim``        exact simulation of the quantum layer (one term formula, any depth)
 * ``nn``          dense layers, BCE loss, Adam, backprop primitives
 * ``model``       the classical baseline and hybrid model stacks
 * ``data``        the columnar dataset builder, normalized splits, CSV I/O

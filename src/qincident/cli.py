@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -73,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"models must be a non-empty subset of {MODEL_NAMES}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         if self.schedule_path is not None and self.n_incidents is not None:
             raise ConfigError(
                 "schedule_path and n_incidents are exclusive: a schedule file fixes the incidents"
@@ -86,8 +89,15 @@ def _model_config(name: str) -> model_mod.HybridModelConfig:
     return model_mod.HybridModelConfig(kind="hybrid", n_qubits=qubits)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QINC_SEED", "0"))
+def _seed(text: str) -> int:
+    """A seed argument: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 # -- subcommands --------------------------------------------------------------
@@ -262,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic scenario")
     gen.add_argument("--zones", type=int, default=56)
     gen.add_argument("--duration", type=int, default=1250, help="seconds")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=_seed, default=None)
     gen.add_argument("--incidents", type=int, default=None, help="incident count (default: auto)")
     gen.add_argument("--schedule", default=None, help="use this schedule JSON instead")
     gen.add_argument("--out", default="out", help="output directory")
@@ -279,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", default=None, help="ExperimentConfig JSON file")
     exp.add_argument("--zones", type=int, default=None)
     exp.add_argument("--duration", type=int, default=None, help="per-second scenario seconds")
-    exp.add_argument("--seed", type=int, default=None)
+    exp.add_argument("--seed", type=_seed, default=None)
     exp.add_argument("--incidents", type=int, default=None)
     exp.add_argument("--splits", default=None, help="comma list from DS-1,DS-2,DS-3")
     exp.add_argument("--models", default=None, help="comma list from classical,hybrid-2q,hybrid-4q")
@@ -291,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=cmd_experiment)
 
     grad = sub.add_parser("gradcheck", help="run the gradient verification suites")
-    grad.add_argument("--seed", type=int, default=None)
+    grad.add_argument("--seed", type=_seed, default=None)
     grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
     return parser
@@ -302,9 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None:
         try:
-            args.seed = _default_seed()
-        except ValueError:
-            parser.error(f"QINC_SEED must be an integer, got {os.environ['QINC_SEED']!r}")
+            args.seed = _seed(os.environ.get("QINC_SEED", "0"))
+        except argparse.ArgumentTypeError:
+            parser.error(f"QINC_SEED must be a non-negative integer, got {os.environ['QINC_SEED']!r}")
     try:
         return args.func(args)
     except (ParseError, FormatError, OSError) as exc:

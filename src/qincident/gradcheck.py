@@ -6,9 +6,8 @@ from different primitives:
 
 * forward oracle: the layer circuit rebuilt as explicit Kronecker-product
   gate matrices multiplied into a dense 2**n x 2**n unitary;
-* the layer's exact gradients (closed form for one entangler layer,
-  parameter shift for deeper circuits) vs central finite differences of
-  the statevector forward map;
+* the layer's exact gradients (derivatives of the term formula, at every
+  depth) vs central finite differences of the statevector forward map;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
   scalar loss over every trainable parameter.
 

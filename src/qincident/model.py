@@ -67,6 +67,7 @@ class HybridModelConfig:
                 raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
             if self.n_entangler_layers < 1:
                 raise ValueError("n_entangler_layers must be >= 1")
+            qsim.check_circuit(self.n_qubits, self.n_entangler_layers)
         if not 0.0 < self.output_threshold < 1.0:
             raise ValueError("output_threshold must lie in (0, 1)")
 

@@ -7,36 +7,45 @@ with no shot sampling.  Qubit 0 is the most significant bit of the
 basis-state index.  The CNOT ring for n >= 3 qubits is (0->1), (1->2), ...,
 (n-1->0); two qubits get a single CNOT (0->1), one qubit none.
 
-One entangler layer (L=1, the shipped models) has a closed form.  RX(x_i)
-and RX(w_i) merge into RX(a_i) with a_i = x_i + w_i, the register is a
-product state with <(-1)**b_i> = cos(a_i), and the ring only XORs bits:
-output bit j is the XOR of the input bits in a set S_j.  Hence
+Every depth has one closed form.  RX(x_i) and the first layer's RX(w_0i)
+merge into angles theta = (x + w_0, w_1, ..., w_{L-1}), rotation k = (layer
+l, qubit i) at index l*n + i.  Conjugating by a CNOT maps X-strings to
+X-strings and Z-strings to Z-strings, so the rings move past every
+rotation: U = C^L prod_k exp(-i theta_k P_k / 2) with commuting X-strings
+P_k = C^-l X_i C^l, and Z_j becomes the Z-string C^-L Z_j C^L.  Hence
 
-    <Z_j> = prod_{i in S_j} cos(a_i),
-    d<Z_j>/dx_i = d<Z_j>/dw_i = -sin(a_i) * prod_{k in S_j, k != i} cos(a_k)
+    <Z_j> = sum_A (-1)**(|A|/2) prod_{k in A} sin(theta_k)
+                                prod_{k in anti_j \\ A} cos(theta_k),
 
-for i in S_j, and 0 otherwise; for 4 qubits S = {1,2,3}, {0,1}, {0,1,2},
-{0,1,2,3}.  In the terms of Schuld, Sweke & Meyer (arXiv:2008.08605) the
-L=1 layer is a degree-1 Fourier series in each angle.
+with anti_j the rotations whose P_k anticommutes with that Z-string and A
+running over the subsets of anti_j whose X-strings multiply to the
+identity: the commuting-X (IQP) form of Shepherd & Bremner
+(arXiv:0809.0847).  So at every depth the layer is a fixed trigonometric
+polynomial of degree at most 1 in each angle (Schuld, Sweke & Meyer,
+arXiv:2008.08605).  At L=1, A is empty: <Z_j> = prod_{i in S_j} cos(x_i +
+w_i), where the ring XORs the input bits S_j (= anti_j) into bit j; for 4
+qubits S = {1,2,3}, {0,1}, {0,1,2}, {0,1,2,3}.  A readout sums
+2**(|anti_j| - rank) terms, the GF(2) rank of its X-strings: 1 at L=1, at
+most 4 at L=2 and 16 at L=3 for n <= 5, but 2048 for n=6, L=4, more than
+``MAX_TERMS``, which ``check_circuit`` refuses.
 
-``forward_batch`` and ``gradients_batch`` are what the models run: the
-closed form for L=1, the statevector simulation and stacked parameter-shift
-rule for L >= 2.  Both take a population's circuits at once, inputs
-(R, B, n) with weights (R, L, n).  ``quantum_forward`` and ``quantum_gradients`` wrap them
-for one embedding, for ``gradcheck``.
+``forward_batch`` and ``gradients_batch`` run the models at every (n, L),
+inputs (B, n) with weights (L, n) or a population's (R, B, n) with
+(R, L, n).  ``quantum_forward`` simulates the 2**n amplitudes of one
+embedding, the reference ``gradcheck`` differentiates.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-_HALF_PI = 0.5 * np.pi
+# the most terms one readout may sum
+MAX_TERMS = 64
 
 
-# -- tensor kernels ----------------------------------------------------------
-#
-# States are arrays of shape batch_shape + (2,)*n: a batch of embeddings,
-# and for parameter shift a leading axis of stacked shifted circuits.
+# -- statevector: arrays of shape batch_shape + (2,)*n --------------------------
 
 def _rx(psi: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
     """RX(angle) on one qubit; ``angle`` broadcasts over the batch axes."""
@@ -44,14 +53,10 @@ def _rx(psi: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
     a0 = np.take(psi, 0, axis=axis)
     a1 = np.take(psi, 1, axis=axis)
     half = 0.5 * np.asarray(angle, dtype=float)
+    if half.ndim:  # pad with singleton qubit axes so batch-shaped angles broadcast
+        half = half.reshape(half.shape + (1,) * (n - 1))
     cos = np.cos(half)
-    sin = np.sin(half)
-    if cos.ndim:
-        # pad with singleton qubit axes so the batch-shaped angles broadcast
-        pad = cos.shape + (1,) * (n - 1)
-        cos = cos.reshape(pad)
-        sin = sin.reshape(pad)
-    isin = 1j * sin
+    isin = 1j * np.sin(half)
     return np.stack((cos * a0 - isin * a1, cos * a1 - isin * a0), axis=axis)
 
 
@@ -65,26 +70,10 @@ def _cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
     return np.stack((c0, np.flip(c1, axis=t_axis)), axis=axis_c)
 
 
-_Z_SIGNS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _z_signs(n: int) -> np.ndarray:
-    """[2**n, n] matrix of +/-1: column i is the Z_i diagonal."""
-    signs = _Z_SIGNS_CACHE.get(n)
-    if signs is None:
-        idx = np.arange(2**n)
-        signs = np.empty((2**n, n), dtype=float)
-        for qubit in range(n):
-            bits = (idx >> (n - 1 - qubit)) & 1
-            signs[:, qubit] = 1.0 - 2.0 * bits
-        _Z_SIGNS_CACHE[n] = signs
-    return signs
-
-
 def _expectations(psi: np.ndarray, n: int) -> np.ndarray:
     probs = psi.real**2 + psi.imag**2
-    flat = probs.reshape(probs.shape[: psi.ndim - n] + (2**n,))
-    return flat @ _z_signs(n)
+    bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
+    return probs.reshape(probs.shape[: psi.ndim - n] + (2**n,)) @ (1.0 - 2.0 * bits)
 
 
 def _ring(n: int) -> list[tuple[int, int]]:
@@ -95,154 +84,152 @@ def _ring(n: int) -> list[tuple[int, int]]:
     return [(q, (q + 1) % n) for q in range(n)]
 
 
-# -- batched evaluation: closed form for L=1, statevector for L >= 2 ----------
-
-_XOR_SETS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _xor_sets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The S_j sets of the L=1 closed form (see the module docstring).
-
-    Returns ``sets``, an [n, n] boolean matrix whose row j marks S_j, and
-    ``others``, an [n, n, n] mask with ``others[i, j]`` = S_j without i.
-    Each bit is tracked as a GF(2) mask over the input bits through the ring.
-    """
-    cached = _XOR_SETS_CACHE.get(n)
-    if cached is None:
-        masks = [1 << qubit for qubit in range(n)]
-        for control, target in _ring(n):
-            masks[target] ^= masks[control]
-        sets = np.array([[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=bool)
-        others = sets[np.newaxis] & ~np.eye(n, dtype=bool)[:, np.newaxis, :]
-        cached = _XOR_SETS_CACHE[n] = (sets, others)
-    return cached
-
-
-def _one_layer_forward(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<Z_j> = prod_{i in S_j} cos(x_i + w_i) for (..., B, n) inputs and
-    (..., 1, n) weights."""
-    sets, _ = _xor_sets(inputs.shape[-1])
-    cos = np.cos(inputs + weights)
-    return np.prod(np.where(sets, cos[..., np.newaxis, :], 1.0), axis=-1)
-
-
-def _one_layer_gradients(
-    inputs: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form values and derivatives for (..., B, n) inputs and
-    (..., 1, n) weights.
-
-    The derivative in angle i is -sin(a_i) times the product over S_j
-    without factor i, built from the cosines that remain rather than by
-    dividing the full product by cos(a_i), which may be zero.
-    """
-    sets, others = _xor_sets(inputs.shape[-1])
-    angles = inputs + weights
-    cos = np.cos(angles)
-    values = np.prod(np.where(sets, cos[..., np.newaxis, :], 1.0), axis=-1)
-    rest = np.prod(np.where(others, cos[..., np.newaxis, np.newaxis, :], 1.0), axis=-1)
-    d_inputs = np.where(sets.T, -np.sin(angles)[..., np.newaxis] * rest, 0.0)
-    return values, d_inputs, d_inputs[..., np.newaxis, :, :].copy()
-
-
 def _statevector_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations by simulating all 2**n amplitudes; any L.
-
-    ``inputs`` has shape (..., n).  ``weights`` is either a shared (L, n)
-    array or a (V, L, n) array whose leading axis matches the leading axis
-    of ``inputs`` (used for stacked parameter-shift variants).
-    """
+    """Z expectations of (..., n) inputs and shared (L, n) weights."""
     n = inputs.shape[-1]
-    batch = inputs.shape[:-1]
-    psi = np.zeros(batch + (2,) * n, dtype=np.complex128)
+    psi = np.zeros(inputs.shape[:-1] + (2,) * n, dtype=np.complex128)
     psi[(...,) + (0,) * n] = 1.0
     for qubit in range(n):
         psi = _rx(psi, n, qubit, inputs[..., qubit])
-    ring = _ring(n)
-    for layer in range(weights.shape[-2]):
+    for layer_weights in weights:
         for qubit in range(n):
-            angle = weights[..., layer, qubit]
-            if angle.ndim:
-                # per-variant weights: pad to broadcast over the sample axis
-                angle = angle.reshape(angle.shape + (1,) * (len(batch) - angle.ndim))
-            psi = _rx(psi, n, qubit, angle)
-        for control, target in ring:
+            psi = _rx(psi, n, qubit, layer_weights[qubit])
+        for control, target in _ring(n):
             psi = _cnot(psi, n, control, target)
     return _expectations(psi, n)
 
 
-def _shift_gradients(
-    inputs: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values plus exact parameter-shift derivatives on the statevector path.
+# -- the term formula -------------------------------------------------------------
 
-    Every parameterized gate is a single-parameter rotation, so
-    d<Z_j>/d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2 exactly.
-    All shifted circuits are stacked into one leading axis and evaluated in
-    a single pass.
-    """
-    n_samples, n = inputs.shape
-    n_layers = weights.shape[0]
-    n_coords = n + n_layers * n
-    n_variants = 1 + 2 * n_coords
+def _anticommuting(n: int, n_layers: int) -> list[tuple[list[int], list[int]]]:
+    """For each readout j, anti_j and the X-strings of its rotations, as
+    GF(2) bit sets over the qubits.  They are tracked through the ring in
+    reverse gate order: CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t."""
+    x_masks, layer, z_masks = [], [1 << q for q in range(n)], [1 << q for q in range(n)]
+    for _ in range(n_layers):
+        x_masks += layer
+        for control, target in _ring(n)[::-1]:
+            layer = [x ^ ((x >> control & 1) << target) for x in layer]
+            z_masks = [z ^ ((z >> target & 1) << control) for z in z_masks]
+    antis = [[k for k, x in enumerate(x_masks) if (x & z).bit_count() % 2] for z in z_masks]
+    return [(anti, [x_masks[k] for k in anti]) for anti in antis]
 
-    in_stack = np.broadcast_to(inputs, (n_variants,) + inputs.shape).copy()
-    w_stack = np.broadcast_to(weights, (n_variants,) + weights.shape).copy()
-    for coord in range(n):
-        in_stack[1 + 2 * coord, :, coord] += _HALF_PI
-        in_stack[2 + 2 * coord, :, coord] -= _HALF_PI
-    for coord in range(n_layers * n):
-        layer, qubit = divmod(coord, n)
-        variant = 1 + 2 * n + 2 * coord
-        w_stack[variant, layer, qubit] += _HALF_PI
-        w_stack[variant + 1, layer, qubit] -= _HALF_PI
 
-    results = _statevector_batch(in_stack, w_stack)  # (V, B, n)
-    values = results[0]
-    diffs = 0.5 * (results[1::2] - results[2::2])  # (n_coords, B, n)
-    d_inputs = np.transpose(diffs[:n], (1, 0, 2))
-    d_weights = np.transpose(
-        diffs[n:].reshape(n_layers, n, n_samples, n), (2, 0, 1, 3)
-    )
-    return values, d_inputs, d_weights
+def _null_space(masks: list[int]) -> list[int]:
+    """A basis of the subsets of ``masks`` (bit sets over their positions)
+    whose XOR is zero, by Gaussian elimination over GF(2)."""
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (mask, subset)
+    basis = []
+    for position, mask in enumerate(masks):
+        subset = 1 << position
+        while mask and mask.bit_length() in pivots:
+            pivot, pivot_subset = pivots[mask.bit_length()]
+            mask, subset = mask ^ pivot, subset ^ pivot_subset
+        if mask:
+            pivots[mask.bit_length()] = (mask, subset)
+        else:
+            basis.append(subset)
+    return basis
+
+
+def _term_count(n: int, n_layers: int) -> int:
+    """The most terms any readout sums, counted without enumerating them."""
+    return max(2 ** len(_null_space(masks)) for _, masks in _anticommuting(n, n_layers))
+
+
+def check_circuit(n_qubits: int, n_layers: int) -> None:
+    """ValueError when a readout needs more than ``MAX_TERMS`` terms."""
+    count = _term_count(n_qubits, n_layers)
+    if count > MAX_TERMS:
+        raise ValueError(
+            f"a {n_qubits}-qubit circuit with {n_layers} entangler layers needs "
+            f"{count} terms per readout, above the cap of {MAX_TERMS} (qsim.MAX_TERMS)"
+        )
+
+
+class _Terms(NamedTuple):
+    """Index tables into the slots (cos, sin, -sin) of phi = (theta, 0): K
+    angles, then a 0 whose cos and sin are the exact factor 1 and slope 0.
+    n readouts of T terms; shorter readouts are padded with terms of sign 0."""
+
+    signs: np.ndarray  # [n, T] (-1)**(|A|/2)
+    factors: np.ndarray  # [n, T, K] slot of factor k of a term
+    slopes: np.ndarray  # [K, n, T] slot of d factor_k / d theta_k
+    rest: np.ndarray  # [K, n, T, K] the factors without factor k
+
+
+_TERMS_CACHE: dict[tuple[int, int], _Terms] = {}
+
+
+def _terms(n: int, n_layers: int) -> _Terms:
+    if (n, n_layers) in _TERMS_CACHE:
+        return _TERMS_CACHE[n, n_layers]
+    check_circuit(n, n_layers)
+    width = n * n_layers + 1  # slots per block
+    one, zero = width - 1, 2 * width - 1  # cos 0, sin 0
+    readouts = [(anti, _null_space(masks)) for anti, masks in _anticommuting(n, n_layers)]
+    n_terms = max(2 ** len(basis) for _, basis in readouts)
+    signs = np.zeros((n, n_terms))
+    factors = np.full((n, n_terms, width - 1), one)
+    for j, (anti, basis) in enumerate(readouts):
+        subsets = [0]
+        for vector in basis:
+            subsets += [subset ^ vector for subset in subsets]
+        for t, subset in enumerate(subsets):
+            sines = [k for position, k in enumerate(anti) if subset >> position & 1]
+            signs[j, t] = (-1) ** (len(sines) // 2)
+            factors[j, t, anti] = anti
+            factors[j, t, sines] = [width + k for k in sines]
+    by_angle = np.moveaxis(factors, -1, 0)
+    # d cos = -sin, d sin = cos, d 1 = 0
+    slopes = np.where(by_angle < width, by_angle + 2 * width, by_angle - width)
+    slopes[by_angle == one] = zero
+    rest = np.where(np.eye(width - 1, dtype=bool)[:, None, None, :], one, factors)
+    rest[slopes == zero] = one  # so that a slope 0 stays +0.0
+    _TERMS_CACHE[n, n_layers] = _Terms(signs, factors, slopes, rest)
+    return _TERMS_CACHE[n, n_layers]
+
+
+def _angles(inputs, weights) -> tuple[_Terms, np.ndarray]:
+    """The circuit's term tables and phi = (x + w_0, w_1, ..., w_{L-1}, 0)
+    for (..., B, n) inputs and (..., L, n) weights."""
+    weights = np.asarray(weights, dtype=float)
+    n_layers, n = weights.shape[-2:]
+    phi = np.zeros(np.shape(inputs)[:-1] + (n_layers * n + 1,))
+    phi[..., :-1] = weights.reshape(weights.shape[:-2] + (1, -1))
+    phi[..., :n] += inputs  # w_0 + x, the same bits as x + w_0
+    return _terms(n, n_layers), phi
+
+
+def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
+    products = np.multiply.reduce(slots.take(terms.factors, axis=-1), axis=-1)
+    return np.add.reduce(terms.signs * products, axis=-1)
 
 
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations for a batch of embeddings.
-
-    ``inputs`` has shape (B, n) with ``weights`` (L, n), or (R, B, n) with
-    (R, L, n) for a population of R circuits.  One entangler layer takes
-    the closed form, deeper circuits the statevector simulation.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[-2] == 1:
-        return _one_layer_forward(inputs, weights)
-    return _statevector_batch(inputs, weights)
+    """Z expectations, (B, n) or a population's (R, B, n)."""
+    terms, phi = _angles(inputs, weights)
+    # the factors take no -sin slot
+    return _values(terms, np.concatenate((np.cos(phi), np.sin(phi)), axis=-1))
 
 
 def gradients_batch(
     inputs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values plus exact derivatives for a batch.
+    """(values (B, n), d_inputs (B, n, n), d_weights (B, L, n, n)), with a
+    leading R axis for a population; ``d_inputs[..., i, j]`` = d<Z_j>/dx_i.
 
-    One entangler layer takes the closed form; deeper circuits take the
-    parameter-shift rule over stacked statevector circuits, one run of a
-    population at a time.
-
-    inputs: (B, n); weights: (L, n).
-    Returns (values (B, n), d_inputs (B, n, n), d_weights (B, L, n, n)).
-    A population's (R, B, n) inputs and (R, L, n) weights give the same
-    with a leading R axis.
+    A term's slope in angle k is the derivative of factor k times the product
+    of the other factors, not the full product divided by factor k (maybe 0).
+    As theta_i = x_i + w_0i, d/dx_i = d/dw_0i.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[-2] == 1:
-        return _one_layer_gradients(inputs, weights)
-    if weights.ndim == 2:
-        return _shift_gradients(inputs, weights)
-    runs = [_shift_gradients(x, w) for x, w in zip(inputs, weights)]
-    return tuple(np.stack(parts) for parts in zip(*runs))
+    terms, phi = _angles(inputs, weights)
+    sin = np.sin(phi)
+    slots = np.concatenate((np.cos(phi), sin, -sin), axis=-1)
+    rest = np.multiply.reduce(slots.take(terms.rest, axis=-1), axis=-1)
+    d_angles = np.add.reduce(terms.signs * slots.take(terms.slopes, axis=-1) * rest, axis=-1)
+    d_weights = d_angles.reshape(d_angles.shape[:-2] + np.shape(weights)[-2:] + (-1,))
+    return _values(terms, slots), d_weights[..., 0, :, :], d_weights
 
 
 def _one_sample(inputs, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -256,11 +243,8 @@ def _one_sample(inputs, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quantum_forward(inputs, weights) -> np.ndarray:
-    """Z expectations of one embedding [n] by statevector simulation, any L.
-
-    ``gradcheck`` differentiates this numerically, so its reference never
-    goes through the L=1 closed form that ``gradients_batch`` takes.
-    """
+    """Z expectations of one embedding [n] by statevector simulation, any L,
+    so that ``gradcheck``'s reference never goes through the term formula."""
     return _statevector_batch(*_one_sample(inputs, weights))[0]
 
 

@@ -249,6 +249,28 @@ class TestExperiment:
         assert "schedule_path" in err and "n_incidents" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_bad_learning_rate_flag_exits_1_without_a_report(self, tmp_path, capsys, value):
+        out = tmp_path / "exp"
+        code = run_cli(SMALL_EXPERIMENT + ["--lr", value, "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert "error: learning_rate must be a finite number > 0, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["NaN", "0", "-1"])
+    def test_bad_learning_rate_in_a_config_file_exits_1(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            '{"zones": 8, "duration_s": 400, "splits": ["DS-1"], "models": ["classical"], '
+            '"n_runs": 1, "epochs": 1, "learning_rate": %s}' % text
+        )
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert f"error: learning_rate must be a finite number > 0, got {text.lower()}" in err
+        assert not out.exists()
+
     def test_invalid_config_json_exits_3(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"zones": 8,')
@@ -326,6 +348,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["features", "--bsm", "x.csv", "--bucket", "30"])
         assert excinfo.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["gen", "experiment", "gradcheck"])
+    def test_negative_seed_flag_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--seed", "-1"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QINC_SEED", "-1")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["gradcheck"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert "QINC_SEED must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
     def test_non_integer_env_seed_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("QINC_SEED", "abc")

@@ -207,3 +207,8 @@ class TestTrainConfig:
             nn.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             nn.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number > 0, got "):
+            nn.TrainConfig(learning_rate=rate)

@@ -263,6 +263,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             model.HybridModelConfig(kind="hybrid", n_qubits=2, n_entangler_layers=0)
 
+    def test_shapes_above_the_term_cap(self):
+        with pytest.raises(ValueError, match=f"2048 terms .* cap of {qsim.MAX_TERMS}"):
+            model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=4)
+        doc = model.model_to_dict(
+            model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3), 0)
+        )
+        model.model_from_dict(doc)  # 64 terms: at the cap
+        doc["config"]["n_entangler_layers"] = 4
+        with pytest.raises(ValueError, match=f"2048 terms .* cap of {qsim.MAX_TERMS}"):
+            model.model_from_dict(doc)
+
     def test_random_params_shape_and_range(self):
         config = model.HybridModelConfig(kind="hybrid", n_qubits=4, n_entangler_layers=3)
         weights = model.build_model(config, seed=0).layers[3].weights
@@ -271,14 +282,17 @@ class TestSpecValidation:
 
 
 @st.composite
-def circuits(draw):
-    """A batch of 1-3 embeddings and shared weights: n = 1..5, L = 1..3."""
+def circuits(draw, layers=st.integers(1, 3), runs=False):
+    """A batch of 1-3 embeddings and shared weights: n = 1..5, L = 1..3.
+    With ``runs`` a population of R = 1..3 circuits: (R, B, n) inputs with
+    (R, L, n) weights."""
     n = draw(st.integers(1, 5))
-    layers = draw(st.integers(1, 3))
+    depth = draw(layers)
     batch = draw(st.integers(1, 3))
+    lead = (draw(st.integers(1, 3)),) if runs else ()
     angles = st.floats(-2 * np.pi, 2 * np.pi)
-    return draw(arrays(float, (batch, n), elements=angles)), draw(
-        arrays(float, (layers, n), elements=angles)
+    return draw(arrays(float, lead + (batch, n), elements=angles)), draw(
+        arrays(float, lead + (depth, n), elements=angles)
     )
 
 
@@ -306,14 +320,28 @@ def oracle_gradients(inputs, weights):
 
 
 class TestHotKernelAgainstOracles:
-    """forward_batch and gradients_batch (closed form for L=1) against the
+    """forward_batch and gradients_batch (the term formula) against the
     Kronecker oracle and the statevector path, to 1e-10."""
 
-    def test_xor_sets(self):
-        sets = {n: [set(np.flatnonzero(row)) for row in qsim._xor_sets(n)[0]] for n in (1, 2, 4)}
+    def test_term_tables(self):
+        # at L=1 each readout is one term, the product of the cosines of S_j:
+        # factor k takes the slot of cos(theta_k) for k in S_j, else the
+        # slot n of cos 0 = 1
+        tables = {n: qsim._terms(n, 1) for n in (1, 2, 4)}
+        for n, terms in tables.items():
+            assert terms.signs.tolist() == [[1.0]] * n
+            assert np.all((terms.factors == np.arange(n)) | (terms.factors == n))
+        sets = {n: [set(np.flatnonzero(row < n)) for row in t.factors[:, 0]] for n, t in tables.items()}
         assert sets[4] == [{1, 2, 3}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}]
         assert sets[2] == [{0}, {0, 1}]
         assert sets[1] == [{0}]
+
+    def test_term_counts_come_from_ranks(self):
+        counts = {(n, layers): qsim._term_count(n, layers) for n, layers in ((4, 1), (4, 2), (4, 3), (6, 4))}
+        assert counts == {(4, 1): 1, (4, 2): 4, (4, 3): 16, (6, 4): 2048}
+        with pytest.raises(ValueError, match=f"2048 terms .* cap of {qsim.MAX_TERMS}"):
+            qsim.forward_batch(np.zeros((1, 6)), np.zeros((4, 6)))
+        assert (6, 4) not in qsim._TERMS_CACHE
 
     @settings(max_examples=60, deadline=None)
     @given(circuits())
@@ -332,9 +360,20 @@ class TestHotKernelAgainstOracles:
         assert d_inputs.shape == (len(inputs),) + (inputs.shape[1],) * 2
         assert d_weights.shape == (len(inputs),) + weights.shape + (inputs.shape[1],)
         np.testing.assert_allclose(values, qsim.forward_batch(inputs, weights), rtol=0, atol=1e-10)
-        for want_inputs, want_weights in (
-            oracle_gradients(inputs, weights),
-            qsim._shift_gradients(inputs, weights)[1:],
-        ):
-            np.testing.assert_allclose(d_inputs, want_inputs, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(d_weights, want_weights, rtol=0, atol=1e-10)
+        want_inputs, want_weights = oracle_gradients(inputs, weights)
+        np.testing.assert_allclose(d_inputs, want_inputs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(d_weights, want_weights, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_population_matches_its_runs_bit_for_bit(self, layers, data):
+        inputs, weights = data.draw(circuits(layers=st.just(layers), runs=True))
+        stacked = (qsim.forward_batch(inputs, weights),) + qsim.gradients_batch(inputs, weights)
+        for run in range(len(inputs)):
+            alone = (qsim.forward_batch(inputs[run], weights[run]),) + qsim.gradients_batch(
+                inputs[run], weights[run]
+            )
+            for got, want in zip(stacked, alone):
+                assert got[run].shape == want.shape
+                assert got[run].tobytes() == want.tobytes()
