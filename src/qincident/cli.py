@@ -7,9 +7,10 @@ Subcommands:
 * ``experiment`` run the full (splits x models x runs) comparison, write reports
 * ``gradcheck``  verify the quantum oracle, parameter-shift and backprop suites
 
-Every command is deterministic given its flags; the seed defaults to the
-``QINC_SEED`` environment variable, then 0.  Exit codes: 0 success,
-1 verification or run failure, 2 usage error, 3 I/O or parse error.
+Every command is deterministic given its flags; the seed is ``--seed``,
+else (``experiment``) the config file's, else the ``QINC_SEED`` environment
+variable, else 0.  Exit codes: 0 success, 1 verification or run failure,
+2 usage error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def cmd_features(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    values: dict = {}
+    values: dict = {"seed": args.default_seed}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
@@ -310,11 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        try:
-            args.seed = _seed(os.environ.get("QINC_SEED", "0"))
-        except argparse.ArgumentTypeError:
-            parser.error(f"QINC_SEED must be a non-negative integer, got {os.environ['QINC_SEED']!r}")
+    try:
+        args.default_seed = _seed(os.environ.get("QINC_SEED", "0"))
+    except argparse.ArgumentTypeError:
+        parser.error(f"QINC_SEED must be a non-negative integer, got {os.environ['QINC_SEED']!r}")
+    # _experiment_config puts a config file's seed between --seed and this
+    if args.command != "experiment" and getattr(args, "seed", None) is None:
+        args.seed = args.default_seed
     try:
         return args.func(args)
     except (ParseError, FormatError, OSError) as exc:

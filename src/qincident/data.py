@@ -17,6 +17,13 @@ File formats (all UTF-8, LF):
 * vehicle records CSV, header ``time_s,vehicle_id,zone_id,speed_mps``;
 * feature CSV, header
   ``bucket_start_s,zone_id,spd_z,cnt_z,spd_up,cnt_up,spd_dn,cnt_dn,label``.
+
+The writers give the bytes ``csv.writer`` would, floats as ``repr``.  The
+readers parse a file's columns with ``np.loadtxt`` and check them; a file
+that parse could read differently from ``csv.reader`` (a quote, CR, NUL,
+``#``, \x1c-\x1f, a blank or overlong line), or whose columns fail a
+check, is read again row by row through ``csv.reader``, which returns the
+same values or raises the same ``path:line: message`` error.
 """
 
 from __future__ import annotations
@@ -266,12 +273,49 @@ def split(table: Dataset, name: str) -> DatasetSplit:
 
 
 # -- CSV interchange ---------------------------------------------------------------
+#
+# ``_read_csv``, the row loop over ``csv.reader``, is the reference reader:
+# it decides every error and its message.
+
+_CHUNK_ROWS = 8192
+# code points for which ``csv.writer`` quotes a field (or may: \r)
+_CSV_QUOTED = [ord(c) for c in ',"\n\r']
+# bytes on which ``np.loadtxt`` could split or parse a file differently from
+# ``csv.reader`` and ``int``/``float``: quotes, CR line ends and NULs change
+# csv's fields, ``#`` starts a comment when comments are on, and numpy
+# strips \x1c-\x1f around a number where ``int``/``float`` reject them
+_LOADTXT_UNSAFE = (b'"', b"\r", b"\x00", b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# longer lines go to the row loop: ``int`` takes at most 640 digits at
+# Python's lowest limit setting, and csv caps a field's length
+_LOADTXT_LINE_MAX = 640
+
+_BSM_ROW = np.dtype(
+    [("time", np.int64), ("vehicle_id", object), ("zone", np.int64), ("speed", np.float64)]
+)
+_FEATURE_ROW = np.dtype(
+    [
+        ("bucket_start", np.int64),
+        ("zone_id", np.int64),
+        ("features", np.float64, (6,)),
+        ("label", np.int64),
+    ]
+)
+
 
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
+    """The header, then ``lines(start, stop)``, the text of rows [start,
+    stop), one chunk at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            handle.write(lines(start, start + _CHUNK_ROWS))
 
 
 def _read_csv(path, header: list[str], parse_row) -> None:
@@ -294,20 +338,73 @@ def _read_csv(path, header: list[str], parse_row) -> None:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _load_rows(path, header: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """The data rows of a CSV as one ``dtype`` record each, parsed by
+    ``np.loadtxt``; None where that parse cannot stand in for
+    ``_read_csv``: a header other than ``header``, a blank or overlong line,
+    a byte of ``_LOADTXT_UNSAFE``, or any error."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if any(byte in raw for byte in _LOADTXT_UNSAFE):
+            return None
+        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+        if not raw.endswith(b"\n"):
+            ends = np.append(ends, len(raw))
+        lengths = np.diff(ends, prepend=-1) - 1
+        first = raw[: lengths[0]].decode("utf-8")
+        del raw
+        if [h.strip() for h in first.split(",")] != header:
+            return None
+        if lengths[1:].min(initial=1) < 1 or lengths.max() > _LOADTXT_LINE_MAX:
+            return None
+        if len(ends) == 1:
+            return np.empty(0, dtype=dtype)
+        rows = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8"
+        )
+    except Exception:  # the row loop decides what is wrong
+        return None
+    return rows if len(rows) == len(ends) - 1 else None
+
+
 def write_bsm_csv(records: Records, path) -> None:
-    _write_csv(
-        path,
-        BSM_HEADER,
-        zip(
-            records.time.tolist(),
-            records.vehicle_id.tolist(),
-            records.zone.tolist(),
-            map(repr, records.speed.tolist()),
-        ),
-    )
+    ids = np.ascontiguousarray(records.vehicle_id)
+    if np.isin(ids.view(np.uint32), _CSV_QUOTED).any():  # the U array as code points
+        _write_csv(
+            path,
+            BSM_HEADER,
+            zip(records.time.tolist(), ids.tolist(), records.zone.tolist(),
+                map(repr, records.speed.tolist())),
+        )
+        return
+
+    def lines(start, stop):
+        return "".join([
+            f"{time},{vid},{zone},{speed!r}\n"
+            for time, vid, zone, speed in zip(
+                records.time[start:stop].tolist(),
+                ids[start:stop].tolist(),
+                records.zone[start:stop].tolist(),
+                records.speed[start:stop].tolist(),
+            )
+        ])
+
+    _write_lines(path, BSM_HEADER, len(records), lines)
 
 
 def read_bsm_csv(path) -> Records:
+    rows = _load_rows(path, BSM_HEADER, _BSM_ROW)
+    if rows is not None:
+        time, speed = rows["time"], rows["speed"]
+        if np.all(time >= 0) and np.all(np.isfinite(speed) & (speed >= 0)):
+            return Records(
+                time.copy(), rows["vehicle_id"].astype(str), rows["zone"].copy(), speed.copy()
+            )
+    return _read_bsm_rows(path)
+
+
+def _read_bsm_rows(path) -> Records:
     times, vids, zones, speeds = columns = [], [], [], []
 
     def parse_row(fields):
@@ -329,22 +426,44 @@ def read_bsm_csv(path) -> Records:
 
 
 def write_feature_csv(table: Dataset, path) -> None:
-    _write_csv(
-        path,
-        FEATURE_HEADER,
-        (
-            [bucket, zone, *map(repr, values), label]
-            for bucket, zone, values, label in zip(
-                table.bucket_start.tolist(),
-                table.zone_id.tolist(),
-                table.features.tolist(),
-                table.labels.tolist(),
-            )
-        ),
+    # one repr per distinct float64 bit pattern (so -0.0 keeps its sign):
+    # the neighbor columns repeat the own-zone values
+    bits, where = np.unique(
+        np.ascontiguousarray(table.features, dtype=np.float64).view(np.int64),
+        return_inverse=True,
     )
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    texts = texts[where.reshape(-1, 6)]
+
+    def lines(start, stop):
+        return "".join([
+            f"{bucket},{zone},{','.join(values)},{label}\n"
+            for bucket, zone, values, label in zip(
+                table.bucket_start[start:stop].tolist(),
+                table.zone_id[start:stop].tolist(),
+                texts[start:stop].tolist(),
+                table.labels[start:stop].tolist(),
+            )
+        ])
+
+    _write_lines(path, FEATURE_HEADER, len(table), lines)
 
 
 def read_feature_csv(path) -> Dataset:
+    rows = _load_rows(path, FEATURE_HEADER, _FEATURE_ROW)
+    if rows is not None:
+        labels, features = rows["label"], rows["features"]
+        if np.all((labels == 0) | (labels == 1)) and np.all(np.isfinite(features)):
+            return Dataset(
+                bucket_start=rows["bucket_start"].copy(),
+                zone_id=rows["zone_id"].copy(),
+                features=features.copy(),
+                labels=labels.copy(),
+            )
+    return _read_feature_rows(path)
+
+
+def _read_feature_rows(path) -> Dataset:
     buckets, zones, features, labels = [], [], [], []
 
     def parse_row(fields):

@@ -158,10 +158,16 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     ordinals = np.concatenate(all_ordinals)
     order = np.lexsort((ordinals, zones, times))
     times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
-    vehicle_ids = [
-        f"v{zone:02d}-{time}-{ordinal}"
-        for zone, time, ordinal in zip(zones.tolist(), times.tolist(), ordinals.tolist())
-    ]
+    # "v{zone:02d}-{time}-{ordinal}", joined from one text table per part
+    zone_text = np.array([f"v{z:02d}-" for z in range(config.n_zones)], dtype=object)
+    time_text = np.array([f"{t}-" for t in range(config.duration_s)], dtype=object)
+    ordinal_text = np.array([str(o) for o in range(int(ordinals.max()) + 1)], dtype=object)
+    vehicle_ids = list(
+        map(
+            "".join,
+            zip(zone_text[zones].tolist(), time_text[times].tolist(), ordinal_text[ordinals].tolist()),
+        )
+    )
     return data.Records(times, vehicle_ids, zones, speeds), events
 
 

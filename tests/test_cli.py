@@ -188,6 +188,20 @@ class TestExperiment:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 5
 
+    def test_config_seed_ranks_below_the_flag_and_above_the_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QINC_SEED", "3")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 8, "duration_s": 400, "seed": 5, "splits": ["DS-1"],
+            "models": ["classical"], "n_runs": 1, "epochs": 1,
+        }))
+        seeds = {}
+        for name, flags in (("file", []), ("flag", ["--seed", "7"])):
+            out = tmp_path / name
+            assert run_cli(["experiment", "--config", str(config_path), *flags, "--out", str(out)]) == 0
+            seeds[name] = json.loads((out / "report.json").read_text())["config"]["seed"]
+        assert seeds == {"file": 5, "flag": 7}
+
     def test_diverged_training_exits_1_with_a_partial_report(self, tmp_path, monkeypatch, capsys):
         def nan_layer(x, weights):
             values, d_inputs, d_weights = qsim.gradients_batch(x, weights)

@@ -1,11 +1,13 @@
 """The columnar dataset builder, normalized splits and CSV I/O."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qincident import data
+from qincident import data, scenario
 from qincident.errors import ConfigError, DataError, FormatError, ParseError
 
 
@@ -316,6 +318,186 @@ class TestCsvRoundTrip:
         path.write_text(f"{header}\n0,0,1.0,2.0,3.0,4.0,5.0,6.0,0\n1,0,1.0,2.0,{value},4.0,5.0,6.0,1\n")
         with pytest.raises(ParseError, match=r"features.csv:3: non-finite feature spd_up"):
             data.read_feature_csv(path)
+
+
+# -- the CSV fast paths against the csv-module reference ------------------------------
+
+def csv_writer_bytes(path, header, rows):
+    """The bytes ``csv.writer`` gives for a header and rows, floats as repr."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def bsm_writer_bytes(path, recs):
+    return csv_writer_bytes(
+        path, data.BSM_HEADER,
+        zip(recs.time.tolist(), recs.vehicle_id.tolist(), recs.zone.tolist(),
+            map(repr, recs.speed.tolist())),
+    )
+
+
+WRITER_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 27.640955015519577]
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["v00-0-0", "v00-0-1", "", "sp ace", "#hash", "tab\t", "ünï", "a\x85b", "e\u2028f"],
+            ["plain", "a,b", 'quo"te', "new\nline", "cr\rid", " lead", "trail "],
+        ],
+        ids=["unquoted", "quoted"],
+    )
+    def test_bsm_bytes(self, tmp_path, ids):
+        n = len(ids)
+        speeds = (WRITER_FLOATS * n)[:n]
+        recs = data.Records(np.arange(n) * 7, ids, np.arange(n) % 3, speeds)
+        data.write_bsm_csv(recs, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == bsm_writer_bytes(tmp_path / "old.csv", recs)
+
+    def test_bsm_bytes_across_chunks(self, tmp_path):
+        recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=400, seed=4))
+        assert len(recs) > data._CHUNK_ROWS
+        data.write_bsm_csv(recs, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == bsm_writer_bytes(tmp_path / "old.csv", recs)
+
+    def test_feature_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = np.array(WRITER_FLOATS + [np.nan, np.inf, -np.inf, 3.0, 2.0])
+        # repeated values, within rows and across them, as the neighbor columns give
+        n = data._CHUNK_ROWS + 100
+        features = values[rng.integers(0, len(values), (n, 6))]
+        features[:, 2:4] = features[:, 0:2]
+        table = data.Dataset(np.arange(n) // 3, np.arange(n) % 3, features, rng.integers(0, 2, n))
+        data.write_feature_csv(table, tmp_path / "new.csv")
+        want = csv_writer_bytes(
+            tmp_path / "old.csv", data.FEATURE_HEADER,
+            ([b, z, *map(repr, f), lab] for b, z, f, lab in zip(
+                table.bucket_start.tolist(), table.zone_id.tolist(),
+                table.features.tolist(), table.labels.tolist())),
+        )
+        assert (tmp_path / "new.csv").read_bytes() == want
+
+
+class TestCsvFastPath:
+    """A clean file must be read by the column parse, not the row loop."""
+
+    @pytest.fixture
+    def no_row_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the row loop read a clean file")
+
+        monkeypatch.setattr(data, "_read_csv", refuse)
+
+    def test_generated_bsm_takes_the_fast_path(self, tmp_path, no_row_loop):
+        recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=120, seed=2))
+        data.write_bsm_csv(recs, tmp_path / "bsm.csv")
+        back = data.read_bsm_csv(tmp_path / "bsm.csv")
+        assert_records_equal(back, recs)
+        assert back.vehicle_id.dtype == recs.vehicle_id.dtype
+
+    def test_built_features_take_the_fast_path(self, tmp_path, no_row_loop):
+        recs, events = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=120, seed=2))
+        table = data.build_dataset(recs, events, 6, 1)
+        data.write_feature_csv(table, tmp_path / "features.csv")
+        back = data.read_feature_csv(tmp_path / "features.csv")
+        for column in ("bucket_start", "zone_id", "features", "labels"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(table, column))
+
+
+def read_outcome(read, path):
+    """What a reader gives for a file: every column's dtype, shape and bytes
+    (so -0.0 differs from 0.0), or the exception's type and message."""
+    try:
+        result = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {
+        name: (column.dtype.str, column.shape, column.tobytes())
+        for name, column in vars(result).items()
+    }
+
+
+INT_TEXTS = ["0", "7", "-1", "-0", "1_000", "+5", " 5", "5 ", "1.0", "\u0663", "\x1c5", "",
+             "x", "99999999999999999999"]
+FLOAT_TEXTS = ["0.0", "1.5", "nan", "inf", "-inf", "-0.0", "1e-05", "5e-324", " 2.5", "+5",
+               "1_0.5", "Infinity", "\x1f1", "", "fast", "-1.0", "1e500"]
+# characters on which csv.reader, np.loadtxt, str.splitlines and int/float
+# part ways
+SPECIAL = ',"#\x00\r\n \t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0'
+
+
+def field(values, texts):
+    """Mostly a valid value's repr, now and then one of ``texts``."""
+    return st.integers(0, 30).flatmap(
+        lambda roll: st.sampled_from(texts) if roll == 30 else values.map(repr)
+    )
+
+
+vehicle_ids = st.integers(0, 4).flatmap(
+    lambda roll: st.text(alphabet="av0-" + SPECIAL, max_size=5) if roll == 4
+    else st.sampled_from(["v00-0-0", "v12-345-6", "a", "", " a ", "x y", "\xe9", "a\x85b"])
+)
+bsm_fields = st.tuples(
+    field(st.integers(0, 10**6), INT_TEXTS),
+    vehicle_ids,
+    field(st.integers(0, 60), INT_TEXTS),
+    field(st.floats(0.0, 50.0), FLOAT_TEXTS),
+)
+feature_fields = st.tuples(
+    field(st.integers(0, 10**5), INT_TEXTS),
+    field(st.integers(0, 60), INT_TEXTS),
+    *[field(st.floats(-1e3, 1e3), FLOAT_TEXTS) for _ in range(6)],
+    field(st.integers(0, 1), INT_TEXTS),
+)
+
+
+@st.composite
+def csv_files(draw, header, rows):
+    """A file's text: a header (now and then padded or wrong), rows, then
+    now and then an edit: a blank line, CRLF line ends, no final newline,
+    a field too many or too few, or a stray character."""
+    names = list(header)
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(names) - 1))
+        names[at] = draw(st.sampled_from([f" {names[at]} ", names[at].upper()]))
+    lines = [",".join(names)]
+    for fields in draw(st.lists(rows, max_size=8)):
+        if draw(st.integers(0, 30)) == 30:
+            fields = fields[:-1] if draw(st.booleans()) else [*fields, "9"]
+        lines.append(",".join(fields))
+    if draw(st.integers(0, 5)) == 5:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = "\r\n".join(lines) if draw(st.integers(0, 5)) == 5 else "\n".join(lines)
+    text += "" if draw(st.integers(0, 3)) == 3 else "\n"
+    while draw(st.integers(0, 4)) == 4:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SPECIAL)) + text[at:]
+    return text
+
+
+class TestCsvReaderAgreement:
+    """The public readers and the csv-module row loop give the same arrays
+    (dtype included) or the same error, word for word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(data.BSM_HEADER, bsm_fields))
+    def test_bsm(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bsm") / "bsm.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(data.read_bsm_csv, path) == read_outcome(data._read_bsm_rows, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(data.FEATURE_HEADER, feature_fields))
+    def test_features(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("features") / "features.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(data.read_feature_csv, path) == read_outcome(
+            data._read_feature_rows, path
+        )
 
 
 # -- the builder against a per-row reference ----------------------------------------
