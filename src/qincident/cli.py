@@ -135,16 +135,26 @@ def cmd_features(args) -> int:
         events = []
     else:
         events = scenario.read_schedule_json(args.schedule)
-    n_zones = int(records.zone.max()) + 1 if len(records) else 0
+    # the corridor is the flags', else the one the records imply; records
+    # and incidents outside it are errors, not rows or entries to drop
+    n_zones = args.zones if args.zones is not None else int(records.zone.max(initial=-1)) + 1
+    duration_s = args.duration if args.duration is not None else int(records.time.max(initial=-1)) + 1
+    scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s)  # both must be >= 1
+    outside = (records.zone < 0) | (records.zone >= n_zones) | (records.time >= duration_s)
+    if outside.any():
+        row = int(outside.argmax())
+        raise DataError(
+            f"{args.bsm}: record at {records.time[row]} s in zone {records.zone[row]} outside "
+            f"the corridor of {n_zones} zones x {duration_s} s"
+        )
     if events:
-        # the records imply the corridor; an incident outside it is an
-        # error here as it is in gen, not a schedule entry to drop
-        duration_s = int(records.time.max()) + 1 if len(records) else 0
         try:
             scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, incidents=events)
         except ConfigError as exc:
-            raise ConfigError(f"{args.schedule}: {exc} (the corridor of {args.bsm})") from None
-    table = data.build_dataset(records, events, n_zones, args.bucket)
+            raise ConfigError(
+                f"{args.schedule}: {exc} (the corridor of {n_zones} zones x {duration_s} s)"
+            ) from None
+    table = data.build_dataset(records, events, n_zones, args.bucket, duration_s)
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0
     print(f"wrote {args.out}: {len(table)} rows, prevalence {prevalence:.4f}")
@@ -283,6 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     feats.add_argument("--bsm", required=True, help="vehicle record CSV")
     feats.add_argument("--schedule", default=None, help="incident schedule JSON")
     feats.add_argument("--bucket", type=int, choices=(1, 60), default=1)
+    feats.add_argument("--zones", type=int, default=None, help="zone count (default: max zone id + 1)")
+    feats.add_argument("--duration", type=int, default=None, help="seconds (default: max time + 1)")
     feats.add_argument("--out", default="features.csv")
     feats.set_defaults(func=cmd_features)
 

@@ -9,13 +9,17 @@ from different primitives:
 * the layer's exact gradients (derivatives of the term formula, at every
   depth) vs central finite differences of the statevector forward map;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
-  scalar loss over every trainable parameter.
+  scalar loss over every trainable parameter.  Each draw's probes run as
+  stacked populations, one parameter row per probe and ``PROBE_CHUNK``
+  coordinates per pass, through the layers' run-axis path; a coordinate
+  whose probes cross a ReLU kink halves its own step and is probed again.
 
 Used by the test suite and by the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import reduce
 
@@ -171,6 +175,10 @@ def _bump(values: np.ndarray, index, delta: float) -> np.ndarray:
 # keep crossing a ReLU kink is counted as a failure.
 MIN_STEP = 1e-8
 
+# Coordinates probed together: a pass stacks two probe rows per coordinate,
+# so this bounds the probe matrix and every stacked activation.
+PROBE_CHUNK = 16
+
 
 def check_hybrid_gradients(
     seed: int = 0,
@@ -183,10 +191,11 @@ def check_hybrid_gradients(
 
     Relative error is checked per coordinate wherever the analytic gradient
     magnitude exceeds ``grad_floor``.  The loss at each probe comes from the
-    forward pass alone.  A probe pair that crosses a ReLU kink measures the
-    slope of a different linear piece, so its step is halved until both
-    probes keep the base point's activation pattern (see
-    ``_central_difference``).
+    forward pass alone.  A draw's probes run as stacked populations, one
+    row per probe, ``PROBE_CHUNK`` coordinates at a time.  A probe pair
+    that crosses a ReLU kink measures the slope of a different linear
+    piece, so that coordinate's step is halved until both probes keep the
+    base point's activation pattern (see ``_central_differences``).
     """
     rng = np.random.default_rng(seed)
     config = model_mod.HybridModelConfig(kind="hybrid", n_qubits=4)
@@ -197,59 +206,83 @@ def check_hybrid_gradients(
         label = np.array([float(rng.integers(0, 2))])
         _, grad = model_mod.loss_and_gradients(net, features, label)
 
-        def probe(params: np.ndarray) -> tuple[float, np.ndarray]:
-            # ``params`` is ``net.params``, so the forward pass sees it.  One
-            # walk over the stack gives the loss and which ReLU units are
-            # active (relu(z) > 0 exactly where z > 0).
+        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # Each row of ``rows`` [R, P] is one parameter vector.  One walk
+            # over the stack with the layers' arrays as [R, ...] views gives
+            # every row's loss and which ReLU units are active (relu(z) > 0
+            # exactly where z > 0).
             h, active = features, []
-            for layer in net.layers:
+            for layer in _stacked_layers(net.layers, rows):
                 h = layer.forward(h)
                 if getattr(layer, "activation", None) == "relu":
-                    active.append(h.ravel() > 0)
-            loss = float(np.mean(nn.bce_loss(h[:, 0], label)))
-            return loss, np.concatenate(active)
+                    active.append(h[:, 0] > 0)
+            return np.mean(nn.bce_loss(h[..., 0], label), axis=-1), np.concatenate(active, axis=-1)
 
-        _, base_pattern = probe(net.params)
-        for k in range(net.params.size):
-            if abs(grad[k]) <= grad_floor:
-                continue
-            n_checked += 1
-            fd = _central_difference(probe, net.params, k, step, base_pattern)
-            if fd is None:
-                rel, where = float("inf"), f"draw {draw} coord {k} (probes cross a ReLU kink)"
-            else:
-                rel = abs(fd - grad[k]) / max(abs(fd), abs(grad[k]))
-                where = f"draw {draw} coord {k}"
-            if rel > max_rel:
-                max_rel, worst = rel, where
+        coords = np.flatnonzero(np.abs(grad) > grad_floor)
+        n_checked += len(coords)
+        fd = _central_differences(probe, net.params, coords, step)
+        analytic = grad[coords]
+        rel = np.abs(fd - analytic) / np.maximum(np.abs(fd), np.abs(analytic))
+        rel[np.isnan(fd)] = np.inf
+        if rel.max(initial=0.0) > max_rel:
+            i = int(np.argmax(rel))
+            max_rel, worst = float(rel[i]), f"draw {draw} coord {coords[i]}"
+            if np.isnan(fd[i]):
+                worst += " (probes cross a ReLU kink)"
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
 
 
-def _central_difference(probe, flat: np.ndarray, k: int, step: float, base_pattern):
-    """Central difference of the loss along coordinate ``k`` of ``flat``.
+def _stacked_layers(layers: list, rows: np.ndarray) -> list:
+    """Shallow copies of ``layers`` whose arrays are [R, ...] views of the
+    [R, P] parameter rows ``rows``, laid out like ``Model.params``."""
+    stacked, offset = [], 0
+    for layer in layers:
+        part = copy.copy(layer)
+        for name in layer.param_names:
+            array = getattr(layer, name)
+            view = rows[:, offset : offset + array.size].reshape((len(rows),) + array.shape)
+            setattr(part, name, view)
+            offset += array.size
+        stacked.append(part)
+    return stacked
 
-    ``flat[k]`` is bumped in place for each probe and restored afterwards;
-    ``probe(flat)`` returns the loss and the ReLU pattern there.  The step
-    is halved until both probes show ``base_pattern``; None when that needs
-    a step below ``MIN_STEP``.
+
+def _central_differences(
+    probe, base: np.ndarray, coords: np.ndarray, step: float
+) -> np.ndarray:
+    """Central differences of the loss along coordinates ``coords`` of the
+    parameter vector ``base``; NaN where a coordinate stays unresolved.
+
+    ``probe(rows)`` returns the loss [R] and the ReLU pattern [R, U] at
+    each of the parameter vectors ``rows`` [R, P].  Coordinates go in
+    chunks of ``PROBE_CHUNK``: one pass over a chunk stacks ``base`` + step
+    at coordinate i in row i and ``base`` - step there in row m + i.  A
+    coordinate whose probes both show the base pattern is resolved; any
+    other has its own step halved and is probed again in the next pass,
+    until that step falls below ``MIN_STEP``.
     """
-    base = flat[k]
-    try:
-        while step >= MIN_STEP:
-            flat[k] = base + step
-            loss_plus, pattern_plus = probe(flat)
-            flat[k] = base - step
-            loss_minus, pattern_minus = probe(flat)
-            if np.array_equal(pattern_plus, base_pattern) and np.array_equal(
-                pattern_minus, base_pattern
-            ):
-                return (loss_plus - loss_minus) / (2 * step)
-            step *= 0.5
-        return None
-    finally:
-        flat[k] = base
+    out = np.full(len(coords), np.nan)
+    if step < MIN_STEP:
+        return out
+    base_pattern = probe(base[np.newaxis])[1][0]
+    for first in range(0, len(coords), PROBE_CHUNK):
+        todo = np.arange(first, min(first + PROBE_CHUNK, len(coords)))
+        steps = np.full(len(todo), float(step))
+        while len(todo):
+            m, ks = len(todo), coords[todo]
+            rows = np.repeat(base[np.newaxis], 2 * m, axis=0)
+            rows[np.arange(m), ks] = base[ks] + steps
+            rows[np.arange(m, 2 * m), ks] = base[ks] - steps
+            loss, pattern = probe(rows)
+            kept = np.all(pattern == base_pattern, axis=-1)
+            resolved = kept[:m] & kept[m:]
+            out[todo[resolved]] = (loss[:m] - loss[m:])[resolved] / (2 * steps[resolved])
+            steps = steps * 0.5
+            left = ~resolved & (steps >= MIN_STEP)
+            todo, steps = todo[left], steps[left]
+    return out
 
 
 def run_all(seed: int = 0, corrupt: bool = False) -> list[SuiteResult]:

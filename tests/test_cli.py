@@ -122,6 +122,65 @@ class TestFeatures:
         assert capsys.readouterr().err.startswith(f"error: {schedule}: {message}")
         assert not features.exists()
 
+    def test_zones_flag_keeps_a_trailing_zone_without_records(self, tmp_path):
+        bsm, schedule = self.make_inputs(tmp_path)
+        records = data.read_bsm_csv(bsm)
+        keep = records.zone < 5
+        trimmed = tmp_path / "trimmed.csv"
+        data.write_bsm_csv(
+            data.Records(records.time[keep], records.vehicle_id[keep], records.zone[keep], records.speed[keep]),
+            trimmed,
+        )
+        out = tmp_path / "features.csv"
+        code = run_cli(
+            ["features", "--bsm", str(trimmed), "--schedule", str(schedule), "--zones", "6", "--out", str(out)]
+        )
+        assert code == 0
+        table = data.read_feature_csv(out)
+        assert len(table) == 6 * 240
+        last = table.zone_id == 5
+        assert last.sum() == 240 and not table.features[last, 1].any()
+
+    def test_duration_flag_keeps_trailing_seconds(self, tmp_path):
+        bsm, _ = self.make_inputs(tmp_path)
+        out = tmp_path / "features.csv"
+        assert run_cli(["features", "--bsm", str(bsm), "--duration", "300", "--out", str(out)]) == 0
+        table = data.read_feature_csv(out)
+        assert len(table) == 6 * 300
+        assert not table.features[table.bucket_start >= 240, 1].any()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--zones", "5"], "zone 5 outside the corridor of 5 zones x 240 s"),
+            (["--duration", "200"], "record at 200 s in zone"),
+        ],
+    )
+    def test_records_outside_the_given_corridor_exit_1(self, tmp_path, capsys, flags, message):
+        bsm, _ = self.make_inputs(tmp_path)
+        out = tmp_path / "features.csv"
+        assert run_cli(["features", "--bsm", str(bsm), *flags, "--out", str(out)]) == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert f"error: {bsm}: record at " in err and message in err
+        assert not out.exists()
+
+    def test_schedule_is_checked_against_the_given_corridor(self, tmp_path, capsys):
+        bsm, _ = self.make_inputs(tmp_path)
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps([{"zone": 1, "start_s": 250, "duration_s": 20}]))
+        out = tmp_path / "features.csv"
+        args = ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--out", str(out)]
+        assert run_cli(args) == cli.EXIT_FAIL
+        assert "incident [250, 270) outside [0, 240)" in capsys.readouterr().err
+        assert run_cli([*args, "--duration", "300"]) == 0
+        assert data.read_feature_csv(out).labels.sum() == 20
+
+    @pytest.mark.parametrize("flag", ["--zones", "--duration"])
+    def test_non_positive_corridor_flag_exits_1(self, tmp_path, capsys, flag):
+        bsm, _ = self.make_inputs(tmp_path)
+        assert run_cli(["features", "--bsm", str(bsm), flag, "0", "--out", str(tmp_path / "o.csv")]) == 1
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == cli.EXIT_IO
@@ -347,6 +406,15 @@ class TestGradcheck:
         assert out.count("PASS") == 3
         assert "max err" in out
 
+    def test_seed_0_prints_the_golden_lines(self, capsys):
+        # any drift in the probes' bits moves a last digit here
+        assert run_cli(["gradcheck", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "forward-oracle: PASS  max err 9.159e-16 (tol 1e-10, 120 cases)\n"
+            "parameter-shift: PASS  max err 3.795e-11 (tol 1e-06, 50 cases)\n"
+            "hybrid-backprop: PASS  max err 4.898e-07 (tol 1e-03, 12052 cases)\n"
+        )
+
     def test_corrupted_gradient_fails(self, capsys):
         assert run_cli(["gradcheck", "--seed", "0", "--corrupt"]) == cli.EXIT_FAIL
         assert "FAIL" in capsys.readouterr().out
@@ -395,6 +463,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "usage: qincident" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_python_m_qincident_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qincident.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qincident", "gradcheck", "--help"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: qincident gradcheck" in proc.stdout
 
     def test_cli_is_an_attribute_of_the_package(self):
         assert getattr(qincident, "cli") is cli

@@ -67,15 +67,42 @@ class TestSuites:
 
 class TestCentralDifference:
     @staticmethod
-    def relu_probe(vec):
-        return max(vec[0], 0.0), vec[:1] > 0
+    def relu_probe(rows):
+        # loss sum(relu(v)) and pattern v > 0 for each row v
+        return np.maximum(rows, 0.0).sum(axis=1), rows > 0
 
     def test_step_halved_until_probes_keep_the_base_pattern(self):
         # at step 1e-4 the minus probe lands on the flat piece: slope 0.65
-        flat = np.array([3e-5])
-        fd = gradcheck._central_difference(self.relu_probe, flat, 0, 1e-4, flat > 0)
-        assert fd == pytest.approx(1.0, rel=1e-9)
+        fd = gradcheck._central_differences(self.relu_probe, np.array([3e-5]), np.array([0]), 1e-4)
+        assert fd[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_base_point_on_a_kink_is_unresolved(self):
-        flat = np.array([0.0])
-        assert gradcheck._central_difference(self.relu_probe, flat, 0, 1e-4, flat > 0) is None
+        fd = gradcheck._central_differences(self.relu_probe, np.array([0.0]), np.array([0]), 1e-4)
+        assert np.isnan(fd[0])
+
+    def test_no_probe_when_the_first_step_is_below_min_step(self):
+        fd = gradcheck._central_differences(self.relu_probe, np.array([1.0]), np.array([0]), 1e-9)
+        assert np.isnan(fd[0])
+
+    def test_each_coordinate_halves_its_own_step(self):
+        # coordinate 0 resolves at the full step, 1 after two halvings
+        # (step 2.5e-5 < 3e-5), and 2 sits on a kink until the step falls
+        # below MIN_STEP: 1e-4 / 2**13 is the last step tried
+        base = np.array([0.5, 3e-5, 0.0])
+        passes = []
+
+        def probe(rows):
+            if len(rows) > 1:
+                m = len(rows) // 2
+                passes.append([int(k) for k in np.nonzero(rows[:m] != base)[1]])
+            return self.relu_probe(rows)
+
+        fd = gradcheck._central_differences(probe, base, np.arange(3), 1e-4)
+        assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
+        assert fd[:2] == pytest.approx([1.0, 1.0], rel=1e-9)
+        assert np.isnan(fd[2])
+
+    def test_chunk_size_does_not_change_the_suite(self, monkeypatch):
+        want = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
+        monkeypatch.setattr(gradcheck, "PROBE_CHUNK", 1)
+        assert gradcheck.check_hybrid_gradients(seed=3, n_draws=2) == want
