@@ -46,6 +46,13 @@ _VALUE_TYPES = {
 }
 
 
+# the least value of each integer field; n_incidents None means auto
+_MINIMUMS = {
+    "zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0,
+    "n_runs": 1, "epochs": 1, "batch_size": 1,
+}
+
+
 @dataclass
 class ExperimentConfig:
     zones: int = 56
@@ -73,8 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"splits must be a non-empty subset of {SPLIT_NAMES}")
         if not self.models or any(m not in MODEL_NAMES for m in self.models):
             raise ConfigError(f"models must be a non-empty subset of {MODEL_NAMES}")
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        for name, least in _MINIMUMS.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         if self.schedule_path is not None and self.n_incidents is not None:
@@ -137,8 +146,12 @@ def cmd_features(args) -> int:
         events = scenario.read_schedule_json(args.schedule)
     # the corridor is the flags', else the one the records imply; records
     # and incidents outside it are errors, not rows or entries to drop
-    n_zones = args.zones if args.zones is not None else int(records.zone.max(initial=-1)) + 1
-    duration_s = args.duration if args.duration is not None else int(records.time.max(initial=-1)) + 1
+    if not len(records) and (args.zones is None or args.duration is None):
+        raise DataError(
+            f"{args.bsm}: no records to infer the corridor from; give --zones and --duration"
+        )
+    n_zones = args.zones if args.zones is not None else int(records.zone.max()) + 1
+    duration_s = args.duration if args.duration is not None else int(records.time.max()) + 1
     scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s)  # both must be >= 1
     outside = (records.zone < 0) | (records.zone >= n_zones) | (records.time >= duration_s)
     if outside.any():

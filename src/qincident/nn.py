@@ -12,7 +12,7 @@ and the final partial batch of an epoch is used at its natural size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -41,10 +41,12 @@ def activate(kind: str, x) -> np.ndarray:
 
 
 def activate_deriv(kind: str, pre_activation) -> np.ndarray:
-    """Derivative evaluated at the pre-activation; relu'(0) is defined as 0."""
+    """Derivative evaluated at the pre-activation; relu'(0) is defined as 0.
+    relu's is the boolean mask ``z > 0``, which multiplies as 1.0 and 0.0
+    without a float temporary."""
     z = np.asarray(pre_activation, dtype=float)
     if kind == "relu":
-        return np.where(z > 0, 1.0, 0.0)
+        return z > 0
     if kind == "sigmoid":
         s = _sigmoid(z)
         return s * (1.0 - s)
@@ -131,7 +133,8 @@ def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"expected input width {layer.in_dim}, got {x.shape[-1]}")
-    z = x @ layer.weights.swapaxes(-1, -2) + layer.biases[..., np.newaxis, :]
+    z = x @ layer.weights.swapaxes(-1, -2)
+    z += layer.biases[..., np.newaxis, :]
     return z, activate(layer.activation, z)
 
 
@@ -179,7 +182,8 @@ class TrainConfig:
 class AdamState:
     """First/second moments laid out like the flat parameters, plus the
     step counter, which every run of a population shares because all runs
-    take every step together."""
+    take every step together.  ``scratch`` holds two work arrays of that
+    shape, made on the first step."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -188,6 +192,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def for_params(cls, params: np.ndarray, learning_rate: float = 0.001) -> "AdamState":
@@ -197,12 +202,32 @@ class AdamState:
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of the flat ``params``, in place.
 
-    Element-wise, so a population's [R, P] parameters update as R models."""
-    if params.shape != grad.shape or params.shape != state.first_moment.shape:
+    Element-wise, so a population's [R, P] parameters update as R models.
+    The moments update in place too, and the intermediate terms go to the
+    two scratch arrays ``state`` keeps, so a step allocates nothing after
+    the first.  Each term is computed in the order of the expressions
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + ((1-beta2)*g)*g`` and
+    ``params -= lr*(m/mc) / (sqrt(v/vc) + eps)``, which fixes its bits."""
+    m, v = state.first_moment, state.second_moment
+    if params.shape != grad.shape or params.shape != m.shape:
         raise ValueError("params, grad and state must have matching shapes")
+    if state.scratch is None:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    a, b = state.scratch
     state.step_count += 1
     mc = 1.0 - state.beta1**state.step_count
     vc = 1.0 - state.beta2**state.step_count
-    m = state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    params -= state.learning_rate * (m / mc) / (np.sqrt(v / vc) + state.epsilon)
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(1.0 - state.beta1, grad, out=a)
+    m += a
+    np.multiply(v, state.beta2, out=v)
+    np.multiply(1.0 - state.beta2, grad, out=a)
+    a *= grad
+    v += a
+    np.divide(m, mc, out=a)
+    a *= state.learning_rate
+    np.divide(v, vc, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    params -= a

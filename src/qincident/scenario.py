@@ -18,7 +18,10 @@ reshapes three zones (``data.neighbor_index`` gives the neighbors):
 After the incident all three zones relax linearly back to base over
 ``RECOVERY_S`` seconds.  Generation is a pure function of the config: each
 zone draws from its own (seed, zone) random stream, so streams are
-bit-reproducible and zones could be generated in parallel.
+bit-reproducible and zones could be generated in parallel.  The records come
+out in (time, zone, ordinal) order, the ordinal numbering the vehicles of
+one (second, zone) cell, with vehicle ids ``v{zone:02d}-{time}-{ordinal}``;
+each zone's draws are placed among the others by cell offsets, not sorted.
 """
 
 from __future__ import annotations
@@ -127,48 +130,49 @@ def _zone_profiles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]:
-    """Vehicle record stream plus the incident schedule that shaped it."""
+    """Vehicle record stream plus the incident schedule that shaped it.
+
+    Records are in (time, zone, ordinal) order, where the ordinal numbers a
+    vehicle within its (second, zone) cell, and vehicle ids read
+    ``v{zone:02d}-{time}-{ordinal}``.  Each zone draws its counts and then
+    its speeds from its own (seed, zone) stream; the draws are then placed
+    by cell offsets, cell (t, z) starting at the exclusive cumulative sum of
+    the time-major counts.
+    """
     speed_mean, rate = _zone_profiles(config)
     events = list(config.incidents or ())
+    n_zones, duration = config.n_zones, config.duration_s
 
-    all_times: list[np.ndarray] = []
-    all_zones: list[np.ndarray] = []
-    all_speeds: list[np.ndarray] = []
-    all_ordinals: list[np.ndarray] = []
-    for zone in range(config.n_zones):
+    counts = np.empty((n_zones, duration), dtype=np.int64)
+    zone_speeds = []
+    for zone in range(n_zones):
         rng = np.random.default_rng([config.seed, zone])
-        counts = rng.poisson(rate[zone])
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        times = np.repeat(np.arange(config.duration_s), counts)
-        means = np.repeat(speed_mean[zone], counts)
-        speeds = np.maximum(rng.normal(means, SPEED_NOISE_SD), 0.0)
-        ordinals = np.concatenate([np.arange(c) for c in counts if c > 0])
-        all_times.append(times)
-        all_zones.append(np.full(total, zone))
-        all_speeds.append(speeds)
-        all_ordinals.append(ordinals)
+        counts[zone] = rng.poisson(rate[zone])
+        zone_speeds.append(rng.normal(np.repeat(speed_mean[zone], counts[zone]), SPEED_NOISE_SD))
 
-    if not all_times:
-        return data.Records([], [], [], []), events
-    times = np.concatenate(all_times)
-    zones = np.concatenate(all_zones)
-    speeds = np.concatenate(all_speeds)
-    ordinals = np.concatenate(all_ordinals)
-    order = np.lexsort((ordinals, zones, times))
-    times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
-    # "v{zone:02d}-{time}-{ordinal}", joined from one text table per part
-    zone_text = np.array([f"v{z:02d}-" for z in range(config.n_zones)], dtype=object)
-    time_text = np.array([f"{t}-" for t in range(config.duration_s)], dtype=object)
-    ordinal_text = np.array([str(o) for o in range(int(ordinals.max()) + 1)], dtype=object)
-    vehicle_ids = list(
-        map(
-            "".join,
-            zip(zone_text[zones].tolist(), time_text[times].tolist(), ordinal_text[ordinals].tolist()),
-        )
+    # time-major cell t * n_zones + z holds the records of (t, z)
+    cell_counts = counts.T.ravel()
+    cell_start = np.cumsum(cell_counts) - cell_counts
+    total = int(cell_counts.sum())
+    cells = np.repeat(np.arange(n_zones * duration), cell_counts)
+    times, zones = np.divmod(cells, n_zones)
+    ordinals = np.arange(total) - cell_start[cells]
+    # the zone-major draws of cell (z, t) move to that cell's time-major start
+    zone_major_start = np.cumsum(counts.ravel()) - counts.ravel()
+    shift = cell_start.reshape(duration, n_zones).T.ravel() - zone_major_start
+    speeds = np.empty(total)
+    speeds[np.arange(total) + np.repeat(shift, counts.ravel())] = np.maximum(
+        np.concatenate(zone_speeds), 0.0
     )
-    return data.Records(times, vehicle_ids, zones, speeds), events
+
+    # "v{zone:02d}-{time}-{ordinal}", added up from one text table per part
+    zone_text = np.array([f"v{z:02d}-" for z in range(n_zones)])
+    time_text = np.array([f"{t}-" for t in range(duration)])
+    ordinal_text = np.array([str(o) for o in range(int(counts.max()))], dtype=str)
+    ids = np.char.add(np.char.add(zone_text[zones], time_text[times]), ordinal_text[ordinals])
+    # as wide as the longest id, the width a column of Python strings gets
+    ids = ids.astype(f"U{np.char.str_len(ids).max(initial=1)}", copy=False)
+    return data.Records(times, ids, zones, speeds), events
 
 
 def synthetic_dataset(

@@ -181,6 +181,25 @@ class TestFeatures:
         assert run_cli(["features", "--bsm", str(bsm), flag, "0", "--out", str(tmp_path / "o.csv")]) == 1
         assert "must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--zones", "4"], ["--duration", "60"]])
+    def test_header_only_records_without_the_corridor_exit_1(self, tmp_path, capsys, flags):
+        bsm = tmp_path / "bsm.csv"
+        bsm.write_text("time_s,vehicle_id,zone_id,speed_mps\n")
+        out = tmp_path / "features.csv"
+        assert run_cli(["features", "--bsm", str(bsm), *flags, "--out", str(out)]) == cli.EXIT_FAIL
+        message = f"error: {bsm}: no records to infer the corridor from; give --zones and --duration"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_records_with_the_corridor_give_empty_rows(self, tmp_path):
+        bsm = tmp_path / "bsm.csv"
+        bsm.write_text("time_s,vehicle_id,zone_id,speed_mps\n")
+        out = tmp_path / "features.csv"
+        args = ["features", "--bsm", str(bsm), "--zones", "4", "--duration", "60", "--out", str(out)]
+        assert run_cli(args) == 0
+        table = data.read_feature_csv(out)
+        assert len(table) == 240 and not table.labels.any()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == cli.EXIT_IO
@@ -342,6 +361,38 @@ class TestExperiment:
         assert code == cli.EXIT_FAIL
         err = capsys.readouterr().err
         assert f"error: learning_rate must be a finite number > 0, got {text.lower()}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--zones", "0", "zones must be >= 1, got 0"),
+         ("--duration", "0", "duration_s must be >= 1, got 0"),
+         ("--incidents", "-2", "n_incidents must be >= 0, got -2"),
+         ("--runs", "0", "n_runs must be >= 1, got 0"),
+         ("--epochs", "0", "epochs must be >= 1, got 0"),
+         ("--batch", "0", "batch_size must be >= 1, got 0")],
+    )
+    def test_bad_count_flag_exits_1_without_a_report(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "exp"
+        assert run_cli(SMALL_EXPERIMENT + [flag, value, "--out", str(out)]) == cli.EXIT_FAIL
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("zones", 0), ("duration_s", -5), ("ds3_duration_s", 0), ("n_incidents", -1),
+         ("epochs", 0), ("batch_size", 0), ("seed", -3)],
+    )
+    def test_bad_count_in_a_config_file_exits_1_without_a_report(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 8, "duration_s": 400, "splits": ["DS-1", "DS-3"], "models": ["classical"],
+            "n_runs": 1, "epochs": 1, key: value,
+        }))
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_config_json_exits_3(self, tmp_path, capsys):

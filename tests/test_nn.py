@@ -196,6 +196,59 @@ class TestAdam:
         np.testing.assert_allclose(biases, [-0.001, -0.001])
 
 
+def expression_adam(params, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's update written as whole-array expressions, each term in
+    the order ``nn.adam_step`` computes it."""
+    mc, vc = 1.0 - beta1**step, 1.0 - beta2**step
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    return params - lr * (m / mc) / (np.sqrt(v / vc) + eps), m, v
+
+
+class TestAdamInPlace:
+    @pytest.mark.parametrize("shape", [(23,), (4, 23)])
+    def test_matches_the_expression_form_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        params = rng.normal(size=shape)
+        lr = 0.003
+        state = nn.AdamState.for_params(params, learning_rate=lr)
+        expected, m, v = params.copy(), np.zeros(shape), np.zeros(shape)
+        for step in range(1, 51):
+            # gradients over many magnitudes, exact zeros included
+            grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3, size=shape)
+            grad[rng.random(shape) < 0.1] = 0.0
+            grad.flags.writeable = False  # a write to grad would raise
+            nn.adam_step(params, grad, state)
+            expected, m, v = expression_adam(expected, grad, m, v, step, lr)
+            assert state.step_count == step
+            np.testing.assert_array_equal(params, expected)
+            np.testing.assert_array_equal(state.first_moment, m)
+            np.testing.assert_array_equal(state.second_moment, v)
+
+    def test_layer_views_of_a_population_see_each_step(self):
+        params = np.zeros((3, 5))
+        weights, biases = params[:, :3].reshape(3, 3, 1), params[:, 3:]
+        assert np.shares_memory(weights, params)
+        state = nn.AdamState.for_params(params)
+        expected, m, v = params.copy(), np.zeros((3, 5)), np.zeros((3, 5))
+        grad = np.arange(15.0).reshape(3, 5) - 7.0
+        for step in (1, 2):
+            nn.adam_step(params, grad, state)
+            expected, m, v = expression_adam(expected, grad, m, v, step, 0.001)
+            np.testing.assert_array_equal(weights, expected[:, :3].reshape(3, 3, 1))
+            np.testing.assert_array_equal(biases, expected[:, 3:])
+
+    def test_mixed_shapes_raise_after_the_first_step(self):
+        params = np.zeros(4)
+        state = nn.AdamState.for_params(params)
+        nn.adam_step(params, np.ones(4), state)
+        with pytest.raises(ValueError):
+            nn.adam_step(np.zeros((2, 4)), np.ones((2, 4)), state)
+        with pytest.raises(ValueError):
+            nn.adam_step(params, np.ones((2, 4)), state)
+        assert state.step_count == 1
+
+
 class TestTrainConfig:
     def test_defaults(self):
         config = nn.TrainConfig()

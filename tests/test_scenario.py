@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qincident import data, scenario
 from qincident.errors import ConfigError, FormatError
@@ -12,6 +14,89 @@ def same_records(a, b):
         np.array_equal(getattr(a, column), getattr(b, column))
         for column in ("time", "vehicle_id", "zone", "speed")
     )
+
+
+def reference_generate(config):
+    """The generator written the direct way: each zone's records with
+    per-cell ``arange`` ordinals, then one (time, zone, ordinal) sort of all
+    of them and one join per vehicle id."""
+    speed_mean, rate = scenario._zone_profiles(config)
+    all_times, all_zones, all_speeds, all_ordinals = [], [], [], []
+    for zone in range(config.n_zones):
+        rng = np.random.default_rng([config.seed, zone])
+        counts = rng.poisson(rate[zone])
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        means = np.repeat(speed_mean[zone], counts)
+        all_times.append(np.repeat(np.arange(config.duration_s), counts))
+        all_zones.append(np.full(total, zone))
+        all_speeds.append(np.maximum(rng.normal(means, scenario.SPEED_NOISE_SD), 0.0))
+        all_ordinals.append(np.concatenate([np.arange(c) for c in counts if c > 0]))
+    if not all_times:
+        return data.Records([], [], [], [])
+    times, zones, speeds, ordinals = (
+        np.concatenate(parts) for parts in (all_times, all_zones, all_speeds, all_ordinals)
+    )
+    order = np.lexsort((ordinals, zones, times))
+    times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
+    ids = ["".join((f"v{z:02d}-", f"{t}-", str(o))) for z, t, o in zip(zones, times, ordinals)]
+    return data.Records(times, ids, zones, speeds)
+
+
+def assert_matches_reference(config):
+    records, events = scenario.generate(config)
+    expected = reference_generate(config)
+    assert events == list(config.incidents or ())
+    assert same_records(records, expected)
+    assert records.vehicle_id.dtype == expected.vehicle_id.dtype
+
+
+@st.composite
+def corridors(draw):
+    """A corridor of 1-9 zones and 1-300 s with up to four incidents placed
+    anywhere inside it, overlaps included."""
+    n_zones = draw(st.integers(1, 9))
+    duration_s = draw(st.integers(1, 300))
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, duration_s - 1))
+        events.append(scenario.IncidentEvent(
+            zone=draw(st.integers(0, n_zones - 1)),
+            start_s=start,
+            duration_s=draw(st.integers(1, duration_s - start)),
+        ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return scenario.ScenarioConfig(n_zones, duration_s, tuple(events), seed)
+
+
+class TestGenerateMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(corridors())
+    def test_random_corridors(self, config):
+        assert_matches_reference(config)
+
+    def test_starved_departure_zones(self):
+        # a one-second incident ends with its departure zone's demand at 0:
+        # zones 2 and 5 (departures of 1 and 4) hold no records at all
+        events = (scenario.IncidentEvent(1, 0, 1), scenario.IncidentEvent(4, 0, 1))
+        config = scenario.ScenarioConfig(n_zones=6, duration_s=1, seed=3, incidents=events)
+        records, _ = scenario.generate(config)
+        assert len(records) and not np.isin(records.zone, [2, 5]).any()
+        assert_matches_reference(config)
+
+    def test_corridor_without_records(self, monkeypatch):
+        monkeypatch.setattr(scenario, "BASE_RATE", 0.0)
+        config = scenario.ScenarioConfig(n_zones=4, duration_s=30, seed=0)
+        assert len(scenario.generate(config)[0]) == 0
+        assert_matches_reference(config)
+
+    @pytest.mark.parametrize("duration_s, bucket_seconds", [(1250, 1), (1500, 60)])
+    def test_seed_zero_corridors(self, duration_s, bucket_seconds):
+        # the per-second pipeline's corridor and the DS-3 one
+        config = scenario.ScenarioConfig(n_zones=56, duration_s=duration_s, seed=0)
+        events = scenario.default_schedule(config, bucket_seconds=bucket_seconds)
+        assert_matches_reference(scenario.ScenarioConfig(56, duration_s, tuple(events), 0))
 
 
 class TestGenerate:
