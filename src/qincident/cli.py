@@ -28,7 +28,6 @@ from .errors import ConfigError, DataError, FormatError, ParseError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 SPLIT_NAMES = ("DS-1", "DS-2", "DS-3")
@@ -80,6 +79,11 @@ class ExperimentConfig:
             raise ConfigError(f"splits must be a non-empty subset of {SPLIT_NAMES}")
         if not self.models or any(m not in MODEL_NAMES for m in self.models):
             raise ConfigError(f"models must be a non-empty subset of {MODEL_NAMES}")
+        for name in ("splits", "models"):
+            names = getattr(self, name)
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated:
+                raise ConfigError(f"{name} must not repeat a name, got {repeated[0]!r} twice")
         for name, least in _MINIMUMS.items():
             value = getattr(self, name)
             if value is not None and value < least:
@@ -132,7 +136,7 @@ def cmd_gen(args) -> int:
     # the config keeps every incident inside the zones x seconds grid, so
     # the schedule alone gives the labeled rows' count and prevalence
     n_rows = config.n_zones * config.duration_s
-    prevalence = scenario._positive_rows(events, config.duration_s, 1) / n_rows
+    prevalence = scenario.positive_rows(events, config.duration_s, 1) / n_rows
     print(f"feature rows: {n_rows}  positive prevalence: {prevalence:.4f}")
     return EXIT_OK
 

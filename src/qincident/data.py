@@ -18,12 +18,13 @@ File formats (all UTF-8, LF):
 * feature CSV, header
   ``bucket_start_s,zone_id,spd_z,cnt_z,spd_up,cnt_up,spd_dn,cnt_dn,label``.
 
-The writers give the bytes ``csv.writer`` would, floats as ``repr``.  The
-readers parse a file's columns with ``np.loadtxt`` and check them; a file
-that parse could read differently from ``csv.reader`` (a quote, CR, NUL,
-``#``, \x1c-\x1f, a blank or overlong line), or whose columns fail a
-check, is read again row by row through ``csv.reader``, which returns the
-same values or raises the same ``path:line: message`` error.
+The writers give the bytes ``csv.writer`` would, floats as ``repr``.  Only
+the record CSV is read back.  Its reader parses the file's columns with
+``np.loadtxt`` and checks them; a file that parse could read differently
+from ``csv.reader`` (a quote, CR, NUL, ``#``, \x1c-\x1f, a blank or
+overlong line), or whose columns fail a check, is read again row by row
+through ``csv.reader``, which returns the same values or raises the same
+``path:line: message`` error.
 """
 
 from __future__ import annotations
@@ -114,14 +115,13 @@ def build_dataset(
     events,
     n_zones: int,
     bucket_seconds: int,
-    duration_s: int | None = None,
+    duration_s: int,
 ) -> Dataset:
     """One labeled row per (bucket, zone) over [0, duration_s), empties
     included: ``aggregate``, then ``build_features``, then ``label``.
 
-    When ``duration_s`` is not given it is the latest record time + 1 (0
-    without records).  ``events`` entries need ``zone``, ``start_s`` and
-    ``duration_s`` attributes (or are (zone, start_s, duration_s) triples).
+    ``events`` entries need ``zone``, ``start_s`` and ``duration_s``
+    attributes (or are (zone, start_s, duration_s) triples).
     """
     starts, speed, count = aggregate(records, bucket_seconds, n_zones, duration_s)
     bucket_start = np.repeat(starts, n_zones)
@@ -135,7 +135,7 @@ def build_dataset(
 
 
 def aggregate(
-    records: Records, bucket_seconds: int, n_zones: int, duration_s: int | None = None
+    records: Records, bucket_seconds: int, n_zones: int, duration_s: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bucket starts [B], mean speed [B, n_zones], count [B, n_zones]).
 
@@ -152,7 +152,7 @@ def aggregate(
     times, zones = records.time, records.zone
     if np.any((zones < 0) | (zones >= n_zones)):
         raise DataError(f"zone id outside [0, {n_zones}) in records")
-    duration = int(duration_s) if duration_s is not None else int(times.max(initial=-1)) + 1
+    duration = int(duration_s)
     if np.any(times >= duration):
         raise DataError("record time beyond the stated duration")
 
@@ -291,14 +291,6 @@ _LOADTXT_LINE_MAX = 640
 
 _BSM_ROW = np.dtype(
     [("time", np.int64), ("vehicle_id", object), ("zone", np.int64), ("speed", np.float64)]
-)
-_FEATURE_ROW = np.dtype(
-    [
-        ("bucket_start", np.int64),
-        ("zone_id", np.int64),
-        ("features", np.float64, (6,)),
-        ("label", np.int64),
-    ]
 )
 
 
@@ -448,42 +440,3 @@ def write_feature_csv(table: Dataset, path) -> None:
 
     _write_lines(path, FEATURE_HEADER, len(table), lines)
 
-
-def read_feature_csv(path) -> Dataset:
-    rows = _load_rows(path, FEATURE_HEADER, _FEATURE_ROW)
-    if rows is not None:
-        labels, features = rows["label"], rows["features"]
-        if np.all((labels == 0) | (labels == 1)) and np.all(np.isfinite(features)):
-            return Dataset(
-                bucket_start=rows["bucket_start"].copy(),
-                zone_id=rows["zone_id"].copy(),
-                features=features.copy(),
-                labels=labels.copy(),
-            )
-    return _read_feature_rows(path)
-
-
-def _read_feature_rows(path) -> Dataset:
-    buckets, zones, features, labels = [], [], [], []
-
-    def parse_row(fields):
-        lab = int(fields[8])
-        if lab not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {lab}")
-        values = [float(v) for v in fields[2:8]]
-        bad = [name for name, v in zip(FEATURE_HEADER[2:8], values) if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite feature {', '.join(bad)}")
-        bucket, zone = int(fields[0]), int(fields[1])
-        buckets.append(bucket)
-        zones.append(zone)
-        features.append(values)
-        labels.append(lab)
-
-    _read_csv(path, FEATURE_HEADER, parse_row)
-    return Dataset(
-        bucket_start=np.array(buckets, dtype=np.int64),
-        zone_id=np.array(zones, dtype=np.int64),
-        features=np.array(features, dtype=float).reshape(-1, 6),
-        labels=np.array(labels, dtype=np.int64),
-    )

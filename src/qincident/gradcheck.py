@@ -19,7 +19,6 @@ Used by the test suite and by the ``gradcheck`` CLI command.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import reduce
 
@@ -212,7 +211,7 @@ def check_hybrid_gradients(
             # every row's loss and which ReLU units are active (relu(z) > 0
             # exactly where z > 0).
             h, active = features, []
-            for layer in _stacked_layers(net.layers, rows):
+            for layer in model_mod._bind(net.layers, rows):
                 h = layer.forward(h)
                 if getattr(layer, "activation", None) == "relu":
                     active.append(h[:, 0] > 0)
@@ -232,21 +231,6 @@ def check_hybrid_gradients(
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
-
-
-def _stacked_layers(layers: list, rows: np.ndarray) -> list:
-    """Shallow copies of ``layers`` whose arrays are [R, ...] views of the
-    [R, P] parameter rows ``rows``, laid out like ``Model.params``."""
-    stacked, offset = [], 0
-    for layer in layers:
-        part = copy.copy(layer)
-        for name in layer.param_names:
-            array = getattr(layer, name)
-            view = rows[:, offset : offset + array.size].reshape((len(rows),) + array.shape)
-            setattr(part, name, view)
-            offset += array.size
-        stacked.append(part)
-    return stacked
 
 
 def _central_differences(

@@ -14,9 +14,11 @@ deterministic for a fixed seed.
 Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
 ``forward(x)``; ``forward_cached(x)`` -> (out, cache) and
 ``backward(cache, d_out)`` -> (d_in, grads in ``param_names`` order);
-``to_dict``/``from_dict``.  A model keeps all trainable numbers in one
-float64 vector, ``Model.params``, and the layers' arrays are views into it,
-so gradients and Adam work on that one vector.
+``to_dict``, the layer's entry in the saved-model document.  A model keeps
+all trainable numbers in one float64 vector, ``Model.params``, and the
+layers' arrays are views into it, so gradients and Adam work on that one
+vector.  The hidden widths and the decision threshold are the module
+constants ``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -43,6 +45,8 @@ from . import nn, qsim
 from .errors import DataError
 
 MODEL_KINDS = ("classical", "hybrid")
+HIDDEN_WIDTHS = (48, 32)
+OUTPUT_THRESHOLD = 0.5
 
 # patch point for test harnesses that swap the quantum layer for an identity map
 _QUANTUM_FORWARD = qsim.forward_batch
@@ -52,24 +56,18 @@ _QUANTUM_GRADIENTS = qsim.gradients_batch
 @dataclass
 class HybridModelConfig:
     kind: str = "hybrid"
-    hidden_widths: tuple[int, int] = (48, 32)
     n_qubits: int = 4
     n_entangler_layers: int = 1
-    output_threshold: float = 0.5
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if len(self.hidden_widths) != 2 or any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"hidden_widths must be two positive ints, got {self.hidden_widths}")
         if self.kind == "hybrid":
             if self.n_qubits < 1:
                 raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
             if self.n_entangler_layers < 1:
                 raise ValueError("n_entangler_layers must be >= 1")
             qsim.check_circuit(self.n_qubits, self.n_entangler_layers)
-        if not 0.0 < self.output_threshold < 1.0:
-            raise ValueError("output_threshold must lie in (0, 1)")
 
     @property
     def label(self) -> str:
@@ -120,30 +118,23 @@ class QuantumLayer:
             "weights": self.weights.ravel().tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "QuantumLayer":
-        shape = (doc["n_entangler_layers"], doc["n_qubits"])
-        return cls(np.array(doc["weights"], dtype=float).reshape(shape))
 
-
-_LAYER_TYPES = {"dense": nn.DenseLayer, "quantum": QuantumLayer}
-
-
-def _flat_views(layers: list, runs: tuple[int, ...] = ()) -> np.ndarray:
-    """Copy every layer's trainable arrays, each with the leading ``runs``
-    axes, into one float64 array of shape ``runs + (P,)``, in stack order,
-    and rebind them as reshaped views of it."""
-    arrays = [(layer, name) for layer in layers for name in layer.param_names]
-    params = np.concatenate(
-        [getattr(layer, name).reshape(runs + (-1,)) for layer, name in arrays], axis=-1
-    )
-    offset = 0
-    for layer, name in arrays:
-        array = getattr(layer, name)
-        size = array.size // math.prod(runs)
-        setattr(layer, name, params[..., offset : offset + size].reshape(array.shape))
-        offset += size
-    return params
+def _bind(layers: list, params: np.ndarray, runs: int = 0) -> list:
+    """Shallow copies of ``layers`` whose trainable arrays are views of
+    ``params`` [..., P], laid out in stack order.  ``runs`` is how many
+    leading run axes the arrays of ``layers`` have; each view keeps the
+    rest of its array's shape and leads with the axes of ``params``."""
+    bound, offset = [], 0
+    for layer in layers:
+        part = copy.copy(layer)
+        for name in layer.param_names:
+            shape = getattr(layer, name).shape[runs:]
+            size = math.prod(shape)
+            view = params[..., offset : offset + size].reshape(params.shape[:-1] + shape)
+            setattr(part, name, view)
+            offset += size
+        bound.append(part)
+    return bound
 
 
 @dataclass
@@ -165,12 +156,15 @@ class Model:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = _flat_views(self.layers)
+        self.params = np.concatenate(
+            [getattr(layer, name).ravel() for layer in self.layers for name in layer.param_names]
+        )
+        self.layers = _bind(self.layers, self.params)
 
     def __setstate__(self, state: dict):
         # pickle and deepcopy copy views as separate arrays: bind them again
         self.__dict__.update(state)
-        self.params = _flat_views(self.layers, self.params.shape[:-1])
+        self.layers = _bind(self.layers, self.params, self.params.ndim - 1)
 
 
 N_FEATURES = 6
@@ -179,7 +173,7 @@ N_FEATURES = 6
 def build_model(config: HybridModelConfig, seed: int) -> Model:
     """Fresh model with Glorot dense layers and uniform [0, 2*pi) quantum angles."""
     rng = np.random.default_rng(seed)
-    w1, w2 = config.hidden_widths
+    w1, w2 = HIDDEN_WIDTHS
     layers = [nn.init_layer(N_FEATURES, w1, rng, "relu"), nn.init_layer(w1, w2, rng, "relu")]
     if config.kind == "classical":
         layers.append(nn.init_layer(w2, 1, rng, "sigmoid"))
@@ -202,27 +196,14 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     members = [build_model(config, seed + r) for r in range(n_runs)]
     population = members[0]
-    for index, layer in enumerate(population.layers):
-        for name in layer.param_names:
-            setattr(layer, name, np.stack([getattr(m.layers[index], name) for m in members]))
-    population.params = _flat_views(population.layers, (n_runs,))
+    population.params = np.stack([m.params for m in members])
+    population.layers = _bind(population.layers, population.params)
     return population
 
 
 # A stacked forward pass holds runs x rows x width activations; a pass over
 # more run-rows than this goes one group of runs at a time.
 _STACKED_ROWS = 1 << 16
-
-
-def _run_group(layers: list, runs: slice) -> list:
-    """Shallow copies of ``layers`` whose arrays are views of runs ``runs``."""
-    group = []
-    for layer in layers:
-        part = copy.copy(layer)
-        for name in layer.param_names:
-            setattr(part, name, getattr(layer, name)[runs])
-        group.append(part)
-    return group
 
 
 def _forward_layers(layers: list, h: np.ndarray) -> np.ndarray:
@@ -243,7 +224,7 @@ def forward(model: Model, features) -> np.ndarray:
         return _forward_layers(model.layers, h)
     return np.concatenate(
         [
-            _forward_layers(_run_group(model.layers, slice(start, start + group)), h)
+            _forward_layers(_bind(model.layers, model.params[start : start + group], 1), h)
             for start in range(0, runs[0], group)
         ]
     )
@@ -251,7 +232,7 @@ def forward(model: Model, features) -> np.ndarray:
 
 def predict(model: Model, features) -> np.ndarray:
     """1 iff the forward probability reaches the threshold (inclusive)."""
-    return (forward(model, features) >= model.config.output_threshold).astype(int)
+    return (forward(model, features) >= OUTPUT_THRESHOLD).astype(int)
 
 
 def loss_and_gradients(
@@ -290,6 +271,9 @@ def loss_and_gradients(
     )
 
 
+# a diverging run overflows before its loss turns non-finite; the loss check
+# reports it, so numpy's warnings would only repeat it
+@np.errstate(all="ignore")
 def train(model: Model, data, config: nn.TrainConfig) -> Model:
     """Mini-batch Adam on mean BCE, updating ``model.params`` in place.
 
@@ -313,7 +297,6 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     base_order = np.arange(n_rows)
     n_batches = math.ceil(n_rows / config.batch_size)
     loss_history, accuracy_history = [], []
-    threshold = model.config.output_threshold
     for epoch in range(config.epochs):
         if config.shuffle:
             order = np.stack([rng.permutation(n_rows) for rng in rngs]).reshape(runs + (n_rows,))
@@ -334,7 +317,7 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
             running += loss * batch.shape[-1]
         loss_history.append(running / n_rows)
         probs = forward(model, features)
-        accuracy_history.append(np.mean((probs >= threshold) == (labels > 0.5), axis=-1))
+        accuracy_history.append(np.mean((probs >= OUTPUT_THRESHOLD) == (labels > 0.5), axis=-1))
     model.history = {
         "loss": np.stack(loss_history, axis=-1).tolist(),
         "train_accuracy": np.stack(accuracy_history, axis=-1).tolist(),
@@ -356,10 +339,10 @@ def model_to_dict(model: Model) -> dict:
     return {
         "config": {
             "kind": model.config.kind,
-            "hidden_widths": list(model.config.hidden_widths),
+            "hidden_widths": list(HIDDEN_WIDTHS),
             "n_qubits": model.config.n_qubits,
             "n_entangler_layers": model.config.n_entangler_layers,
-            "output_threshold": model.config.output_threshold,
+            "output_threshold": OUTPUT_THRESHOLD,
         },
         "layers": [layer.to_dict() for layer in model.layers],
         "seed": model.seed,
@@ -367,30 +350,7 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> Model:
-    cfg = doc["config"]
-    config = HybridModelConfig(
-        kind=cfg["kind"],
-        hidden_widths=tuple(cfg["hidden_widths"]),
-        n_qubits=cfg["n_qubits"],
-        n_entangler_layers=cfg["n_entangler_layers"],
-        output_threshold=cfg["output_threshold"],
-    )
-    layers = [_LAYER_TYPES[entry["type"]].from_dict(entry) for entry in doc["layers"]]
-    return Model(
-        config=config,
-        layers=layers,
-        seed=doc["seed"],
-        history=doc.get("history", {}),
-    )
-
-
 def save_model(model: Model, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))

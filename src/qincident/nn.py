@@ -59,8 +59,8 @@ class DenseLayer:
     leading run axis in a population.
 
     Follows the layer protocol of ``model``: ``forward``,
-    ``forward_cached``/``backward``, ``to_dict``/``from_dict``, and
-    ``param_names``, the trainable arrays in their flat-vector order.
+    ``forward_cached``/``backward``, ``to_dict``, and ``param_names``, the
+    trainable arrays in their flat-vector order.
     """
 
     weights: np.ndarray
@@ -109,11 +109,6 @@ class DenseLayer:
             "weights": self.weights.ravel().tolist(),
             "biases": self.biases.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DenseLayer":
-        weights = np.array(doc["weights"], dtype=float).reshape(doc["out_dim"], doc["in_dim"])
-        return cls(weights, np.array(doc["biases"]), doc["activation"])
 
 
 def init_layer(

@@ -200,7 +200,7 @@ def _affected_zones(zone: int, neighbors: tuple[np.ndarray, np.ndarray]) -> set[
     return {zone, int(up[zone]), int(down[zone])}
 
 
-def _positive_rows(events: list[IncidentEvent], duration_s: int, bucket_seconds: int) -> int:
+def positive_rows(events: list[IncidentEvent], duration_s: int, bucket_seconds: int) -> int:
     """How many (zone, bucket) rows the schedule will label positive."""
     covered: set[tuple[int, int]] = set()
     for event in events:
@@ -213,7 +213,6 @@ def _positive_rows(events: list[IncidentEvent], duration_s: int, bucket_seconds:
 def default_schedule(
     config: ScenarioConfig,
     n_incidents: int | None = None,
-    rng: np.random.Generator | None = None,
     bucket_seconds: int = 1,
 ) -> list[IncidentEvent]:
     """Non-colliding incidents sized so positives land in the 1-3% band.
@@ -231,8 +230,7 @@ def default_schedule(
         raise ConfigError(f"n_incidents must be >= 0, got {n_incidents}")
     if n_incidents == 0:
         return []
-    if rng is None:
-        rng = np.random.default_rng([config.seed, 104729])
+    rng = np.random.default_rng([config.seed, 104729])
     neighbors = data.neighbor_index(config.n_zones)
     n_rows = config.n_zones * math.ceil(config.duration_s / bucket_seconds)
     pad = 10
@@ -278,7 +276,7 @@ def default_schedule(
                 break
         elif (
             len(events) >= early_quota
-            and _positive_rows(events, config.duration_s, bucket_seconds) / n_rows
+            and positive_rows(events, config.duration_s, bucket_seconds) / n_rows
             >= PREVALENCE_TARGET
         ):
             break
@@ -286,6 +284,9 @@ def default_schedule(
         events.append(event)
     events.sort(key=lambda e: (e.start_s, e.zone))
     return events
+
+
+_SCHEDULE_KEYS = ("zone", "start_s", "duration_s")
 
 
 def write_schedule_json(events: list[IncidentEvent], path) -> None:
@@ -300,8 +301,9 @@ def write_schedule_json(events: list[IncidentEvent], path) -> None:
 
 def read_schedule_json(path) -> list[IncidentEvent]:
     """The schedule in ``path``: a JSON array of objects with integer
-    ``zone``, ``start_s`` and ``duration_s`` (> 0).  Anything else raises
-    ``FormatError`` naming the path and, for a bad entry, its index."""
+    ``zone``, ``start_s`` and ``duration_s`` (> 0) and no other key.
+    Anything else raises ``FormatError`` naming the path and, for a bad
+    entry, its index."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -313,8 +315,11 @@ def read_schedule_json(path) -> list[IncidentEvent]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entry {i}: expected an object, got {entry!r}")
+        unknown = [key for key in entry if key not in _SCHEDULE_KEYS]
+        if unknown:
+            raise FormatError(f"{path}: entry {i}: unknown key {unknown[0]!r}")
         values = []
-        for key in ("zone", "start_s", "duration_s"):
+        for key in _SCHEDULE_KEYS:
             if key not in entry:
                 raise FormatError(f"{path}: entry {i}: missing {key!r}")
             value = entry[key]

@@ -1,9 +1,11 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,13 @@ from qincident import cli, data, model, qsim, scenario
 
 def run_cli(args):
     return cli.main(args)
+
+
+def read_features(path):
+    """The columns of a feature CSV by header name, as float arrays."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    return dict(zip(header, np.array(rows, dtype=float).reshape(-1, len(header)).T))
 
 
 class TestGen:
@@ -79,7 +88,7 @@ class TestFeatures:
             ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--out", str(out)]
         )
         assert code == 0
-        assert len(data.read_feature_csv(out)) == 6 * 240
+        assert len(read_features(out)["label"]) == 6 * 240
 
     def test_per_minute_bucket(self, tmp_path):
         bsm, schedule = self.make_inputs(tmp_path)
@@ -89,7 +98,7 @@ class TestFeatures:
              "--bucket", "60", "--out", str(out)]
         )
         assert code == 0
-        assert len(data.read_feature_csv(out)) == 6 * 4
+        assert len(read_features(out)["label"]) == 6 * 4
 
     def test_missing_schedule_warns_all_zero(self, tmp_path, capsys):
         bsm, _ = self.make_inputs(tmp_path)
@@ -97,7 +106,7 @@ class TestFeatures:
         code = run_cli(["features", "--bsm", str(bsm), "--out", str(out)])
         assert code == 0
         assert "warning" in capsys.readouterr().err.lower()
-        assert not data.read_feature_csv(out).labels.any()
+        assert not read_features(out)["label"].any()
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -136,18 +145,18 @@ class TestFeatures:
             ["features", "--bsm", str(trimmed), "--schedule", str(schedule), "--zones", "6", "--out", str(out)]
         )
         assert code == 0
-        table = data.read_feature_csv(out)
-        assert len(table) == 6 * 240
-        last = table.zone_id == 5
-        assert last.sum() == 240 and not table.features[last, 1].any()
+        table = read_features(out)
+        assert len(table["label"]) == 6 * 240
+        last = table["zone_id"] == 5
+        assert last.sum() == 240 and not table["cnt_z"][last].any()
 
     def test_duration_flag_keeps_trailing_seconds(self, tmp_path):
         bsm, _ = self.make_inputs(tmp_path)
         out = tmp_path / "features.csv"
         assert run_cli(["features", "--bsm", str(bsm), "--duration", "300", "--out", str(out)]) == 0
-        table = data.read_feature_csv(out)
-        assert len(table) == 6 * 300
-        assert not table.features[table.bucket_start >= 240, 1].any()
+        table = read_features(out)
+        assert len(table["label"]) == 6 * 300
+        assert not table["cnt_z"][table["bucket_start_s"] >= 240].any()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -173,7 +182,7 @@ class TestFeatures:
         assert run_cli(args) == cli.EXIT_FAIL
         assert "incident [250, 270) outside [0, 240)" in capsys.readouterr().err
         assert run_cli([*args, "--duration", "300"]) == 0
-        assert data.read_feature_csv(out).labels.sum() == 20
+        assert read_features(out)["label"].sum() == 20
 
     @pytest.mark.parametrize("flag", ["--zones", "--duration"])
     def test_non_positive_corridor_flag_exits_1(self, tmp_path, capsys, flag):
@@ -197,8 +206,8 @@ class TestFeatures:
         out = tmp_path / "features.csv"
         args = ["features", "--bsm", str(bsm), "--zones", "4", "--duration", "60", "--out", str(out)]
         assert run_cli(args) == 0
-        table = data.read_feature_csv(out)
-        assert len(table) == 240 and not table.labels.any()
+        labels = read_features(out)["label"]
+        assert len(labels) == 240 and not labels.any()
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
@@ -395,6 +404,43 @@ class TestExperiment:
         assert f"error: {key} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, repeated",
+        [("--models", "classical,classical", "models must not repeat a name, got 'classical' twice"),
+         ("--splits", "DS-1,DS-3,DS-1", "splits must not repeat a name, got 'DS-1' twice")],
+    )
+    def test_repeated_name_flag_exits_1_without_a_report(self, tmp_path, capsys, flag, value, repeated):
+        out = tmp_path / "exp"
+        assert run_cli(SMALL_EXPERIMENT + [flag, value, "--out", str(out)]) == cli.EXIT_FAIL
+        assert f"error: {repeated}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, repeated",
+        [("models", ["hybrid-2q", "classical", "hybrid-2q"], "'hybrid-2q'"), ("splits", ["DS-3", "DS-3"], "'DS-3'")],
+    )
+    def test_repeated_name_in_a_config_file_exits_1_without_a_report(
+        self, tmp_path, capsys, key, value, repeated
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"zones": 8, "duration_s": 400, "n_runs": 1, "epochs": 1, key: value}))
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert f"error: {key} must not repeat a name, got {repeated} twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_learning_rate_prints_only_the_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(SMALL_EXPERIMENT + ["--lr", "1e300", "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: loss nan at epoch 1/2, batch 2/")
+        assert err.count("\n") == 1
+
     def test_invalid_config_json_exits_3(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"zones": 8,')
@@ -415,6 +461,8 @@ class TestScheduleFile:
             ('[{"zone": 1, "start_s": "40", "duration_s": 5}]', "entry 0: start_s must be an integer, got '40'"),
             ('[{"zone": 1, "start_s": 0, "duration_s": "abc"}]', "entry 0: duration_s must be an integer, got 'abc'"),
             ('[{"zone": 1, "start_s": 0, "duration_s": 0}]', "entry 0: duration_s must be > 0, got 0"),
+            ('[{"zone": 1, "start_s": 10, "duration_s": 20, "extra": 1}]', "entry 0: unknown key 'extra'"),
+            ('[{"zone": 1, "start": 10, "duration_s": 20}]', "entry 0: unknown key 'start'"),
         ],
     )
     @pytest.mark.parametrize("command", ["gen", "features"])
@@ -431,6 +479,19 @@ class TestScheduleFile:
             args = ["features", "--bsm", str(bsm), "--out", str(tmp_path / "f.csv")]
         assert run_cli(args + ["--schedule", str(path)]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+    def test_experiment_schedule_with_an_unknown_key_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text('[{"zone": 1, "start_s": 10, "duration_s": 20, "extra": 1}]')
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 8, "duration_s": 400, "splits": ["DS-1"], "models": ["classical"],
+            "n_runs": 1, "epochs": 1, "schedule_path": str(path),
+        }))
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: {path}: entry 0: unknown key 'extra'")
 
 
 class TestSmoke:
@@ -475,32 +536,32 @@ class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["frobnicate"])
-        assert excinfo.value.code == cli.EXIT_USAGE
+        assert excinfo.value.code == 2
 
     def test_bad_bucket_value_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["features", "--bsm", "x.csv", "--bucket", "30"])
-        assert excinfo.value.code == cli.EXIT_USAGE
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("command", ["gen", "experiment", "gradcheck"])
     def test_negative_seed_flag_exits_2(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             run_cli([command, "--seed", "-1"])
-        assert excinfo.value.code == cli.EXIT_USAGE
+        assert excinfo.value.code == 2
         assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
     def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("QINC_SEED", "-1")
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["gradcheck"])
-        assert excinfo.value.code == cli.EXIT_USAGE
+        assert excinfo.value.code == 2
         assert "QINC_SEED must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
     def test_non_integer_env_seed_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("QINC_SEED", "abc")
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["gradcheck"])
-        assert excinfo.value.code == cli.EXIT_USAGE
+        assert excinfo.value.code == 2
         assert "QINC_SEED" in capsys.readouterr().err
 
 

@@ -256,18 +256,6 @@ class TestCsvRoundTrip:
         data.write_bsm_csv(recs, path)
         assert_records_equal(data.read_bsm_csv(path), recs)
 
-    def test_feature_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        table = data.Dataset(
-            np.arange(500), rng.integers(0, 5, 500), rng.uniform(0, 30, (500, 6)),
-            rng.integers(0, 2, 500),
-        )
-        path = tmp_path / "features.csv"
-        data.write_feature_csv(table, path)
-        back = data.read_feature_csv(path)
-        for column in ("bucket_start", "zone_id", "features", "labels"):
-            np.testing.assert_array_equal(getattr(back, column), getattr(table, column))
-
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "bsm.csv"
         path.write_text("time_s,vehicle_id,zone_id,speed_mps\n")
@@ -310,14 +298,6 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c,d\n")
         with pytest.raises(FormatError):
             data.read_bsm_csv(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_feature_is_parse_error(self, tmp_path, value):
-        path = tmp_path / "features.csv"
-        header = ",".join(data.FEATURE_HEADER)
-        path.write_text(f"{header}\n0,0,1.0,2.0,3.0,4.0,5.0,6.0,0\n1,0,1.0,2.0,{value},4.0,5.0,6.0,1\n")
-        with pytest.raises(ParseError, match=r"features.csv:3: non-finite feature spd_up"):
-            data.read_feature_csv(path)
 
 
 # -- the CSV fast paths against the csv-module reference ------------------------------
@@ -399,14 +379,6 @@ class TestCsvFastPath:
         assert_records_equal(back, recs)
         assert back.vehicle_id.dtype == recs.vehicle_id.dtype
 
-    def test_built_features_take_the_fast_path(self, tmp_path, no_row_loop):
-        recs, events = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=120, seed=2))
-        table = data.build_dataset(recs, events, 6, 1)
-        data.write_feature_csv(table, tmp_path / "features.csv")
-        back = data.read_feature_csv(tmp_path / "features.csv")
-        for column in ("bucket_start", "zone_id", "features", "labels"):
-            np.testing.assert_array_equal(getattr(back, column), getattr(table, column))
-
 
 def read_outcome(read, path):
     """What a reader gives for a file: every column's dtype, shape and bytes
@@ -447,12 +419,6 @@ bsm_fields = st.tuples(
     field(st.integers(0, 60), INT_TEXTS),
     field(st.floats(0.0, 50.0), FLOAT_TEXTS),
 )
-feature_fields = st.tuples(
-    field(st.integers(0, 10**5), INT_TEXTS),
-    field(st.integers(0, 60), INT_TEXTS),
-    *[field(st.floats(-1e3, 1e3), FLOAT_TEXTS) for _ in range(6)],
-    field(st.integers(0, 1), INT_TEXTS),
-)
 
 
 @st.composite
@@ -480,7 +446,7 @@ def csv_files(draw, header, rows):
 
 
 class TestCsvReaderAgreement:
-    """The public readers and the csv-module row loop give the same arrays
+    """The record reader and the csv-module row loop give the same arrays
     (dtype included) or the same error, word for word."""
 
     @settings(max_examples=300, deadline=None)
@@ -489,15 +455,6 @@ class TestCsvReaderAgreement:
         path = tmp_path_factory.mktemp("bsm") / "bsm.csv"
         path.write_bytes(text.encode("utf-8"))
         assert read_outcome(data.read_bsm_csv, path) == read_outcome(data._read_bsm_rows, path)
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=csv_files(data.FEATURE_HEADER, feature_fields))
-    def test_features(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("features") / "features.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert read_outcome(data.read_feature_csv, path) == read_outcome(
-            data._read_feature_rows, path
-        )
 
 
 # -- the builder against a per-row reference ----------------------------------------

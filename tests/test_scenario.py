@@ -208,7 +208,7 @@ class TestDefaultSchedule:
         config = scenario.ScenarioConfig(seed=seed)
         events = scenario.default_schedule(config)
         rows = config.n_zones * config.duration_s
-        prevalence = scenario._positive_rows(events, config.duration_s, 1) / rows
+        prevalence = scenario.positive_rows(events, config.duration_s, 1) / rows
         assert 0.01 <= prevalence <= 0.03
 
     @pytest.mark.parametrize("seed", range(10))
@@ -216,7 +216,7 @@ class TestDefaultSchedule:
         config = scenario.ScenarioConfig(seed=seed, duration_s=1500)
         events = scenario.default_schedule(config, bucket_seconds=60)
         rows = config.n_zones * (config.duration_s // 60)
-        prevalence = scenario._positive_rows(events, config.duration_s, 60) / rows
+        prevalence = scenario.positive_rows(events, config.duration_s, 60) / rows
         assert 0.01 <= prevalence <= 0.03
 
     def test_early_window_seeded(self):
