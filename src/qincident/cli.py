@@ -242,11 +242,11 @@ def cmd_experiment(args) -> int:
         learning_rate=config.learning_rate,
         seed=config.seed,
     )
+    splits = _build_splits(config)  # a bad schedule fails here, before any output
     os.makedirs(config.out_dir, exist_ok=True)
     report: dict = {"config": asdict(config), "splits": []}
     tables: list[str] = []
     try:
-        splits = _build_splits(config)
         for split_name in config.splits:
             split = splits[split_name]
             aggregates = [

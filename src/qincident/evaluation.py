@@ -1,11 +1,12 @@
 """Confusion counting, the incident-detection metric set (accuracy,
 precision, recall, F2), and the repeated-run comparison harness.
 
-Metrics of an averaged confusion table and averages of per-run metrics are
-both reported: counts are averaged as plain means (possibly fractional),
-while each metric mean is taken over the runs where it is defined, with the
-defined-run count recorded.  An undefined metric (zero denominator) is kept
-as ``None`` in reports and rendered as ``NaN`` in text tables.
+``RunAggregate`` computes both averaging views from its per-run reports:
+counts are averaged as plain means (possibly fractional), while each metric
+mean is taken over the runs where it is defined, with the defined-run count
+recorded.  ``compare`` renders the aggregates of one split as the JSON
+document and the text table in one pass.  An undefined metric (zero
+denominator) is kept as ``None`` in reports and rendered as ``NaN`` in tables.
 
 The runs of one (model, split) train as one population
 (``model.build_population``): they share every batch, and run r is the
@@ -14,12 +15,13 @@ model of seed base_seed + r, bit for bit as if it had trained alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from . import data, model as model_mod, nn
 
+COUNT_NAMES = ("tp", "fp", "fn", "tn")
 METRIC_NAMES = ("accuracy", "precision", "recall", "f2")
 
 
@@ -33,8 +35,8 @@ class ConfusionCounts:
     tn: float
 
     def __post_init__(self):
-        for name, value in (("tp", self.tp), ("fp", self.fp), ("fn", self.fn), ("tn", self.tn)):
-            if value < 0:
+        for name in COUNT_NAMES:
+            if (value := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
@@ -80,54 +82,32 @@ def metrics(counts: ConfusionCounts) -> MetricsReport:
 
 @dataclass
 class RunAggregate:
-    """Per-run reports plus both averaging views for one (model, split)."""
+    """Per-run reports plus both averaging views for one (model, split);
+    ``n_runs`` and the views are computed from ``per_run``."""
 
     model_label: str
     split_name: str
     train_size: int
     test_size: int
-    n_runs: int
     base_seed: int
     per_run: list[MetricsReport]
-    mean_counts: ConfusionCounts
-    mean_metrics: dict[str, float | None]
-    defined_runs: dict[str, int]
+    n_runs: int = field(init=False)
+    mean_counts: ConfusionCounts = field(init=False)
+    mean_metrics: dict[str, float | None] = field(init=False)
+    defined_runs: dict[str, int] = field(init=False)
 
-
-def aggregate_runs(
-    reports: list[MetricsReport],
-    model_label: str,
-    split_name: str,
-    train_size: int,
-    test_size: int,
-    base_seed: int,
-) -> RunAggregate:
-    if not reports:
-        raise ValueError("need at least one run")
-    mean_counts = ConfusionCounts(
-        tp=float(np.mean([r.counts.tp for r in reports])),
-        fp=float(np.mean([r.counts.fp for r in reports])),
-        fn=float(np.mean([r.counts.fn for r in reports])),
-        tn=float(np.mean([r.counts.tn for r in reports])),
-    )
-    mean_metrics: dict[str, float | None] = {}
-    defined_runs: dict[str, int] = {}
-    for name in METRIC_NAMES:
-        values = [r.metric(name) for r in reports if r.metric(name) is not None]
-        defined_runs[name] = len(values)
-        mean_metrics[name] = float(np.mean(values)) if values else None
-    return RunAggregate(
-        model_label=model_label,
-        split_name=split_name,
-        train_size=train_size,
-        test_size=test_size,
-        n_runs=len(reports),
-        base_seed=base_seed,
-        per_run=reports,
-        mean_counts=mean_counts,
-        mean_metrics=mean_metrics,
-        defined_runs=defined_runs,
-    )
+    def __post_init__(self):
+        if not self.per_run:
+            raise ValueError("need at least one run")
+        self.n_runs = len(self.per_run)
+        self.mean_counts = ConfusionCounts(
+            *(float(np.mean([getattr(r.counts, n) for r in self.per_run])) for n in COUNT_NAMES)
+        )
+        self.mean_metrics, self.defined_runs = {}, {}
+        for name in METRIC_NAMES:
+            values = [r.metric(name) for r in self.per_run if r.metric(name) is not None]
+            self.defined_runs[name] = len(values)
+            self.mean_metrics[name] = float(np.mean(values)) if values else None
 
 
 def run_experiment(
@@ -148,20 +128,21 @@ def run_experiment(
         population, (split.train_x, split.train_y), dc_replace(train_config, seed=base_seed)
     )
     predictions = model_mod.predict(population, split.test_x)
-    reports = [metrics(confusion(row, split.test_y)) for row in predictions]
-    return aggregate_runs(
-        reports,
+    return RunAggregate(
         model_label=model_config.label,
         split_name=split.name,
         train_size=len(split.train_y),
         test_size=len(split.test_y),
         base_seed=base_seed,
+        per_run=[metrics(confusion(row, split.test_y)) for row in predictions],
     )
 
 
 # -- comparison output -----------------------------------------------------------
 
 TABLE_COLUMNS = ("TP", "FP", "FN", "Accuracy", "Precision", "Recall", "F2-score")
+# the fields every aggregate of one comparison must agree on
+SHARED_FIELDS = ("split_name", "train_size", "test_size", "n_runs", "base_seed")
 
 
 def _format_count(value: float) -> str:
@@ -178,16 +159,10 @@ def compare(aggregates: list[RunAggregate]) -> tuple[dict, str]:
         raise ValueError("nothing to compare")
     first = aggregates[0]
     for agg in aggregates[1:]:
-        if (
-            agg.split_name != first.split_name
-            or agg.train_size != first.train_size
-            or agg.test_size != first.test_size
-        ):
+        if any(getattr(agg, name) != getattr(first, name) for name in SHARED_FIELDS):
             raise ValueError(
-                f"aggregates evaluated on different splits: {agg.split_name} vs {first.split_name}"
+                f"{agg.model_label} and {first.model_label} differ in one of {SHARED_FIELDS}"
             )
-        if agg.n_runs != first.n_runs or agg.base_seed != first.base_seed:
-            raise ValueError("aggregates ran under different n_runs or base_seed")
 
     doc = {
         "split": first.split_name,
@@ -195,52 +170,26 @@ def compare(aggregates: list[RunAggregate]) -> tuple[dict, str]:
         "base_seed": first.base_seed,
         "train_rows": first.train_size,
         "test_rows": first.test_size,
-        "models": [
+        "models": [],
+    }
+    rows = [("Incident Detection Model",) + TABLE_COLUMNS]
+    for agg in aggregates:
+        doc["models"].append(
             {
                 "kind": agg.model_label,
-                "mean_counts": {
-                    "tp": agg.mean_counts.tp,
-                    "fp": agg.mean_counts.fp,
-                    "fn": agg.mean_counts.fn,
-                    "tn": agg.mean_counts.tn,
-                },
+                "mean_counts": asdict(agg.mean_counts),
                 "mean_metrics": agg.mean_metrics,
                 "defined_runs": agg.defined_runs,
                 "per_run": [
-                    {
-                        "counts": {
-                            "tp": r.counts.tp,
-                            "fp": r.counts.fp,
-                            "fn": r.counts.fn,
-                            "tn": r.counts.tn,
-                        },
-                        "metrics": {name: r.metric(name) for name in METRIC_NAMES},
-                    }
+                    {"counts": asdict(r.counts), "metrics": {n: r.metric(n) for n in METRIC_NAMES}}
                     for r in agg.per_run
                 ],
             }
-            for agg in aggregates
-        ],
-    }
-
-    rows = [("Incident Detection Model",) + TABLE_COLUMNS]
-    for agg in aggregates:
-        rows.append(
-            (
-                agg.model_label,
-                _format_count(agg.mean_counts.tp),
-                _format_count(agg.mean_counts.fp),
-                _format_count(agg.mean_counts.fn),
-                _format_metric(agg.mean_metrics["accuracy"]),
-                _format_metric(agg.mean_metrics["precision"]),
-                _format_metric(agg.mean_metrics["recall"]),
-                _format_metric(agg.mean_metrics["f2"]),
-            )
         )
+        counts = (_format_count(getattr(agg.mean_counts, n)) for n in COUNT_NAMES[:3])
+        scores = (_format_metric(agg.mean_metrics[n]) for n in METRIC_NAMES)
+        rows.append((agg.model_label, *counts, *scores))
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     lines = [f"Comparison of Model Performance for {first.split_name}"]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return doc, "\n".join(lines) + "\n"

@@ -278,11 +278,11 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     """Mini-batch Adam on mean BCE, updating ``model.params`` in place.
 
     ``data`` is a ``(features [N, 6], labels [N])`` pair of already
-    normalized rows.  Run r of a population trains with seed
-    ``config.seed + r``; with ``shuffle`` each run draws its own batch
-    order from its seed, and without it every run sees the same batches.
-    History records each run's running mean batch loss and full-train-set
-    accuracy after each epoch, and its seed; a population's entries are
+    normalized rows, taken in order: batch i is rows
+    [i * batch_size, (i + 1) * batch_size), the same for every run of a
+    population.  History records each run's running mean batch loss and
+    full-train-set accuracy after each epoch, and its seed (run r of a
+    population has ``config.seed + r``); a population's entries are
     per-run lists.  A non-finite batch loss in any run raises ``DataError``
     naming the epoch, the batch and the seed of the first run that diverged.
     """
@@ -292,19 +292,13 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
         raise ValueError("training set is empty")
     runs = model.params.shape[:-1]
     seeds = config.seed + np.arange(math.prod(runs))
-    rngs = [np.random.default_rng(seed) for seed in seeds.tolist()]
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
-    base_order = np.arange(n_rows)
     n_batches = math.ceil(n_rows / config.batch_size)
     loss_history, accuracy_history = [], []
     for epoch in range(config.epochs):
-        if config.shuffle:
-            order = np.stack([rng.permutation(n_rows) for rng in rngs]).reshape(runs + (n_rows,))
-        else:
-            order = base_order
         running = np.zeros(runs)
         for index in range(n_batches):
-            batch = order[..., index * config.batch_size : (index + 1) * config.batch_size]
+            batch = slice(index * config.batch_size, (index + 1) * config.batch_size)
             loss, grad = loss_and_gradients(model, features[batch], labels[batch])
             if not np.isfinite(loss).all():
                 run = np.flatnonzero(~np.isfinite(loss))[0]
@@ -314,7 +308,7 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
                     f"(seed {seeds[run]})"
                 )
             nn.adam_step(model.params, grad, adam)
-            running += loss * batch.shape[-1]
+            running += loss * len(labels[batch])
         loss_history.append(running / n_rows)
         probs = forward(model, features)
         accuracy_history.append(np.mean((probs >= OUTPUT_THRESHOLD) == (labels > 0.5), axis=-1))
@@ -324,7 +318,7 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "learning_rate": config.learning_rate,
-        "shuffle": config.shuffle,
+        "shuffle": False,  # batches are taken in order; kept for the document's shape
         "seed": seeds.reshape(runs).tolist(),
     }
     return model

@@ -22,13 +22,10 @@ BCE_EPS = 1e-7
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    flat = np.ravel(x).astype(float)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    exp = np.exp(flat[~pos])
-    out[~pos] = exp / (1.0 + exp)
-    return out.reshape(np.shape(x))
+    """Overflow-free logistic: with e = exp(-|x|) <= 1, it is 1/(1+e) for
+    x >= 0 and e/(1+e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def activate(kind: str, x) -> np.ndarray:
@@ -162,7 +159,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 0.001
     seed: int = 0
-    shuffle: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:

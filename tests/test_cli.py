@@ -489,9 +489,32 @@ class TestScheduleFile:
             "zones": 8, "duration_s": 400, "splits": ["DS-1"], "models": ["classical"],
             "n_runs": 1, "epochs": 1, "schedule_path": str(path),
         }))
-        code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "exp")])
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
         assert code == cli.EXIT_IO
         assert capsys.readouterr().err.startswith(f"error: {path}: entry 0: unknown key 'extra'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [({"zone": 8, "start_s": 10, "duration_s": 20}, "incident zone 8 outside [0, 8)"),
+         ({"zone": 1, "start_s": 390, "duration_s": 20}, "incident [390, 410) outside [0, 400)")],
+    )
+    def test_experiment_schedule_outside_the_corridor_exits_1_without_a_report(
+        self, tmp_path, capsys, entry, message
+    ):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps([entry]))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 8, "duration_s": 400, "splits": ["DS-1"], "models": ["classical"],
+            "n_runs": 1, "epochs": 1, "schedule_path": str(path),
+        }))
+        out = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
+        assert code == cli.EXIT_FAIL
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestSmoke:

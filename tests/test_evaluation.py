@@ -1,11 +1,13 @@
 """Confusion counting, metric formulas, run aggregation, comparison output."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qincident import data, evaluation, model, nn
+from qincident import cli, data, evaluation, model, nn
 
 # confusion counts: run averages can be fractional, and zeros make metrics undefined
 COUNT = st.one_of(
@@ -188,7 +190,7 @@ class TestCompare:
 
     def test_nan_rendering(self):
         report = evaluation.metrics(evaluation.ConfusionCounts(0, 0, 5, 95))
-        agg = evaluation.aggregate_runs([report], "classical", "DS-3", 10, 100, 0)
+        agg = evaluation.RunAggregate("classical", "DS-3", 10, 100, 0, [report])
         _, table = evaluation.compare([agg])
         row = table.splitlines()[-1]
         assert "NaN" in row
@@ -208,11 +210,51 @@ class TestCompare:
         assert set(model_doc["mean_counts"]) == {"tp", "fp", "fn", "tn"}
 
 
-class TestAggregateRuns:
+class TestRunAggregate:
     def test_defined_runs_counts_exclusions(self):
         defined = evaluation.metrics(evaluation.ConfusionCounts(5, 2, 1, 92))
         undefined = evaluation.metrics(evaluation.ConfusionCounts(0, 0, 6, 94))
-        agg = evaluation.aggregate_runs([defined, undefined], "m", "DS-3", 10, 100, 0)
+        agg = evaluation.RunAggregate("m", "DS-3", 10, 100, 0, [defined, undefined])
+        assert agg.n_runs == 2
         assert agg.defined_runs["precision"] == 1
         assert agg.defined_runs["recall"] == 2
         assert agg.mean_metrics["precision"] == defined.precision
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            evaluation.RunAggregate("m", "DS-3", 10, 100, 0, [])
+
+
+class TestReport:
+    """The report ``qincident experiment`` writes, checked against itself: every
+    model's means and defined-run counts recomputed from its own per-run entries."""
+
+    def test_means_and_table_rows_follow_the_per_run_entries(self, tmp_path):
+        out = tmp_path / "exp"
+        args = ["experiment", "--splits", "DS-3", "--models", "classical,hybrid-4q",
+                "--runs", "30", "--seed", "0", "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_OK
+        doc = json.loads((out / "report.json").read_text())["splits"][0]
+        table = (out / "tables.txt").read_text().splitlines()[2:]
+        rows = {line.split()[0]: line.split()[1:] for line in table}
+        assert [entry["kind"] for entry in doc["models"]] == ["classical", "hybrid-4q"]
+        count_names, metric_names = ("tp", "fp", "fn", "tn"), evaluation.METRIC_NAMES
+        for entry in doc["models"]:
+            runs = entry["per_run"]
+            assert len(runs) == doc["n_runs"] == 30
+            for run in runs:
+                report = evaluation.metrics(evaluation.ConfusionCounts(**run["counts"]))
+                assert run["metrics"] == {name: report.metric(name) for name in metric_names}
+            counts = {k: float(np.mean([run["counts"][k] for run in runs])) for k in count_names}
+            defined = {
+                name: [run["metrics"][name] for run in runs if run["metrics"][name] is not None]
+                for name in metric_names
+            }
+            means = {name: float(np.mean(v)) if v else None for name, v in defined.items()}
+            assert entry["mean_counts"] == counts
+            assert entry["defined_runs"] == {name: len(v) for name, v in defined.items()}
+            assert entry["mean_metrics"] == means
+            shown = [f"{counts[k]:.1f}" if counts[k] % 1 else f"{counts[k]:g}" for k in count_names[:3]]
+            shown += ["NaN" if means[name] is None else f"{means[name]:.3f}" for name in metric_names]
+            assert rows[entry["kind"]] == shown
+        assert doc["models"][1]["defined_runs"]["f2"] == 30 - 19  # 19 hybrid runs predict no positive

@@ -143,7 +143,7 @@ class TestTrain:
 
     def test_non_finite_loss_names_epoch_batch_and_seed(self):
         features, labels = separable_rows(40)
-        features[21, 2] = np.nan  # second batch of 16 in the unshuffled order
+        features[21, 2] = np.nan  # rows 16..31 are the second batch of 16
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=1)
         with pytest.raises(DataError, match=r"epoch 1/3, batch 2/3 \(seed 4\)"):
             model.train(net, (features, labels), nn.TrainConfig(epochs=3, seed=4))
@@ -156,15 +156,6 @@ class TestTrain:
         assert all(np.shares_memory(a, net.params) for a in arrays)
         assert sum(a.size for a in arrays) == net.params.size
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), net.params)
-
-    def test_shuffle_changes_trajectory_but_stays_deterministic(self):
-        rows = separable_rows(80)
-        outs = []
-        for _ in range(2):
-            net = model.build_model(model.HybridModelConfig(kind="classical"), seed=6)
-            model.train(net, rows, nn.TrainConfig(epochs=2, seed=6, shuffle=True))
-            outs.append(net.params)
-        assert np.array_equal(outs[0], outs[1])
 
 
 @st.composite
@@ -183,7 +174,6 @@ def population_cases(draw):
         epochs=draw(st.integers(1, 2)),
         batch_size=batch_size,
         seed=draw(st.integers(0, 2**16)),
-        shuffle=draw(st.booleans()),
     )
     return config, draw(st.integers(1, 5)), n_rows, train_config, draw(st.integers(0, 2**16))
 

@@ -26,6 +26,25 @@ class TestActivations:
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_sigmoid_matches_the_masked_two_branch_form_bit_for_bit(self, scale):
+        def masked(x):
+            flat = np.ravel(x).astype(float)
+            out = np.empty_like(flat)
+            pos = flat >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+            exp = np.exp(flat[~pos])
+            out[~pos] = exp / (1.0 + exp)
+            return out.reshape(np.shape(x))
+
+        edges = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 1e-300, -1e-300]
+        draws = np.random.default_rng(0).normal(0.0, scale, 48_000)
+        for x in (np.array(edges), draws, draws[:480].reshape(30, 16, 1), np.array(scale)):
+            out = nn.activate("sigmoid", x)
+            assert np.shape(out) == x.shape
+            assert np.asarray(out).tobytes() == masked(x).tobytes()
+        assert np.isnan(nn.activate("sigmoid", np.nan))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             nn.activate("tanh", 0.0)
