@@ -116,16 +116,24 @@ def _seed(text: str) -> int:
 
 # -- subcommands --------------------------------------------------------------
 
+def _corridor(n_zones, duration_s, seed=0, events=None, path=None) -> scenario.ScenarioConfig:
+    """The corridor, with the incidents ``events`` read from ``path`` if given;
+    one outside the corridor is an error naming the file and the corridor."""
+    config = scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, seed=seed)
+    try:
+        return config if events is None else dataclasses.replace(config, incidents=tuple(events))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc} (the corridor of {n_zones} zones x {duration_s} s)") from None
+
+
 def cmd_gen(args) -> int:
-    config = scenario.ScenarioConfig(
-        n_zones=args.zones, duration_s=args.duration, seed=args.seed
-    )
+    config = _corridor(args.zones, args.duration, args.seed)
     events = (
         scenario.default_schedule(config, n_incidents=args.incidents)
         if args.schedule is None
         else scenario.read_schedule_json(args.schedule)
     )
-    config = dataclasses.replace(config, incidents=tuple(events))
+    config = _corridor(args.zones, args.duration, args.seed, events, args.schedule)
     records, _ = scenario.generate(config)
     os.makedirs(args.out, exist_ok=True)
     bsm_path = os.path.join(args.out, "bsm.csv")
@@ -156,7 +164,7 @@ def cmd_features(args) -> int:
         )
     n_zones = args.zones if args.zones is not None else int(records.zone.max()) + 1
     duration_s = args.duration if args.duration is not None else int(records.time.max()) + 1
-    scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s)  # both must be >= 1
+    _corridor(n_zones, duration_s)  # both must be >= 1
     outside = (records.zone < 0) | (records.zone >= n_zones) | (records.time >= duration_s)
     if outside.any():
         row = int(outside.argmax())
@@ -164,13 +172,7 @@ def cmd_features(args) -> int:
             f"{args.bsm}: record at {records.time[row]} s in zone {records.zone[row]} outside "
             f"the corridor of {n_zones} zones x {duration_s} s"
         )
-    if events:
-        try:
-            scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, incidents=events)
-        except ConfigError as exc:
-            raise ConfigError(
-                f"{args.schedule}: {exc} (the corridor of {n_zones} zones x {duration_s} s)"
-            ) from None
+    _corridor(n_zones, duration_s, events=events, path=args.schedule)
     table = data.build_dataset(records, events, n_zones, args.bucket, duration_s)
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0
@@ -213,14 +215,10 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
-    schedule = None  # synthetic_dataset then places the default schedule
-    if config.schedule_path:
-        schedule = tuple(scenario.read_schedule_json(config.schedule_path))
+    schedule = scenario.read_schedule_json(config.schedule_path) if config.schedule_path else None
 
     def dataset(duration_s: int, bucket_seconds: int) -> data.Dataset:
-        corridor = scenario.ScenarioConfig(
-            n_zones=config.zones, duration_s=duration_s, seed=config.seed, incidents=schedule
-        )
+        corridor = _corridor(config.zones, duration_s, config.seed, schedule, config.schedule_path)
         return scenario.synthetic_dataset(corridor, bucket_seconds, n_incidents=config.n_incidents)
 
     splits: dict[str, data.DatasetSplit] = {}

@@ -6,13 +6,15 @@ from different primitives:
 
 * forward oracle: the layer circuit rebuilt as explicit Kronecker-product
   gate matrices multiplied into a dense 2**n x 2**n unitary;
-* the layer's exact gradients (derivatives of the term formula, at every
-  depth) vs central finite differences of the statevector forward map;
+* the layer's exact gradients (derivatives of the term formula) vs central
+  finite differences of the statevector forward map, printed as
+  ``parameter-shift`` for the benchmark's checks, though no parameter shift
+  runs since the term formula replaced the shifted circuits;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
-  scalar loss over every trainable parameter.  Each draw's probes run as
-  stacked populations, one parameter row per probe and ``PROBE_CHUNK``
-  coordinates per pass, through the layers' run-axis path; a coordinate
-  whose probes cross a ReLU kink halves its own step and is probed again.
+  scalar loss over every trainable parameter, through the layers' run-axis
+  path.  Both derivative suites stack their probes, one row per probe, in
+  ``_central_differences``; a coordinate whose probes cross a ReLU kink
+  halves its own step and is probed again.
 
 Used by the test suite and by the ``gradcheck`` CLI command.
 """
@@ -135,7 +137,8 @@ def check_parameter_shift(
     tol: float = 1e-6,
     corrupt: bool = False,
 ) -> SuiteResult:
-    """quantum_gradients against central finite differences of quantum_forward."""
+    """quantum_gradients against central finite differences of quantum_forward,
+    probed along one vector of a case's inputs and weights."""
     rng = np.random.default_rng(seed)
     max_err, worst = 0.0, ""
     for case in range(n_cases):
@@ -147,27 +150,20 @@ def check_parameter_shift(
         if corrupt and case == 0:
             d_inputs = d_inputs.copy()
             d_inputs[0, 0] += 1e-3  # negative-control hook
-        for i in range(n):
-            plus = qsim.quantum_forward(_bump(inputs, i, step), weights)
-            minus = qsim.quantum_forward(_bump(inputs, i, -step), weights)
-            err = float(np.max(np.abs(d_inputs[i] - (plus - minus) / (2 * step))))
-            if err > max_err:
-                max_err, worst = err, f"case {case} input {i}"
-        for layer in range(layers):
-            for qubit in range(n):
-                plus = qsim.quantum_forward(inputs, _bump(weights, (layer, qubit), step))
-                minus = qsim.quantum_forward(inputs, _bump(weights, (layer, qubit), -step))
-                fd = (plus - minus) / (2 * step)
-                err = float(np.max(np.abs(d_weights[layer, qubit] - fd)))
-                if err > max_err:
-                    max_err, worst = err, f"case {case} weight ({layer},{qubit})"
+
+        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
+            return values, np.empty((len(rows), 0), dtype=bool)  # no ReLU to cross
+
+        base = np.concatenate((inputs, weights.ravel()))
+        fd = _central_differences(probe, base, np.arange(len(base)), step)
+        err = np.max(np.abs(np.concatenate((d_inputs, d_weights.reshape(-1, n))) - fd), axis=1)
+        err[np.isnan(err)] = np.inf
+        if err.max() > max_err:
+            k = int(np.argmax(err))
+            max_err, (layer, qubit) = float(err[k]), divmod(k - n, n)
+            worst = f"case {case} " + (f"input {k}" if k < n else f"weight ({layer},{qubit})")
     return SuiteResult("parameter-shift", max_err <= tol, max_err, tol, n_cases, worst)
-
-
-def _bump(values: np.ndarray, index, delta: float) -> np.ndarray:
-    out = values.copy()
-    out[index] += delta
-    return out
 
 
 # Smallest finite-difference step tried before a coordinate whose probes
@@ -236,21 +232,22 @@ def check_hybrid_gradients(
 def _central_differences(
     probe, base: np.ndarray, coords: np.ndarray, step: float
 ) -> np.ndarray:
-    """Central differences of the loss along coordinates ``coords`` of the
-    parameter vector ``base``; NaN where a coordinate stays unresolved.
+    """Central differences [len(coords), ...] of the values along coordinates
+    ``coords`` of the parameter vector ``base``; NaN where unresolved.
 
-    ``probe(rows)`` returns the loss [R] and the ReLU pattern [R, U] at
-    each of the parameter vectors ``rows`` [R, P].  Coordinates go in
-    chunks of ``PROBE_CHUNK``: one pass over a chunk stacks ``base`` + step
-    at coordinate i in row i and ``base`` - step there in row m + i.  A
-    coordinate whose probes both show the base pattern is resolved; any
-    other has its own step halved and is probed again in the next pass,
-    until that step falls below ``MIN_STEP``.
+    ``probe(rows)`` returns the values [R, ...] (a loss [R], a readout
+    [R, n]) and the ReLU pattern [R, U] at each of the parameter vectors
+    ``rows`` [R, P].  Coordinates go in chunks of ``PROBE_CHUNK``: one pass
+    over a chunk stacks ``base`` + step at coordinate i in row i and
+    ``base`` - step there in row m + i.  A coordinate whose probes both
+    show the base pattern is resolved; any other has its own step halved
+    and is probed again in the next pass, until that step falls below
+    ``MIN_STEP``.
     """
-    out = np.full(len(coords), np.nan)
+    base_values, base_pattern = probe(base[np.newaxis])
+    out = np.full((len(coords),) + base_values.shape[1:], np.nan)
     if step < MIN_STEP:
         return out
-    base_pattern = probe(base[np.newaxis])[1][0]
     for first in range(0, len(coords), PROBE_CHUNK):
         todo = np.arange(first, min(first + PROBE_CHUNK, len(coords)))
         steps = np.full(len(todo), float(step))
@@ -259,10 +256,11 @@ def _central_differences(
             rows = np.repeat(base[np.newaxis], 2 * m, axis=0)
             rows[np.arange(m), ks] = base[ks] + steps
             rows[np.arange(m, 2 * m), ks] = base[ks] - steps
-            loss, pattern = probe(rows)
+            values, pattern = probe(rows)
             kept = np.all(pattern == base_pattern, axis=-1)
             resolved = kept[:m] & kept[m:]
-            out[todo[resolved]] = (loss[:m] - loss[m:])[resolved] / (2 * steps[resolved])
+            # with the coordinate axis last, each step broadcasts over its own values
+            out[todo[resolved]] = ((values[:m] - values[m:])[resolved].T / (2 * steps[resolved])).T
             steps = steps * 0.5
             left = ~resolved & (steps >= MIN_STEP)
             todo, steps = todo[left], steps[left]

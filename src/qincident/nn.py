@@ -169,6 +169,12 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
 
 
+# Adam's moment decays and the denominator's guard, as in Kingma & Ba
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments laid out like the flat parameters, plus the
@@ -180,9 +186,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -206,19 +209,19 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         state.scratch = (np.empty_like(params), np.empty_like(params))
     a, b = state.scratch
     state.step_count += 1
-    mc = 1.0 - state.beta1**state.step_count
-    vc = 1.0 - state.beta2**state.step_count
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(1.0 - state.beta1, grad, out=a)
+    mc = 1.0 - ADAM_BETA1**state.step_count
+    vc = 1.0 - ADAM_BETA2**state.step_count
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(1.0 - ADAM_BETA1, grad, out=a)
     m += a
-    np.multiply(v, state.beta2, out=v)
-    np.multiply(1.0 - state.beta2, grad, out=a)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=a)
     a *= grad
     v += a
     np.divide(m, mc, out=a)
     a *= state.learning_rate
     np.divide(v, vc, out=b)
     np.sqrt(b, out=b)
-    b += state.epsilon
+    b += ADAM_EPSILON
     a /= b
     params -= a

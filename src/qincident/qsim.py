@@ -31,8 +31,9 @@ most 4 at L=2 and 16 at L=3 for n <= 5, but 2048 for n=6, L=4, more than
 
 ``forward_batch`` and ``gradients_batch`` run the models at every (n, L),
 inputs (B, n) with weights (L, n) or a population's (R, B, n) with
-(R, L, n).  ``quantum_forward`` simulates the 2**n amplitudes of one
-embedding, the reference ``gradcheck`` differentiates.
+(R, L, n).  ``quantum_forward`` simulates the 2**n amplitudes of stacked
+embeddings [..., n] with shared or per-row weights: the reference that
+``gradcheck`` differentiates, one stacked row per finite-difference probe.
 """
 
 from __future__ import annotations
@@ -82,21 +83,6 @@ def _ring(n: int) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 1)]  # a 2-cycle ring would add a redundant second CNOT
     return [(q, (q + 1) % n) for q in range(n)]
-
-
-def _statevector_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations of (..., n) inputs and shared (L, n) weights."""
-    n = inputs.shape[-1]
-    psi = np.zeros(inputs.shape[:-1] + (2,) * n, dtype=np.complex128)
-    psi[(...,) + (0,) * n] = 1.0
-    for qubit in range(n):
-        psi = _rx(psi, n, qubit, inputs[..., qubit])
-    for layer_weights in weights:
-        for qubit in range(n):
-            psi = _rx(psi, n, qubit, layer_weights[qubit])
-        for control, target in _ring(n):
-            psi = _cnot(psi, n, control, target)
-    return _expectations(psi, n)
 
 
 # -- the term formula -------------------------------------------------------------
@@ -232,24 +218,38 @@ def gradients_batch(
     return _values(terms, slots), d_weights[..., 0, :, :], d_weights
 
 
-def _one_sample(inputs, weights) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or inputs.shape != (weights.shape[1],):
-        raise ValueError(
-            f"expected inputs (n,) and weights (L, n), got {inputs.shape} and {weights.shape}"
-        )
-    return inputs[np.newaxis], weights
-
-
 def quantum_forward(inputs, weights) -> np.ndarray:
-    """Z expectations of one embedding [n] by statevector simulation, any L,
+    """Z expectations [..., n] of embeddings [..., n] by statevector
+    simulation, any L, with shared (L, n) or per-row [..., L, n] weights,
     so that ``gradcheck``'s reference never goes through the term formula."""
-    return _statevector_batch(*_one_sample(inputs, weights))[0]
+    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
+    if weights.ndim < 2 or weights.shape[-1:] != inputs.shape[-1:] or (
+        weights.shape[:-2] not in ((), inputs.shape[:-1])
+    ):
+        raise ValueError(
+            f"expected inputs (..., n) and weights (L, n) or (..., L, n), "
+            f"got {inputs.shape} and {weights.shape}"
+        )
+    n = inputs.shape[-1]
+    psi = np.zeros(inputs.shape[:-1] + (2,) * n, dtype=np.complex128)
+    psi[(...,) + (0,) * n] = 1.0
+    for qubit in range(n):
+        psi = _rx(psi, n, qubit, inputs[..., qubit])
+    for layer in range(weights.shape[-2]):
+        for qubit in range(n):
+            psi = _rx(psi, n, qubit, weights[..., layer, qubit])
+        for control, target in _ring(n):
+            psi = _cnot(psi, n, control, target)
+    return _expectations(psi, n)
 
 
 def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``gradients_batch`` for one embedding [n]: (values [n], d_inputs
     [n, n], d_weights [L, n, n]); ``d_inputs[i, j]`` is d<Z_j>/dx_i."""
-    values, d_inputs, d_weights = gradients_batch(*_one_sample(inputs, weights))
+    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or inputs.shape != (weights.shape[1],):
+        raise ValueError(
+            f"expected inputs (n,) and weights (L, n), got {inputs.shape} and {weights.shape}"
+        )
+    values, d_inputs, d_weights = gradients_batch(inputs[np.newaxis], weights)
     return values[0], d_inputs[0], d_weights[0]

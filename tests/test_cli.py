@@ -513,7 +513,25 @@ class TestScheduleFile:
         out = tmp_path / "exp"
         code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
         assert code == cli.EXIT_FAIL
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        corridor = "(the corridor of 8 zones x 400 s)"
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message} {corridor}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [({"zone": 4, "start_s": 10, "duration_s": 20}, "incident zone 4 outside [0, 4)"),
+         ({"zone": 1, "start_s": 50, "duration_s": 20}, "incident [50, 70) outside [0, 60)")],
+    )
+    def test_gen_schedule_outside_the_corridor_exits_1_without_output(
+        self, tmp_path, capsys, entry, message
+    ):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps([entry]))
+        out = tmp_path / "gen"
+        args = ["gen", "--zones", "4", "--duration", "60", "--schedule", str(path), "--out", str(out)]
+        assert run_cli(args) == cli.EXIT_FAIL
+        corridor = "(the corridor of 4 zones x 60 s)"
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message} {corridor}")
         assert not out.exists()
 
 
@@ -546,7 +564,7 @@ class TestGradcheck:
         assert run_cli(["gradcheck", "--seed", "0"]) == 0
         assert capsys.readouterr().out == (
             "forward-oracle: PASS  max err 9.159e-16 (tol 1e-10, 120 cases)\n"
-            "parameter-shift: PASS  max err 3.795e-11 (tol 1e-06, 50 cases)\n"
+            "parameter-shift: PASS  max err 4.350e-11 (tol 1e-06, 50 cases)\n"
             "hybrid-backprop: PASS  max err 4.898e-07 (tol 1e-03, 12052 cases)\n"
         )
 

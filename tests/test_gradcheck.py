@@ -43,6 +43,11 @@ class TestSuites:
         assert not result.passed
         assert result.max_err >= 1e-4
 
+    def test_parameter_shift_step_below_min_step_fails(self):
+        # no probe runs below MIN_STEP: an unresolved coordinate is a failure
+        result = gradcheck.check_parameter_shift(seed=3, n_cases=2, step=1e-9)
+        assert not result.passed and result.max_err == np.inf
+
     def test_hybrid_gradients_pass(self):
         result = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
         assert result.passed
@@ -101,6 +106,25 @@ class TestCentralDifference:
         assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
         assert fd[:2] == pytest.approx([1.0, 1.0], rel=1e-9)
         assert np.isnan(fd[2])
+
+    def test_vector_values_give_one_row_per_coordinate(self):
+        # values (relu(v).sum(), 2 v.sum()) [R, 2]: coordinate 1 halves its
+        # step twice at the kink and 2 stays unresolved, as for a scalar loss
+        base = np.array([0.5, 3e-5, 0.0])
+        passes = []
+
+        def probe(rows):
+            if len(rows) > 1:
+                m = len(rows) // 2
+                passes.append([int(k) for k in np.nonzero(rows[:m] != base)[1]])
+            loss, pattern = self.relu_probe(rows)
+            return np.stack((loss, 2 * rows.sum(axis=1)), axis=1), pattern
+
+        fd = gradcheck._central_differences(probe, base, np.arange(3), 1e-4)
+        assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
+        assert fd.shape == (3, 2)
+        np.testing.assert_allclose(fd[:2], [[1.0, 2.0], [1.0, 2.0]], rtol=1e-9)
+        assert np.isnan(fd[2]).all()
 
     def test_chunk_size_does_not_change_the_suite(self, monkeypatch):
         want = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)

@@ -58,8 +58,23 @@ class TestStateVector:
     def test_zero_state(self):
         # the statevector path starts from |000>: zero angles read +1 everywhere
         np.testing.assert_array_equal(
-            qsim._statevector_batch(np.zeros((1, 3)), np.zeros((2, 3))), [[1.0, 1.0, 1.0]]
+            qsim.quantum_forward(np.zeros((1, 3)), np.zeros((2, 3))), [[1.0, 1.0, 1.0]]
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_rows_with_their_own_weights_match_the_dense_oracle(self, n, layers):
+        rng = np.random.default_rng(10 * n + layers)
+        inputs = rng.uniform(-np.pi, np.pi, (5, n))
+        weights = rng.uniform(-np.pi, np.pi, (5, layers, n))
+        got = qsim.quantum_forward(inputs, weights)
+        assert got.shape == (5, n)
+        for row, x, w in zip(got, inputs, weights):
+            np.testing.assert_allclose(row, gradcheck.dense_matrix_forward(x, w), rtol=0, atol=1e-12)
+
+    def test_per_row_weights_must_match_the_rows(self):
+        with pytest.raises(ValueError):
+            qsim.quantum_forward(np.zeros((5, 3)), np.zeros((4, 1, 3)))
 
 
 class TestApplyRx:
@@ -345,7 +360,7 @@ class TestHotKernelAgainstOracles:
         got = qsim.forward_batch(inputs, weights)
         oracle = np.array([gradcheck.dense_matrix_forward(x, weights) for x in inputs])
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(got, qsim._statevector_batch(inputs, weights), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got, qsim.quantum_forward(inputs, weights), rtol=0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(circuits())
