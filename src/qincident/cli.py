@@ -200,8 +200,8 @@ def _experiment_config(args) -> ExperimentConfig:
         "duration_s": args.duration,
         "seed": args.seed,
         "n_incidents": args.incidents,
-        "splits": tuple(args.splits.split(",")) if args.splits else None,
-        "models": tuple(args.models.split(",")) if args.models else None,
+        "splits": None if args.splits is None else tuple(args.splits.split(",")),
+        "models": None if args.models is None else tuple(args.models.split(",")),
         "n_runs": args.runs,
         "epochs": args.epochs,
         "batch_size": args.batch,

@@ -120,8 +120,7 @@ def build_dataset(
     """One labeled row per (bucket, zone) over [0, duration_s), empties
     included: ``aggregate``, then ``build_features``, then ``label``.
 
-    ``events`` entries need ``zone``, ``start_s`` and ``duration_s``
-    attributes (or are (zone, start_s, duration_s) triples).
+    ``events`` are ``scenario.IncidentEvent``s.
     """
     starts, speed, count = aggregate(records, bucket_seconds, n_zones, duration_s)
     bucket_start = np.repeat(starts, n_zones)
@@ -196,11 +195,8 @@ def label(bucket_start: np.ndarray, zone_id: np.ndarray, events, bucket_seconds:
     """1 for every row whose zone has an event overlapping its bucket at all."""
     labels = np.zeros(len(zone_id), dtype=np.int64)
     for event in events:
-        zone, start, length = (
-            (event.zone, event.start_s, event.duration_s) if hasattr(event, "zone") else event
-        )
-        overlap = (start < bucket_start + bucket_seconds) & (bucket_start < start + length)
-        labels[overlap & (zone_id == zone)] = 1
+        overlap = (event.start_s < bucket_start + bucket_seconds) & (bucket_start < event.end_s)
+        labels[overlap & (zone_id == event.zone)] = 1
     return labels
 
 
@@ -251,10 +247,7 @@ def split(table: Dataset, name: str) -> DatasetSplit:
         raise DataError("rows must be ordered by (bucket_start, zone_id)")
     train_canonical, total_canonical = SPLIT_SIZES[name]
     n = len(table)
-    if n == total_canonical:
-        train_size = train_canonical
-    else:
-        train_size = round(n * train_canonical / total_canonical)
+    train_size = round(n * train_canonical / total_canonical)
     if train_size < 1 or train_size >= n:
         raise DataError(
             f"cannot split {n} rows into {name} (train size {train_size})"
@@ -289,6 +282,7 @@ _LOADTXT_UNSAFE = (b'"', b"\r", b"\x00", b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f
 # Python's lowest limit setting, and csv caps a field's length
 _LOADTXT_LINE_MAX = 640
 
+_INT64 = np.iinfo(np.int64)
 _BSM_ROW = np.dtype(
     [("time", np.int64), ("vehicle_id", object), ("zone", np.int64), ("speed", np.float64)]
 )
@@ -406,6 +400,10 @@ def _read_bsm_rows(path) -> Records:
             raise ValueError("vehicle id contains a NUL character")
         if time < 0:
             raise ValueError(f"time must be >= 0, got {time}")
+        if time > _INT64.max:
+            raise ValueError(f"time {time} is beyond the int64 range")
+        if not _INT64.min <= zone <= _INT64.max:
+            raise ValueError(f"zone id {zone} is beyond the int64 range")
         if not math.isfinite(speed) or speed < 0:
             raise ValueError(f"speed must be finite and >= 0, got {speed}")
         times.append(time)

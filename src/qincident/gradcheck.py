@@ -207,7 +207,7 @@ def check_hybrid_gradients(
             # every row's loss and which ReLU units are active (relu(z) > 0
             # exactly where z > 0).
             h, active = features, []
-            for layer in model_mod._bind(net.layers, rows):
+            for layer in model_mod._bind(net, rows):
                 h = layer.forward(h)
                 if getattr(layer, "activation", None) == "relu":
                     active.append(h[:, 0] > 0)

@@ -13,12 +13,14 @@ deterministic for a fixed seed.
 
 Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
 ``forward(x)``; ``forward_cached(x)`` -> (out, cache) and
-``backward(cache, d_out)`` -> (d_in, grads in ``param_names`` order);
-``to_dict``, the layer's entry in the saved-model document.  A model keeps
-all trainable numbers in one float64 vector, ``Model.params``, and the
-layers' arrays are views into it, so gradients and Adam work on that one
-vector.  The hidden widths and the decision threshold are the module
-constants ``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
+``backward(cache, d_out, grads)`` -> d_in, writing the gradients of its
+``param_names`` arrays into ``grads``; ``to_dict``, the layer's entry in
+the saved-model document.  A model keeps all trainable numbers in one
+float64 vector, ``Model.params``.  ``Model.layout``, computed once, places
+each layer's arrays in it: they are views of ``params``, and the ``grads``
+are views of one gradient vector, so Adam works on flat vectors.  The
+hidden widths and the decision threshold are the module constants
+``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -100,14 +102,12 @@ class QuantumLayer:
         values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, self.weights)
         return values, (d_inputs, d_weights)
 
-    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray:
         """Chain rule through the exact Jacobians: d_inputs [..., B, n, n]
         and d_weights [..., B, L, n, n]."""
         d_inputs, d_weights = cache
-        return (
-            np.einsum("...bij,...bj->...bi", d_inputs, d_out),
-            (np.einsum("...blij,...bj->...li", d_weights, d_out),),
-        )
+        np.einsum("...blij,...bj->...li", d_weights, d_out, out=grads[0])
+        return np.einsum("...bij,...bj->...bi", d_inputs, d_out)
 
     def to_dict(self) -> dict:
         n_layers, n_qubits = self.weights.shape
@@ -119,20 +119,20 @@ class QuantumLayer:
         }
 
 
-def _bind(layers: list, params: np.ndarray, runs: int = 0) -> list:
-    """Shallow copies of ``layers`` whose trainable arrays are views of
-    ``params`` [..., P], laid out in stack order.  ``runs`` is how many
-    leading run axes the arrays of ``layers`` have; each view keeps the
-    rest of its array's shape and leads with the axes of ``params``."""
-    bound, offset = [], 0
-    for layer in layers:
+def _views(flat: np.ndarray, layout: tuple) -> list:
+    """Per layer, the views of ``flat`` [..., P] that ``layout`` gives its
+    arrays, each leading with the axes of ``flat``."""
+    lead = flat.shape[:-1]
+    return [[flat[..., part].reshape(lead + shape) for part, shape in entry] for entry in layout]
+
+
+def _bind(model: "Model", params: np.ndarray) -> list:
+    """Shallow copies of ``model.layers`` whose arrays are views of ``params``."""
+    bound = []
+    for layer, views in zip(model.layers, _views(params, model.layout)):
         part = copy.copy(layer)
-        for name in layer.param_names:
-            shape = getattr(layer, name).shape[runs:]
-            size = math.prod(shape)
-            view = params[..., offset : offset + size].reshape(params.shape[:-1] + shape)
+        for name, view in zip(layer.param_names, views):
             setattr(part, name, view)
-            offset += size
         bound.append(part)
     return bound
 
@@ -154,17 +154,27 @@ class Model:
     seed: int
     history: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
+    layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.concatenate(
-            [getattr(layer, name).ravel() for layer in self.layers for name in layer.param_names]
-        )
-        self.layers = _bind(self.layers, self.params)
+        # per layer, the (slice of ``params``, shape) of each ``param_names`` array
+        arrays, layout, offset = [], [], 0
+        for layer in self.layers:
+            entry = []
+            for name in layer.param_names:
+                array = getattr(layer, name)
+                entry.append((slice(offset, offset + array.size), array.shape))
+                arrays.append(array.ravel())
+                offset += array.size
+            layout.append(tuple(entry))
+        self.layout = tuple(layout)
+        self.params = np.concatenate(arrays)
+        self.layers = _bind(self, self.params)
 
     def __setstate__(self, state: dict):
         # pickle and deepcopy copy views as separate arrays: bind them again
         self.__dict__.update(state)
-        self.layers = _bind(self.layers, self.params, self.params.ndim - 1)
+        self.layers = _bind(self, self.params)
 
 
 N_FEATURES = 6
@@ -197,7 +207,7 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     members = [build_model(config, seed + r) for r in range(n_runs)]
     population = members[0]
     population.params = np.stack([m.params for m in members])
-    population.layers = _bind(population.layers, population.params)
+    population.layers = _bind(population, population.params)
     return population
 
 
@@ -224,7 +234,7 @@ def forward(model: Model, features) -> np.ndarray:
         return _forward_layers(model.layers, h)
     return np.concatenate(
         [
-            _forward_layers(_bind(model.layers, model.params[start : start + group], 1), h)
+            _forward_layers(_bind(model, model.params[start : start + group]), h)
             for start in range(0, runs[0], group)
         ]
     )
@@ -260,15 +270,11 @@ def loss_and_gradients(
     loss = np.mean(nn.bce_loss(probs, y), axis=-1)
 
     d_out = (nn.bce_grad(probs, y) / probs.shape[-1])[..., np.newaxis]
-    grads_reversed = []
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        d_out, layer_grads = layer.backward(cache, d_out)
-        grads_reversed.append(layer_grads)
-    runs = model.params.shape[:-1]
-    return loss, np.concatenate(
-        [g.reshape(runs + (-1,)) for layer_grads in reversed(grads_reversed) for g in layer_grads],
-        axis=-1,
-    )
+    grad = np.empty_like(model.params)
+    views = _views(grad, model.layout)
+    for layer, cache, grads in zip(reversed(model.layers), reversed(caches), reversed(views)):
+        d_out = layer.backward(cache, d_out, grads)
+    return loss, grad
 
 
 # a diverging run overflows before its loss turns non-finite; the loss check

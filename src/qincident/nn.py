@@ -55,9 +55,9 @@ class DenseLayer:
     """Fully connected layer: weights [out, in], biases [out], each with a
     leading run axis in a population.
 
-    Follows the layer protocol of ``model``: ``forward``,
-    ``forward_cached``/``backward``, ``to_dict``, and ``param_names``, the
-    trainable arrays in their flat-vector order.
+    Follows the layer protocol of ``model`` (``forward``, ``forward_cached``,
+    ``backward`` into gradient views, ``to_dict``); ``param_names`` lists
+    the trainable arrays in their flat-vector order.
     """
 
     weights: np.ndarray
@@ -92,10 +92,8 @@ class DenseLayer:
         z, out = dense_forward(self, x)
         return out, (x, z)
 
-    def backward(self, cache: tuple, d_out: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(d_input, (d_weights, d_biases)) from ``forward_cached``'s cache."""
-        d_w, d_b, d_in = dense_backward(self, *cache, d_out)
-        return d_in, (d_w, d_b)
+    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray:
+        return dense_backward(self, *cache, d_out, grads)
 
     def to_dict(self) -> dict:
         return {
@@ -131,12 +129,15 @@ def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_backward(
-    layer: DenseLayer, x: np.ndarray, z: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain-rule step for a [..., batch, in] input: returns (d_weights,
-    d_biases, d_input), summed over the batch axis."""
+    layer: DenseLayer, x: np.ndarray, z: np.ndarray, d_out: np.ndarray, grads: list
+) -> np.ndarray:
+    """Chain-rule step for a [..., batch, in] input: writes (d_weights,
+    d_biases), summed over the batch axis, into ``grads``; returns d_input."""
     dz = d_out * activate_deriv(layer.activation, z)
-    return dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2), dz @ layer.weights
+    d_weights, d_biases = grads
+    np.matmul(dz.swapaxes(-1, -2), x, out=d_weights)
+    np.add.reduce(dz, axis=-2, out=d_biases)
+    return dz @ layer.weights
 
 
 def bce_loss(prediction, label) -> np.ndarray:

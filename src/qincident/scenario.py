@@ -270,18 +270,15 @@ def default_schedule(
     early_quota = min(EARLY_QUOTA, max(1, config.n_zones // 4))
     if n_incidents is not None:
         early_quota = min(early_quota, n_incidents)
-    while True:
-        if n_incidents is not None:
-            if len(events) >= n_incidents:
-                break
-        elif (
-            len(events) >= early_quota
+    while n_incidents is None or len(events) < n_incidents:
+        if (
+            n_incidents is None
+            and len(events) >= early_quota
             and positive_rows(events, config.duration_s, bucket_seconds) / n_rows
             >= PREVALENCE_TARGET
         ):
             break
-        event = place(early=len(events) < early_quota)
-        events.append(event)
+        events.append(place(early=len(events) < early_quota))
     events.sort(key=lambda e: (e.start_s, e.zone))
     return events
 
@@ -290,10 +287,7 @@ _SCHEDULE_KEYS = ("zone", "start_s", "duration_s")
 
 
 def write_schedule_json(events: list[IncidentEvent], path) -> None:
-    doc = [
-        {"zone": e.zone, "start_s": e.start_s, "duration_s": e.duration_s}
-        for e in events
-    ]
+    doc = [{key: getattr(event, key) for key in _SCHEDULE_KEYS} for event in events]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -220,6 +220,18 @@ class TestFeatures:
         assert code == cli.EXIT_IO
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["99999999999999999999,a,0,1", "0,a,99999999999999999999,1"], ids=["time", "zone"]
+    )
+    def test_value_beyond_int64_is_io_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time_s,vehicle_id,zone_id,speed_mps\n{line}\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["features", "--bsm", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_IO
+        assert f"{bad}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 SMALL_EXPERIMENT = [
     "experiment",
@@ -266,6 +278,15 @@ class TestExperiment:
     def test_invalid_split_name_fails(self, tmp_path):
         code = run_cli(["experiment", "--splits", "DS-9", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_FAIL
+
+    @pytest.mark.parametrize("flag", ["--splits", "--models"])
+    def test_empty_name_list_fails_without_output(self, tmp_path, capsys, flag):
+        # an empty list in a config file is refused; the flag's "" is the same list
+        out = tmp_path / "o"
+        args = ["experiment", "--zones", "2", "--duration", "30", "--runs", "1", "--epochs", "1"]
+        assert run_cli(args + [flag, "", "--out", str(out)]) == cli.EXIT_FAIL
+        assert "must be a non-empty subset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QINC_SEED", "5")

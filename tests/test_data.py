@@ -134,17 +134,19 @@ class TestLabel:
         assert not self.labels([]).any()
 
     def test_per_second_interval(self):
-        labels = self.labels([(3, 100, 60)], n_zones=4, duration_s=170)
+        labels = self.labels([scenario.IncidentEvent(3, 100, 60)], n_zones=4, duration_s=170)
         assert labels[:, 3].tolist() == [int(100 <= t < 160) for t in range(170)]
         assert not labels[:, :3].any()
 
     def test_per_minute_overlap(self):
-        labels = self.labels([(3, 100, 60)], n_zones=4, duration_s=300, bucket_seconds=60)
+        labels = self.labels(
+            [scenario.IncidentEvent(3, 100, 60)], n_zones=4, duration_s=300, bucket_seconds=60
+        )
         # the [100, 160) incident overlaps minutes 1 and 2 only
         assert labels[:, 3].tolist() == [0, 1, 1, 0, 0]
 
     def test_other_zone_untouched(self):
-        labels = self.labels([(1, 0, 100)])
+        labels = self.labels([scenario.IncidentEvent(1, 0, 100)])
         assert (labels == np.array([0, 1, 0])).all()
 
 
@@ -284,6 +286,8 @@ class TestCsvRoundTrip:
             ("0,a,0,nan", "speed must be finite and >= 0, got nan"),
             ("0,a,0,inf", "speed must be finite and >= 0, got inf"),
             ("0,a\x00,0,1.0", "vehicle id contains a NUL character"),
+            ("99999999999999999999,a,0,1", "time 99999999999999999999 is beyond the int64 range"),
+            ("0,a,99999999999999999999,1", "zone id 99999999999999999999 is beyond the int64 range"),
         ],
     )
     def test_bad_field_message(self, tmp_path, line, message):
@@ -481,7 +485,8 @@ def reference_rows(rows, events, n_zones, bucket_seconds, duration):
         for zone in range(n_zones):
             up, down = neighbors(zone)
             hit = any(
-                z == zone and s < start + bucket_seconds and start < s + d for z, s, d in events
+                e.zone == zone and e.start_s < start + bucket_seconds and start < e.end_s
+                for e in events
             )
             out.append((start, zone, [*own[zone], *own[up], *own[down]], int(hit)))
     return out
@@ -500,7 +505,12 @@ def corridors(draw):
         st.floats(0.0, 50.0),
     )
     rows = draw(st.lists(row, max_size=60))
-    event = st.tuples(st.integers(-1, n_zones), st.integers(0, duration + 5), st.integers(1, 90))
+    event = st.builds(
+        scenario.IncidentEvent,
+        st.integers(-1, n_zones),
+        st.integers(0, duration + 5),
+        st.integers(1, 90),
+    )
     events = draw(st.lists(event, max_size=3))
     return rows, events, n_zones, bucket, duration
 

@@ -238,7 +238,72 @@ class TestPopulation:
             model.model_to_dict(population)
 
 
+def tuple_form_loss_and_gradients(net, features, labels):
+    """The step in its earlier form, kept as the reference: each layer's
+    backward returns its gradient arrays, and the flat gradient is their
+    concatenation in stack order."""
+    h, caches = features, []
+    for layer in net.layers:
+        h, cache = layer.forward_cached(h)
+        caches.append(cache)
+    probs = h[..., 0]
+    loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
+    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
+    grads_reversed = []
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        if isinstance(layer, nn.DenseLayer):
+            x, z = cache
+            dz = d_out * nn.activate_deriv(layer.activation, z)
+            grads = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2))
+            d_out = dz @ layer.weights
+        else:
+            d_inputs, d_weights = cache
+            grads = (np.einsum("...blij,...bj->...li", d_weights, d_out),)
+            d_out = np.einsum("...bij,...bj->...bi", d_inputs, d_out)
+        grads_reversed.append(grads)
+    runs = net.params.shape[:-1]
+    return loss, np.concatenate(
+        [g.reshape(runs + (-1,)) for grads in reversed(grads_reversed) for g in grads], axis=-1
+    )
+
+
+def bits(array):
+    return np.asarray(array, dtype=np.float64).view(np.int64)
+
+
 class TestGradients:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            model.HybridModelConfig(kind="classical"),
+            model.HybridModelConfig(kind="hybrid", n_qubits=2),
+            model.HybridModelConfig(kind="hybrid", n_qubits=4),
+        ],
+        ids=lambda config: config.label,
+    )
+    @pytest.mark.parametrize("n_runs", [None, 3], ids=["model", "population"])
+    def test_step_matches_the_tuple_form_bit_for_bit(self, config, n_runs):
+        """250 Adam steps at batch 16: every loss, gradient and update is
+        the tuple-and-concatenate form's, bit for bit."""
+        rng = np.random.default_rng(3)
+        features = rng.uniform(0.0, 1.0, (4000, 6))
+        labels = rng.integers(0, 2, 4000).astype(float)
+        if n_runs is None:
+            net = model.build_model(config, seed=3)
+        else:
+            net = model.build_population(config, seed=3, n_runs=n_runs)
+        twin = copy.deepcopy(net)
+        adam, twin_adam = nn.AdamState.for_params(net.params), nn.AdamState.for_params(twin.params)
+        for start in range(0, len(features), 16):
+            batch = slice(start, start + 16)
+            loss, grad = model.loss_and_gradients(net, features[batch], labels[batch])
+            want_loss, want_grad = tuple_form_loss_and_gradients(twin, features[batch], labels[batch])
+            np.testing.assert_array_equal(bits(loss), bits(want_loss))
+            np.testing.assert_array_equal(bits(grad), bits(want_grad))
+            nn.adam_step(net.params, grad, adam)
+            nn.adam_step(twin.params, want_grad, twin_adam)
+        np.testing.assert_array_equal(bits(net.params), bits(twin.params))
+
     def test_batch_mean_permutation_invariant(self):
         rng = np.random.default_rng(7)
         net = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=7)

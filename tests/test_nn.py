@@ -114,14 +114,38 @@ class TestBceLoss:
                 assert nn.bce_grad(p, y) == pytest.approx(fd, rel=1e-5)
 
 
+def gradient_arrays(layer):
+    """(d_weights, d_biases) buffers for ``dense_backward``, filled with NaN
+    so that an entry it leaves unwritten shows."""
+    return np.full(layer.weights.shape, np.nan), np.full(layer.biases.shape, np.nan)
+
+
 class TestDenseBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(2)
         layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
         x = rng.normal(size=(1, 4))
         z, _ = nn.dense_forward(layer, x)
-        d_w, d_b, d_x = nn.dense_backward(layer, x, z, np.zeros((1, 3)))
+        d_w, d_b = gradient_arrays(layer)
+        d_x = nn.dense_backward(layer, x, z, np.zeros((1, 3)), (d_w, d_b))
         assert not np.any(d_w) and not np.any(d_b) and not np.any(d_x)
+
+    def test_writes_into_strided_views_of_a_population_gradient(self):
+        # two runs' [3, 4] weights and [3] biases as views of a [2, 15] vector
+        rng = np.random.default_rng(4)
+        layer = nn.DenseLayer(np.zeros((3, 4)), np.zeros(3), "relu")
+        layer.weights, layer.biases = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
+        x = rng.normal(size=(5, 4))
+        z, _ = nn.dense_forward(layer, x)
+        d_out = rng.normal(size=(2, 5, 3))
+        flat = np.full((2, 15), np.nan)
+        d_w, d_b = flat[:, :12].reshape(2, 3, 4), flat[:, 12:]
+        d_x = nn.dense_backward(layer, x, z, d_out, (d_w, d_b))
+        dz = d_out * (z > 0)
+        np.testing.assert_array_equal(d_w, dz.swapaxes(-1, -2) @ x)
+        np.testing.assert_array_equal(d_b, dz.sum(axis=-2))
+        np.testing.assert_array_equal(d_x, dz @ layer.weights)
+        assert np.shares_memory(d_w, flat) and not np.isnan(flat).any()
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_single_layer_finite_difference(self, activation):
@@ -142,7 +166,8 @@ class TestDenseBackward:
             d_out = np.array([[d_prob]])
         else:
             d_out = np.array([[d_prob * prob * (1 - prob)]])
-        d_w, d_b, _ = nn.dense_backward(layer, x, z, d_out)
+        d_w, d_b = gradient_arrays(layer)
+        nn.dense_backward(layer, x, z, d_out, (d_w, d_b))
 
         h = 1e-6
         for idx in np.ndindex(layer.weights.shape):
