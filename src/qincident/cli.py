@@ -164,7 +164,10 @@ def cmd_features(args) -> int:
         )
     n_zones = args.zones if args.zones is not None else int(records.zone.max()) + 1
     duration_s = args.duration if args.duration is not None else int(records.time.max()) + 1
-    _corridor(n_zones, duration_s)  # both must be >= 1
+    try:
+        _corridor(n_zones, duration_s)  # both >= 1, and within the cap
+    except ConfigError as exc:
+        raise ConfigError(f"{args.bsm}: {exc}") from None
     outside = (records.zone < 0) | (records.zone >= n_zones) | (records.time >= duration_s)
     if outside.any():
         row = int(outside.argmax())
@@ -216,20 +219,20 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
     schedule = scenario.read_schedule_json(config.schedule_path) if config.schedule_path else None
-
-    def dataset(duration_s: int, bucket_seconds: int) -> data.Dataset:
-        corridor = _corridor(config.zones, duration_s, config.seed, schedule, config.schedule_path)
-        return scenario.synthetic_dataset(corridor, bucket_seconds, n_incidents=config.n_incidents)
-
-    splits: dict[str, data.DatasetSplit] = {}
-    if "DS-1" in config.splits or "DS-2" in config.splits:
-        per_second = dataset(config.duration_s, bucket_seconds=1)
-        for name in ("DS-1", "DS-2"):
-            if name in config.splits:
-                splits[name] = data.split(per_second, name)
-    if "DS-3" in config.splits:
-        splits["DS-3"] = data.split(dataset(config.ds3_duration_s, bucket_seconds=60), "DS-3")
-    return splits
+    buckets = {"DS-1": 1, "DS-2": 1, "DS-3": 60}  # DS-1 and DS-2 share the per-second rows
+    durations = {1: config.duration_s, 60: config.ds3_duration_s}
+    # every corridor is checked before the first one is generated
+    corridors = {
+        buckets[name]: _corridor(
+            config.zones, durations[buckets[name]], config.seed, schedule, config.schedule_path
+        )
+        for name in config.splits
+    }
+    datasets = {
+        bucket: scenario.synthetic_dataset(corridor, bucket, n_incidents=config.n_incidents)
+        for bucket, corridor in corridors.items()
+    }
+    return {name: data.split(datasets[buckets[name]], name) for name in config.splits}
 
 
 def cmd_experiment(args) -> int:

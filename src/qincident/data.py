@@ -158,8 +158,7 @@ def aggregate(
     # distinct (vehicle, zone, second): keep the first observation.  The kept
     # records come in vehicle-id order, and each cell sums its speeds in
     # that order.
-    _, vid_codes = np.unique(records.vehicle_id, return_inverse=True)
-    key = (vid_codes.astype(np.int64) * n_zones + zones) * duration + times
+    key = (_id_codes(records.vehicle_id) * n_zones + zones) * duration + times
     _, first = np.unique(key, return_index=True)
     cell = zones[first] * duration + times[first]
     grid_size = n_zones * duration
@@ -178,6 +177,18 @@ def aggregate(
     speed = np.where(count > 0, speed_sum / np.where(count > 0, count, 1.0), EMPTY_SPEED_FILL)
     covered = np.minimum(starts + bucket_seconds, duration) - starts
     return starts, speed, count / covered[:, np.newaxis]
+
+
+def _id_codes(ids: np.ndarray) -> np.ndarray:
+    """Each id's rank among the distinct ids, as int64: the inverse that
+    ``np.unique(ids, return_inverse=True)`` gives.  The sort is stable, so it
+    runs fast on ids that come partly in order, as generated records do."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    codes = np.zeros(len(ids), dtype=np.int64)
+    # the first id in sorted order has rank 0; each change of id adds one
+    codes[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return codes
 
 
 def build_features(speed: np.ndarray, count: np.ndarray) -> np.ndarray:

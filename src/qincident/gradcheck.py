@@ -5,7 +5,9 @@ Three suites, each pitting the production path against a slower route built
 from different primitives:
 
 * forward oracle: the layer circuit rebuilt as explicit Kronecker-product
-  gate matrices multiplied into a dense 2**n x 2**n unitary;
+  gate matrices multiplied into a dense 2**n x 2**n unitary per row, every
+  gate of a stack of rows formed by one ``einsum``; a shape's cases run as
+  one call of the oracle and one of the kernel;
 * the layer's exact gradients (derivatives of the term formula) vs central
   finite differences of the statevector forward map, printed as
   ``parameter-shift`` for the benchmark's checks, though no parameter shift
@@ -22,27 +24,25 @@ Used by the test suite and by the ``gradcheck`` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import model as model_mod
 from . import nn, qsim
 
-_I2 = np.eye(2, dtype=np.complex128)
-_Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
-
-
-def _rx_matrix(angle: float) -> np.ndarray:
-    cos = np.cos(0.5 * angle)
-    sin = np.sin(0.5 * angle)
-    return np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=np.complex128)
+def _rx_matrix(angle) -> np.ndarray:
+    """RX gates [..., 2, 2] for angles [...]."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    cos, sin = np.cos(half), -1j * np.sin(half)
+    return np.stack((np.stack((cos, sin), axis=-1), np.stack((sin, cos), axis=-1)), axis=-2)
 
 
 def _one_qubit_gate(n: int, qubit: int, gate: np.ndarray) -> np.ndarray:
-    # qubit 0 is the most significant index bit, so it is the first kron factor
-    factors = [gate if k == qubit else _I2 for k in range(n)]
-    return reduce(np.kron, factors)
+    """I_(2**qubit) (x) gate (x) I_(2**(n-1-qubit)) for gates [..., 2, 2]:
+    qubit 0 is the most significant index bit, so it is the first factor."""
+    before, after = np.eye(2**qubit), np.eye(2 ** (n - 1 - qubit))
+    full = np.einsum("ij,...kl,mn->...ikmjln", before, gate, after)
+    return full.reshape(gate.shape[:-2] + (2**n, 2**n))
 
 
 def _cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
@@ -58,31 +58,32 @@ def _cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
 
 
 def circuit_matrix(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Dense unitary of the embed + entangler circuit."""
-    n = len(inputs)
+    """Dense unitaries [..., 2**n, 2**n] of the embed + entangler circuit,
+    for embeddings [..., n] with per-row weights [..., L, n] or shared
+    [L, n]; one embedding [n] gives one [2**n, 2**n] unitary."""
+    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
+    n = inputs.shape[-1]
     unitary = np.eye(2**n, dtype=np.complex128)
-    for qubit, angle in enumerate(inputs):
-        unitary = _one_qubit_gate(n, qubit, _rx_matrix(angle)) @ unitary
-    for layer_weights in weights:
-        for qubit, angle in enumerate(layer_weights):
-            unitary = _one_qubit_gate(n, qubit, _rx_matrix(angle)) @ unitary
+    for qubit in range(n):
+        unitary = _one_qubit_gate(n, qubit, _rx_matrix(inputs[..., qubit])) @ unitary
+    for layer in range(weights.shape[-2]):
+        for qubit in range(n):
+            unitary = _one_qubit_gate(n, qubit, _rx_matrix(weights[..., layer, qubit])) @ unitary
         for control, target in qsim._ring(n):
             unitary = _cnot_matrix(n, control, target) @ unitary
     return unitary
 
 
 def dense_matrix_forward(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Oracle Z expectations via the full circuit unitary."""
-    n = len(inputs)
-    start = np.zeros(2**n, dtype=np.complex128)
-    start[0] = 1.0
-    amps = circuit_matrix(inputs, weights) @ start
-    probs = np.abs(amps) ** 2
-    expectations = np.empty(n)
-    for qubit in range(n):
-        z_diag = np.real(np.diag(_one_qubit_gate(n, qubit, _Z2)))
-        expectations[qubit] = probs @ z_diag
-    return expectations
+    """Oracle Z expectations [..., n] via the full circuit unitaries: the
+    first column is the state made from |0...0>, and Z_j reads +1 on the
+    basis states whose bit j is 0 and -1 on the others.  The readout is one
+    matrix-vector product per row, so a row's values have the same bits
+    however many rows are stacked with it."""
+    n = np.shape(inputs)[-1]
+    probs = np.abs(circuit_matrix(inputs, weights)[..., :, 0]) ** 2
+    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, np.newaxis] & 1  # [n, 2**n]
+    return ((1.0 - 2.0 * bits) @ probs[..., np.newaxis])[..., 0]
 
 
 @dataclass
@@ -113,20 +114,24 @@ def check_forward_oracle(
     tol: float = 1e-10,
 ) -> SuiteResult:
     """The batched kernel the models run (``forward_batch``) against the
-    dense-matrix oracle on random circuits."""
+    dense-matrix oracle on random circuits, each shape's cases stacked into
+    one call of each."""
     rng = np.random.default_rng(seed)
     max_err, worst, n_cases = 0.0, "", 0
     for n in qubit_counts:
         for layers in layer_counts:
-            for _ in range(cases_per_shape):
-                inputs = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
-                weights = rng.uniform(-2 * np.pi, 2 * np.pi, size=(layers, n))
-                got = qsim.forward_batch(inputs[np.newaxis], weights)[0]
-                want = dense_matrix_forward(inputs, weights)
-                err = float(np.max(np.abs(got - want)))
-                n_cases += 1
-                if err > max_err:
-                    max_err, worst = err, f"n={n} layers={layers}"
+            cases = [
+                (rng.uniform(-2 * np.pi, 2 * np.pi, size=n),
+                 rng.uniform(-2 * np.pi, 2 * np.pi, size=(layers, n)))
+                for _ in range(cases_per_shape)
+            ]
+            inputs, weights = (np.array(part) for part in zip(*cases))
+            # each case is a population of one run with a batch of one row
+            got = qsim.forward_batch(inputs[:, np.newaxis], weights)[:, 0]
+            err = np.max(np.abs(got - dense_matrix_forward(inputs, weights)), axis=-1)
+            n_cases += len(err)
+            if err.max() > max_err:
+                max_err, worst = float(err.max()), f"n={n} layers={layers}"
     return SuiteResult("forward-oracle", max_err <= tol, max_err, tol, n_cases, worst)
 
 
@@ -171,8 +176,9 @@ def check_parameter_shift(
 MIN_STEP = 1e-8
 
 # Coordinates probed together: a pass stacks two probe rows per coordinate,
-# so this bounds the probe matrix and every stacked activation.
-PROBE_CHUNK = 16
+# so this bounds the probe matrix and every stacked activation (64 rows of
+# hybrid-4q's 2,065 parameters, about 1 MiB).
+PROBE_CHUNK = 32
 
 
 def check_hybrid_gradients(

@@ -49,6 +49,11 @@ MAX_INCIDENT_S = 90
 EARLY_WINDOW_S = 110  # first incidents land here so prefix splits see positives
 EARLY_QUOTA = 8
 
+# The most (zone, second) cells a corridor may hold, 240 times the default
+# 56-zone, 1250 s corridor: every per-cell grid is sized from the config, so a
+# larger corridor is refused before anything is allocated.
+MAX_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class IncidentEvent:
@@ -81,6 +86,12 @@ class ScenarioConfig:
             raise ConfigError(f"n_zones must be >= 1, got {self.n_zones}")
         if self.duration_s < 1:
             raise ConfigError(f"duration_s must be >= 1, got {self.duration_s}")
+        if self.n_zones * self.duration_s > MAX_CELLS:
+            raise ConfigError(
+                f"a corridor of {self.n_zones} zones x {self.duration_s} s has "
+                f"{self.n_zones * self.duration_s} cells, above the cap of {MAX_CELLS} "
+                "(scenario.MAX_CELLS)"
+            )
         if self.incidents is None:
             return
         self.incidents = tuple(self.incidents)
@@ -200,13 +211,18 @@ def _affected_zones(zone: int, neighbors: tuple[np.ndarray, np.ndarray]) -> set[
     return {zone, int(up[zone]), int(down[zone])}
 
 
+def _rows(event: IncidentEvent, duration_s: int, bucket_seconds: int):
+    """The (zone, bucket) rows that ``event`` labels positive."""
+    first = event.start_s // bucket_seconds
+    last = min(event.end_s - 1, duration_s - 1) // bucket_seconds
+    return ((event.zone, b) for b in range(first, last + 1))
+
+
 def positive_rows(events: list[IncidentEvent], duration_s: int, bucket_seconds: int) -> int:
     """How many (zone, bucket) rows the schedule will label positive."""
     covered: set[tuple[int, int]] = set()
     for event in events:
-        first = event.start_s // bucket_seconds
-        last = min(event.end_s - 1, duration_s - 1) // bucket_seconds
-        covered.update((event.zone, b) for b in range(first, last + 1))
+        covered.update(_rows(event, duration_s, bucket_seconds))
     return len(covered)
 
 
@@ -270,15 +286,16 @@ def default_schedule(
     early_quota = min(EARLY_QUOTA, max(1, config.n_zones // 4))
     if n_incidents is not None:
         early_quota = min(early_quota, n_incidents)
+    covered: set[tuple[int, int]] = set()  # the rows the placed events label
     while n_incidents is None or len(events) < n_incidents:
         if (
             n_incidents is None
             and len(events) >= early_quota
-            and positive_rows(events, config.duration_s, bucket_seconds) / n_rows
-            >= PREVALENCE_TARGET
+            and len(covered) / n_rows >= PREVALENCE_TARGET
         ):
             break
         events.append(place(early=len(events) < early_quota))
+        covered.update(_rows(events[-1], config.duration_s, bucket_seconds))
     events.sort(key=lambda e: (e.start_s, e.zone))
     return events
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -67,6 +68,16 @@ class TestGen:
         prevalence = table.labels.sum() / len(table)
         assert prevalence > 0
         assert printed == f"feature rows: {len(table)}  positive prevalence: {prevalence:.4f}"
+
+    def test_corridor_above_the_cell_cap_exits_1_at_once(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        code = run_cli(["gen", "--zones", "100000", "--duration", "100000", "--out", str(out)])
+        assert code == cli.EXIT_FAIL and time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: a corridor of 100000 zones x 100000 s has 10000000000 cells")
+        assert f"above the cap of {scenario.MAX_CELLS}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bsm_csv_parses_back(self, tmp_path):
         out = tmp_path / "o"
@@ -209,6 +220,19 @@ class TestFeatures:
         labels = read_features(out)["label"]
         assert len(labels) == 240 and not labels.any()
 
+    def test_zone_id_beyond_the_cell_cap_exits_1_at_once(self, tmp_path, capsys):
+        # without --zones the corridor would span zone ids 0..10**12
+        bsm = tmp_path / "bsm.csv"
+        bsm.write_text("time_s,vehicle_id,zone_id,speed_mps\n0,a,1000000000000,1\n")
+        out = tmp_path / "features.csv"
+        started = time.perf_counter()
+        code = run_cli(["features", "--bsm", str(bsm), "--out", str(out)])
+        assert code == cli.EXIT_FAIL and time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {bsm}: a corridor of 1000000000001 zones x 1 s")
+        assert f"above the cap of {scenario.MAX_CELLS}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == cli.EXIT_IO
@@ -326,6 +350,22 @@ class TestExperiment:
         assert report["error"].startswith(f"DataError: {message}")
         assert report["error"].endswith("(seed 5)")
 
+
+    def test_corridor_above_the_cell_cap_exits_1_before_any_generation(self, tmp_path, capsys, monkeypatch):
+        # the per-second corridor fits; the per-minute one is refused before
+        # either is generated
+        def generate(config):
+            raise AssertionError("generated before every corridor was checked")
+
+        monkeypatch.setattr(scenario, "generate", generate)
+        out = tmp_path / "exp"
+        args = ["experiment", "--zones", "1000", "--duration", "1000", "--out", str(out)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ds3_duration_s": 10**6}))
+        assert run_cli(args + ["--config", str(config)]) == cli.EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: a corridor of 1000 zones x 1000000 s has 1000000000 cells")
+        assert not out.exists()
 
     def test_empty_schedule_file_is_used_as_given(self, tmp_path):
         schedule = tmp_path / "schedule.json"

@@ -79,6 +79,21 @@ class TestAggregate:
         with pytest.raises(DataError):
             data.build_dataset(records((0, "a", 7, 1.0)), [], 3, 1, duration_s=1)
 
+    @pytest.mark.parametrize("order", ["generated", "shuffled", "repeated"])
+    def test_id_codes_are_the_unique_inverse(self, order):
+        recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=300, seed=1))
+        ids = recs.vehicle_id
+        rng = np.random.default_rng(0)
+        if order == "shuffled":
+            ids = ids[rng.permutation(len(ids))]
+        elif order == "repeated":  # duplicates, an empty id, and prefixes of others
+            ids = np.concatenate((ids, [""], ids[rng.integers(0, len(ids), 500)], ["v0", "v00-1"]))
+        codes = data._id_codes(ids)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, np.unique(ids, return_inverse=True)[1])
+        for few in (ids[:0], ids[:1]):
+            np.testing.assert_array_equal(data._id_codes(few), np.zeros(len(few), dtype=np.int64))
+
     def test_partial_final_minute_divides_by_covered_seconds(self):
         # 30-second tail bucket with one vehicle per second: count stays 1
         recs = records(*[(t, f"v{t}", 0, 10.0) for t in range(90)])

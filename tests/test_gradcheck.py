@@ -1,14 +1,45 @@
 """The verification suites themselves: oracle pinning and negative controls."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from qincident import gradcheck
+from qincident import gradcheck, qsim
+
+
+def kron_circuit(inputs, weights):
+    """One embedding's unitary, each gate a ``reduce(np.kron, ...)`` over the
+    qubits (qubit 0 first) multiplied in on the left."""
+    n = len(inputs)
+    eye, x = np.eye(2), np.array([[0, 1], [1, 0]])
+    zero, one = np.diag([1, 0]), np.diag([0, 1])
+
+    def rx(qubit, angle):
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        gate = np.array([[c, -1j * s], [-1j * s, c]])
+        return reduce(np.kron, [gate if k == qubit else eye for k in range(n)])
+
+    def cnot(control, target):
+        flip = [one if k == control else x if k == target else eye for k in range(n)]
+        keep = [zero if k == control else eye for k in range(n)]
+        return reduce(np.kron, keep) + reduce(np.kron, flip)
+
+    ring = [] if n == 1 else [(0, 1)] if n == 2 else [(q, (q + 1) % n) for q in range(n)]
+    unitary = np.eye(2**n, dtype=complex)
+    for qubit, angle in enumerate(inputs):
+        unitary = rx(qubit, angle) @ unitary
+    for layer in weights:
+        for qubit, angle in enumerate(layer):
+            unitary = rx(qubit, angle) @ unitary
+        for control, target in ring:
+            unitary = cnot(control, target) @ unitary
+    return unitary
 
 
 class TestDenseMatrixOracle:
-    """Hand-derived fixed points that pin the oracle independently of the
-    statevector path it is used to check."""
+    """Hand-derived fixed points and a gate-by-gate Kronecker reference that
+    pin the oracle independently of the term formula it checks."""
 
     def test_identity_circuit(self):
         out = gradcheck.dense_matrix_forward(np.zeros(3), np.zeros((1, 3)))
@@ -28,8 +59,51 @@ class TestDenseMatrixOracle:
         mat = gradcheck.circuit_matrix(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (2, 3)))
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(8), atol=1e-12)
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stacked_unitaries_match_the_kronecker_reference(self, n, layers):
+        rng = np.random.default_rng(10 * n + layers)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, (6, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, (6, layers, n))
+        want = np.array([kron_circuit(x, w) for x, w in zip(inputs, weights)])
+        stacked = gradcheck.circuit_matrix(inputs, weights)
+        assert stacked.shape == (6, 2**n, 2**n)
+        np.testing.assert_allclose(stacked, want, rtol=0, atol=1e-13)
+        one = gradcheck.circuit_matrix(inputs[0], weights[0])
+        assert one.shape == (2**n, 2**n)
+        np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-13)
+        # shared weights broadcast over the stacked embeddings
+        shared = gradcheck.circuit_matrix(inputs, weights[0])
+        np.testing.assert_allclose(shared[1], kron_circuit(inputs[1], weights[0]), rtol=0, atol=1e-13)
+        # the readout: <Z_j> of the state the unitary makes from |0...0>
+        probs = np.abs(want[..., 0]) ** 2
+        z = [[1 - 2 * (s >> (n - 1 - j) & 1) for j in range(n)] for s in range(2**n)]
+        values = gradcheck.dense_matrix_forward(inputs, weights)
+        np.testing.assert_allclose(values, probs @ np.array(z), rtol=0, atol=1e-13)
+        assert gradcheck.dense_matrix_forward(inputs[2], weights[2]).tobytes() == values[2].tobytes()
+
 
 class TestSuites:
+    @pytest.mark.parametrize("cases_per_shape", [1, 20])
+    def test_stacked_forward_oracle_matches_one_case_per_call(self, cases_per_shape):
+        # the suite's draws, in its order, each run as its own call of the
+        # kernel and the oracle
+        rng = np.random.default_rng(5)
+        max_err, worst = 0.0, ""
+        for n in (2, 3, 4):
+            for layers in (1, 2):
+                for _ in range(cases_per_shape):
+                    x = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+                    w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(layers, n))
+                    got = qsim.forward_batch(x[np.newaxis], w)[0]
+                    err = float(np.max(np.abs(got - gradcheck.dense_matrix_forward(x, w))))
+                    if err > max_err:
+                        max_err, worst = err, f"n={n} layers={layers}"
+        want = gradcheck.SuiteResult(
+            "forward-oracle", max_err <= 1e-10, max_err, 1e-10, 6 * cases_per_shape, worst
+        )
+        assert gradcheck.check_forward_oracle(seed=5, cases_per_shape=cases_per_shape) == want
+
     def test_forward_oracle_passes(self):
         result = gradcheck.check_forward_oracle(seed=3, cases_per_shape=5)
         assert result.passed

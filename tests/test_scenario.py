@@ -168,6 +168,14 @@ class TestGenerate:
                 duration_s=100, incidents=(scenario.IncidentEvent(0, 80, 40),)
             )
 
+    def test_corridor_above_the_cell_cap_is_refused(self):
+        side = int(scenario.MAX_CELLS**0.5)
+        scenario.ScenarioConfig(n_zones=side, duration_s=side)  # exactly the cap
+        with pytest.raises(ConfigError, match=f"above the cap of {scenario.MAX_CELLS}"):
+            scenario.ScenarioConfig(n_zones=side, duration_s=side + 1)
+        with pytest.raises(ConfigError, match="1000000000001 zones x 1 s"):
+            scenario.ScenarioConfig(n_zones=10**12 + 1, duration_s=1)
+
     def test_incident_zone_demand_reset_under_overlap(self):
         # zone 2's incident queues zone 1 and starves zone 3; the later
         # incidents in zones 1 and 3 set their demand back to base over the
@@ -193,7 +201,66 @@ class TestSyntheticDataset:
         assert not scenario.synthetic_dataset(config, bucket_seconds=1).labels.any()
 
 
+def reference_schedule(config, n_incidents=None, bucket_seconds=1):
+    """``default_schedule`` as first written: each pass recounts the rows of
+    every placed event through ``positive_rows`` before it places the next."""
+    if n_incidents == 0:
+        return []
+    rng = np.random.default_rng([config.seed, 104729])
+    neighbors = data.neighbor_index(config.n_zones)
+    n_rows = config.n_zones * -(-config.duration_s // bucket_seconds)
+    pad = 10
+    events, blocks = [], []
+
+    def place(early):
+        for _ in range(200):
+            duration = min(int(rng.integers(scenario.MIN_INCIDENT_S, scenario.MAX_INCIDENT_S + 1)),
+                           config.duration_s)
+            if early:
+                duration = min(max(duration, 70), config.duration_s)
+                starts = [
+                    s for s in (0, 60)
+                    if s <= scenario.EARLY_WINDOW_S and s + duration <= config.duration_s
+                ]
+                start = int(rng.choice(starts)) if starts else 0
+            else:
+                far = config.duration_s - duration > 2 * scenario.EARLY_WINDOW_S
+                lo = scenario.EARLY_WINDOW_S + pad if far else 0
+                start = int(rng.integers(lo, config.duration_s - duration + 1))
+            zone = int(rng.integers(0, config.n_zones))
+            zones = scenario._affected_zones(zone, neighbors)
+            lo, hi = start - pad, start + duration + scenario.RECOVERY_S + pad
+            if not any(zs & zones and lo < b_hi and b_lo < hi for zs, b_lo, b_hi in blocks):
+                blocks.append((zones, start, start + duration))
+                return scenario.IncidentEvent(zone, start, duration)
+        raise ConfigError("cannot fit incident schedule without overlap")
+
+    early_quota = min(scenario.EARLY_QUOTA, max(1, config.n_zones // 4))
+    if n_incidents is not None:
+        early_quota = min(early_quota, n_incidents)
+    while n_incidents is None or len(events) < n_incidents:
+        if (
+            n_incidents is None
+            and len(events) >= early_quota
+            and scenario.positive_rows(events, config.duration_s, bucket_seconds) / n_rows
+            >= scenario.PREVALENCE_TARGET
+        ):
+            break
+        events.append(place(early=len(events) < early_quota))
+    events.sort(key=lambda e: (e.start_s, e.zone))
+    return events
+
+
 class TestDefaultSchedule:
+    @pytest.mark.parametrize("bucket_seconds", [1, 60])
+    @pytest.mark.parametrize("duration_s", [60, 200, 1250, 5000])
+    @pytest.mark.parametrize("n_zones", [1, 2, 3, 5, 56, 300])
+    def test_matches_the_recounting_reference(self, n_zones, duration_s, bucket_seconds):
+        for seed in range(5):
+            config = scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, seed=seed)
+            want = reference_schedule(config, bucket_seconds=bucket_seconds)
+            assert scenario.default_schedule(config, bucket_seconds=bucket_seconds) == want
+
     def test_zero_incidents(self):
         assert scenario.default_schedule(scenario.ScenarioConfig(seed=0), n_incidents=0) == []
 
