@@ -1,7 +1,7 @@
 """The quantum layer, step by step.
 
 Builds the 4-qubit circuit as one dense unitary (the Kronecker-product
-oracle in ``gradcheck``), reads out its Z expectations, checks them against
+reference in ``qsim``), reads out its Z expectations, checks them against
 the term formula that ``qsim.forward_batch`` evaluates (at one entangler
 layer a product of cosines), then shows that the exact gradients of
 ``qsim.gradients_batch`` match finite differences.
@@ -9,7 +9,7 @@ layer a product of cosines), then shows that the exact gradients of
 
 import numpy as np
 
-from qincident import gradcheck, qsim
+from qincident import qsim
 
 rng = np.random.default_rng(0)
 
@@ -19,11 +19,11 @@ inputs = np.array([0.4, 1.1, 2.0, 0.0])
 weights = rng.uniform(0, 2 * np.pi, size=(1, 4))
 
 # The whole circuit as a 16 x 16 unitary applied to the fresh register |0000>.
-unitary = gradcheck.circuit_matrix(inputs, weights)
+unitary = qsim.circuit_matrix(inputs, weights)
 amplitudes = unitary[:, 0]
 print("largest |amplitude|  :", f"{np.abs(amplitudes).max():.4f}",
       f"at basis state {np.abs(amplitudes).argmax():04b}")
-print("oracle <Z>           :", np.round(gradcheck.dense_matrix_forward(inputs, weights), 4))
+print("reference <Z>        :", np.round(qsim.quantum_forward(inputs, weights), 4))
 
 # The batched kernel the models run, here on a batch of one embedding.
 values = qsim.forward_batch(inputs[np.newaxis], weights)[0]

@@ -18,7 +18,8 @@ File formats (all UTF-8, LF):
 * feature CSV, header
   ``bucket_start_s,zone_id,spd_z,cnt_z,spd_up,cnt_up,spd_dn,cnt_dn,label``.
 
-The writers give the bytes ``csv.writer`` would, floats as ``repr``.  Only
+The writers give the bytes ``csv.writer`` would, floats as ``repr``; the
+record writer refuses a vehicle id that ``csv.writer`` would quote.  Only
 the record CSV is read back.  Its reader parses the file's columns with
 ``np.loadtxt`` and checks them; a file that parse could read differently
 from ``csv.reader`` (a quote, CR, NUL, ``#``, \x1c-\x1f, a blank or
@@ -282,8 +283,9 @@ def split(table: Dataset, name: str) -> DatasetSplit:
 # it decides every error and its message.
 
 _CHUNK_ROWS = 8192
-# code points for which ``csv.writer`` quotes a field (or may: \r)
-_CSV_QUOTED = [ord(c) for c in ',"\n\r']
+# characters for which ``csv.writer`` quotes a field (or may: \r); the record
+# writer refuses a vehicle id that holds one
+_CSV_QUOTED = ',"\n\r'
 # bytes on which ``np.loadtxt`` could split or parse a file differently from
 # ``csv.reader`` and ``int``/``float``: quotes, CR line ends and NULs change
 # csv's fields, ``#`` starts a comment when comments are on, and numpy
@@ -297,13 +299,6 @@ _INT64 = np.iinfo(np.int64)
 _BSM_ROW = np.dtype(
     [("time", np.int64), ("vehicle_id", object), ("zone", np.int64), ("speed", np.float64)]
 )
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
@@ -366,15 +361,13 @@ def _load_rows(path, header: list[str], dtype: np.dtype) -> np.ndarray | None:
 
 
 def write_bsm_csv(records: Records, path) -> None:
+    """``DataError`` (a ValueError), before the file is opened, for a
+    vehicle id that ``csv.writer`` would quote; generated ids never hold one."""
     ids = np.ascontiguousarray(records.vehicle_id)
-    if np.isin(ids.view(np.uint32), _CSV_QUOTED).any():  # the U array as code points
-        _write_csv(
-            path,
-            BSM_HEADER,
-            zip(records.time.tolist(), ids.tolist(), records.zone.tolist(),
-                map(repr, records.speed.tolist())),
-        )
-        return
+    # the U array as code points
+    if np.isin(ids.view(np.uint32), [ord(c) for c in _CSV_QUOTED]).any():
+        first = next(vid for vid in ids.tolist() if not set(vid).isdisjoint(_CSV_QUOTED))
+        raise DataError(f"vehicle id {first!r} holds a comma, quote, LF or CR")
 
     def lines(start, stop):
         return "".join([

@@ -4,12 +4,11 @@ gradients.
 Three suites, each pitting the production path against a slower route built
 from different primitives:
 
-* forward oracle: the layer circuit rebuilt as explicit Kronecker-product
-  gate matrices multiplied into a dense 2**n x 2**n unitary per row, every
-  gate of a stack of rows formed by one ``einsum``; a shape's cases run as
-  one call of the oracle and one of the kernel;
+* forward oracle: the term formula the models run (``qsim.forward_batch``)
+  vs the circuit as Kronecker-product gate matrices
+  (``qsim.quantum_forward``); a shape's cases run as one call of each;
 * the layer's exact gradients (derivatives of the term formula) vs central
-  finite differences of the statevector forward map, printed as
+  finite differences of ``qsim.quantum_forward``, printed as
   ``parameter-shift`` for the benchmark's checks, though no parameter shift
   runs since the term formula replaced the shifted circuits;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
@@ -29,61 +28,6 @@ import numpy as np
 
 from . import model as model_mod
 from . import nn, qsim
-
-def _rx_matrix(angle) -> np.ndarray:
-    """RX gates [..., 2, 2] for angles [...]."""
-    half = 0.5 * np.asarray(angle, dtype=float)
-    cos, sin = np.cos(half), -1j * np.sin(half)
-    return np.stack((np.stack((cos, sin), axis=-1), np.stack((sin, cos), axis=-1)), axis=-2)
-
-
-def _one_qubit_gate(n: int, qubit: int, gate: np.ndarray) -> np.ndarray:
-    """I_(2**qubit) (x) gate (x) I_(2**(n-1-qubit)) for gates [..., 2, 2]:
-    qubit 0 is the most significant index bit, so it is the first factor."""
-    before, after = np.eye(2**qubit), np.eye(2 ** (n - 1 - qubit))
-    full = np.einsum("ij,...kl,mn->...ikmjln", before, gate, after)
-    return full.reshape(gate.shape[:-2] + (2**n, 2**n))
-
-
-def _cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for src in range(dim):
-        if (src >> (n - 1 - control)) & 1:
-            dst = src ^ (1 << (n - 1 - target))
-        else:
-            dst = src
-        mat[dst, src] = 1.0
-    return mat
-
-
-def circuit_matrix(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Dense unitaries [..., 2**n, 2**n] of the embed + entangler circuit,
-    for embeddings [..., n] with per-row weights [..., L, n] or shared
-    [L, n]; one embedding [n] gives one [2**n, 2**n] unitary."""
-    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
-    n = inputs.shape[-1]
-    unitary = np.eye(2**n, dtype=np.complex128)
-    for qubit in range(n):
-        unitary = _one_qubit_gate(n, qubit, _rx_matrix(inputs[..., qubit])) @ unitary
-    for layer in range(weights.shape[-2]):
-        for qubit in range(n):
-            unitary = _one_qubit_gate(n, qubit, _rx_matrix(weights[..., layer, qubit])) @ unitary
-        for control, target in qsim._ring(n):
-            unitary = _cnot_matrix(n, control, target) @ unitary
-    return unitary
-
-
-def dense_matrix_forward(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Oracle Z expectations [..., n] via the full circuit unitaries: the
-    first column is the state made from |0...0>, and Z_j reads +1 on the
-    basis states whose bit j is 0 and -1 on the others.  The readout is one
-    matrix-vector product per row, so a row's values have the same bits
-    however many rows are stacked with it."""
-    n = np.shape(inputs)[-1]
-    probs = np.abs(circuit_matrix(inputs, weights)[..., :, 0]) ** 2
-    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, np.newaxis] & 1  # [n, 2**n]
-    return ((1.0 - 2.0 * bits) @ probs[..., np.newaxis])[..., 0]
 
 
 @dataclass
@@ -114,8 +58,8 @@ def check_forward_oracle(
     tol: float = 1e-10,
 ) -> SuiteResult:
     """The batched kernel the models run (``forward_batch``) against the
-    dense-matrix oracle on random circuits, each shape's cases stacked into
-    one call of each."""
+    Kronecker-product circuit (``quantum_forward``) on random circuits, each
+    shape's cases stacked into one call of each."""
     rng = np.random.default_rng(seed)
     max_err, worst, n_cases = 0.0, "", 0
     for n in qubit_counts:
@@ -128,7 +72,7 @@ def check_forward_oracle(
             inputs, weights = (np.array(part) for part in zip(*cases))
             # each case is a population of one run with a batch of one row
             got = qsim.forward_batch(inputs[:, np.newaxis], weights)[:, 0]
-            err = np.max(np.abs(got - dense_matrix_forward(inputs, weights)), axis=-1)
+            err = np.max(np.abs(got - qsim.quantum_forward(inputs, weights)), axis=-1)
             n_cases += len(err)
             if err.max() > max_err:
                 max_err, worst = float(err.max()), f"n={n} layers={layers}"

@@ -31,9 +31,13 @@ most 4 at L=2 and 16 at L=3 for n <= 5, but 2048 for n=6, L=4, more than
 
 ``forward_batch`` and ``gradients_batch`` run the models at every (n, L),
 inputs (B, n) with weights (L, n) or a population's (R, B, n) with
-(R, L, n).  ``quantum_forward`` simulates the 2**n amplitudes of stacked
-embeddings [..., n] with shared or per-row weights: the reference that
-``gradcheck`` differentiates, one stacked row per finite-difference probe.
+(R, L, n).  The one reference they are held to is the circuit itself, as
+Kronecker-product gate matrices (I (x) RX (x) I per rotation, the CNOT ring
+as one permutation) multiplied in gate order: ``circuit_matrix`` gives the
+2**n x 2**n unitaries, and ``quantum_forward`` the Z expectations of the
+state they make from |0...0>, for stacked embeddings [..., n] with shared
+or per-row weights.  ``gradcheck`` compares ``forward_batch`` with it and
+differentiates it, one stacked row per finite-difference probe.
 """
 
 from __future__ import annotations
@@ -44,37 +48,6 @@ import numpy as np
 
 # the most terms one readout may sum
 MAX_TERMS = 64
-
-
-# -- statevector: arrays of shape batch_shape + (2,)*n --------------------------
-
-def _rx(psi: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    """RX(angle) on one qubit; ``angle`` broadcasts over the batch axes."""
-    axis = psi.ndim - n + qubit
-    a0 = np.take(psi, 0, axis=axis)
-    a1 = np.take(psi, 1, axis=axis)
-    half = 0.5 * np.asarray(angle, dtype=float)
-    if half.ndim:  # pad with singleton qubit axes so batch-shaped angles broadcast
-        half = half.reshape(half.shape + (1,) * (n - 1))
-    cos = np.cos(half)
-    isin = 1j * np.sin(half)
-    return np.stack((cos * a0 - isin * a1, cos * a1 - isin * a0), axis=axis)
-
-
-def _cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    """Flip the target qubit on the control=1 half of the state."""
-    axis_c = psi.ndim - n + control
-    axis_t = psi.ndim - n + target
-    c0 = np.take(psi, 0, axis=axis_c)
-    c1 = np.take(psi, 1, axis=axis_c)
-    t_axis = axis_t - 1 if axis_t > axis_c else axis_t
-    return np.stack((c0, np.flip(c1, axis=t_axis)), axis=axis_c)
-
-
-def _expectations(psi: np.ndarray, n: int) -> np.ndarray:
-    probs = psi.real**2 + psi.imag**2
-    bits = np.arange(2**n)[:, np.newaxis] >> np.arange(n - 1, -1, -1) & 1
-    return probs.reshape(probs.shape[: psi.ndim - n] + (2**n,)) @ (1.0 - 2.0 * bits)
 
 
 def _ring(n: int) -> list[tuple[int, int]]:
@@ -218,31 +191,6 @@ def gradients_batch(
     return _values(terms, slots), d_weights[..., 0, :, :], d_weights
 
 
-def quantum_forward(inputs, weights) -> np.ndarray:
-    """Z expectations [..., n] of embeddings [..., n] by statevector
-    simulation, any L, with shared (L, n) or per-row [..., L, n] weights,
-    so that ``gradcheck``'s reference never goes through the term formula."""
-    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
-    if weights.ndim < 2 or weights.shape[-1:] != inputs.shape[-1:] or (
-        weights.shape[:-2] not in ((), inputs.shape[:-1])
-    ):
-        raise ValueError(
-            f"expected inputs (..., n) and weights (L, n) or (..., L, n), "
-            f"got {inputs.shape} and {weights.shape}"
-        )
-    n = inputs.shape[-1]
-    psi = np.zeros(inputs.shape[:-1] + (2,) * n, dtype=np.complex128)
-    psi[(...,) + (0,) * n] = 1.0
-    for qubit in range(n):
-        psi = _rx(psi, n, qubit, inputs[..., qubit])
-    for layer in range(weights.shape[-2]):
-        for qubit in range(n):
-            psi = _rx(psi, n, qubit, weights[..., layer, qubit])
-        for control, target in _ring(n):
-            psi = _cnot(psi, n, control, target)
-    return _expectations(psi, n)
-
-
 def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``gradients_batch`` for one embedding [n]: (values [n], d_inputs
     [n, n], d_weights [L, n, n]); ``d_inputs[i, j]`` is d<Z_j>/dx_i."""
@@ -253,3 +201,66 @@ def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarr
         )
     values, d_inputs, d_weights = gradients_batch(inputs[np.newaxis], weights)
     return values[0], d_inputs[0], d_weights[0]
+
+
+# -- the reference: the circuit as Kronecker-product gate matrices ---------------
+
+def _rx_gates(angles: np.ndarray) -> np.ndarray:
+    """The gates I_(2**q) (x) RX(angles[..., q]) (x) I_(2**(n-1-q))
+    [..., n, 2**n, 2**n] of angles [..., n]: entry (r, c) of qubit q's gate
+    is the identities' entry (1 where r and c agree on every other bit, else
+    0) times RX's entry (bit q of r, bit q of c).  Qubit 0 is the most
+    significant index bit, so it is the first factor."""
+    n = angles.shape[-1]
+    # slot 4q + 2k + l holds qubit q's RX entry (k, l); the last slot holds 0
+    slots = np.zeros(angles.shape[:-1] + (4 * n + 1,), dtype=np.complex128)
+    slots[..., 0:-1:4] = slots[..., 3:-1:4] = np.cos(0.5 * angles)
+    slots[..., 1:-1:4] = slots[..., 2:-1:4] = -1j * np.sin(0.5 * angles)
+    index = np.arange(2**n)
+    bit = 1 << np.arange(n - 1, -1, -1)[:, None, None]  # qubit q's bit of an index
+    entry = 4 * np.arange(n)[:, None, None] + 2 * (index[:, None] & bit > 0) + (index & bit > 0)
+    return slots.take(np.where((index[:, None] ^ index) | bit == bit, entry, 4 * n), axis=-1)
+
+
+def circuit_matrix(inputs, weights, columns: int | None = None) -> np.ndarray:
+    """The unitaries [..., 2**n, 2**n] of the circuit, for embeddings
+    [..., n] with shared (L, n) or per-row [..., L, n] weights, or only
+    their first ``columns`` columns: the gates multiplied onto as many
+    columns of the identity."""
+    inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
+    if weights.ndim < 2 or weights.shape[-1:] != inputs.shape[-1:] or (
+        weights.shape[:-2] not in ((), inputs.shape[:-1])
+    ):
+        raise ValueError(
+            f"expected inputs (..., n) and weights (L, n) or (..., L, n), "
+            f"got {inputs.shape} and {weights.shape}"
+        )
+    n = inputs.shape[-1]
+    # the CNOT ring as one permutation: CNOT(c, t) flips bit t where bit c is set
+    ends = np.arange(2**n)
+    for control, target in _ring(n):
+        ends ^= (ends >> (n - 1 - control) & 1) << (n - 1 - target)
+    ring = np.eye(2**n, dtype=np.complex128)[:, ends]
+    state = np.eye(2**n, columns, dtype=np.complex128)
+    embedding = _rx_gates(inputs)
+    for qubit in range(n):
+        state = embedding[..., qubit, :, :] @ state
+    layers = _rx_gates(weights)
+    for layer in range(weights.shape[-2]):
+        for qubit in range(n):
+            state = layers[..., layer, qubit, :, :] @ state
+        state = ring @ state
+    return state
+
+
+def quantum_forward(inputs, weights) -> np.ndarray:
+    """Z expectations [..., n] of embeddings [..., n] with shared (L, n) or
+    per-row [..., L, n] weights, from the Kronecker-product gates multiplied
+    onto |0...0>: the reference that ``gradcheck`` holds the term formula
+    to.  Z_j reads +1 on the basis states whose bit j is 0 and -1 on the
+    others, one matrix-vector product per row, so a row's values have the
+    same bits however many rows are stacked with it."""
+    probs = np.abs(circuit_matrix(inputs, weights, 1)) ** 2  # [..., 2**n, 1]
+    n = np.shape(inputs)[-1]
+    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, np.newaxis] & 1  # [n, 2**n]
+    return ((1.0 - 2.0 * bits) @ probs)[..., 0]

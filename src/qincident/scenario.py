@@ -49,10 +49,14 @@ MAX_INCIDENT_S = 90
 EARLY_WINDOW_S = 110  # first incidents land here so prefix splits see positives
 EARLY_QUOTA = 8
 
-# The most (zone, second) cells a corridor may hold, 240 times the default
-# 56-zone, 1250 s corridor: every per-cell grid is sized from the config, so a
-# larger corridor is refused before anything is allocated.
-MAX_CELLS = 2**24
+# The most (zone, second) cells a corridor may hold, about 15 times the
+# default 56-zone, 1250 s corridor: every per-cell grid is sized from the
+# config, so a larger corridor is refused before anything is allocated.  The
+# cap is the largest power of two whose fitted peak RSS stays under 1 GiB:
+# ``features`` peaked at 202 MiB for 2**18 cells and 375 MiB for 2**19
+# (``gen`` 197 and 358 MiB), about 0.67 KiB a cell, so 2**20 cells fit in
+# about 720 MiB and 2**21 would need about 1.4 GiB.
+MAX_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -251,11 +255,12 @@ def default_schedule(
     n_rows = config.n_zones * math.ceil(config.duration_s / bucket_seconds)
     pad = 10
     events: list[IncidentEvent] = []
-    blocks: list[tuple[set[int], int, int]] = []
+    blocks: dict[int, list[tuple[int, int]]] = {}  # zone -> the placed windows on it
 
     def collides(zones: set[int], start: int, end: int) -> bool:
+        # only the affected zones' windows: placing is linear in the incidents
         lo, hi = start - pad, end + RECOVERY_S + pad
-        return any(zs & zones and lo < b_hi and b_lo < hi for zs, b_lo, b_hi in blocks)
+        return any(lo < b_hi and b_lo < hi for zone in zones for b_lo, b_hi in blocks.get(zone, ()))
 
     def place(early: bool) -> IncidentEvent:
         for _ in range(200):
@@ -277,7 +282,8 @@ def default_schedule(
             zone = int(rng.integers(0, config.n_zones))
             zones = _affected_zones(zone, neighbors)
             if not collides(zones, start, start + duration):
-                blocks.append((zones, start, start + duration))
+                for affected in zones:
+                    blocks.setdefault(affected, []).append((start, start + duration))
                 return IncidentEvent(zone, start, duration)
         raise ConfigError("cannot fit incident schedule without overlap")
 

@@ -1,6 +1,7 @@
 """The columnar dataset builder, normalized splits and CSV I/O."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -342,20 +343,22 @@ WRITER_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 27.640955015519577]
 
 
 class TestCsvWriterBytes:
-    @pytest.mark.parametrize(
-        "ids",
-        [
-            ["v00-0-0", "v00-0-1", "", "sp ace", "#hash", "tab\t", "ünï", "a\x85b", "e\u2028f"],
-            ["plain", "a,b", 'quo"te', "new\nline", "cr\rid", " lead", "trail "],
-        ],
-        ids=["unquoted", "quoted"],
-    )
-    def test_bsm_bytes(self, tmp_path, ids):
+    def test_bsm_bytes(self, tmp_path):
+        ids = ["v00-0-0", "v00-0-1", "", "sp ace", "#hash", "tab\t", "ünï", "a\x85b", "e\u2028f"]
+        ids += [" lead", "trail "]
         n = len(ids)
         speeds = (WRITER_FLOATS * n)[:n]
         recs = data.Records(np.arange(n) * 7, ids, np.arange(n) % 3, speeds)
         data.write_bsm_csv(recs, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == bsm_writer_bytes(tmp_path / "old.csv", recs)
+
+    @pytest.mark.parametrize("bad", ["a,b", 'quo"te', "new\nline", "cr\rid"])
+    def test_bsm_refuses_an_id_csv_would_quote(self, tmp_path, bad):
+        ids = ["plain", "ünï", bad, "x,y"]
+        recs = data.Records(np.arange(4), ids, np.zeros(4), np.ones(4))
+        with pytest.raises(DataError, match=f"^vehicle id {re.escape(repr(bad))} holds"):
+            data.write_bsm_csv(recs, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
 
     def test_bsm_bytes_across_chunks(self, tmp_path):
         recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=400, seed=4))

@@ -38,25 +38,19 @@ def kron_circuit(inputs, weights):
 
 
 class TestDenseMatrixOracle:
-    """Hand-derived fixed points and a gate-by-gate Kronecker reference that
-    pin the oracle independently of the term formula it checks."""
-
-    def test_identity_circuit(self):
-        out = gradcheck.dense_matrix_forward(np.zeros(3), np.zeros((1, 3)))
-        np.testing.assert_allclose(out, [1, 1, 1], atol=1e-12)
-
-    def test_cnot_ring_trace(self):
-        out = gradcheck.dense_matrix_forward(np.array([np.pi, 0, 0, 0]), np.zeros((1, 4)))
-        np.testing.assert_allclose(out, [1, -1, -1, -1], atol=1e-12)
+    """A gate-by-gate Kronecker reference that pins the oracle,
+    ``qsim.circuit_matrix`` and ``qsim.quantum_forward``, independently of
+    the term formula it checks; ``tests/test_qsim.py`` holds its
+    hand-derived fixed points."""
 
     def test_single_qubit_cosine(self):
         for theta in (0.3, 1.2, 2.5):
-            out = gradcheck.dense_matrix_forward(np.array([theta]), np.zeros((1, 1)))
+            out = qsim.quantum_forward(np.array([theta]), np.zeros((1, 1)))
             np.testing.assert_allclose(out, [np.cos(theta)], atol=1e-12)
 
     def test_circuit_matrix_unitary(self):
         rng = np.random.default_rng(0)
-        mat = gradcheck.circuit_matrix(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (2, 3)))
+        mat = qsim.circuit_matrix(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (2, 3)))
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -66,21 +60,28 @@ class TestDenseMatrixOracle:
         inputs = rng.uniform(-2 * np.pi, 2 * np.pi, (6, n))
         weights = rng.uniform(-2 * np.pi, 2 * np.pi, (6, layers, n))
         want = np.array([kron_circuit(x, w) for x, w in zip(inputs, weights)])
-        stacked = gradcheck.circuit_matrix(inputs, weights)
+        stacked = qsim.circuit_matrix(inputs, weights)
         assert stacked.shape == (6, 2**n, 2**n)
         np.testing.assert_allclose(stacked, want, rtol=0, atol=1e-13)
-        one = gradcheck.circuit_matrix(inputs[0], weights[0])
+        one = qsim.circuit_matrix(inputs[0], weights[0])
         assert one.shape == (2**n, 2**n)
         np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-13)
         # shared weights broadcast over the stacked embeddings
-        shared = gradcheck.circuit_matrix(inputs, weights[0])
-        np.testing.assert_allclose(shared[1], kron_circuit(inputs[1], weights[0]), rtol=0, atol=1e-13)
+        want_shared = np.array([kron_circuit(x, weights[0]) for x in inputs])
+        np.testing.assert_allclose(qsim.circuit_matrix(inputs, weights[0]), want_shared, rtol=0, atol=1e-13)
         # the readout: <Z_j> of the state the unitary makes from |0...0>
-        probs = np.abs(want[..., 0]) ** 2
-        z = [[1 - 2 * (s >> (n - 1 - j) & 1) for j in range(n)] for s in range(2**n)]
-        values = gradcheck.dense_matrix_forward(inputs, weights)
-        np.testing.assert_allclose(values, probs @ np.array(z), rtol=0, atol=1e-13)
-        assert gradcheck.dense_matrix_forward(inputs[2], weights[2]).tobytes() == values[2].tobytes()
+        z = np.array([[1 - 2 * (s >> (n - 1 - j) & 1) for j in range(n)] for s in range(2**n)])
+        values = qsim.quantum_forward(inputs, weights)
+        assert values.shape == (6, n)
+        np.testing.assert_allclose(values, np.abs(want[..., 0]) ** 2 @ z, rtol=0, atol=1e-13)
+        shared = qsim.quantum_forward(inputs, weights[0])
+        np.testing.assert_allclose(shared, np.abs(want_shared[..., 0]) ** 2 @ z, rtol=0, atol=1e-13)
+        # a row's bits do not depend on the rows stacked with it
+        for row in range(6):
+            for rows in (row, slice(row, row + 2)):
+                alone = qsim.quantum_forward(inputs[rows], weights[rows])
+                assert alone.tobytes() == values[rows].tobytes()
+                assert qsim.quantum_forward(inputs[rows], weights[0]).tobytes() == shared[rows].tobytes()
 
 
 class TestSuites:
@@ -96,7 +97,7 @@ class TestSuites:
                     x = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
                     w = rng.uniform(-2 * np.pi, 2 * np.pi, size=(layers, n))
                     got = qsim.forward_batch(x[np.newaxis], w)[0]
-                    err = float(np.max(np.abs(got - gradcheck.dense_matrix_forward(x, w))))
+                    err = float(np.max(np.abs(got - qsim.quantum_forward(x, w))))
                     if err > max_err:
                         max_err, worst = err, f"n={n} layers={layers}"
         want = gradcheck.SuiteResult(

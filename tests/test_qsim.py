@@ -1,9 +1,9 @@
-"""The quantum layer: gate kernels, readout, forward pass, gradients.
+"""The quantum layer: the reference circuit, forward pass, gradients.
 
-Fixed expected values are hand-derived from the 2x2 / 4x4 gate matrices;
-random sweeps are pinned against the dense-matrix oracle in gradcheck.
-Registers are the (2,)*n amplitude tensors the ``qsim`` kernels act on,
-with qubit 0 as the most significant bit.
+Fixed expected values are hand-derived from the 2x2 / 4x4 gate matrices on
+basis states, with qubit 0 as the most significant bit; random sweeps are
+pinned against the Kronecker-product reference ``qsim.quantum_forward``,
+which ``tests/test_gradcheck.py`` pins gate by gate.
 """
 
 import numpy as np
@@ -14,183 +14,58 @@ from hypothesis.extra.numpy import arrays
 
 from qincident import gradcheck, model, qsim
 
-NORM_ATOL = 1e-10
 
-
-def random_state(n, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return (amps / np.linalg.norm(amps)).reshape((2,) * n)
-
-
-def basis_state(n, index):
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return amps.reshape((2,) * n)
-
-
-def norm(psi):
-    return float(np.sqrt(np.sum(np.abs(psi) ** 2)))
-
-
-def embed(inputs):
-    """RX(inputs[:, q]) on qubit q of a batch of |0..0> registers: the
-    embedding step of the statevector path, with per-sample angles."""
-    batch, n = inputs.shape
-    psi = np.zeros((batch,) + (2,) * n, dtype=complex)
-    psi[(slice(None),) + (0,) * n] = 1.0
-    for qubit in range(n):
-        psi = qsim._rx(psi, n, qubit, inputs[:, qubit])
-    return psi.reshape(batch, -1)
-
-
-def entangle(psi, layer_weights):
-    """One basic entangler layer: RX(w_q) on every qubit, then the CNOT ring."""
-    n = psi.ndim
-    for qubit, angle in enumerate(layer_weights):
-        psi = qsim._rx(psi, n, qubit, angle)
-    for control, target in qsim._ring(n):
-        psi = qsim._cnot(psi, n, control, target)
-    return psi
-
-
-class TestStateVector:
+class TestQuantumForward:
     def test_zero_state(self):
-        # the statevector path starts from |000>: zero angles read +1 everywhere
+        # the circuit starts from |000>: zero angles read +1 everywhere
         np.testing.assert_array_equal(
             qsim.quantum_forward(np.zeros((1, 3)), np.zeros((2, 3))), [[1.0, 1.0, 1.0]]
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_rows_with_their_own_weights_match_the_dense_oracle(self, n, layers):
-        rng = np.random.default_rng(10 * n + layers)
-        inputs = rng.uniform(-np.pi, np.pi, (5, n))
-        weights = rng.uniform(-np.pi, np.pi, (5, layers, n))
-        got = qsim.quantum_forward(inputs, weights)
-        assert got.shape == (5, n)
-        for row, x, w in zip(got, inputs, weights):
-            np.testing.assert_allclose(row, gradcheck.dense_matrix_forward(x, w), rtol=0, atol=1e-12)
+    def test_pi_flips_a_single_qubit(self):
+        # RX(pi)|0> = -i|1>, so <Z> = -1, whether the embedding or a weight turns it
+        np.testing.assert_allclose(qsim.quantum_forward([np.pi], np.zeros((1, 1))), [-1.0], atol=1e-15)
+        np.testing.assert_allclose(qsim.quantum_forward([0.0], [[np.pi]]), [-1.0], atol=1e-15)
 
-    def test_per_row_weights_must_match_the_rows(self):
+    @pytest.mark.parametrize(
+        "inputs, want",
+        [
+            # two qubits get one CNOT (0->1): |10> -> |11>, while |01> stays
+            ([np.pi, 0], [-1, -1]),
+            ([0, np.pi], [1, -1]),
+            # |1000> -> |1100> -> |1110> -> |1111> -> |0111>: the ring
+            # cascades qubit 0's bit through 1..3 and clears it
+            ([np.pi, 0, 0, 0], [1, -1, -1, -1]),
+            # |0001>: only the closing CNOT (3->0) fires, giving |1001>
+            ([0, 0, 0, np.pi], [-1, 1, 1, -1]),
+        ],
+    )
+    def test_basis_states_trace_the_ring(self, inputs, want):
+        out = qsim.quantum_forward(inputs, np.zeros((1, len(inputs))))
+        np.testing.assert_allclose(out, want, atol=1e-12)
+
+    def test_uniform_superposition_reads_zero(self):
+        # RX(pi/2) on both qubits gives four equal magnitudes, which the CNOT permutes
+        out = qsim.quantum_forward([np.pi / 2, np.pi / 2], np.zeros((1, 2)))
+        np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "inputs, weights",
+        [
+            (np.zeros(3), np.zeros((1, 4))),
+            ([0.0, 0.0], np.zeros((1, 4))),
+            (np.zeros(4), np.zeros(4)),
+            # per-row weights must match the rows
+            (np.zeros((5, 3)), np.zeros((4, 1, 3))),
+        ],
+    )
+    def test_shape_mismatch(self, inputs, weights):
         with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros((5, 3)), np.zeros((4, 1, 3)))
-
-
-class TestApplyRx:
-    def test_zero_angle_is_identity(self):
-        s = random_state(3, seed=1)
-        np.testing.assert_allclose(qsim._rx(s, 3, 1, 0.0), s, atol=1e-15)
-
-    def test_pi_flips_single_qubit(self):
-        # RX(pi)|0> = -i|1>, so <Z> = -1
-        out = qsim._rx(basis_state(1, 0), 1, 0, np.pi)
-        np.testing.assert_allclose(out, [0.0, -1.0j], atol=1e-15)
-        np.testing.assert_allclose(qsim._expectations(out, 1), [-1.0], atol=1e-15)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_norm_preserved(self, seed):
-        rng = np.random.default_rng(seed + 100)
-        out = qsim._rx(random_state(4, seed), 4, int(rng.integers(4)), rng.uniform(-10, 10))
-        assert abs(norm(out) - 1.0) < NORM_ATOL
-
-
-class TestApplyCnot:
-    def test_control_zero_unchanged(self):
-        s = basis_state(2, 0)  # |00>
-        np.testing.assert_allclose(qsim._cnot(s, 2, 0, 1), s)
-
-    def test_control_one_flips_target(self):
-        # |10> (qubit 0 set, index 2) -> |11> (index 3)
-        np.testing.assert_allclose(qsim._cnot(basis_state(2, 2), 2, 0, 1), basis_state(2, 3))
-
-    def test_permutes_amplitudes(self):
-        # 4x4 CNOT(0->1) permutation swaps indices 2 and 3
-        amps = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
-        amps /= np.linalg.norm(amps)
-        out = qsim._cnot(amps.reshape(2, 2), 2, 0, 1)
-        np.testing.assert_allclose(out.reshape(-1), amps[[0, 1, 3, 2]])
-        assert abs(norm(out) - 1.0) < NORM_ATOL
-
-
-class TestAngleEmbedding:
-    def test_all_zero_inputs_identity(self):
-        np.testing.assert_allclose(embed(np.zeros((2, 4))), basis_state(4, 0).reshape(1, -1).repeat(2, 0))
-
-    def test_pi_on_first_qubit(self):
-        # flips qubit 0 up to the global -i phase: amplitude lands at index 8
-        out = embed(np.array([[np.pi, 0, 0, 0], [0, 0, 0, 0]]))
-        assert abs(abs(out[0, 8]) - 1.0) < 1e-12
-        np.testing.assert_allclose(out[0, 8], -1.0j, atol=1e-12)
-        np.testing.assert_allclose(out[1, 0], 1.0, atol=1e-12)  # per-sample angles
-
-    def test_norm_one(self):
-        rng = np.random.default_rng(7)
-        out = embed(rng.uniform(-5, 5, (3, 4)))
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=NORM_ATOL)
-
-    def test_length_mismatch(self):
+            qsim.quantum_forward(inputs, weights)
         with pytest.raises(ValueError):
-            qsim.quantum_forward([0.0, 0.0], np.zeros((1, 4)))
+            qsim.circuit_matrix(inputs, weights)
 
-
-class TestBasicEntanglerLayer:
-    def test_zero_weights_on_zero_state(self):
-        s = basis_state(4, 0)
-        np.testing.assert_allclose(entangle(s, np.zeros(4)), s)
-
-    def test_cnot_ring_cascade(self):
-        # |1000> -> |1100> -> |1110> -> |1111> -> |0111>: index 8 to index 7
-        np.testing.assert_allclose(entangle(basis_state(4, 8), np.zeros(4)), basis_state(4, 7))
-
-    def test_two_qubits_single_cnot(self):
-        # |10> with zero weights: one CNOT (0->1) gives |11>
-        assert qsim._ring(2) == [(0, 1)]
-        out = entangle(basis_state(2, 2), np.zeros(2))
-        assert abs(out.reshape(-1)[3]) == pytest.approx(1.0)
-
-    def test_random_weights_norm(self):
-        rng = np.random.default_rng(3)
-        out = entangle(random_state(4, 3), rng.uniform(-7, 7, 4))
-        assert abs(norm(out) - 1.0) < NORM_ATOL
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros(3), np.zeros((1, 4)))
-
-
-class TestZExpectations:
-    def test_zero_state(self):
-        np.testing.assert_allclose(qsim._expectations(basis_state(4, 0), 4), [1, 1, 1, 1])
-
-    def test_first_qubit_set(self):
-        # |1000>
-        np.testing.assert_allclose(qsim._expectations(basis_state(4, 8), 4), [-1, 1, 1, 1])
-
-    def test_uniform_superposition(self):
-        amps = np.full((2, 2), 0.5, dtype=complex)
-        np.testing.assert_allclose(qsim._expectations(amps, 2), [0, 0], atol=1e-15)
-
-    def test_range_bounds(self):
-        for seed in range(10):
-            exps = qsim._expectations(random_state(3, seed), 3)
-            assert np.all(exps <= 1.0 + 1e-12) and np.all(exps >= -1.0 - 1e-12)
-
-
-class TestQuantumForward:
-    def test_all_zeros(self):
-        np.testing.assert_allclose(qsim.quantum_forward(np.zeros(4), np.zeros((1, 4))), [1, 1, 1, 1])
-
-    def test_pi_embedding_traces_ring(self):
-        # embedding flips qubit 0; the ring then cascades it through 1..3 and clears it
-        out = qsim.quantum_forward([np.pi, 0, 0, 0], np.zeros((1, 4)))
-        np.testing.assert_allclose(out, [1, -1, -1, -1], atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros(3), np.zeros((1, 4)))
-        with pytest.raises(ValueError):
-            qsim.quantum_forward(np.zeros(4), np.zeros(4))
+    def test_quantum_gradients_take_one_row(self):
         with pytest.raises(ValueError):
             qsim.quantum_gradients(np.zeros((2, 4)), np.zeros((1, 4)))
 
@@ -307,31 +182,24 @@ def circuits(draw, layers=st.integers(1, 3), runs=False):
 
 
 def oracle_gradients(inputs, weights):
-    """Parameter shift applied to the Kronecker-product oracle, per row."""
-    n = inputs.shape[1]
-    d_inputs = np.empty((len(inputs), n, n))
-    d_weights = np.empty((len(inputs),) + weights.shape + (n,))
-    for row, x in enumerate(inputs):
-        for i in range(n):
-            shift = np.eye(n)[i] * np.pi / 2
-            d_inputs[row, i] = 0.5 * (
-                gradcheck.dense_matrix_forward(x + shift, weights)
-                - gradcheck.dense_matrix_forward(x - shift, weights)
-            )
-        for layer in range(weights.shape[0]):
-            for i in range(n):
-                shift = np.zeros(weights.shape)
-                shift[layer, i] = np.pi / 2
-                d_weights[row, layer, i] = 0.5 * (
-                    gradcheck.dense_matrix_forward(x, weights + shift)
-                    - gradcheck.dense_matrix_forward(x, weights - shift)
-                )
-    return d_inputs, d_weights
+    """Parameter shift applied to the Kronecker-product reference: every
+    row's circuits shifted by +-pi/2 in each of its K = (L + 1) n angles,
+    as one stacked call with per-row weights."""
+    (batch, n), layers = inputs.shape, len(weights)
+    k = (layers + 1) * n
+    angles = np.concatenate(
+        (inputs[:, None], np.broadcast_to(weights, (batch,) + weights.shape)), axis=1
+    )  # [B, L + 1, n]: the embedding, then the weights
+    shifts = np.pi / 2 * np.eye(k).reshape(k, layers + 1, n)
+    rows = np.stack((angles[:, None] + shifts, angles[:, None] - shifts))  # [2, B, K, L + 1, n]
+    values = qsim.quantum_forward(rows[..., 0, :], rows[..., 1:, :])  # [2, B, K, n]
+    slopes = 0.5 * (values[0] - values[1])
+    return slopes[:, :n], slopes[:, n:].reshape(batch, layers, n, n)
 
 
 class TestHotKernelAgainstOracles:
     """forward_batch and gradients_batch (the term formula) against the
-    Kronecker oracle and the statevector path, to 1e-10."""
+    Kronecker-product reference, to 1e-10."""
 
     def test_term_tables(self):
         # at L=1 each readout is one term, the product of the cosines of S_j:
@@ -358,8 +226,6 @@ class TestHotKernelAgainstOracles:
     def test_values(self, circuit):
         inputs, weights = circuit
         got = qsim.forward_batch(inputs, weights)
-        oracle = np.array([gradcheck.dense_matrix_forward(x, weights) for x in inputs])
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got, qsim.quantum_forward(inputs, weights), rtol=0, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)

@@ -203,7 +203,8 @@ class TestSyntheticDataset:
 
 def reference_schedule(config, n_incidents=None, bucket_seconds=1):
     """``default_schedule`` as first written: each pass recounts the rows of
-    every placed event through ``positive_rows`` before it places the next."""
+    every placed event through ``positive_rows`` before it places the next,
+    and each attempt scans every placed block for a shared zone."""
     if n_incidents == 0:
         return []
     rng = np.random.default_rng([config.seed, 104729])
@@ -251,11 +252,19 @@ def reference_schedule(config, n_incidents=None, bucket_seconds=1):
     return events
 
 
+# every corridor of 1-64 zones at three lengths, then a few long or wide
+# ones inside the cell cap
+SCHEDULE_CORRIDORS = [(z, d) for z in range(1, 65) for d in (60, 200, 1250)] + [
+    (z, 5000) for z in (1, 2, 3, 5, 56, 200)
+] + [(300, d) for d in (60, 200, 1250)]
+
+
 class TestDefaultSchedule:
     @pytest.mark.parametrize("bucket_seconds", [1, 60])
-    @pytest.mark.parametrize("duration_s", [60, 200, 1250, 5000])
-    @pytest.mark.parametrize("n_zones", [1, 2, 3, 5, 56, 300])
+    @pytest.mark.parametrize("n_zones, duration_s", SCHEDULE_CORRIDORS)
     def test_matches_the_recounting_reference(self, n_zones, duration_s, bucket_seconds):
+        # default_schedule looks the placed windows up by zone; the reference
+        # scans every placed block
         for seed in range(5):
             config = scenario.ScenarioConfig(n_zones=n_zones, duration_s=duration_s, seed=seed)
             want = reference_schedule(config, bucket_seconds=bucket_seconds)
