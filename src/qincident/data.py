@@ -19,13 +19,13 @@ File formats (all UTF-8, LF):
   ``bucket_start_s,zone_id,spd_z,cnt_z,spd_up,cnt_up,spd_dn,cnt_dn,label``.
 
 The writers give the bytes ``csv.writer`` would, floats as ``repr``; the
-record writer refuses a vehicle id that ``csv.writer`` would quote.  Only
-the record CSV is read back.  Its reader parses the file's columns with
-``np.loadtxt`` and checks them; a file that parse could read differently
-from ``csv.reader`` (a quote, CR, NUL, ``#``, \x1c-\x1f, a blank or
-overlong line), or whose columns fail a check, is read again row by row
-through ``csv.reader``, which returns the same values or raises the same
-``path:line: message`` error.
+record writer refuses a vehicle id that ``csv.writer`` would quote or that
+holds a NUL.  Only the record CSV is read back.  Its reader parses the
+file's columns with ``np.loadtxt`` and checks them; a file that parse
+could read differently from ``csv.reader`` (a quote, CR, NUL, ``#``,
+\x1c-\x1f, a blank or overlong line), or whose columns fail a check, is
+read again row by row through ``csv.reader``, which returns the same values
+or raises the same ``path:line: message`` error.
 """
 
 from __future__ import annotations
@@ -159,7 +159,11 @@ def aggregate(
     # distinct (vehicle, zone, second): keep the first observation.  The kept
     # records come in vehicle-id order, and each cell sums its speeds in
     # that order.
-    key = (_id_codes(records.vehicle_id) * n_zones + zones) * duration + times
+    key = _id_codes(records.vehicle_id)
+    key *= n_zones
+    key += zones
+    key *= duration
+    key += times
     _, first = np.unique(key, return_index=True)
     cell = zones[first] * duration + times[first]
     grid_size = n_zones * duration
@@ -180,15 +184,25 @@ def aggregate(
     return starts, speed, count / covered[:, np.newaxis]
 
 
+# sorted neighbours ``_id_codes`` compares at once
+_ID_BLOCK = 1 << 14
+
+
 def _id_codes(ids: np.ndarray) -> np.ndarray:
     """Each id's rank among the distinct ids, as int64: the inverse that
     ``np.unique(ids, return_inverse=True)`` gives.  The sort is stable, so it
-    runs fast on ids that come partly in order, as generated records do."""
+    runs fast on ids that come partly in order, as generated records do.
+    Neighbours in sorted order are gathered ``_ID_BLOCK`` at a time, so no
+    sorted copy of the ids is made."""
     order = np.argsort(ids, kind="stable")
-    ordered = ids[order]
+    # changed[i]: the id at sorted position i + 1 differs from the one before
+    changed = np.empty(max(len(ids) - 1, 0), dtype=bool)
+    for start in range(0, len(changed), _ID_BLOCK):
+        ordered = ids[order[start : start + _ID_BLOCK + 1]]
+        changed[start : start + _ID_BLOCK] = ordered[1:] != ordered[:-1]
     codes = np.zeros(len(ids), dtype=np.int64)
     # the first id in sorted order has rank 0; each change of id adds one
-    codes[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    codes[order[1:]] = np.cumsum(changed)
     return codes
 
 
@@ -362,12 +376,18 @@ def _load_rows(path, header: list[str], dtype: np.dtype) -> np.ndarray | None:
 
 def write_bsm_csv(records: Records, path) -> None:
     """``DataError`` (a ValueError), before the file is opened, for a
-    vehicle id that ``csv.writer`` would quote; generated ids never hold one."""
+    vehicle id that ``csv.writer`` would quote or that holds a NUL, which
+    ``read_bsm_csv`` refuses; generated ids never hold one."""
     ids = np.ascontiguousarray(records.vehicle_id)
-    # the U array as code points
-    if np.isin(ids.view(np.uint32), [ord(c) for c in _CSV_QUOTED]).any():
+    points = ids.view(np.uint32)  # the U array as code points
+    if np.isin(points, [ord(c) for c in _CSV_QUOTED]).any():
         first = next(vid for vid in ids.tolist() if not set(vid).isdisjoint(_CSV_QUOTED))
         raise DataError(f"vehicle id {first!r} holds a comma, quote, LF or CR")
+    # NUL pads each id to the column's width; one inside an id is a code
+    # point 0 that the id's length counts
+    if np.count_nonzero(points) < np.char.str_len(ids).sum():
+        first = next(vid for vid in ids.tolist() if "\x00" in vid)
+        raise DataError(f"vehicle id {first!r} holds a NUL character")
 
     def lines(start, stop):
         return "".join([

@@ -160,9 +160,19 @@ def _angles(inputs, weights) -> tuple[_Terms, np.ndarray]:
     return _terms(n, n_layers), phi
 
 
+def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The products of the slots ``table`` indexes, over its last (factor)
+    axis: ``np.multiply.reduce(slots.take(table, axis=-1), axis=-1)``, in
+    the same left-to-right order and so with the same bits, one factor at a
+    time, so the gather of every factor of every term is never built."""
+    out = slots.take(table[..., 0], axis=-1)
+    for k in range(1, table.shape[-1]):
+        out *= slots.take(table[..., k], axis=-1)
+    return out
+
+
 def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
-    products = np.multiply.reduce(slots.take(terms.factors, axis=-1), axis=-1)
-    return np.add.reduce(terms.signs * products, axis=-1)
+    return np.add.reduce(terms.signs * _products(slots, terms.factors), axis=-1)
 
 
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -185,8 +195,10 @@ def gradients_batch(
     terms, phi = _angles(inputs, weights)
     sin = np.sin(phi)
     slots = np.concatenate((np.cos(phi), sin, -sin), axis=-1)
-    rest = np.multiply.reduce(slots.take(terms.rest, axis=-1), axis=-1)
-    d_angles = np.add.reduce(terms.signs * slots.take(terms.slopes, axis=-1) * rest, axis=-1)
+    slopes = slots.take(terms.slopes, axis=-1)
+    slopes *= terms.signs
+    slopes *= _products(slots, terms.rest)
+    d_angles = np.add.reduce(slopes, axis=-1)
     d_weights = d_angles.reshape(d_angles.shape[:-2] + np.shape(weights)[-2:] + (-1,))
     return _values(terms, slots), d_weights[..., 0, :, :], d_weights
 

@@ -53,9 +53,10 @@ EARLY_QUOTA = 8
 # default 56-zone, 1250 s corridor: every per-cell grid is sized from the
 # config, so a larger corridor is refused before anything is allocated.  The
 # cap is the largest power of two whose fitted peak RSS stays under 1 GiB:
-# ``features`` peaked at 202 MiB for 2**18 cells and 375 MiB for 2**19
-# (``gen`` 197 and 358 MiB), about 0.67 KiB a cell, so 2**20 cells fit in
-# about 720 MiB and 2**21 would need about 1.4 GiB.
+# ``features`` peaked at 202 MiB for 2**18 cells and 375 MiB for 2**19,
+# about 0.67 KiB a cell, so 2**20 cells fit in about 720 MiB and 2**21
+# would need about 1.4 GiB; ``gen`` peaked at 158 and 281 MiB, about
+# 0.48 KiB a cell, 530 MiB at 2**20.
 MAX_CELLS = 2**20
 
 
@@ -155,39 +156,72 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     the time-major counts.
     """
     speed_mean, rate = _zone_profiles(config)
-    events = list(config.incidents or ())
-    n_zones, duration = config.n_zones, config.duration_s
-
-    counts = np.empty((n_zones, duration), dtype=np.int64)
-    zone_speeds = []
-    for zone in range(n_zones):
-        rng = np.random.default_rng([config.seed, zone])
-        counts[zone] = rng.poisson(rate[zone])
-        zone_speeds.append(rng.normal(np.repeat(speed_mean[zone], counts[zone]), SPEED_NOISE_SD))
-
+    counts, speeds = _draw(config.seed, speed_mean, rate)
+    n_zones, duration = counts.shape
     # time-major cell t * n_zones + z holds the records of (t, z)
     cell_counts = counts.T.ravel()
-    cell_start = np.cumsum(cell_counts) - cell_counts
-    total = int(cell_counts.sum())
-    cells = np.repeat(np.arange(n_zones * duration), cell_counts)
-    times, zones = np.divmod(cells, n_zones)
-    ordinals = np.arange(total) - cell_start[cells]
-    # the zone-major draws of cell (z, t) move to that cell's time-major start
-    zone_major_start = np.cumsum(counts.ravel()) - counts.ravel()
-    shift = cell_start.reshape(duration, n_zones).T.ravel() - zone_major_start
-    speeds = np.empty(total)
-    speeds[np.arange(total) + np.repeat(shift, counts.ravel())] = np.maximum(
-        np.concatenate(zone_speeds), 0.0
-    )
+    times = np.repeat(np.arange(duration), counts.sum(axis=0))
+    zones = np.repeat(np.tile(np.arange(n_zones), duration), cell_counts)
+    ordinals = np.arange(len(speeds))
+    ordinals -= np.repeat(np.cumsum(cell_counts) - cell_counts, cell_counts)
+    ids = _vehicle_ids(times, zones, ordinals, counts)
+    return data.Records(times, ids, zones, speeds), list(config.incidents or ())
 
-    # "v{zone:02d}-{time}-{ordinal}", added up from one text table per part
+
+def _draw(seed: int, speed_mean: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The counts [n_zones, duration] and, in (time, zone, ordinal) order,
+    the speeds of the records, each zone's drawn from its (seed, zone)
+    stream.  A zone's speeds move to their cells' time-major starts one zone
+    at a time, so no zone-major copy of all of them is made."""
+    n_zones, duration = rate.shape
+    counts = np.empty((n_zones, duration), dtype=np.int64)
+    drawn = []
+    for zone in range(n_zones):
+        rng = np.random.default_rng([seed, zone])
+        counts[zone] = rng.poisson(rate[zone])
+        speeds = rng.normal(np.repeat(speed_mean[zone], counts[zone]), SPEED_NOISE_SD)
+        drawn.append(np.maximum(speeds, 0.0, out=speeds))
+    cell_start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(duration, n_zones)
+    speeds = np.empty(int(counts.sum()))
+    for zone, values in enumerate(drawn):
+        # the draws of cell (t, zone) move from their offset among the zone's
+        # draws to the cell's time-major start
+        shift = cell_start[:, zone] - (np.cumsum(counts[zone]) - counts[zone])
+        place = np.repeat(shift, counts[zone])
+        place += np.arange(len(values))
+        speeds[place] = values
+    return counts, speeds
+
+
+# rows of ids built at once; bounds the text temporaries of ``_vehicle_ids``
+_ID_BLOCK = 1 << 14
+
+
+def _vehicle_ids(
+    times: np.ndarray, zones: np.ndarray, ordinals: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The ids ``v{zone:02d}-{time}-{ordinal}`` of the records, added up from
+    one text table per part, ``_ID_BLOCK`` rows at a time, into one column
+    as wide as the longest id, the width a column of Python strings gets.
+    ``counts`` [n_zones, duration] holds each cell's records."""
+    n_zones, duration = counts.shape
     zone_text = np.array([f"v{z:02d}-" for z in range(n_zones)])
     time_text = np.array([f"{t}-" for t in range(duration)])
     ordinal_text = np.array([str(o) for o in range(int(counts.max()))], dtype=str)
-    ids = np.char.add(np.char.add(zone_text[zones], time_text[times]), ordinal_text[ordinals])
-    # as wide as the longest id, the width a column of Python strings gets
-    ids = ids.astype(f"U{np.char.str_len(ids).max(initial=1)}", copy=False)
-    return data.Records(times, ids, zones, speeds), events
+    # a cell's longest id is its last ordinal's; last_ordinal[c] is that
+    # ordinal's length in a cell of c records
+    last_ordinal = np.concatenate(([0], np.char.str_len(ordinal_text)))
+    longest = (
+        np.char.str_len(zone_text)[:, np.newaxis] + np.char.str_len(time_text) + last_ordinal[counts]
+    )
+    ids = np.empty(len(times), dtype=f"U{longest[counts > 0].max(initial=1)}")
+    for start in range(0, len(ids), _ID_BLOCK):
+        block = slice(start, start + _ID_BLOCK)
+        ids[block] = np.char.add(
+            np.char.add(zone_text[zones[block]], time_text[times[block]]),
+            ordinal_text[ordinals[block]],
+        )
+    return ids
 
 
 def synthetic_dataset(

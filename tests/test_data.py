@@ -95,6 +95,21 @@ class TestAggregate:
         for few in (ids[:0], ids[:1]):
             np.testing.assert_array_equal(data._id_codes(few), np.zeros(len(few), dtype=np.int64))
 
+    def test_id_codes_over_more_rows_than_one_block(self):
+        rng = np.random.default_rng(2)
+        pool = np.array([f"v{z:02d}-{t}-{o}" for z in range(40) for t in range(30) for o in range(3)])
+        ids = pool[rng.integers(0, len(pool), 2 * data._ID_BLOCK + 7)]  # every id drawn ~9 times
+        codes = data._id_codes(ids)
+        np.testing.assert_array_equal(codes, np.unique(ids, return_inverse=True)[1])
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_id_codes_at_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(data, "_ID_BLOCK", block)
+        ids = np.array(["b", "a", "b", "", "c", "a", "a", "ab", "b", "c", "", "a"])
+        for n in range(len(ids) + 1):
+            want = np.unique(ids[:n], return_inverse=True)[1]
+            np.testing.assert_array_equal(data._id_codes(ids[:n]), want)
+
     def test_partial_final_minute_divides_by_covered_seconds(self):
         # 30-second tail bucket with one vehicle per second: count stays 1
         recs = records(*[(t, f"v{t}", 0, 10.0) for t in range(90)])
@@ -357,6 +372,15 @@ class TestCsvWriterBytes:
         ids = ["plain", "ünï", bad, "x,y"]
         recs = data.Records(np.arange(4), ids, np.zeros(4), np.ones(4))
         with pytest.raises(DataError, match=f"^vehicle id {re.escape(repr(bad))} holds"):
+            data.write_bsm_csv(recs, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+
+    @pytest.mark.parametrize("ids", [["a\x00b", "c"], ["\x00x", "c", "longest-id"]])
+    def test_bsm_refuses_an_id_holding_nul(self, tmp_path, ids):
+        # read_bsm_csv refuses such a file; the NULs that pad the shorter
+        # ids of the column are not part of any id
+        recs = data.Records(np.arange(len(ids)), ids, np.zeros(len(ids)), np.ones(len(ids)))
+        with pytest.raises(DataError, match=f"^vehicle id {re.escape(repr(ids[0]))} holds a NUL"):
             data.write_bsm_csv(recs, tmp_path / "new.csv")
         assert not (tmp_path / "new.csv").exists()
 

@@ -6,6 +6,8 @@ pinned against the Kronecker-product reference ``qsim.quantum_forward``,
 which ``tests/test_gradcheck.py`` pins gate by gate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,3 +255,72 @@ class TestHotKernelAgainstOracles:
             for got, want in zip(stacked, alone):
                 assert got[run].shape == want.shape
                 assert got[run].tobytes() == want.tobytes()
+
+
+# every circuit shape check_circuit allows up to 8 qubits and 8 layers
+ALLOWED_SHAPES = [
+    (n, layers)
+    for n in range(1, 9)
+    for layers in range(1, 9)
+    if qsim._term_count(n, layers) <= qsim.MAX_TERMS
+]
+
+
+def gathered_kernels(inputs, weights):
+    """forward_batch and gradients_batch with each product over a term's
+    factors taken from one gather of all of them,
+    ``np.multiply.reduce(slots.take(table, axis=-1), axis=-1)``: the form
+    the kernels had before they took their products one factor at a time."""
+    terms, phi = qsim._angles(inputs, weights)
+    sin = np.sin(phi)
+    slots = np.concatenate((np.cos(phi), sin, -sin), axis=-1)
+
+    def products(table):
+        return np.multiply.reduce(slots.take(table, axis=-1), axis=-1)
+
+    values = np.add.reduce(terms.signs * products(terms.factors), axis=-1)
+    slopes = terms.signs * slots.take(terms.slopes, axis=-1) * products(terms.rest)
+    d_angles = np.add.reduce(slopes, axis=-1)
+    d_weights = d_angles.reshape(d_angles.shape[:-2] + np.shape(weights)[-2:] + (-1,))
+    return values, d_weights[..., 0, :, :], d_weights
+
+
+class TestKernelsBitForBit:
+    """The kernels' factor-by-factor products against the one-gather form,
+    bit for bit: compared as int64 bit patterns, so that even a 0.0 whose
+    sign flips fails."""
+
+    def test_the_layer_range_does_not_cut_the_shapes(self):
+        # every n's deepest allowed circuit is shallower than 8 layers
+        assert max(layers for _, layers in ALLOWED_SHAPES) < 8
+        assert (6, 3) in ALLOWED_SHAPES and (6, 4) not in ALLOWED_SHAPES
+
+    @pytest.mark.parametrize("n, layers", ALLOWED_SHAPES)
+    @pytest.mark.parametrize("runs", [(), (3,)])
+    def test_matches_the_gathered_products(self, n, layers, runs):
+        rng = np.random.default_rng(n * 100 + layers)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (5, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
+        # angles of exactly 0, whose sin is 0.0 and -sin -0.0: the last
+        # layer's weights, and x + w_0 in the first row
+        weights[..., -1, :] = 0.0
+        inputs[..., 0, :] = -weights[..., 0, :]
+        got = (qsim.forward_batch(inputs, weights),) + qsim.gradients_batch(inputs, weights)
+        want = gathered_kernels(inputs, weights)
+        for got_array, want_array in zip(got, (want[0],) + want):
+            assert got_array.shape == want_array.shape
+            np.testing.assert_array_equal(got_array.view(np.int64), want_array.view(np.int64))
+
+    def test_gradients_at_the_term_cap_stay_small(self):
+        # n=6, L=3 sums 64 terms over 18 angles: gathering every factor of
+        # every term's slopes took 50.5 MB here, for R=3 runs of batch 16
+        rng = np.random.default_rng(0)
+        inputs, weights = rng.uniform(0, 6, (3, 16, 6)), rng.uniform(0, 6, (3, 3, 6))
+        qsim.gradients_batch(inputs, weights)  # the term tables are built once per shape
+        tracemalloc.start()
+        try:
+            qsim.gradients_batch(inputs, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
