@@ -18,14 +18,19 @@ File formats (all UTF-8, LF):
 * feature CSV, header
   ``bucket_start_s,zone_id,spd_z,cnt_z,spd_up,cnt_up,spd_dn,cnt_dn,label``.
 
-The writers give the bytes ``csv.writer`` would, floats as ``repr``; the
-record writer refuses a vehicle id that ``csv.writer`` would quote or that
-holds a NUL.  Only the record CSV is read back.  Its reader parses the
-file's columns with ``np.loadtxt`` and checks them; a file that parse
-could read differently from ``csv.reader`` (a quote, CR, NUL, ``#``,
-\x1c-\x1f, a blank or overlong line), or whose columns fail a check, is
-read again row by row through ``csv.reader``, which returns the same values
-or raises the same ``path:line: message`` error.
+The writers give the bytes ``csv.writer`` would, floats as ``repr``, a
+chunk of rows at a time; the feature writer takes one ``repr`` per distinct
+value of a chunk.  The record writer refuses a vehicle id that
+``csv.writer`` would quote or that holds a NUL.  Only the record CSV is
+read back, in two passes over its lines, a block at a time.  The first
+checks the bytes and finds the widest id; the second parses each block with
+``np.loadtxt`` into fixed-width rows and copies them into columns allocated
+once, so no more than a block is ever held as Python objects.  A file that
+parse could read differently from ``csv.reader`` (a quote, CR, NUL, ``#``,
+\x1c-\x1f, a blank or overlong line, a line without three commas), or
+whose values fail a check, is read again row by row through ``csv.reader``,
+which returns the same values or raises the same ``path:line: message``
+error.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ EMPTY_SPEED_FILL = 0.0
 @dataclass(eq=False)
 class Records:
     """Vehicle observations as parallel columns: the second, the vehicle id,
-    the zone and the speed of each."""
+    the zone and the speed of each.  Ids given other than as a numpy str
+    array must hold no NUL, which the str column would drop at an id's end."""
 
     time: np.ndarray  # int64
     vehicle_id: np.ndarray  # str
@@ -66,6 +72,11 @@ class Records:
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=np.int64)
+        if not (isinstance(self.vehicle_id, np.ndarray) and self.vehicle_id.dtype.kind == "U"):
+            # numpy's str column drops trailing NULs, which would merge ids
+            held = next((vid for vid in self.vehicle_id if "\x00" in str(vid)), None)
+            if held is not None:
+                raise ValueError(f"vehicle id {held!r} holds a NUL character")
         self.vehicle_id = np.asarray(self.vehicle_id, dtype=str)
         self.zone = np.asarray(self.zone, dtype=np.int64)
         self.speed = np.asarray(self.speed, dtype=np.float64)
@@ -309,10 +320,11 @@ _LOADTXT_UNSAFE = (b'"', b"\r", b"\x00", b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f
 # Python's lowest limit setting, and csv caps a field's length
 _LOADTXT_LINE_MAX = 640
 
+# a block of the record reader: at most this many lines, within this many bytes
+_BLOCK_LINES = 1 << 15
+_BLOCK_BYTES = 1 << 20
+
 _INT64 = np.iinfo(np.int64)
-_BSM_ROW = np.dtype(
-    [("time", np.int64), ("vehicle_id", object), ("zone", np.int64), ("speed", np.float64)]
-)
 
 
 def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
@@ -344,34 +356,87 @@ def _read_csv(path, header: list[str], parse_row) -> None:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _load_rows(path, header: list[str], dtype: np.dtype) -> np.ndarray | None:
-    """The data rows of a CSV as one ``dtype`` record each, parsed by
-    ``np.loadtxt``; None where that parse cannot stand in for
-    ``_read_csv``: a header other than ``header``, a blank or overlong line,
-    a byte of ``_LOADTXT_UNSAFE``, or any error."""
+def _bsm_blocks(raw: bytes) -> tuple[int, list, int] | None:
+    """Pass 1 of the record reader over a file's bytes: the header's length,
+    each block's (bytes, lines) and the widest id in bytes; or None where
+    ``np.loadtxt`` cannot stand in for the row loop: a header other than
+    ``BSM_HEADER``, a byte of ``_LOADTXT_UNSAFE``, a blank or overlong line,
+    or a line without exactly three commas.  A block is at most
+    ``_BLOCK_LINES`` whole lines within ``_BLOCK_BYTES`` bytes."""
+    if any(byte in raw for byte in _LOADTXT_UNSAFE):
+        return None
+    head = raw.find(b"\n") + 1 or len(raw)
+    if [h.strip() for h in raw[:head].decode("utf-8").rstrip("\n").split(",")] != BSM_HEADER:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    blocks, width, start = [], 0, head
+    while start < len(raw):
+        window = buf[start : start + _BLOCK_BYTES]
+        ends = np.flatnonzero(window == ord("\n"))
+        if start + len(window) == len(raw) and raw[-1] != ord("\n"):
+            ends = np.append(ends, len(window))  # the last line, unterminated
+        ends = ends[:_BLOCK_LINES]
+        if not len(ends):  # a line longer than the window
+            return None
+        lengths = np.diff(ends, prepend=-1) - 1
+        commas = np.flatnonzero(window[: ends[-1]] == ord(","))
+        per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+        if lengths.min() < 1 or lengths.max() > _LOADTXT_LINE_MAX or np.any(per_line != 3):
+            return None
+        commas = commas.reshape(-1, 3)  # the id lies between a line's first two
+        width = max(width, int((commas[:, 1] - commas[:, 0]).max()) - 1)
+        blocks.append((int(ends[-1]) + 1, len(ends)))
+        start += int(ends[-1]) + 1
+    return head, blocks, width
+
+
+def _read_bsm_blocks(path) -> Records | None:
+    """The records of a CSV parsed by ``np.loadtxt`` one block of lines at a
+    time, or None where that parse cannot stand in for the row loop: pass 1
+    (``_bsm_blocks``) refuses the file, ``np.loadtxt`` fails, or ``Records``
+    refuses a value.
+
+    The file's bytes are dropped after pass 1.  Pass 2 allocates the four
+    columns once, then reads each block again, parses it into rows whose id
+    has the widest id's byte width, and copies them into the columns, so no
+    Python object or parsed row outlives its block.  A byte width
+    over-counts a non-ASCII id, so such a column is narrowed to its widest
+    id in characters, the width the row loop's column has.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        if any(byte in raw for byte in _LOADTXT_UNSAFE):
-            return None
-        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-        if not raw.endswith(b"\n"):
-            ends = np.append(ends, len(raw))
-        lengths = np.diff(ends, prepend=-1) - 1
-        first = raw[: lengths[0]].decode("utf-8")
+        plan = _bsm_blocks(raw)
+        ascii_ids = raw.isascii()
         del raw
-        if [h.strip() for h in first.split(",")] != header:
+        if plan is None:
             return None
-        if lengths[1:].min(initial=1) < 1 or lengths.max() > _LOADTXT_LINE_MAX:
-            return None
-        if len(ends) == 1:
-            return np.empty(0, dtype=dtype)
-        rows = np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8"
-        )
+        head, blocks, width = plan
+        n = sum(lines for _, lines in blocks)
+        columns = (np.empty(n, np.int64), np.empty(n, f"U{max(width, 1)}"),
+                   np.empty(n, np.int64), np.empty(n, np.float64))
+        row = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
+        done = 0
+        with open(path, "rb") as handle:
+            handle.seek(head)
+            for size, lines in blocks:
+                rows = np.loadtxt(
+                    handle.read(size).decode("utf-8").split("\n"),
+                    dtype=row, delimiter=",", comments=None, ndmin=1,
+                )
+                if len(rows) != lines:
+                    return None
+                for name, column in zip(row.names, columns):
+                    column[done : done + lines] = rows[name]
+                done += lines
+                del rows  # before the next block is parsed
+        time, vehicle_id, zone, speed = columns
+        if not ascii_ids:
+            chars = int(np.char.str_len(vehicle_id).max(initial=1))
+            vehicle_id = vehicle_id.astype(f"U{chars}", copy=False)
+        return Records(time, vehicle_id, zone, speed)
     except Exception:  # the row loop decides what is wrong
         return None
-    return rows if len(rows) == len(ends) - 1 else None
 
 
 def write_bsm_csv(records: Records, path) -> None:
@@ -404,14 +469,8 @@ def write_bsm_csv(records: Records, path) -> None:
 
 
 def read_bsm_csv(path) -> Records:
-    rows = _load_rows(path, BSM_HEADER, _BSM_ROW)
-    if rows is not None:
-        time, speed = rows["time"], rows["speed"]
-        if np.all(time >= 0) and np.all(np.isfinite(speed) & (speed >= 0)):
-            return Records(
-                time.copy(), rows["vehicle_id"].astype(str), rows["zone"].copy(), speed.copy()
-            )
-    return _read_bsm_rows(path)
+    records = _read_bsm_blocks(path)
+    return _read_bsm_rows(path) if records is None else records
 
 
 def _read_bsm_rows(path) -> Records:
@@ -440,25 +499,20 @@ def _read_bsm_rows(path) -> Records:
 
 
 def write_feature_csv(table: Dataset, path) -> None:
-    # one repr per distinct float64 bit pattern (so -0.0 keeps its sign):
-    # the neighbor columns repeat the own-zone values
-    bits, where = np.unique(
-        np.ascontiguousarray(table.features, dtype=np.float64).view(np.int64),
-        return_inverse=True,
-    )
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    texts = texts[where.reshape(-1, 6)]
+    features = np.ascontiguousarray(table.features, dtype=np.float64)
+    line = ",".join(["%s"] * len(FEATURE_HEADER)) + "\n"
 
     def lines(start, stop):
-        return "".join([
-            f"{bucket},{zone},{','.join(values)},{label}\n"
-            for bucket, zone, values, label in zip(
-                table.bucket_start[start:stop].tolist(),
-                table.zone_id[start:stop].tolist(),
-                texts[start:stop].tolist(),
-                table.labels[start:stop].tolist(),
-            )
-        ])
+        chunk = features[start:stop]
+        # one repr per distinct float64 bit pattern of the chunk (so -0.0
+        # keeps its sign): the neighbor columns repeat the own-zone values
+        bits, where = np.unique(chunk.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells = np.empty((len(chunk), len(FEATURE_HEADER)), dtype=object)
+        cells[:, 0] = table.bucket_start[start:stop]
+        cells[:, 1] = table.zone_id[start:stop]
+        cells[:, 2:8] = texts[where.reshape(-1, 6)]
+        cells[:, 8] = table.labels[start:stop]
+        return (line * len(cells)) % tuple(cells.ravel())
 
     _write_lines(path, FEATURE_HEADER, len(table), lines)
-

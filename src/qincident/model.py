@@ -98,6 +98,11 @@ class QuantumLayer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return _QUANTUM_FORWARD(x, self.weights)
 
+    def forward_bytes(self) -> int:
+        """The bytes ``forward`` holds per row (``qsim.forward_bytes``)."""
+        n_layers, n_qubits = self.weights.shape[-2:]
+        return qsim.forward_bytes(n_qubits, n_layers)
+
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, self.weights)
         return values, (d_inputs, d_weights)
@@ -211,13 +216,15 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     return population
 
 
-# A stacked forward pass holds runs x rows x width activations; a pass over
-# more run-rows than this goes one group of runs at a time.  The quantum
-# layer costs the most per run-row at the term cap (n=6, L=3): its forward
-# pass peaks at about 6.5 KiB a run-row (tracemalloc), so a full group
-# takes about 420 MiB, and a training step's gradients take about 164 KiB a
-# run-row, 77 MiB for 30 runs at batch 16.
-_STACKED_ROWS = 1 << 16
+# A stacked forward pass goes one group of runs at a time, so that no layer
+# holds more than this for a group (each layer's ``forward_bytes`` a
+# run-row).  The dense stacks' widest layer (48 units) makes 768 bytes a
+# run-row, so they keep groups of 65,536 run-rows.  At the term cap (n=6,
+# L=3) the quantum layer counts 6,600 bytes a run-row (6,790 measured by
+# tracemalloc), so a group takes about 7,600 run-rows; a training step's
+# gradients, which are not grouped, take about 164 KiB a run-row there,
+# 77 MiB for 30 runs at batch 16.
+_FORWARD_BYTES = 48 << 20
 
 
 def _forward_layers(layers: list, h: np.ndarray) -> np.ndarray:
@@ -233,7 +240,8 @@ def forward(model: Model, features) -> np.ndarray:
     if h.ndim != 2 or h.shape[1] != N_FEATURES:
         raise ValueError(f"expected a [batch, {N_FEATURES}] array, got shape {h.shape}")
     runs = model.params.shape[:-1]
-    group = max(1, _STACKED_ROWS // max(1, len(h)))
+    run_bytes = max(layer.forward_bytes() for layer in model.layers) * max(1, len(h))
+    group = max(1, _FORWARD_BYTES // run_bytes)
     if not runs or runs[0] <= group:
         return _forward_layers(model.layers, h)
     return np.concatenate(

@@ -88,6 +88,11 @@ class DenseLayer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return dense_forward(self, x)[1]
 
+    def forward_bytes(self) -> int:
+        """The bytes ``forward`` makes per row: the pre-activation and the
+        output."""
+        return 2 * 8 * self.out_dim
+
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         z, out = dense_forward(self, x)
         return out, (x, z)

@@ -171,6 +171,15 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def forward_bytes(n: int, n_layers: int) -> int:
+    """About the bytes ``forward_batch`` holds at its peak per input row,
+    from the circuit's term tables: the angles, their cos and sin and the
+    slots made of them, or later two [n, T] products (the running product
+    and one gathered factor) beside the angles and the slots."""
+    n_readouts, n_terms, n_angles = _terms(n, n_layers).factors.shape
+    return 8 * max(5 * (n_angles + 1), 3 * (n_angles + 1) + 2 * n_readouts * n_terms)
+
+
 def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms.signs * _products(slots, terms.factors), axis=-1)
 

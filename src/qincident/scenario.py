@@ -53,10 +53,10 @@ EARLY_QUOTA = 8
 # default 56-zone, 1250 s corridor: every per-cell grid is sized from the
 # config, so a larger corridor is refused before anything is allocated.  The
 # cap is the largest power of two whose fitted peak RSS stays under 1 GiB:
-# ``features`` peaked at 202 MiB for 2**18 cells and 375 MiB for 2**19,
-# about 0.67 KiB a cell, so 2**20 cells fit in about 720 MiB and 2**21
-# would need about 1.4 GiB; ``gen`` peaked at 158 and 281 MiB, about
-# 0.48 KiB a cell, 530 MiB at 2**20.
+# ``gen`` peaked at 156 MiB for 2**18 cells and 281 MiB for 2**19, about
+# 0.49 KiB a cell, so 2**20 cells fit in about 530 MiB and 2**21 would need
+# about 1,030 MiB; ``features`` peaked at 156 and 279 MiB, about 0.48 KiB a
+# cell, 525 MiB at 2**20.
 MAX_CELLS = 2**20
 
 

@@ -1,6 +1,9 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qincident
 from qincident import cli, data, model, qsim, scenario
@@ -255,6 +260,97 @@ class TestFeatures:
         assert code == cli.EXIT_IO
         assert f"{bad}:2: " in capsys.readouterr().err
         assert not out.exists()
+
+
+# -- features over corrupted inputs ------------------------------------------------
+
+# bytes a corruption inserts: field and line breaks, quotes, characters the CSV
+# fast path refuses, signs and exponents, non-ASCII and invalid UTF-8
+CSV_BYTES = [b",", b"\n", b'"', b"\r", b"\x00", b"#", b"\x1c", b" ", b"-", b"e", b"9", b".",
+             "\xe9".encode(), b"\xff"]
+CSV_LINES = ["", "x,y", "0,a,0,nan", "-1,a,0,1", "0,a,0,-2.5", "0,a,0,1e999", "1,a,0,1,2",
+             "99999999999999999999,a,0,1", "0,a,1000000000000,1", "0,a,-1,1", "0,a\x00,0,1",
+             "7,\u2028,2,1.5", "time_s,vehicle_id,zone_id,speed_mps"]
+SCHEDULE_TEXTS = [
+    "", "[", "{}", "[1]", "[]", "NaN", '[{"zone": 0}]',
+    '[{"zone": 0, "start_s": 0, "duration_s": 0}]',
+    '[{"zone": 99, "start_s": 0, "duration_s": 5}]',
+    '[{"zone": -1, "start_s": 0, "duration_s": 5}]',
+    '[{"zone": 0, "start_s": -5, "duration_s": 5}]',
+    '[{"zone": 0, "start_s": 100000000000000000000000, "duration_s": 5}]',
+    '[{"zone": 0, "start_s": 0, "duration_s": 5, "x": 1}]',
+    '[{"zone": true, "start_s": 0, "duration_s": 5}]',
+    '[{"zone": 0, "start_s": 1.0, "duration_s": 5}]',
+]
+
+
+@st.composite
+def corrupted_features_calls(draw, root):
+    """A small generated corridor's record CSV and schedule, each maybe
+    corrupted, and a ``features`` argument list over them."""
+    zones, duration = draw(st.integers(1, 6)), draw(st.integers(1, 130))
+    config = scenario.ScenarioConfig(n_zones=zones, duration_s=duration, seed=draw(st.integers(0, 9)))
+    events = scenario.default_schedule(config)
+    records, _ = scenario.generate(dataclasses.replace(config, incidents=tuple(events)))
+    bsm, schedule = root / "bsm.csv", root / "schedule.json"
+    data.write_bsm_csv(records, bsm)
+    scenario.write_schedule_json(events, schedule)
+    raw = bsm.read_bytes()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "line", "truncate"]))
+        at = draw(st.integers(0, len(raw)))
+        if edit == "insert":
+            raw = raw[:at] + draw(st.sampled_from(CSV_BYTES)) + raw[at:]
+        elif edit == "line":
+            lines = raw.split(b"\n")
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at] = draw(st.sampled_from(CSV_LINES)).encode()
+            raw = b"\n".join(lines)
+        else:
+            raw = raw[:at]
+    bsm.write_bytes(raw)
+    if draw(st.booleans()):
+        schedule.write_text(draw(st.sampled_from(SCHEDULE_TEXTS)), encoding="utf-8")
+    args = ["features", "--bsm", str(bsm), "--bucket", draw(st.sampled_from(["1", "60"]))]
+    which = draw(st.sampled_from(["given", "none", "missing"]))
+    if which != "none":
+        args += ["--schedule", str(schedule if which == "given" else root / "nope.json")]
+    for flag, size in (("--zones", zones), ("--duration", duration)):
+        value = draw(st.sampled_from([None, size, size + 1, 0, -1, 10**9]))
+        if value is not None:
+            args += [flag, str(value)]
+    return args + ["--out", str(root / "features.csv")]
+
+
+class TestFeaturesOverCorruptedInputs:
+    """Every call ends in an exit code of 0-3 with no traceback and no Python
+    warning, and a rerun writes the same bytes."""
+
+    @staticmethod
+    def run(args, out):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], written
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=st.data())
+    def test_exit_code_no_traceback_no_warning_same_bytes(self, tmp_path_factory, drawn):
+        root = tmp_path_factory.mktemp("features")
+        args = drawn.draw(corrupted_features_calls(root))
+        first = self.run(args, root / "features.csv")
+        code, _, err, caught, written = first
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and not caught, (err, caught)
+        assert (code == 0) == (written is not None), err
+        assert self.run(args, root / "features.csv") == first
 
 
 SMALL_EXPERIMENT = [

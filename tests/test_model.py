@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -219,8 +220,33 @@ class TestPopulation:
         population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=5)
         features = np.random.default_rng(0).uniform(0, 1, (9, 6))
         whole = model.forward(population, features)
-        monkeypatch.setattr(model, "_STACKED_ROWS", 20)  # two runs of 9 rows per pass
+        # the widest dense layer makes 768 bytes a run-row: two runs of 9 rows per pass
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 768)
         assert model.forward(population, features).tobytes() == whole.tobytes()
+
+    def test_forward_at_the_term_cap_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
+        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
+        population = model.build_population(config, 0, n_runs=30)
+        features = np.random.default_rng(1).uniform(0, 1, (384, 6))
+        grouped = model.forward(population, features)
+        assert model._FORWARD_BYTES < 30 * 384 * qsim.forward_bytes(6, 3)  # more than one group
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 7 * 384 * qsim.forward_bytes(6, 3))
+        assert model.forward(population, features).tobytes() == grouped.tobytes()
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 1 << 40)  # one pass
+        assert model.forward(population, features).tobytes() == grouped.tobytes()
+
+    def test_forward_at_the_term_cap_stays_within_the_byte_budget(self):
+        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
+        population = model.build_population(config, 0, n_runs=30)
+        features = np.random.default_rng(2).uniform(0, 1, (2048, 6))
+        tracemalloc.start()
+        try:
+            model.forward(population, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 39 MiB measured for the 48 MiB budget; one stacked pass peaks at 390 MiB
+        assert peak < 1.25 * model._FORWARD_BYTES
 
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
     def test_copy_keeps_the_run_axis_and_the_views(self, copier):
