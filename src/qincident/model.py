@@ -12,15 +12,22 @@ Training is plain mini-batch Adam on mean binary cross-entropy; everything is
 deterministic for a fixed seed.
 
 Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
-``forward(x)``; ``forward_cached(x)`` -> (out, cache) and
-``backward(cache, d_out, grads)`` -> d_in, writing the gradients of its
-``param_names`` arrays into ``grads``; ``to_dict``, the layer's entry in
-the saved-model document.  A model keeps all trainable numbers in one
-float64 vector, ``Model.params``.  ``Model.layout``, computed once, places
-each layer's arrays in it: they are views of ``params``, and the ``grads``
-are views of one gradient vector, so Adam works on flat vectors.  The
-hidden widths and the decision threshold are the module constants
-``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
+``forward(x)``; ``plan(lead, first)`` -> the buffers of a training step
+over rows of leading shape ``lead``; ``forward_cached(x, buffers)`` ->
+(out, cache) and ``backward(cache, d_out, grads)`` -> d_in, writing the
+gradients of its ``param_names`` arrays into ``grads``; ``to_dict``, the
+layer's entry in the saved-model document.  A model keeps all trainable
+numbers in one float64 vector, ``Model.params``.  ``Model.layout``,
+computed once, places each layer's arrays in it: they are views of
+``params``, and the ``grads`` are views of one gradient vector, so Adam
+works on flat vectors.  The hidden widths and the decision threshold are
+the module constants ``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
+
+``train`` checks its rows once, then makes a step plan (``_plan``) per
+batch size, for the full batches and a final partial one: the gradient
+vector, its per-layer views and each layer's buffers, which every step of
+that size writes into; ``loss_and_gradients`` without a plan makes a
+one-shot one.  ``forward`` refuses non-finite features and outputs.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -103,7 +110,10 @@ class QuantumLayer:
         n_layers, n_qubits = self.weights.shape[-2:]
         return qsim.forward_bytes(n_qubits, n_layers)
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def plan(self, lead: tuple, first: bool) -> None:
+        """No buffers: the kernels make their own arrays."""
+
+    def forward_cached(self, x: np.ndarray, buffers: None) -> tuple[np.ndarray, tuple]:
         values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, self.weights)
         return values, (d_inputs, d_weights)
 
@@ -218,8 +228,8 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
 
 # A stacked forward pass goes one group of runs at a time, so that no layer
 # holds more than this for a group (each layer's ``forward_bytes`` a
-# run-row).  The dense stacks' widest layer (48 units) makes 768 bytes a
-# run-row, so they keep groups of 65,536 run-rows.  At the term cap (n=6,
+# run-row).  The dense stacks' widest layer (48 units) makes 384 bytes a
+# run-row, so they keep groups of 131,072 run-rows.  At the term cap (n=6,
 # L=3) the quantum layer counts 6,600 bytes a run-row (6,790 measured by
 # tracemalloc), so a group takes about 7,600 run-rows; a training step's
 # gradients, which are not grouped, take about 164 KiB a run-row there,
@@ -233,23 +243,43 @@ def _forward_layers(layers: list, h: np.ndarray) -> np.ndarray:
     return h[..., 0]
 
 
-def forward(model: Model, features) -> np.ndarray:
-    """Probability of an incident for each row of a [B, 6] batch: [B] for
-    one model, [R, B] for a population."""
+def _feature_rows(features) -> np.ndarray:
+    """``features`` as a float [B, 6] array of finite values; a ValueError
+    names the first row that holds a non-finite one."""
     h = np.asarray(features, dtype=float)
     if h.ndim != 2 or h.shape[1] != N_FEATURES:
         raise ValueError(f"expected a [batch, {N_FEATURES}] array, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        row = int(np.argmin(np.isfinite(h).all(axis=1)))
+        raise ValueError(f"feature row {row} holds a non-finite value: {h[row].tolist()}")
+    return h
+
+
+# a model that overflows shows it as a non-finite output, reported below
+@np.errstate(all="ignore")
+def forward(model: Model, features) -> np.ndarray:
+    """Probability of an incident for each row of a [B, 6] batch: [B] for
+    one model, [R, B] for a population.  A non-finite output raises
+    ``DataError`` naming the row and the seed of the run."""
+    h = _feature_rows(features)
     runs = model.params.shape[:-1]
     run_bytes = max(layer.forward_bytes() for layer in model.layers) * max(1, len(h))
     group = max(1, _FORWARD_BYTES // run_bytes)
     if not runs or runs[0] <= group:
-        return _forward_layers(model.layers, h)
-    return np.concatenate(
-        [
-            _forward_layers(_bind(model, model.params[start : start + group]), h)
-            for start in range(0, runs[0], group)
-        ]
-    )
+        probs = _forward_layers(model.layers, h)
+    else:
+        probs = np.concatenate(
+            [
+                _forward_layers(_bind(model, model.params[start : start + group]), h)
+                for start in range(0, runs[0], group)
+            ]
+        )
+    bad = np.argwhere(~np.isfinite(probs))
+    if len(bad):
+        *run, row = bad[0]
+        raise DataError(f"the model of seed {model.seed + sum(run)} gives output "
+                        f"{probs[tuple(bad[0])]} for feature row {row}")
+    return probs
 
 
 def predict(model: Model, features) -> np.ndarray:
@@ -257,8 +287,17 @@ def predict(model: Model, features) -> np.ndarray:
     return (forward(model, features) >= OUTPUT_THRESHOLD).astype(int)
 
 
+def _plan(model: Model, lead: tuple) -> tuple:
+    """The state of a training step over rows of leading shape ``lead``
+    (the run axis, then the batch): the gradient vector, its per-layer
+    views and each layer's buffers."""
+    grad = np.empty_like(model.params)
+    buffers = [layer.plan(lead, first=i == 0) for i, layer in enumerate(model.layers)]
+    return grad, _views(grad, model.layout), buffers
+
+
 def loss_and_gradients(
-    model: Model, features: np.ndarray, labels: np.ndarray
+    model: Model, features: np.ndarray, labels: np.ndarray, plan: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean BCE over the batch plus its exact gradient, laid out like
     ``model.params``: per run for a population, a loss of [R] and
@@ -266,24 +305,27 @@ def loss_and_gradients(
 
     ``features`` is a [B, 6] batch that every run sees, or a population's
     [R, B, 6] with one batch per run; ``labels`` is [B] or [R, B] to match.
-    Dense layers are backpropagated with cached pre-activations; the
-    quantum layer contributes its exact Jacobians.
+    Dense layers are backpropagated from their cached outputs; the quantum
+    layer contributes its exact Jacobians.  ``plan`` (``_plan``) holds the
+    buffers the step writes into, the returned gradient among them, and
+    takes float inputs of its shape unchecked; without one, the inputs are
+    checked and a one-shot plan is made.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-1] != N_FEATURES:
-        raise ValueError("features must be a [batch, 6] or [runs, batch, 6] array")
-    h = x
-    caches = []
-    for layer in model.layers:
-        h, cache = layer.forward_cached(h)
+    if plan is None:
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if features.ndim not in (2, 3) or features.shape[-1] != N_FEATURES:
+            raise ValueError("features must be a [batch, 6] or [runs, batch, 6] array")
+        plan = _plan(model, model.params.shape[:-1] + features.shape[-2:-1])
+    grad, views, buffers = plan
+    h, caches = features, []
+    for layer, layer_buffers in zip(model.layers, buffers):
+        h, cache = layer.forward_cached(h, layer_buffers)
         caches.append(cache)
     probs = h[..., 0]
-    loss = np.mean(nn.bce_loss(probs, y), axis=-1)
+    loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
 
-    d_out = (nn.bce_grad(probs, y) / probs.shape[-1])[..., np.newaxis]
-    grad = np.empty_like(model.params)
-    views = _views(grad, model.layout)
+    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
     for layer, cache, grads in zip(reversed(model.layers), reversed(caches), reversed(views)):
         d_out = layer.backward(cache, d_out, grads)
     return loss, grad
@@ -298,26 +340,39 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     ``data`` is a ``(features [N, 6], labels [N])`` pair of already
     normalized rows, taken in order: batch i is rows
     [i * batch_size, (i + 1) * batch_size), the same for every run of a
-    population.  History records each run's running mean batch loss and
-    full-train-set accuracy after each epoch, and its seed (run r of a
-    population has ``config.seed + r``); a population's entries are
-    per-run lists.  A non-finite batch loss in any run raises ``DataError``
-    naming the epoch, the batch and the seed of the first run that diverged.
+    population.  Mismatched labels or a non-finite feature raise
+    ``ValueError`` before the first step.  History records each run's
+    running mean batch loss and full-train-set accuracy after each epoch,
+    and its seed (run r of a population has ``config.seed + r``); a
+    population's entries are per-run lists.  A non-finite batch loss in any
+    run raises ``DataError`` naming the epoch, the batch and the seed of
+    the first run that diverged; a non-finite output in an epoch's
+    accuracy pass names the epoch and the seed.
     """
-    features, labels = (np.asarray(a, dtype=float) for a in data)
+    features, labels = data
+    features, labels = _feature_rows(features), np.asarray(labels, dtype=float)
     n_rows = len(features)
+    if labels.shape != (n_rows,):
+        raise ValueError(
+            f"labels of shape {labels.shape} do not match features of shape {features.shape}: "
+            f"expected labels of shape ({n_rows},)"
+        )
     if n_rows == 0:
         raise ValueError("training set is empty")
     runs = model.params.shape[:-1]
     seeds = config.seed + np.arange(math.prod(runs))
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     n_batches = math.ceil(n_rows / config.batch_size)
+    # one plan for the full batches and one for a final partial batch
+    sizes = {min(config.batch_size, n_rows), n_rows - (n_batches - 1) * config.batch_size}
+    plans = {size: _plan(model, runs + (size,)) for size in sizes}
     loss_history, accuracy_history = [], []
     for epoch in range(config.epochs):
         running = np.zeros(runs)
         for index in range(n_batches):
             batch = slice(index * config.batch_size, (index + 1) * config.batch_size)
-            loss, grad = loss_and_gradients(model, features[batch], labels[batch])
+            y = labels[batch]
+            loss, grad = loss_and_gradients(model, features[batch], y, plans[len(y)])
             if not np.isfinite(loss).all():
                 run = np.flatnonzero(~np.isfinite(loss))[0]
                 raise DataError(
@@ -326,9 +381,13 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
                     f"(seed {seeds[run]})"
                 )
             nn.adam_step(model.params, grad, adam)
-            running += loss * len(labels[batch])
+            running += loss * len(y)
         loss_history.append(running / n_rows)
-        probs = forward(model, features)
+        try:
+            probs = forward(model, features)
+        except DataError as exc:
+            raise DataError(f"training diverged by the end of epoch {epoch + 1}/{config.epochs}: "
+                            f"{exc}") from None
         accuracy_history.append(np.mean((probs >= OUTPUT_THRESHOLD) == (labels > 0.5), axis=-1))
     model.history = {
         "loss": np.stack(loss_history, axis=-1).tolist(),

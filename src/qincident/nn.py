@@ -7,6 +7,11 @@ population of R models holds its arrays with a leading run axis, weights
 shared by every run) or [R, B, in] to [R, B, out]; each run's slice is the
 same arithmetic as one model's.  Batch losses are averaged (not summed),
 and the final partial batch of an epoch is used at its natural size.
+
+A dense layer applies its activation in place on the pre-activation, so
+its forward pass makes one array, and takes the derivative from that
+output.  In training, ``dense_forward`` and ``dense_backward`` write into
+the buffers ``DenseLayer.plan`` makes once per ``train`` call and batch size.
 """
 
 from __future__ import annotations
@@ -21,32 +26,32 @@ ACTIVATIONS = ("relu", "sigmoid")
 BCE_EPS = 1e-7
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """Overflow-free logistic: with e = exp(-|x|) <= 1, it is 1/(1+e) for
     x >= 0 and e/(1+e) below."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def activate(kind: str, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def activate(kind: str, x, out=None) -> np.ndarray:
+    """The activation of ``x``, written into ``out`` if given (``out=x``
+    applies it in place)."""
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if kind == "sigmoid":
-        return _sigmoid(x)
+        return _sigmoid(x, out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activate_deriv(kind: str, pre_activation) -> np.ndarray:
-    """Derivative evaluated at the pre-activation; relu'(0) is defined as 0.
-    relu's is the boolean mask ``z > 0``, which multiplies as 1.0 and 0.0
-    without a float temporary."""
-    z = np.asarray(pre_activation, dtype=float)
+def activate_deriv(kind: str, output) -> np.ndarray:
+    """Derivative at the pre-activation z, taken from the output f(z):
+    relu's is the boolean mask ``f(z) > 0``, true exactly where z > 0
+    (relu'(0) is 0), which multiplies as 1.0 and 0.0 without a float
+    temporary; sigmoid's is s * (1 - s) with s = f(z)."""
     if kind == "relu":
-        return z > 0
+        return output > 0
     if kind == "sigmoid":
-        s = _sigmoid(z)
-        return s * (1.0 - s)
+        return output * (1.0 - output)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -55,9 +60,9 @@ class DenseLayer:
     """Fully connected layer: weights [out, in], biases [out], each with a
     leading run axis in a population.
 
-    Follows the layer protocol of ``model`` (``forward``, ``forward_cached``,
-    ``backward`` into gradient views, ``to_dict``); ``param_names`` lists
-    the trainable arrays in their flat-vector order.
+    Follows the layer protocol of ``model`` (``forward``, ``plan``,
+    ``forward_cached``, ``backward`` into gradient views, ``to_dict``);
+    ``param_names`` lists the trainable arrays in their flat-vector order.
     """
 
     weights: np.ndarray
@@ -86,19 +91,27 @@ class DenseLayer:
         return self.weights.shape[-2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return dense_forward(self, x)[1]
+        return dense_forward(self, x)
 
     def forward_bytes(self) -> int:
-        """The bytes ``forward`` makes per row: the pre-activation and the
-        output."""
-        return 2 * 8 * self.out_dim
+        """The bytes ``forward`` makes per row: the output, activated in
+        place."""
+        return 8 * self.out_dim
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        z, out = dense_forward(self, x)
-        return out, (x, z)
+    def plan(self, lead: tuple, first: bool) -> tuple:
+        """A training step's buffers for rows of leading shape ``lead``: the
+        output, its ``dz`` and the input gradient, which the first layer of
+        a stack does not make (None), since nothing reads it."""
+        out = np.empty(lead + (self.out_dim,))
+        return out, np.empty_like(out), None if first else np.empty(lead + (self.in_dim,))
 
-    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray:
-        return dense_backward(self, *cache, d_out, grads)
+    def forward_cached(self, x: np.ndarray, buffers: tuple) -> tuple[np.ndarray, tuple]:
+        out = dense_forward(self, x, buffers[0])
+        return out, (x,) + buffers
+
+    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray | None:
+        x, out, dz, d_in = cache
+        return dense_backward(self, x, out, d_out, grads, dz, d_in)
 
     def to_dict(self) -> dict:
         return {
@@ -123,26 +136,27 @@ def init_layer(
     return DenseLayer(weights, np.zeros(out_dim), activation)
 
 
-def dense_forward(layer: DenseLayer, x) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pre_activation, output) for ``x`` [..., batch, in]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.in_dim:
-        raise ValueError(f"expected input width {layer.in_dim}, got {x.shape[-1]}")
-    z = x @ layer.weights.swapaxes(-1, -2)
+def dense_forward(layer: DenseLayer, x: np.ndarray, out=None) -> np.ndarray:
+    """The output for a float ``x`` [..., batch, in]: the pre-activation,
+    written into ``out`` if given, then activated in place."""
+    z = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out)
     z += layer.biases[..., np.newaxis, :]
-    return z, activate(layer.activation, z)
+    return activate(layer.activation, z, z)
 
 
 def dense_backward(
-    layer: DenseLayer, x: np.ndarray, z: np.ndarray, d_out: np.ndarray, grads: list
-) -> np.ndarray:
-    """Chain-rule step for a [..., batch, in] input: writes (d_weights,
-    d_biases), summed over the batch axis, into ``grads``; returns d_input."""
-    dz = d_out * activate_deriv(layer.activation, z)
+    layer: DenseLayer, x: np.ndarray, out: np.ndarray, d_out: np.ndarray, grads: list,
+    dz: np.ndarray, d_in: np.ndarray | None,
+) -> np.ndarray | None:
+    """Chain-rule step for a [..., batch, in] input and the layer's output:
+    writes d_out * f'(z) into ``dz``, (d_weights, d_biases), summed over the
+    batch axis, into ``grads``, and d_input into ``d_in``, which it returns;
+    a None ``d_in`` skips d_input."""
+    np.multiply(d_out, activate_deriv(layer.activation, out), out=dz)
     d_weights, d_biases = grads
     np.matmul(dz.swapaxes(-1, -2), x, out=d_weights)
     np.add.reduce(dz, axis=-2, out=d_biases)
-    return dz @ layer.weights
+    return None if d_in is None else np.matmul(dz, layer.weights, out=d_in)
 
 
 def bce_loss(prediction, label) -> np.ndarray:

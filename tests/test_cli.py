@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -351,6 +352,96 @@ class TestFeaturesOverCorruptedInputs:
         assert "Traceback" not in err and not caught, (err, caught)
         assert (code == 0) == (written is not None), err
         assert self.run(args, root / "features.csv") == first
+
+
+# -- experiment over drawn flags and corrupted configs ------------------------------
+
+# each flag's values: valid ones, then ones the call must refuse
+EXPERIMENT_FLAGS = {
+    "--splits": (["DS-1", "DS-2", "DS-3", "DS-3,DS-1"], ["DS-1,DS-1", "DS-4", "", "ds-1"]),
+    "--models": (["classical", "hybrid-2q", "hybrid-4q", "classical,hybrid-4q"],
+                 ["hybrid-4q,hybrid-4q", "hybrid-3q", ""]),
+    "--batch": (["1", "4", "16", "1000"], ["0", "-3", "x"]),
+    "--lr": (["0.001", "0.1", "1e300"], ["0", "-1", "nan", "inf", "x"]),
+}
+# a value of the wrong type, or out of range, for some config key
+CONFIG_VALUES = ["8", 1.5, True, None, [], {}, -1, 0, 10**30, "DS-1", ["DS-1"], [["DS-1"]], 1e300]
+CONFIG_BYTES = [b",", b"}", b"{", b"]", b'"', b":", b"x", b" ", b"\x00", b"\xff"]
+
+
+@st.composite
+def experiment_calls(draw, root):
+    """An ``experiment`` argument list over a small corridor (1-6 zones,
+    1-130 s, one epoch), with drawn flags and a config file that may be
+    corrupted, mistyped or name a corrupted schedule.  Most draws are
+    valid, so that most calls train."""
+    zones, duration = draw(st.integers(1, 6)), draw(st.integers(1, 130))
+    doc = {"zones": zones, "duration_s": duration, "ds3_duration_s": draw(st.integers(60, 600)),
+           "seed": draw(st.integers(0, 9)), "n_runs": draw(st.integers(1, 2)), "epochs": 1}
+    edit = draw(st.sampled_from(["none"] * 6 + ["value", "key", "schedule", "incidents", "bytes"]))
+    if edit == "value":
+        doc[draw(st.sampled_from(sorted(dataclasses.asdict(cli.ExperimentConfig()))))] = draw(
+            st.sampled_from(CONFIG_VALUES))
+    elif edit == "key":
+        doc["learning_rte"] = 0.1
+    elif edit == "schedule":
+        schedule = root / "schedule.json"
+        schedule.write_text(draw(st.sampled_from(SCHEDULE_TEXTS)), encoding="utf-8")
+        doc["schedule_path"] = str(schedule if draw(st.booleans()) else root / "nope.json")
+    elif edit == "incidents":
+        doc["n_incidents"] = draw(st.integers(0, 40))
+    raw = json.dumps(doc).encode()
+    if edit == "bytes":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + (draw(st.sampled_from(CONFIG_BYTES)) if draw(st.booleans()) else b"")
+    config = root / "config.json"
+    config.write_bytes(raw)
+    args = ["experiment", "--config", str(config), "--epochs", "1", "--out", str(root / "exp")]
+    if draw(st.booleans()):  # else the config's corridor and run count
+        args += ["--zones", str(zones), "--duration", str(duration),
+                 "--runs", str(draw(st.integers(1, 2)))]
+    for flag, (valid, refused) in EXPERIMENT_FLAGS.items():
+        kind = draw(st.sampled_from(["none", "valid", "valid", "valid", "refused"]))
+        if kind != "none":
+            args += [flag, draw(st.sampled_from(valid if kind == "valid" else refused))]
+    return args
+
+
+class TestExperimentOverDrawnInputs:
+    """Every call ends in an exit code of 0-3 with no traceback and no Python
+    warning; a report is complete exactly when the call exits 0 (a run that
+    diverges exits 1 and leaves a report marked partial), and a rerun gives
+    the same code, stdout and bytes."""
+
+    @staticmethod
+    def run(args, out):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+        shutil.rmtree(out, ignore_errors=True)
+        return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], written
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=st.data())
+    def test_exit_code_no_traceback_no_warning_same_bytes(self, tmp_path_factory, drawn):
+        root = tmp_path_factory.mktemp("experiment")
+        args = drawn.draw(experiment_calls(root))
+        first = self.run(args, root / "exp")
+        code, _, err, caught, written = first
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and not caught, (err, caught)
+        report = json.loads(written["report.json"]) if written else None
+        if code == 0:
+            assert "partial" not in report and written["tables.txt"], err
+        else:
+            assert report is None or (code == 1 and report["partial"] is True), err
+        assert self.run(args, root / "exp") == first
 
 
 SMALL_EXPERIMENT = [

@@ -3,7 +3,9 @@
 import copy
 import json
 import pickle
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +96,38 @@ class TestForward:
         with pytest.raises(ValueError, match=r"got shape \(6,\)"):
             call(net, np.zeros(6))
 
+    @pytest.mark.parametrize("call", [model.forward, model.predict])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_row(self, call, value):
+        net = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=0)
+        features = np.zeros((4, 6))
+        features[2, 5] = features[3, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^feature row 2 holds a non-finite value"):
+                call(net, features)
+
+    def test_non_finite_output_names_the_seed_and_row(self):
+        # runs 1 and 2 (seeds 6 and 7) overflow to inf - inf; run 0 stays finite
+        population = model.build_population(model.HybridModelConfig(kind="classical"), 5, n_runs=3)
+        population.params[1:] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^the model of seed 6 gives output nan for feature row 0$"):
+                model.predict(population, np.full((4, 6), 0.5))
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "sigmoid"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
+    def test_dense_layer_activates_in_place_with_the_two_array_bits(self, relu, runs):
+        rng = np.random.default_rng(6)
+        layer = nn.DenseLayer(np.zeros((5, 4)), np.zeros(5), "relu" if relu else "sigmoid")
+        layer.weights, layer.biases = rng.normal(0, 30, runs + (5, 4)), rng.normal(0, 30, runs + (5,))
+        x = rng.normal(size=(9, 4))
+        got = layer.forward(x)
+        assert got.tobytes() == nn.dense_forward(layer, x).tobytes()
+        assert got.tobytes() == reference_dense_forward(layer, x)[1].tobytes()
+        assert np.isclose(got, 0.0).any() and (got > 0).any()  # both branches taken
+
 
 class TestPredict:
     def test_threshold_inclusive(self):
@@ -143,11 +177,37 @@ class TestTrain:
             model.train(net, (np.empty((0, 6)), np.empty(0)), nn.TrainConfig())
 
     def test_non_finite_loss_names_epoch_batch_and_seed(self):
-        features, labels = separable_rows(40)
-        features[21, 2] = np.nan  # rows 16..31 are the second batch of 16
+        # the first step takes every parameter to about 1e300, so the second
+        # batch's products overflow and its loss is NaN
         net = model.build_model(model.HybridModelConfig(kind="classical"), seed=1)
         with pytest.raises(DataError, match=r"epoch 1/3, batch 2/3 \(seed 4\)"):
+            model.train(net, separable_rows(40), nn.TrainConfig(epochs=3, seed=4, learning_rate=1e300))
+
+    def test_divergence_after_the_last_loss_check_names_the_epoch_and_seed(self):
+        # one batch an epoch: its step overflows the model after its loss was checked
+        population = model.build_population(model.HybridModelConfig(kind="classical"), 4, n_runs=3)
+        with pytest.raises(DataError, match=r"^training diverged by the end of epoch 1/2: the model of seed 4 "):
+            model.train(population, separable_rows(10), nn.TrainConfig(epochs=2, learning_rate=1e300, seed=4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_fails_before_the_first_step(self, value):
+        features, labels = separable_rows(40)
+        features[21, 2] = value
+        net = model.build_model(model.HybridModelConfig(kind="classical"), seed=1)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match=r"^feature row 21 holds a non-finite value"):
             model.train(net, (features, labels), nn.TrainConfig(epochs=3, seed=4))
+        assert net.params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", [(35,), (40, 1), (1, 40), ()])
+    def test_mismatched_labels_fail_before_the_first_step(self, shape):
+        features, labels = separable_rows(40)
+        net = model.build_model(model.HybridModelConfig(kind="classical"), seed=1)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match=rf"labels of shape {re.escape(str(shape))} do not "
+                                             r"match features of shape \(40, 6\)"):
+            model.train(net, (features, np.resize(labels, shape)), nn.TrainConfig(seed=4))
+        assert net.params.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
     def test_layers_stay_views_of_params(self, kind):
@@ -220,8 +280,9 @@ class TestPopulation:
         population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=5)
         features = np.random.default_rng(0).uniform(0, 1, (9, 6))
         whole = model.forward(population, features)
-        # the widest dense layer makes 768 bytes a run-row: two runs of 9 rows per pass
-        monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 768)
+        # the widest dense layer makes 384 bytes a run-row: two runs of 9 rows per pass
+        assert max(layer.forward_bytes() for layer in population.layers) == 384
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 384)
         assert model.forward(population, features).tobytes() == whole.tobytes()
 
     def test_forward_at_the_term_cap_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
@@ -264,14 +325,42 @@ class TestPopulation:
             model.model_to_dict(population)
 
 
-def tuple_form_loss_and_gradients(net, features, labels):
-    """The step in its earlier form, kept as the reference: each layer's
-    backward returns its gradient arrays, and the flat gradient is their
-    concatenation in stack order."""
+def reference_dense_forward(layer, x):
+    """(pre-activation, output) of a dense layer in the earlier two-array
+    form, which the in-place activation must match bit for bit."""
+    z = x @ layer.weights.swapaxes(-1, -2)
+    z += layer.biases[..., np.newaxis, :]
+    if layer.activation == "relu":
+        return z, np.maximum(z, 0.0)
+    e = np.exp(-np.abs(z))
+    return z, np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_forward(net, features):
+    """The forward pass in that form, one stacked pass."""
+    h = features
+    for layer in net.layers:
+        if isinstance(layer, nn.DenseLayer):
+            h = reference_dense_forward(layer, h)[1]
+        else:
+            h = qsim.forward_batch(h, layer.weights)
+    return h[..., 0]
+
+
+def reference_loss_and_gradients(net, features, labels):
+    """The step in its earlier form, kept as the reference: every array is
+    made anew, each layer's gradient arrays are returned, the flat gradient
+    is their concatenation in stack order, and every layer, the first too,
+    makes its input gradient."""
     h, caches = features, []
     for layer in net.layers:
-        h, cache = layer.forward_cached(h)
-        caches.append(cache)
+        if isinstance(layer, nn.DenseLayer):
+            z, out = reference_dense_forward(layer, h)
+            caches.append((h, z))
+        else:
+            out, d_inputs, d_weights = qsim.gradients_batch(h, layer.weights)
+            caches.append((d_inputs, d_weights))
+        h = out
     probs = h[..., 0]
     loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
     d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
@@ -279,7 +368,11 @@ def tuple_form_loss_and_gradients(net, features, labels):
     for layer, cache in zip(reversed(net.layers), reversed(caches)):
         if isinstance(layer, nn.DenseLayer):
             x, z = cache
-            dz = d_out * nn.activate_deriv(layer.activation, z)
+            if layer.activation == "relu":
+                dz = d_out * (z > 0)
+            else:
+                s = reference_dense_forward(layer, x)[1]
+                dz = d_out * (s * (1.0 - s))
             grads = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2))
             d_out = dz @ layer.weights
         else:
@@ -293,24 +386,92 @@ def tuple_form_loss_and_gradients(net, features, labels):
     )
 
 
+def reference_train(net, features, labels, config):
+    """``model.train`` as an unplanned loop of the reference step and
+    ``nn.adam_step``: (loss history, accuracy history), epochs last."""
+    adam = nn.AdamState.for_params(net.params, learning_rate=config.learning_rate)
+    losses, accuracies = [], []
+    for _ in range(config.epochs):
+        running = np.zeros(net.params.shape[:-1])
+        for start in range(0, len(labels), config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            loss, grad = reference_loss_and_gradients(net, features[batch], labels[batch])
+            nn.adam_step(net.params, grad, adam)
+            running += loss * len(labels[batch])
+        losses.append(running / len(labels))
+        probs = reference_forward(net, features)
+        accuracies.append(np.mean((probs >= model.OUTPUT_THRESHOLD) == (labels > 0.5), axis=-1))
+    return np.stack(losses, axis=-1), np.stack(accuracies, axis=-1)
+
+
 def bits(array):
     return np.asarray(array, dtype=np.float64).view(np.int64)
 
 
+CONFIGS = [
+    model.HybridModelConfig(kind="classical"),
+    model.HybridModelConfig(kind="hybrid", n_qubits=2),
+    model.HybridModelConfig(kind="hybrid", n_qubits=4),
+]
+
+
+class TestPlannedTraining:
+    @pytest.mark.parametrize("config", [CONFIGS[0], CONFIGS[2]], ids=lambda config: config.label)
+    @pytest.mark.parametrize("n_runs", [None, 3], ids=["model", "population"])
+    def test_train_matches_the_unplanned_loop_bit_for_bit(self, config, n_runs):
+        """Two epochs of 250 planned steps and a final partial batch of 6
+        rows (4,006 rows at batch 16): the parameters, losses and accuracy
+        history are the reference loop's, bit for bit."""
+        rng = np.random.default_rng(3)
+        features = rng.uniform(0.0, 1.0, (4006, 6))
+        labels = rng.integers(0, 2, 4006).astype(float)
+        if n_runs is None:
+            net = model.build_model(config, seed=3)
+        else:
+            net = model.build_population(config, seed=3, n_runs=n_runs)
+        twin = copy.deepcopy(net)
+        train_config = nn.TrainConfig(epochs=2, batch_size=16, seed=3)
+        model.train(net, (features, labels), train_config)
+        want_loss, want_accuracy = reference_train(twin, features, labels, train_config)
+        np.testing.assert_array_equal(bits(net.params), bits(twin.params))
+        np.testing.assert_array_equal(bits(net.history["loss"]), bits(want_loss))
+        np.testing.assert_array_equal(bits(net.history["train_accuracy"]), bits(want_accuracy))
+        assert 0.4 < np.min(want_accuracy) and np.max(want_accuracy) < 0.6  # not all one class
+
+    def test_a_plan_is_reused_across_steps_and_made_per_batch_size(self, monkeypatch):
+        made = []
+
+        def plan(net, lead):
+            made.append(lead)
+            return planner(net, lead)
+
+        planner = model._plan
+        monkeypatch.setattr(model, "_plan", plan)
+        population = model.build_population(CONFIGS[2], seed=1, n_runs=2)
+        rng = np.random.default_rng(1)
+        rows = (rng.uniform(0, 1, (38, 6)), rng.integers(0, 2, 38).astype(float))
+        model.train(population, rows, nn.TrainConfig(epochs=3, batch_size=16))
+        assert sorted(made) == [(2, 6), (2, 16)]
+        made.clear()
+        model.train(population, (rows[0][:32], rows[1][:32]), nn.TrainConfig(epochs=2, batch_size=16))
+        assert made == [(2, 16)]
+
+    def test_the_first_layer_makes_no_input_gradient(self):
+        net = model.build_model(CONFIGS[2], seed=0)
+        _, _, buffers = model._plan(net, (16,))
+        assert buffers[0][2] is None
+        for layer, layer_buffers in zip(net.layers[1:], buffers[1:]):
+            if layer_buffers is not None:  # a dense layer
+                assert layer_buffers[2].shape == (16, layer.in_dim)
+
+
 class TestGradients:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            model.HybridModelConfig(kind="classical"),
-            model.HybridModelConfig(kind="hybrid", n_qubits=2),
-            model.HybridModelConfig(kind="hybrid", n_qubits=4),
-        ],
-        ids=lambda config: config.label,
-    )
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.label)
     @pytest.mark.parametrize("n_runs", [None, 3], ids=["model", "population"])
     def test_step_matches_the_tuple_form_bit_for_bit(self, config, n_runs):
-        """250 Adam steps at batch 16: every loss, gradient and update is
-        the tuple-and-concatenate form's, bit for bit."""
+        """250 Adam steps at batch 16 through one-shot plans: every loss,
+        gradient and update is the tuple-and-concatenate form's, bit for
+        bit."""
         rng = np.random.default_rng(3)
         features = rng.uniform(0.0, 1.0, (4000, 6))
         labels = rng.integers(0, 2, 4000).astype(float)
@@ -323,7 +484,7 @@ class TestGradients:
         for start in range(0, len(features), 16):
             batch = slice(start, start + 16)
             loss, grad = model.loss_and_gradients(net, features[batch], labels[batch])
-            want_loss, want_grad = tuple_form_loss_and_gradients(twin, features[batch], labels[batch])
+            want_loss, want_grad = reference_loss_and_gradients(twin, features[batch], labels[batch])
             np.testing.assert_array_equal(bits(loss), bits(want_loss))
             np.testing.assert_array_equal(bits(grad), bits(want_grad))
             nn.adam_step(net.params, grad, adam)
@@ -351,7 +512,7 @@ class TestGradients:
         got = model.forward(net, feats)
         h = feats
         for layer in net.layers[:3] + net.layers[4:]:  # the dense layers
-            _, h = nn.dense_forward(layer, h)
+            h = nn.dense_forward(layer, h)
         np.testing.assert_allclose(got, h[:, 0], atol=1e-12)
 
 

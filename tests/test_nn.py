@@ -15,11 +15,19 @@ class TestActivations:
         assert nn.activate("sigmoid", 0.0) == pytest.approx(0.5)
 
     def test_sigmoid_derivative_at_zero(self):
-        assert nn.activate_deriv("sigmoid", 0.0) == pytest.approx(0.25)
+        # the derivative is taken from the output: sigmoid(0) = 0.5
+        assert nn.activate_deriv("sigmoid", nn.activate("sigmoid", 0.0)) == pytest.approx(0.25)
 
     def test_relu_derivative_zero_at_origin(self):
-        d = nn.activate_deriv("relu", np.array([-1.0, 0.0, 1.0]))
+        d = nn.activate_deriv("relu", nn.activate("relu", np.array([-1.0, 0.0, 1.0])))
         np.testing.assert_allclose(d, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid"])
+    def test_in_place_activation_keeps_the_bits(self, kind):
+        x = np.random.default_rng(5).normal(0.0, 40.0, (30, 16, 8))
+        want = nn.activate(kind, x)
+        assert nn.activate(kind, x, x) is x
+        assert x.tobytes() == want.tobytes()
 
     def test_sigmoid_extreme_inputs_stable(self):
         out = nn.activate("sigmoid", np.array([-1000.0, 1000.0]))
@@ -53,22 +61,26 @@ class TestActivations:
 class TestDenseForward:
     def test_zero_layer_relu(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-        _, out = nn.dense_forward(layer, np.array([[1.0, -2.0]]))
+        out = nn.dense_forward(layer, np.array([[1.0, -2.0]]))
         np.testing.assert_allclose(out, np.zeros((1, 3)))
 
     def test_identity_layer(self):
         # identity weights: relu passes the non-negative entries through
         layer = nn.DenseLayer(np.eye(4), np.zeros(4), "relu")
         x = np.array([[1.0, -2.0, 3.0, 0.5]])
-        z, out = nn.dense_forward(layer, x)
-        np.testing.assert_allclose(z, x)
+        out = nn.dense_forward(layer, x)
         np.testing.assert_allclose(out, [[1.0, 0.0, 3.0, 0.5]])
 
     def test_hand_computed_case(self):
         layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "relu")
-        z, out = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(z, [[3.0, 7.0]])
+        out = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[3.0, 7.0]])
+
+    def test_writes_into_the_buffer_it_is_given(self):
+        layer = nn.DenseLayer(np.array([[1.0, 2.0], [-3.0, 4.0]]), np.zeros(2), "relu")
+        buffer = np.full((1, 2), np.nan)
+        assert nn.dense_forward(layer, np.array([[1.0, 0.0]]), buffer) is buffer
+        np.testing.assert_array_equal(buffer, [[1.0, 0.0]])
 
     def test_dimension_mismatch(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
@@ -79,9 +91,9 @@ class TestDenseForward:
         rng = np.random.default_rng(0)
         layer = nn.DenseLayer(rng.normal(size=(5, 3)), rng.normal(size=5), "relu")
         batch = rng.normal(size=(7, 3))
-        _, out = nn.dense_forward(layer, batch)
+        out = nn.dense_forward(layer, batch)
         for i, row in enumerate(batch):
-            _, single = nn.dense_forward(layer, row[np.newaxis])
+            single = nn.dense_forward(layer, row[np.newaxis])
             np.testing.assert_allclose(out[i], single[0], atol=1e-12)
 
 
@@ -120,15 +132,31 @@ def gradient_arrays(layer):
     return np.full(layer.weights.shape, np.nan), np.full(layer.biases.shape, np.nan)
 
 
+def step_buffers(out, x):
+    """``dense_backward``'s dz and d_input buffers, filled with NaN."""
+    return np.full(out.shape, np.nan), np.full(out.shape[:-1] + x.shape[-1:], np.nan)
+
+
 class TestDenseBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(2)
         layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
         x = rng.normal(size=(1, 4))
-        z, _ = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, x)
         d_w, d_b = gradient_arrays(layer)
-        d_x = nn.dense_backward(layer, x, z, np.zeros((1, 3)), (d_w, d_b))
+        d_x = nn.dense_backward(layer, x, out, np.zeros((1, 3)), (d_w, d_b), *step_buffers(out, x))
         assert not np.any(d_w) and not np.any(d_b) and not np.any(d_x)
+
+    def test_a_first_layer_makes_no_input_gradient(self):
+        rng = np.random.default_rng(2)
+        layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
+        x = rng.normal(size=(2, 4))
+        out = nn.dense_forward(layer, x)
+        d_w, d_b = gradient_arrays(layer)
+        dz, _ = step_buffers(out, x)
+        assert nn.dense_backward(layer, x, out, np.ones((2, 3)), (d_w, d_b), dz, None) is None
+        np.testing.assert_array_equal(dz, out > 0)
+        assert not np.isnan(d_w).any() and not np.isnan(d_b).any()
 
     def test_writes_into_strided_views_of_a_population_gradient(self):
         # two runs' [3, 4] weights and [3] biases as views of a [2, 15] vector
@@ -136,12 +164,12 @@ class TestDenseBackward:
         layer = nn.DenseLayer(np.zeros((3, 4)), np.zeros(3), "relu")
         layer.weights, layer.biases = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
         x = rng.normal(size=(5, 4))
-        z, _ = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, x)
         d_out = rng.normal(size=(2, 5, 3))
         flat = np.full((2, 15), np.nan)
         d_w, d_b = flat[:, :12].reshape(2, 3, 4), flat[:, 12:]
-        d_x = nn.dense_backward(layer, x, z, d_out, (d_w, d_b))
-        dz = d_out * (z > 0)
+        d_x = nn.dense_backward(layer, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
+        dz = d_out * (out > 0)
         np.testing.assert_array_equal(d_w, dz.swapaxes(-1, -2) @ x)
         np.testing.assert_array_equal(d_b, dz.sum(axis=-2))
         np.testing.assert_array_equal(d_x, dz @ layer.weights)
@@ -155,11 +183,11 @@ class TestDenseBackward:
         label = 1.0
 
         def loss():
-            _, out = nn.dense_forward(layer, x)
+            out = nn.dense_forward(layer, x)
             prob = out[0, 0] if activation == "sigmoid" else nn.activate("sigmoid", out[0, 0])
             return float(nn.bce_loss(prob, label))
 
-        z, out = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, x)
         prob = out[0, 0] if activation == "sigmoid" else float(nn.activate("sigmoid", out[0, 0]))
         d_prob = nn.bce_grad(prob, label)
         if activation == "sigmoid":
@@ -167,7 +195,7 @@ class TestDenseBackward:
         else:
             d_out = np.array([[d_prob * prob * (1 - prob)]])
         d_w, d_b = gradient_arrays(layer)
-        nn.dense_backward(layer, x, z, d_out, (d_w, d_b))
+        nn.dense_backward(layer, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
 
         h = 1e-6
         for idx in np.ndindex(layer.weights.shape):
