@@ -30,8 +30,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 3
 
-SPLIT_NAMES = ("DS-1", "DS-2", "DS-3")
-MODEL_NAMES = ("classical", "hybrid-2q", "hybrid-4q")
+SPLIT_NAMES = tuple(data.SPLIT_SIZES)
+# the models by their labels: classical, hybrid-2q, hybrid-4q
+MODELS = {
+    config.label: config
+    for config in (model_mod.HybridModelConfig(kind="classical"),
+                   model_mod.HybridModelConfig(n_qubits=2), model_mod.HybridModelConfig(n_qubits=4))
+}
 
 
 # what each ExperimentConfig annotation accepts (a config file gives lists)
@@ -61,7 +66,7 @@ class ExperimentConfig:
     n_incidents: int | None = None
     schedule_path: str | None = None
     splits: tuple[str, ...] = SPLIT_NAMES
-    models: tuple[str, ...] = MODEL_NAMES
+    models: tuple[str, ...] = tuple(MODELS)
     n_runs: int = 30
     epochs: int = 20
     batch_size: int = 16
@@ -77,8 +82,8 @@ class ExperimentConfig:
         self.models = tuple(self.models)
         if not self.splits or any(s not in SPLIT_NAMES for s in self.splits):
             raise ConfigError(f"splits must be a non-empty subset of {SPLIT_NAMES}")
-        if not self.models or any(m not in MODEL_NAMES for m in self.models):
-            raise ConfigError(f"models must be a non-empty subset of {MODEL_NAMES}")
+        if not self.models or any(m not in MODELS for m in self.models):
+            raise ConfigError(f"models must be a non-empty subset of {tuple(MODELS)}")
         for name in ("splits", "models"):
             names = getattr(self, name)
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
@@ -96,13 +101,6 @@ class ExperimentConfig:
             )
 
 
-def _model_config(name: str) -> model_mod.HybridModelConfig:
-    if name == "classical":
-        return model_mod.HybridModelConfig(kind="classical")
-    qubits = int(name.split("-")[1].rstrip("q"))
-    return model_mod.HybridModelConfig(kind="hybrid", n_qubits=qubits)
-
-
 def _seed(text: str) -> int:
     """A seed argument: a non-negative integer, as numpy's generators take."""
     try:
@@ -112,6 +110,11 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return seed
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated name list argument."""
+    return tuple(text.split(","))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -184,6 +187,7 @@ def cmd_features(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     values: dict = {"seed": args.default_seed}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -193,27 +197,12 @@ def _experiment_config(args) -> ExperimentConfig:
                 raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise FormatError(f"{args.config}: expected a JSON object")
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - set(fields))
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {unknown}")
         values.update(doc)
-    overrides = {
-        "zones": args.zones,
-        "duration_s": args.duration,
-        "seed": args.seed,
-        "n_incidents": args.incidents,
-        "splits": None if args.splits is None else tuple(args.splits.split(",")),
-        "models": None if args.models is None else tuple(args.models.split(",")),
-        "n_runs": args.runs,
-        "epochs": args.epochs,
-        "batch_size": args.batch,
-        "learning_rate": args.lr,
-        "out_dir": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    # each flag's dest is the field it sets; a flag not given is None
+    values.update({name: getattr(args, name) for name in fields if getattr(args, name, None) is not None})
     return ExperimentConfig(**values)
 
 
@@ -252,7 +241,7 @@ def cmd_experiment(args) -> int:
             split = splits[split_name]
             aggregates = [
                 evaluation.run_experiment(
-                    _model_config(name),
+                    MODELS[name],
                     split,
                     train_config,
                     n_runs=config.n_runs,
@@ -283,7 +272,7 @@ def _write_report(out_dir: str, report: dict, tables: list[str]) -> None:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_all(seed=args.seed, corrupt=args.corrupt)
+    results = gradcheck.run_all(seed=args.seed)
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
@@ -310,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     feats = sub.add_parser("features", help="build labeled feature rows from records")
     feats.add_argument("--bsm", required=True, help="vehicle record CSV")
     feats.add_argument("--schedule", default=None, help="incident schedule JSON")
-    feats.add_argument("--bucket", type=int, choices=(1, 60), default=1)
+    feats.add_argument("--bucket", type=int, choices=data.BUCKET_SIZES, default=1)
     feats.add_argument("--zones", type=int, default=None, help="zone count (default: max zone id + 1)")
     feats.add_argument("--duration", type=int, default=None, help="seconds (default: max time + 1)")
     feats.add_argument("--out", default="features.csv")
@@ -318,22 +307,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run the splits x models comparison")
     exp.add_argument("--config", default=None, help="ExperimentConfig JSON file")
-    exp.add_argument("--zones", type=int, default=None)
-    exp.add_argument("--duration", type=int, default=None, help="per-second scenario seconds")
-    exp.add_argument("--seed", type=_seed, default=None)
-    exp.add_argument("--incidents", type=int, default=None)
-    exp.add_argument("--splits", default=None, help="comma list from DS-1,DS-2,DS-3")
-    exp.add_argument("--models", default=None, help="comma list from classical,hybrid-2q,hybrid-4q")
-    exp.add_argument("--runs", type=int, default=None)
-    exp.add_argument("--epochs", type=int, default=None)
-    exp.add_argument("--batch", type=int, default=None)
-    exp.add_argument("--lr", type=float, default=None)
-    exp.add_argument("--out", default=None)
+    # each flag's dest names the ExperimentConfig field it sets
+    exp.add_argument("--zones", type=int)
+    exp.add_argument("--duration", type=int, dest="duration_s", help="per-second scenario seconds")
+    exp.add_argument("--seed", type=_seed)
+    exp.add_argument("--incidents", type=int, dest="n_incidents")
+    exp.add_argument("--splits", type=_names, help="comma list from DS-1,DS-2,DS-3")
+    exp.add_argument("--models", type=_names, help="comma list from classical,hybrid-2q,hybrid-4q")
+    exp.add_argument("--runs", type=int, dest="n_runs")
+    exp.add_argument("--epochs", type=int)
+    exp.add_argument("--batch", type=int, dest="batch_size")
+    exp.add_argument("--lr", type=float, dest="learning_rate")
+    exp.add_argument("--out", dest="out_dir")
     exp.set_defaults(func=cmd_experiment)
 
     grad = sub.add_parser("gradcheck", help="run the gradient verification suites")
     grad.add_argument("--seed", type=_seed, default=None)
-    grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
     return parser
 

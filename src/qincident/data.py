@@ -26,7 +26,7 @@ read back, in two passes over its lines, a block at a time.  The first
 checks the bytes and finds the widest id; the second parses each block with
 ``np.loadtxt`` into fixed-width rows and copies them into columns allocated
 once, so no more than a block is ever held as Python objects.  A file that
-parse could read differently from ``csv.reader`` (a quote, CR, NUL, ``#``,
+parse could read differently from ``csv.reader`` (a quote, CR, NUL,
 \x1c-\x1f, a blank or overlong line, a line without three commas), or
 whose values fail a check, is read again row by row through ``csv.reader``,
 which returns the same values or raises the same ``path:line: message``
@@ -242,14 +242,13 @@ def label(bucket_start: np.ndarray, zone_id: np.ndarray, events, bucket_seconds:
 @dataclass(eq=False)
 class DatasetSplit:
     """A named chronological train/test split, min-max normalized with the
-    per-feature (mins, maxs) of its training rows."""
+    per-feature bounds of its training rows."""
 
     name: str
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    normalization: tuple[np.ndarray, np.ndarray]
 
 
 # canonical (train, total) sizes; other source sizes scale proportionally
@@ -260,10 +259,10 @@ SPLIT_SIZES = {
 }
 
 
-def normalize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Min-max scaling fitted on the training rows: (train', test', (mins,
-    maxs)) with x' = (x - min) / (max - min).  A constant feature maps to 0;
-    test rows are not clamped."""
+def normalize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-max scaling fitted on the training rows: (train', test') with
+    x' = (x - min) / (max - min).  A constant feature maps to 0; test rows
+    are not clamped."""
     mins, maxs = train.min(axis=0), train.max(axis=0)
     span = maxs - mins
     safe = np.where(span > 0, span, 1.0)
@@ -271,7 +270,7 @@ def normalize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarr
     def scale(features: np.ndarray) -> np.ndarray:
         return np.where(span > 0, (features - mins) / safe, 0.0)
 
-    return scale(train), scale(test), (mins, maxs)
+    return scale(train), scale(test)
 
 
 def split(table: Dataset, name: str) -> DatasetSplit:
@@ -289,23 +288,20 @@ def split(table: Dataset, name: str) -> DatasetSplit:
         raise DataError(
             f"cannot split {n} rows into {name} (train size {train_size})"
         )
-    train_x, test_x, normalization = normalize(
-        table.features[:train_size], table.features[train_size:]
-    )
+    train_x, test_x = normalize(table.features[:train_size], table.features[train_size:])
     return DatasetSplit(
         name=name,
         train_x=train_x,
         train_y=table.labels[:train_size],
         test_x=test_x,
         test_y=table.labels[train_size:],
-        normalization=normalization,
     )
 
 
 # -- CSV interchange ---------------------------------------------------------------
 #
-# ``_read_csv``, the row loop over ``csv.reader``, is the reference reader:
-# it decides every error and its message.
+# ``_read_bsm_rows``, the row loop over ``csv.reader``, is the reference
+# reader: it decides every error and its message.
 
 _CHUNK_ROWS = 8192
 # characters for which ``csv.writer`` quotes a field (or may: \r); the record
@@ -313,9 +309,9 @@ _CHUNK_ROWS = 8192
 _CSV_QUOTED = ',"\n\r'
 # bytes on which ``np.loadtxt`` could split or parse a file differently from
 # ``csv.reader`` and ``int``/``float``: quotes, CR line ends and NULs change
-# csv's fields, ``#`` starts a comment when comments are on, and numpy
-# strips \x1c-\x1f around a number where ``int``/``float`` reject them
-_LOADTXT_UNSAFE = (b'"', b"\r", b"\x00", b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# csv's fields, and numpy strips \x1c-\x1f around a number where
+# ``int``/``float`` reject them
+_LOADTXT_UNSAFE = (b'"', b"\r", b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # longer lines go to the row loop: ``int`` takes at most 640 digits at
 # Python's lowest limit setting, and csv caps a field's length
 _LOADTXT_LINE_MAX = 640
@@ -336,33 +332,13 @@ def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
             handle.write(lines(start, start + _CHUNK_ROWS))
 
 
-def _read_csv(path, header: list[str], parse_row) -> None:
-    """Check the header, then hand each non-blank line's fields to
-    ``parse_row``; a ``ValueError`` from a line becomes a ``ParseError``
-    naming the path and line number."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise FormatError(f"{path}: expected header {','.join(header)}")
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
-                if len(fields) != len(header):
-                    raise ValueError(f"expected {len(header)} fields")
-                parse_row(fields)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-
-
 def _bsm_blocks(raw: bytes) -> tuple[int, list, int] | None:
     """Pass 1 of the record reader over a file's bytes: the header's length,
     each block's (bytes, lines) and the widest id in bytes; or None where
     ``np.loadtxt`` cannot stand in for the row loop: a header other than
-    ``BSM_HEADER``, a byte of ``_LOADTXT_UNSAFE``, a blank or overlong line,
-    or a line without exactly three commas.  A block is at most
-    ``_BLOCK_LINES`` whole lines within ``_BLOCK_BYTES`` bytes."""
+    ``BSM_HEADER``, a byte of ``_LOADTXT_UNSAFE``, an overlong line, or a
+    line without exactly three commas, a blank one among them.  A block is
+    at most ``_BLOCK_LINES`` whole lines within ``_BLOCK_BYTES`` bytes."""
     if any(byte in raw for byte in _LOADTXT_UNSAFE):
         return None
     head = raw.find(b"\n") + 1 or len(raw)
@@ -381,7 +357,7 @@ def _bsm_blocks(raw: bytes) -> tuple[int, list, int] | None:
         lengths = np.diff(ends, prepend=-1) - 1
         commas = np.flatnonzero(window[: ends[-1]] == ord(","))
         per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-        if lengths.min() < 1 or lengths.max() > _LOADTXT_LINE_MAX or np.any(per_line != 3):
+        if lengths.max() > _LOADTXT_LINE_MAX or np.any(per_line != 3):
             return None
         commas = commas.reshape(-1, 3)  # the id lies between a line's first two
         width = max(width, int((commas[:, 1] - commas[:, 0]).max()) - 1)
@@ -474,27 +450,40 @@ def read_bsm_csv(path) -> Records:
 
 
 def _read_bsm_rows(path) -> Records:
+    """The records of a CSV read row by row through ``csv.reader``: the
+    header is checked, then each non-blank line's fields are parsed, and a
+    ``ValueError`` from a line becomes a ``ParseError`` naming the path and
+    line number."""
     times, vids, zones, speeds = columns = [], [], [], []
-
-    def parse_row(fields):
-        time, zone, speed = int(fields[0]), int(fields[2]), float(fields[3])
-        if "\x00" in fields[1]:
-            # numpy strings drop trailing NULs, which would merge ids
-            raise ValueError("vehicle id contains a NUL character")
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time}")
-        if time > _INT64.max:
-            raise ValueError(f"time {time} is beyond the int64 range")
-        if not _INT64.min <= zone <= _INT64.max:
-            raise ValueError(f"zone id {zone} is beyond the int64 range")
-        if not math.isfinite(speed) or speed < 0:
-            raise ValueError(f"speed must be finite and >= 0, got {speed}")
-        times.append(time)
-        vids.append(fields[1])
-        zones.append(zone)
-        speeds.append(speed)
-
-    _read_csv(path, BSM_HEADER, parse_row)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != BSM_HEADER:
+            raise FormatError(f"{path}: expected header {','.join(BSM_HEADER)}")
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            try:
+                if len(fields) != len(BSM_HEADER):
+                    raise ValueError(f"expected {len(BSM_HEADER)} fields")
+                time, zone, speed = int(fields[0]), int(fields[2]), float(fields[3])
+                if "\x00" in fields[1]:
+                    # numpy strings drop trailing NULs, which would merge ids
+                    raise ValueError("vehicle id contains a NUL character")
+                if time < 0:
+                    raise ValueError(f"time must be >= 0, got {time}")
+                if time > _INT64.max:
+                    raise ValueError(f"time {time} is beyond the int64 range")
+                if not _INT64.min <= zone <= _INT64.max:
+                    raise ValueError(f"zone id {zone} is beyond the int64 range")
+                if not math.isfinite(speed) or speed < 0:
+                    raise ValueError(f"speed must be finite and >= 0, got {speed}")
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            times.append(time)
+            vids.append(fields[1])
+            zones.append(zone)
+            speeds.append(speed)
     return Records(*columns)
 
 

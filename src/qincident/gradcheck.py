@@ -84,7 +84,6 @@ def check_parameter_shift(
     n_cases: int = 50,
     step: float = 1e-5,
     tol: float = 1e-6,
-    corrupt: bool = False,
 ) -> SuiteResult:
     """quantum_gradients against central finite differences of quantum_forward,
     probed along one vector of a case's inputs and weights."""
@@ -96,9 +95,6 @@ def check_parameter_shift(
         inputs = rng.uniform(-np.pi, np.pi, size=n)
         weights = rng.uniform(-np.pi, np.pi, size=(layers, n))
         _, d_inputs, d_weights = qsim.quantum_gradients(inputs, weights)
-        if corrupt and case == 0:
-            d_inputs = d_inputs.copy()
-            d_inputs[0, 0] += 1e-3  # negative-control hook
 
         def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
@@ -217,10 +213,10 @@ def _central_differences(
     return out
 
 
-def run_all(seed: int = 0, corrupt: bool = False) -> list[SuiteResult]:
-    """All three suites; ``corrupt`` injects a deliberate gradient error."""
+def run_all(seed: int = 0) -> list[SuiteResult]:
+    """All three suites."""
     return [
         check_forward_oracle(seed=seed),
-        check_parameter_shift(seed=seed, corrupt=corrupt),
+        check_parameter_shift(seed=seed),
         check_hybrid_gradients(seed=seed),
     ]

@@ -160,8 +160,7 @@ class Model:
     number lives in ``params``, [P] for one model and [R, P] for a
     population, of which the layers' arrays are views.  After training the
     model carries its per-epoch history.  It takes features already scaled
-    by ``data.split``; the bounds stay with the split, in
-    ``DatasetSplit.normalization``.
+    by ``data.split``.
     """
 
     config: HybridModelConfig
@@ -303,20 +302,16 @@ def loss_and_gradients(
     ``model.params``: per run for a population, a loss of [R] and
     gradients of [R, P].
 
-    ``features`` is a [B, 6] batch that every run sees, or a population's
-    [R, B, 6] with one batch per run; ``labels`` is [B] or [R, B] to match.
-    Dense layers are backpropagated from their cached outputs; the quantum
+    ``features`` is a [B, 6] batch that every run sees and ``labels`` its
+    [B] labels.  Dense layers are backpropagated from their cached outputs; the quantum
     layer contributes its exact Jacobians.  ``plan`` (``_plan``) holds the
     buffers the step writes into, the returned gradient among them, and
     takes float inputs of its shape unchecked; without one, the inputs are
     checked and a one-shot plan is made.
     """
     if plan is None:
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
-        if features.ndim not in (2, 3) or features.shape[-1] != N_FEATURES:
-            raise ValueError("features must be a [batch, 6] or [runs, batch, 6] array")
-        plan = _plan(model, model.params.shape[:-1] + features.shape[-2:-1])
+        features, labels = _feature_rows(features), np.asarray(labels, dtype=float)
+        plan = _plan(model, model.params.shape[:-1] + features.shape[:1])
     grad, views, buffers = plan
     h, caches = features, []
     for layer, layer_buffers in zip(model.layers, buffers):

@@ -272,9 +272,13 @@ def default_schedule(
     """Non-colliding incidents sized so positives land in the 1-3% band.
 
     With ``n_incidents`` None, events are added until the positive-label
-    prevalence, measured in the given bucketing, reaches the target; since
-    one extra incident moves prevalence by well under the band margin, the
-    result always lands inside [1%, 3%].  The first few incidents are
+    prevalence, measured in the given bucketing, reaches the target.  The
+    first ``EARLY_QUOTA`` (at most) are placed before it is checked, and one
+    incident labels at most 90 per-second or 3 per-minute rows, so the
+    result lands inside [2.2%, 3%] on a corridor of at least 24,000
+    per-second or 800 per-minute rows, as the default ones (70,000 and
+    1,400) are.  A smaller corridor may overshoot: 2 zones x 30 s give
+    50%, 1 zone x 1 s 100%.  The first few incidents are
     minute-aligned inside the early window, so chronological prefix splits
     (down to DS-3's 150 rows) hold enough clean positive examples to learn
     from at the fixed epoch budget.  No two incidents touch the same or
@@ -305,10 +309,7 @@ def default_schedule(
                 # minute-aligned long incidents: the training prefix then holds
                 # fully-covered positive rows even under per-minute bucketing
                 duration = min(max(duration, 70), config.duration_s)
-                starts = [
-                    s for s in (0, 60)
-                    if s <= EARLY_WINDOW_S and s + duration <= config.duration_s
-                ]
+                starts = [s for s in (0, 60) if s + duration <= config.duration_s]
                 start = int(rng.choice(starts)) if starts else 0
             else:
                 lo = EARLY_WINDOW_S + pad if config.duration_s - duration > 2 * EARLY_WINDOW_S else 0

@@ -1,5 +1,6 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -444,6 +445,97 @@ class TestExperimentOverDrawnInputs:
         assert self.run(args, root / "exp") == first
 
 
+# -- gen over drawn corridors and corrupted schedules --------------------------------
+
+# a schedule entry's value: mostly an integer near the corridor's edge, now and
+# then one of the wrong type
+SCHEDULE_VALUES = [True, 1.5, "3", None, [], 10**30]
+SCHEDULE_BYTES = [b",", b"}", b"{", b"]", b'"', b":", b"-", b"0", b"\x00", b"\xff"]
+
+
+@st.composite
+def gen_calls(draw, root):
+    """A ``gen`` argument list over a small corridor (1-6 zones, 1-130 s),
+    with a drawn incident count and seed, and maybe a schedule file that is
+    corrupted, mistyped or outside the corridor."""
+    zones, duration = draw(st.integers(1, 6)), draw(st.integers(1, 130))
+    args = ["gen", "--zones", str(zones), "--duration", str(duration), "--out", str(root / "gen")]
+    if draw(st.booleans()):
+        args += ["--seed", str(draw(st.sampled_from([0, 1, 7, 2**32, 2**70])))]
+    if draw(st.booleans()):
+        args += ["--incidents", str(draw(st.sampled_from([-1, 0, 1, 2, 3, 8, 40, 10**9])))]
+    kind = draw(st.sampled_from(["none", "text", "entries", "entries", "bytes"]))
+    if kind == "none":
+        return args
+    schedule = root / "schedule.json"
+    if kind == "text":
+        raw = draw(st.sampled_from(SCHEDULE_TEXTS)).encode()
+    else:
+        def value(low, high):
+            roll = draw(st.integers(0, 9))
+            return draw(st.sampled_from(SCHEDULE_VALUES)) if roll == 9 else draw(st.integers(low, high))
+
+        entries = [
+            {"zone": value(-1, zones), "start_s": value(-1, duration), "duration_s": value(0, duration + 1)}
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        raw = json.dumps(entries).encode()
+        if kind == "bytes":
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + (draw(st.sampled_from(SCHEDULE_BYTES)) if draw(st.booleans()) else b"")
+    schedule.write_bytes(raw)
+    return args + ["--schedule", str(schedule if draw(st.integers(0, 9)) else root / "nope.json")]
+
+
+class TestGenOverDrawnInputs:
+    """Every call ends in an exit code of 0-3 with no traceback and no Python
+    warning; it writes its files exactly when it exits 0, and a rerun gives
+    the same code, stdout and bytes."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=st.data())
+    def test_exit_code_no_traceback_no_warning_same_bytes(self, tmp_path_factory, drawn):
+        root = tmp_path_factory.mktemp("gen")
+        args = drawn.draw(gen_calls(root))
+        first = TestExperimentOverDrawnInputs.run(args, root / "gen")
+        code, _, err, caught, written = first
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and not caught, (err, caught)
+        assert (code == 0) == (written is not None), err
+        assert TestExperimentOverDrawnInputs.run(args, root / "gen") == first
+
+
+# a value for every experiment flag, none of them its default, as report.json
+# gives it back
+EXPERIMENT_FLAG_VALUES = {
+    "--zones": 3, "--duration": 40, "--seed": 2, "--incidents": 1, "--splits": ["DS-1"],
+    "--models": ["hybrid-2q"], "--runs": 2, "--epochs": 1, "--batch": 8, "--lr": 0.01,
+    "--out": "exp",
+}
+
+
+def test_every_experiment_flag_lands_on_its_config_field(tmp_path, monkeypatch):
+    # the flags are laid over the config by their dests, so a dest that names
+    # no ExperimentConfig field would be dropped without a word
+    monkeypatch.chdir(tmp_path)
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        action.option_strings[0]: action.dest
+        for action in commands.choices["experiment"]._actions
+        if action.dest not in ("help", "config")
+    }
+    assert sorted(flags) == sorted(EXPERIMENT_FLAG_VALUES)
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert set(flags.values()) <= fields, sorted(set(flags.values()) - fields)
+    argv = ["experiment"]
+    for flag, value in EXPERIMENT_FLAG_VALUES.items():
+        argv += [flag, ",".join(value) if isinstance(value, list) else str(value)]
+    assert run_cli(argv) == 0
+    config = json.loads((tmp_path / "exp" / "report.json").read_text())["config"]
+    assert {flag: config[dest] for flag, dest in flags.items()} == EXPERIMENT_FLAG_VALUES
+
+
 SMALL_EXPERIMENT = [
     "experiment",
     "--zones", "8",
@@ -816,9 +908,18 @@ class TestGradcheck:
             "hybrid-backprop: PASS  max err 4.898e-07 (tol 1e-03, 12052 cases)\n"
         )
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert run_cli(["gradcheck", "--seed", "0", "--corrupt"]) == cli.EXIT_FAIL
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        exact = qsim.quantum_gradients
+
+        def corrupted(inputs, weights):
+            values, d_inputs, d_weights = exact(inputs, weights)
+            d_inputs = d_inputs.copy()
+            d_inputs[0, 0] += 1e-3
+            return values, d_inputs, d_weights
+
+        monkeypatch.setattr(qsim, "quantum_gradients", corrupted)
+        assert run_cli(["gradcheck", "--seed", "0"]) == cli.EXIT_FAIL
+        assert "parameter-shift: FAIL" in capsys.readouterr().out
 
 
 class TestUsage:
@@ -826,6 +927,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_corrupt_is_an_unknown_gradcheck_argument(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["gradcheck", "--corrupt"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
     def test_bad_bucket_value_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -216,7 +216,8 @@ class TestNormalize:
     def test_min_max_mapping(self):
         out = self.split_from_columns([10.0, 20.0, 30.0], [0.0, 0.0])
         assert out.train_x[:, 0] == pytest.approx([0.0, 0.5, 1.0])
-        assert out.normalization[0][0] == 10.0 and out.normalization[1][0] == 30.0
+        # the bounds are the training rows' (10, 30), so the test rows' 0 maps to -0.5
+        assert out.test_x[:, 0] == pytest.approx([-0.5, -0.5])
 
     def test_constant_column_maps_to_zero(self):
         out = self.split_from_columns([7.0, 7.0], [7.0, 9.0])
@@ -440,7 +441,7 @@ class TestCsvFastPath:
         def refuse(*args):
             raise AssertionError("the row loop read a clean file")
 
-        monkeypatch.setattr(data, "_read_csv", refuse)
+        monkeypatch.setattr(data, "_read_bsm_rows", refuse)
 
     def test_generated_bsm_takes_the_fast_path(self, tmp_path, no_row_loop):
         recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=120, seed=2))
@@ -602,6 +603,23 @@ class TestCsvReaderAgreement:
             got = read_outcome(data.read_bsm_csv, path)
         assert got == read_outcome(data._read_bsm_rows, path)
         assert got["vehicle_id"][0] == "<U5"
+
+    @pytest.mark.parametrize(
+        "line, parses",
+        [("0,a#b,0,1.5", True), ("0,#,0,1.5", True),  # in an id
+         ("0,a,0,1.5#", False), ("0,a,#0,1.5", False),  # in a number
+         ("#0,a,0,1.5", False)],  # at a line's start
+    )
+    def test_hash_takes_the_fast_path(self, tmp_path, line, parses):
+        # np.loadtxt runs with comments=None, so "#" starts no comment: pass 1
+        # keeps the file, and its parse agrees with the row loop or declines
+        path = tmp_path / "bsm.csv"
+        path.write_text(",".join(data.BSM_HEADER) + f"\n1,v,2,3.0\n{line}\n", encoding="utf-8")
+        assert data._bsm_blocks(path.read_bytes()) is not None
+        assert (data._read_bsm_blocks(path) is not None) == parses
+        got = read_outcome(data.read_bsm_csv, path)
+        assert got == read_outcome(data._read_bsm_rows, path)
+        assert isinstance(got, dict) if parses else got[0] is ParseError
 
 
 # -- the builder against a per-row reference ----------------------------------------

@@ -113,8 +113,17 @@ class TestSuites:
         result = gradcheck.check_parameter_shift(seed=3, n_cases=10)
         assert result.passed
 
-    def test_corrupted_gradient_detected(self):
-        result = gradcheck.check_parameter_shift(seed=3, n_cases=3, corrupt=True)
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        exact = qsim.quantum_gradients
+
+        def corrupted(inputs, weights):
+            values, d_inputs, d_weights = exact(inputs, weights)
+            d_inputs = d_inputs.copy()
+            d_inputs[0, 0] += 1e-3
+            return values, d_inputs, d_weights
+
+        monkeypatch.setattr(qsim, "quantum_gradients", corrupted)
+        result = gradcheck.check_parameter_shift(seed=3, n_cases=3)
         assert not result.passed
         assert result.max_err >= 1e-4
 
