@@ -1,6 +1,7 @@
 """Feature pipeline, in columns from the vehicle records to the splits.
 
-``Records`` holds vehicle observations as parallel arrays.  One builder,
+``Records`` holds vehicle observations as parallel arrays, each vehicle an
+int64 code; id text exists only in the record CSV.  One builder,
 ``build_dataset``, turns them into a ``Dataset`` in three array stages:
 ``aggregate`` sums per (zone, second) grids of distinct-vehicle counts and
 speeds into one- or sixty-second buckets; ``build_features`` forms six
@@ -20,12 +21,13 @@ File formats (all UTF-8, LF):
 
 The writers give the bytes ``csv.writer`` would, floats as ``repr``, a
 chunk of rows at a time; the feature writer takes one ``repr`` per distinct
-value of a chunk.  The record writer refuses a vehicle id that
-``csv.writer`` would quote or that holds a NUL.  Only the record CSV is
-read back, in two passes over its lines, a block at a time.  The first
-checks the bytes and finds the widest id; the second parses each block with
-``np.loadtxt`` into fixed-width rows and copies them into columns allocated
-once, so no more than a block is ever held as Python objects.  A file that
+value of a chunk.  The record writer spells a vehicle code ``v`` plus the
+code, zero-padded to the widest code.  Only the record CSV is read back, in
+two passes over its lines, a block at a time.  The first checks the bytes
+and finds the widest id; the second parses each block with ``np.loadtxt``
+into fixed-width rows and copies them into columns allocated once, so no
+more than a block is ever held as Python objects.  Each distinct id then
+becomes its rank among the file's ids as text.  A file that
 parse could read differently from ``csv.reader`` (a quote, CR, NUL,
 \x1c-\x1f, a blank or overlong line, a line without three commas), or
 whose values fail a check, is read again row by row through ``csv.reader``,
@@ -61,29 +63,26 @@ EMPTY_SPEED_FILL = 0.0
 
 @dataclass(eq=False)
 class Records:
-    """Vehicle observations as parallel columns: the second, the vehicle id,
-    the zone and the speed of each.  Ids given other than as a numpy str
-    array must hold no NUL, which the str column would drop at an id's end."""
+    """Vehicle observations as parallel columns: the second, the vehicle
+    code, the zone and the speed of each.  Records with equal codes are the
+    same vehicle."""
 
     time: np.ndarray  # int64
-    vehicle_id: np.ndarray  # str
+    vehicle_id: np.ndarray  # int64, >= 0
     zone: np.ndarray  # int64
     speed: np.ndarray  # float64
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=np.int64)
-        if not (isinstance(self.vehicle_id, np.ndarray) and self.vehicle_id.dtype.kind == "U"):
-            # numpy's str column drops trailing NULs, which would merge ids
-            held = next((vid for vid in self.vehicle_id if "\x00" in str(vid)), None)
-            if held is not None:
-                raise ValueError(f"vehicle id {held!r} holds a NUL character")
-        self.vehicle_id = np.asarray(self.vehicle_id, dtype=str)
+        self.vehicle_id = np.asarray(self.vehicle_id, dtype=np.int64)
         self.zone = np.asarray(self.zone, dtype=np.int64)
         self.speed = np.asarray(self.speed, dtype=np.float64)
         if not len(self.time) == len(self.vehicle_id) == len(self.zone) == len(self.speed):
             raise ValueError("record columns differ in length")
         if np.any(self.time < 0):
             raise ValueError("record times must be >= 0")
+        if np.any(self.vehicle_id < 0):
+            raise ValueError("vehicle codes must be >= 0")
         if not np.all(np.isfinite(self.speed) & (self.speed >= 0)):
             raise ValueError("record speeds must be finite and >= 0")
 
@@ -166,18 +165,21 @@ def aggregate(
     duration = int(duration_s)
     if np.any(times >= duration):
         raise DataError("record time beyond the stated duration")
+    grid_size = n_zones * duration
+    if np.any(records.vehicle_id > (_INT64.max - grid_size + 1) // max(grid_size, 1)):
+        raise DataError(
+            f"vehicle code {records.vehicle_id.max()} overflows an int64 key over {grid_size} cells"
+        )
 
     # distinct (vehicle, zone, second): keep the first observation.  The kept
-    # records come in vehicle-id order, and each cell sums its speeds in
+    # records come in vehicle-code order, and each cell sums its speeds in
     # that order.
-    key = _id_codes(records.vehicle_id)
-    key *= n_zones
+    key = records.vehicle_id * n_zones
     key += zones
     key *= duration
     key += times
     _, first = np.unique(key, return_index=True)
     cell = zones[first] * duration + times[first]
-    grid_size = n_zones * duration
     grids = np.stack(
         [
             np.bincount(cell, minlength=grid_size).astype(float),
@@ -193,28 +195,6 @@ def aggregate(
     speed = np.where(count > 0, speed_sum / np.where(count > 0, count, 1.0), EMPTY_SPEED_FILL)
     covered = np.minimum(starts + bucket_seconds, duration) - starts
     return starts, speed, count / covered[:, np.newaxis]
-
-
-# sorted neighbours ``_id_codes`` compares at once
-_ID_BLOCK = 1 << 14
-
-
-def _id_codes(ids: np.ndarray) -> np.ndarray:
-    """Each id's rank among the distinct ids, as int64: the inverse that
-    ``np.unique(ids, return_inverse=True)`` gives.  The sort is stable, so it
-    runs fast on ids that come partly in order, as generated records do.
-    Neighbours in sorted order are gathered ``_ID_BLOCK`` at a time, so no
-    sorted copy of the ids is made."""
-    order = np.argsort(ids, kind="stable")
-    # changed[i]: the id at sorted position i + 1 differs from the one before
-    changed = np.empty(max(len(ids) - 1, 0), dtype=bool)
-    for start in range(0, len(changed), _ID_BLOCK):
-        ordered = ids[order[start : start + _ID_BLOCK + 1]]
-        changed[start : start + _ID_BLOCK] = ordered[1:] != ordered[:-1]
-    codes = np.zeros(len(ids), dtype=np.int64)
-    # the first id in sorted order has rank 0; each change of id adds one
-    codes[order[1:]] = np.cumsum(changed)
-    return codes
 
 
 def build_features(speed: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -304,9 +284,6 @@ def split(table: Dataset, name: str) -> DatasetSplit:
 # reader: it decides every error and its message.
 
 _CHUNK_ROWS = 8192
-# characters for which ``csv.writer`` quotes a field (or may: \r); the record
-# writer refuses a vehicle id that holds one
-_CSV_QUOTED = ',"\n\r'
 # bytes on which ``np.loadtxt`` could split or parse a file differently from
 # ``csv.reader`` and ``int``/``float``: quotes, CR line ends and NULs change
 # csv's fields, and numpy strips \x1c-\x1f around a number where
@@ -321,6 +298,27 @@ _BLOCK_LINES = 1 << 15
 _BLOCK_BYTES = 1 << 20
 
 _INT64 = np.iinfo(np.int64)
+
+# sorted neighbours ``_id_codes`` compares at once
+_ID_BLOCK = 1 << 14
+
+
+def _id_codes(ids: np.ndarray) -> np.ndarray:
+    """Each id's rank among the distinct ids, as int64: the inverse that
+    ``np.unique(ids, return_inverse=True)`` gives.  The sort is stable, so it
+    runs fast on ids that come partly in order, as written records do.
+    Neighbours in sorted order are gathered ``_ID_BLOCK`` at a time, so no
+    sorted copy of the ids is made."""
+    order = np.argsort(ids, kind="stable")
+    # changed[i]: the id at sorted position i + 1 differs from the one before
+    changed = np.empty(max(len(ids) - 1, 0), dtype=bool)
+    for start in range(0, len(changed), _ID_BLOCK):
+        ordered = ids[order[start : start + _ID_BLOCK + 1]]
+        changed[start : start + _ID_BLOCK] = ordered[1:] != ordered[:-1]
+    codes = np.zeros(len(ids), dtype=np.int64)
+    # the first id in sorted order has rank 0; each change of id adds one
+    codes[order[1:]] = np.cumsum(changed)
+    return codes
 
 
 def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
@@ -375,15 +373,13 @@ def _read_bsm_blocks(path) -> Records | None:
     The file's bytes are dropped after pass 1.  Pass 2 allocates the four
     columns once, then reads each block again, parses it into rows whose id
     has the widest id's byte width, and copies them into the columns, so no
-    Python object or parsed row outlives its block.  A byte width
-    over-counts a non-ASCII id, so such a column is narrowed to its widest
-    id in characters, the width the row loop's column has.
+    Python object or parsed row outlives its block.  The id column is then
+    coded and dropped.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
         plan = _bsm_blocks(raw)
-        ascii_ids = raw.isascii()
         del raw
         if plan is None:
             return None
@@ -406,40 +402,25 @@ def _read_bsm_blocks(path) -> Records | None:
                     column[done : done + lines] = rows[name]
                 done += lines
                 del rows  # before the next block is parsed
-        time, vehicle_id, zone, speed = columns
-        if not ascii_ids:
-            chars = int(np.char.str_len(vehicle_id).max(initial=1))
-            vehicle_id = vehicle_id.astype(f"U{chars}", copy=False)
-        return Records(time, vehicle_id, zone, speed)
+        time, ids, zone, speed = columns
+        return Records(time, _id_codes(ids), zone, speed)
     except Exception:  # the row loop decides what is wrong
         return None
 
 
 def write_bsm_csv(records: Records, path) -> None:
-    """``DataError`` (a ValueError), before the file is opened, for a
-    vehicle id that ``csv.writer`` would quote or that holds a NUL, which
-    ``read_bsm_csv`` refuses; generated ids never hold one."""
-    ids = np.ascontiguousarray(records.vehicle_id)
-    points = ids.view(np.uint32)  # the U array as code points
-    if np.isin(points, [ord(c) for c in _CSV_QUOTED]).any():
-        first = next(vid for vid in ids.tolist() if not set(vid).isdisjoint(_CSV_QUOTED))
-        raise DataError(f"vehicle id {first!r} holds a comma, quote, LF or CR")
-    # NUL pads each id to the column's width; one inside an id is a code
-    # point 0 that the id's length counts
-    if np.count_nonzero(points) < np.char.str_len(ids).sum():
-        first = next(vid for vid in ids.tolist() if "\x00" in vid)
-        raise DataError(f"vehicle id {first!r} holds a NUL character")
+    """Each vehicle code is written as its id ``v`` plus the code, zero-padded
+    to the widest code's digits, so the ids sort as the codes do and
+    ``read_bsm_csv`` gives back the codes' ranks."""
+    width = len(str(records.vehicle_id.max(initial=0)))
+    line = f"%d,v%0{width}d,%d,%r\n"
+    columns = (records.time, records.vehicle_id, records.zone, records.speed)
 
     def lines(start, stop):
-        return "".join([
-            f"{time},{vid},{zone},{speed!r}\n"
-            for time, vid, zone, speed in zip(
-                records.time[start:stop].tolist(),
-                ids[start:stop].tolist(),
-                records.zone[start:stop].tolist(),
-                records.speed[start:stop].tolist(),
-            )
-        ])
+        cells = np.empty((min(stop, len(records)) - start, len(columns)), dtype=object)
+        for i, column in enumerate(columns):
+            cells[:, i] = column[start:stop]
+        return (line * len(cells)) % tuple(cells.ravel())
 
     _write_lines(path, BSM_HEADER, len(records), lines)
 
@@ -454,7 +435,7 @@ def _read_bsm_rows(path) -> Records:
     header is checked, then each non-blank line's fields are parsed, and a
     ``ValueError`` from a line becomes a ``ParseError`` naming the path and
     line number."""
-    times, vids, zones, speeds = columns = [], [], [], []
+    times, vids, zones, speeds = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
@@ -484,7 +465,7 @@ def _read_bsm_rows(path) -> Records:
             vids.append(fields[1])
             zones.append(zone)
             speeds.append(speed)
-    return Records(*columns)
+    return Records(times, _id_codes(np.array(vids, dtype=str)), zones, speeds)
 
 
 def write_feature_csv(table: Dataset, path) -> None:

@@ -20,8 +20,9 @@ After the incident all three zones relax linearly back to base over
 zone draws from its own (seed, zone) random stream, so streams are
 bit-reproducible and zones could be generated in parallel.  The records come
 out in (time, zone, ordinal) order, the ordinal numbering the vehicles of
-one (second, zone) cell, with vehicle ids ``v{zone:02d}-{time}-{ordinal}``;
-each zone's draws are placed among the others by cell offsets, not sorted.
+one (second, zone) cell, and their vehicle codes are a permutation of
+0..n-1; each zone's draws are placed among the others by cell offsets, not
+sorted.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ EARLY_QUOTA = 8
 # The most (zone, second) cells a corridor may hold, about 15 times the
 # default 56-zone, 1250 s corridor: every per-cell grid is sized from the
 # config, so a larger corridor is refused before anything is allocated.  The
-# cap is the largest power of two whose fitted peak RSS stays under 1 GiB:
-# ``gen`` peaked at 156 MiB for 2**18 cells and 281 MiB for 2**19, about
-# 0.49 KiB a cell, so 2**20 cells fit in about 530 MiB and 2**21 would need
-# about 1,030 MiB; ``features`` peaked at 156 and 279 MiB, about 0.48 KiB a
-# cell, 525 MiB at 2**20.
+# cap was set as the largest power of two whose peak RSS stayed under 1 GiB.
+# ``gen`` peaks at 110, 184 and 330 MiB for 2**18, 2**19 and 2**20 cells
+# (256, 512 and 1024 zones x 1024 s, the last under ``ulimit -v`` 1 GiB),
+# about 0.29 KiB a cell; ``features`` at 115, 200 and 370 MiB, about
+# 0.33 KiB a cell.  2**21 cells would fit in about 710 MiB; the cap is kept.
 MAX_CELLS = 2**20
 
 
@@ -149,11 +150,13 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     """Vehicle record stream plus the incident schedule that shaped it.
 
     Records are in (time, zone, ordinal) order, where the ordinal numbers a
-    vehicle within its (second, zone) cell, and vehicle ids read
-    ``v{zone:02d}-{time}-{ordinal}``.  Each zone draws its counts and then
-    its speeds from its own (seed, zone) stream; the draws are then placed
-    by cell offsets, cell (t, z) starting at the exclusive cumulative sum of
-    the time-major counts.
+    vehicle within its (second, zone) cell.  Each zone draws its counts and
+    then its speeds from its own (seed, zone) stream; the draws are then
+    placed by cell offsets, cell (t, z) starting at the exclusive cumulative
+    sum of the time-major counts.  A record's vehicle code is its cell's
+    start plus its ordinal's rank as text among the cell's ordinals ("10"
+    before "2"), so each cell sums its speeds in the order that ids
+    ``v{zone:02d}-{time}-{ordinal}`` would sort in.
     """
     speed_mean, rate = _zone_profiles(config)
     counts, speeds = _draw(config.seed, speed_mean, rate)
@@ -162,10 +165,21 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     cell_counts = counts.T.ravel()
     times = np.repeat(np.arange(duration), counts.sum(axis=0))
     zones = np.repeat(np.tile(np.arange(n_zones), duration), cell_counts)
+    codes = np.repeat(np.cumsum(cell_counts) - cell_counts, cell_counts)
     ordinals = np.arange(len(speeds))
-    ordinals -= np.repeat(np.cumsum(cell_counts) - cell_counts, cell_counts)
-    ids = _vehicle_ids(times, zones, ordinals, counts)
-    return data.Records(times, ids, zones, speeds), list(config.incidents or ())
+    ordinals -= codes
+    codes += _ordinal_ranks(int(counts.max()))[np.repeat(cell_counts, cell_counts), ordinals]
+    return data.Records(times, codes, zones, speeds), list(config.incidents or ())
+
+
+def _ordinal_ranks(most: int) -> np.ndarray:
+    """[most + 1, most]: row c holds each ordinal's rank, as text, among the
+    ordinals 0..c-1 of a cell of c records ("10" sorts before "2")."""
+    text = np.array([str(o) for o in range(most)], dtype=str)
+    order = np.argsort(np.argsort(text))
+    ranks = np.zeros((most + 1, most), dtype=np.int64)
+    np.cumsum(order[:, np.newaxis] < order, axis=0, out=ranks[1:])
+    return ranks
 
 
 def _draw(seed: int, speed_mean: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,37 +205,6 @@ def _draw(seed: int, speed_mean: np.ndarray, rate: np.ndarray) -> tuple[np.ndarr
         place += np.arange(len(values))
         speeds[place] = values
     return counts, speeds
-
-
-# rows of ids built at once; bounds the text temporaries of ``_vehicle_ids``
-_ID_BLOCK = 1 << 14
-
-
-def _vehicle_ids(
-    times: np.ndarray, zones: np.ndarray, ordinals: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """The ids ``v{zone:02d}-{time}-{ordinal}`` of the records, added up from
-    one text table per part, ``_ID_BLOCK`` rows at a time, into one column
-    as wide as the longest id, the width a column of Python strings gets.
-    ``counts`` [n_zones, duration] holds each cell's records."""
-    n_zones, duration = counts.shape
-    zone_text = np.array([f"v{z:02d}-" for z in range(n_zones)])
-    time_text = np.array([f"{t}-" for t in range(duration)])
-    ordinal_text = np.array([str(o) for o in range(int(counts.max()))], dtype=str)
-    # a cell's longest id is its last ordinal's; last_ordinal[c] is that
-    # ordinal's length in a cell of c records
-    last_ordinal = np.concatenate(([0], np.char.str_len(ordinal_text)))
-    longest = (
-        np.char.str_len(zone_text)[:, np.newaxis] + np.char.str_len(time_text) + last_ordinal[counts]
-    )
-    ids = np.empty(len(times), dtype=f"U{longest[counts > 0].max(initial=1)}")
-    for start in range(0, len(ids), _ID_BLOCK):
-        block = slice(start, start + _ID_BLOCK)
-        ids[block] = np.char.add(
-            np.char.add(zone_text[zones[block]], time_text[times[block]]),
-            ordinal_text[ordinals[block]],
-        )
-    return ids
 
 
 def synthetic_dataset(

@@ -1,0 +1,182 @@
+"""Mutation check: each mutant below must make its tests fail.
+
+A mutant is one exact edit of a source file, ``old`` -> ``new``, and the
+test files that must catch it.  The script copies the repository once into
+a scratch directory, applies each mutant there in turn, runs
+``pytest -x`` on the mutant's test files and prints whether the mutant was
+killed (the tests failed) or survived (they passed).  A survivor means the
+tests miss that fault, or that the mutated code is dead.  The repository
+itself is never edited.
+
+    python tests/mutants.py                         # every mutant
+    python tests/mutants.py relu-mask-at-zero ...   # the named ones
+
+It exits 0 when every mutant was killed, 1 when one survived, and 2 when a
+mutant's ``old`` text no longer occurs exactly once in its file.  pytest
+does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+DATA, SCENARIO = "src/qincident/data.py", "src/qincident/scenario.py"
+NN, QSIM = "src/qincident/nn.py", "src/qincident/qsim.py"
+TEST_DATA, TEST_SCENARIO = "tests/test_data.py", "tests/test_scenario.py"
+TEST_NN, TEST_QSIM = "tests/test_nn.py", "tests/test_qsim.py"
+
+MUTANTS = [
+    # vehicle codes
+    Mutant(
+        "ordinal-ranks-numeric", SCENARIO,
+        "    order = np.argsort(np.argsort(text))\n",
+        "    order = np.arange(most)\n",
+        (TEST_SCENARIO,),
+    ),
+    Mutant(
+        "bsm-ids-unpadded", DATA,
+        '    line = f"%d,v%0{width}d,%d,%r\\n"\n',
+        '    line = "%d,v%d,%d,%r\\n"\n',
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "id-codes-by-first-appearance", DATA,
+        "    codes[order[1:]] = np.cumsum(changed)\n    return codes\n",
+        "    codes[order[1:]] = np.cumsum(changed)\n"
+        "    return np.unique(codes, return_index=True)[1].argsort().argsort()[codes]\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "aggregate-sums-in-record-order", DATA,
+        "    _, first = np.unique(key, return_index=True)\n",
+        "    first = np.sort(np.unique(key, return_index=True)[1])\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "negative-codes-taken", DATA,
+        "        if np.any(self.vehicle_id < 0):\n",
+        "        if np.any(self.vehicle_id < -1):\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "key-overflow-unguarded", DATA,
+        "(_INT64.max - grid_size + 1) // max(grid_size, 1)):",
+        "(_INT64.max - grid_size + 1) // max(grid_size, 1) + 1):",
+        (TEST_DATA,),
+    ),
+    # the record reader
+    Mutant(
+        "row-loop-takes-nul", DATA,
+        '                if "\\x00" in fields[1]:\n',
+        "                if False:\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "loadtxt-takes-nul", DATA,
+        '_LOADTXT_UNSAFE = (b\'"\', b"\\r", b"\\x00", ',
+        '_LOADTXT_UNSAFE = (b\'"\', b"\\r", ',
+        (TEST_DATA,),
+    ),
+    # the feature pipeline and writer
+    Mutant(
+        "upstream-of-second-direction", DATA,
+        "    up = np.where((zones == 0) | (zones == half), zones, zones - 1)\n",
+        "    up = np.where((zones == 0) | (zones == half - 1), zones, zones - 1)\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "feature-writer-merges-signed-zeros", DATA,
+        "        bits, where = np.unique(chunk.view(np.int64), return_inverse=True)\n"
+        "        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)\n",
+        "        bits, where = np.unique(chunk, return_inverse=True)\n"
+        "        texts = np.array([repr(v) for v in bits.tolist()], dtype=object)\n",
+        (TEST_DATA,),
+    ),
+    # training and the quantum layer
+    Mutant(
+        "relu-mask-at-zero", NN,
+        "        return output > 0\n",
+        "        return output >= 0\n",
+        (TEST_NN,),
+    ),
+    Mutant(
+        "adam-vc-with-beta1", NN,
+        "    vc = 1.0 - ADAM_BETA2**state.step_count\n",
+        "    vc = 1.0 - ADAM_BETA1**state.step_count\n",
+        (TEST_NN,),
+    ),
+    Mutant(
+        "products-right-to-left", QSIM,
+        "    out = slots.take(table[..., 0], axis=-1)\n"
+        "    for k in range(1, table.shape[-1]):\n",
+        "    out = slots.take(table[..., -1], axis=-1)\n"
+        "    for k in range(table.shape[-1] - 2, -1, -1):\n",
+        (TEST_QSIM,),
+    ),
+]
+
+
+def run(mutants: list[Mutant], work: Path) -> dict[str, list[str]]:
+    """Each mutant's outcome, "killed" or "survived", by name."""
+    copy = work / "repo"
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", copy)
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    outcome: dict[str, list[str]] = {"killed": [], "survived": []}
+    for mutant in mutants:
+        target = copy / mutant.path
+        original = target.read_text(encoding="utf-8")
+        target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+        started = time.perf_counter()
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+        finally:
+            target.write_text(original, encoding="utf-8")
+        verdict = "survived" if result.returncode == 0 else "killed"
+        outcome[verdict].append(mutant.name)
+        print(f"{verdict:9} {mutant.name} ({time.perf_counter() - started:.1f} s)", flush=True)
+    return outcome
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    stale = [m.name for m in chosen if (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
+    if stale:
+        print(f"old text not found exactly once: {', '.join(stale)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutants-") as work:
+        outcome = run(chosen, Path(work))
+    print(f"killed {len(outcome['killed'])}, survived {len(outcome['survived'])}"
+          + (f": {', '.join(outcome['survived'])}" if outcome["survived"] else ""))
+    return 1 if outcome["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,7 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -107,6 +108,34 @@ class TestFeatures:
         )
         assert code == 0
         assert len(read_features(out)["label"]) == 6 * 240
+
+    @pytest.mark.parametrize("bucket", ["1", "60"])
+    def test_the_old_id_spelling_gives_the_same_features(self, tmp_path, bucket):
+        # ids once read v{zone:02d}-{time}-{ordinal}, the ordinal counting a
+        # (second, zone) cell's records in file order; zone 5's incident
+        # queues zone 4 into cells of 11 records and more, where "10" < "2"
+        schedule = tmp_path / "schedule.json"
+        scenario.write_schedule_json([scenario.IncidentEvent(5, 0, 60)], schedule)
+        gen = ["gen", "--zones", "8", "--duration", "120", "--seed", "1", "--schedule", str(schedule)]
+        assert run_cli(gen + ["--out", str(tmp_path / "gen")]) == 0
+        new = tmp_path / "gen" / "bsm.csv"
+        header, *lines = new.read_text().splitlines(keepends=True)
+        ordinals = collections.Counter()
+        old_lines = []
+        for line in lines:
+            time_s, _, zone, speed = line.split(",")
+            old_lines.append(f"{time_s},v{int(zone):02d}-{time_s}-{ordinals[time_s, zone]},{zone},{speed}")
+            ordinals[time_s, zone] += 1
+        assert max(ordinals.values()) >= 11
+        old = tmp_path / "old.csv"
+        old.write_text(header + "".join(old_lines))
+        outputs = []
+        for bsm in (new, old):
+            out = tmp_path / f"{bsm.stem}-features.csv"
+            argv = ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--bucket", bucket]
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_per_minute_bucket(self, tmp_path):
         bsm, schedule = self.make_inputs(tmp_path)

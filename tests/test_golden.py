@@ -73,7 +73,7 @@ PINS = {
         "features.2:f60.csv": "6d9880aea8af423e5f2eddf78595caf1d36801e41722cc665930c725b8a3f6ab",
         "features.2:stdout": "105f94d78af8beec567469fb7737e9e437018926ac79b3d48ee34d616c4ac26e",
         "gen.0:exit": 0,
-        "gen.0:gen/bsm.csv": "19bb1b7ce6e5baeadde042cade88c25207a24f5511730432c73db7bd239aee0b",
+        "gen.0:gen/bsm.csv": "9579eda6016fe83db3b66934b9c6ec7b8a24f478067a97864d7b665b44816787",
         "gen.0:gen/schedule.json": "cfc8fc8e489ffb4b3b18034ad17e70e127a4c5f727cbcb0a1ae58120874053b3",
         "gen.0:stdout": "abe03f53862d9dce656302e0e2068e9e97c8377c99cab7fc349b980f910a7f0b",
     },

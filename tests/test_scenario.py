@@ -19,7 +19,7 @@ def same_records(a, b):
 def reference_generate(config):
     """The generator written the direct way: each zone's records with
     per-cell ``arange`` ordinals, then one (time, zone, ordinal) sort of all
-    of them and one join per vehicle id."""
+    of them, and the vehicle codes from one (time, zone, ordinal text) sort."""
     speed_mean, rate = scenario._zone_profiles(config)
     all_times, all_zones, all_speeds, all_ordinals = [], [], [], []
     for zone in range(config.n_zones):
@@ -40,8 +40,9 @@ def reference_generate(config):
     )
     order = np.lexsort((ordinals, zones, times))
     times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
-    ids = ["".join((f"v{z:02d}-", f"{t}-", str(o))) for z, t, o in zip(zones, times, ordinals)]
-    return data.Records(times, ids, zones, speeds)
+    codes = np.empty(len(times), dtype=np.int64)
+    codes[np.lexsort((ordinals.astype(str), zones, times))] = np.arange(len(times))
+    return data.Records(times, codes, zones, speeds)
 
 
 def assert_matches_reference(config):
@@ -99,67 +100,31 @@ class TestGenerateMatchesReference:
         assert_matches_reference(scenario.ScenarioConfig(56, duration_s, tuple(events), 0))
 
 
-def whole_column_ids(records, n_zones):
-    """The vehicle ids built the whole-column way: one ``np.char.add`` of
-    every record's zone and time texts, a second one adding the ordinals,
-    then a cast to the longest id's width."""
-    cell = records.time * n_zones + records.zone
-    _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
-    ordinals = np.arange(len(cell)) - first[inverse]
-    zone_text = np.array([f"v{z:02d}-" for z in range(n_zones)])
-    time_text = np.array([f"{t}-" for t in range(int(records.time.max(initial=0)) + 1)])
-    ordinal_text = np.array([str(o) for o in range(int(ordinals.max(initial=-1)) + 1)], dtype=str)
-    ids = np.char.add(
-        np.char.add(zone_text[records.zone], time_text[records.time]), ordinal_text[ordinals]
-    )
-    return ids.astype(f"U{np.char.str_len(ids).max(initial=1)}", copy=False)
+class TestVehicleCodes:
+    """A record's code is its cell's time-major start plus its ordinal's rank
+    as text among the cell's ordinals."""
 
-
-class TestVehicleIds:
-    """``generate`` builds its ids a block at a time into a column sized
-    from the text tables; the ids and their width must be those of the
-    whole-column build."""
-
-    def assert_whole_column_ids(self, config):
-        records, _ = scenario.generate(config)
-        want = whole_column_ids(records, config.n_zones)
-        assert records.vehicle_id.dtype == want.dtype
-        np.testing.assert_array_equal(records.vehicle_id, want)
-        return records
-
-    def test_more_than_99_zones_and_one_block(self):
-        # zones 100+ read v100-; the records span more than one id block
-        records = self.assert_whole_column_ids(scenario.ScenarioConfig(130, 40, seed=3))
-        assert len(records) > scenario._ID_BLOCK and records.zone.max() >= 100
-        assert records.vehicle_id.dtype == np.dtype("U10")  # v122-14-10 among others
-
-    def test_cells_with_ten_or_more_ordinals(self):
+    def test_cells_of_eleven_or_more_records_code_ordinals_as_text(self):
         # zone 5's incident queues zone 4 up to three times base demand
         event = scenario.IncidentEvent(zone=5, start_s=0, duration_s=60)
-        records = self.assert_whole_column_ids(scenario.ScenarioConfig(8, 60, (event,), seed=1))
-        _, per_cell = np.unique(records.time * 8 + records.zone, return_counts=True)
-        assert per_cell.max() >= 11  # ordinals 0..10 and beyond
+        records, _ = scenario.generate(scenario.ScenarioConfig(8, 60, (event,), seed=1))
+        _, starts, counts = np.unique(
+            records.time * 8 + records.zone, return_index=True, return_counts=True
+        )
+        assert counts.max() >= 11  # ordinals 0..10 and beyond
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            ranks = np.argsort(np.argsort([str(o) for o in range(count)]))
+            np.testing.assert_array_equal(records.vehicle_id[start : start + count], start + ranks)
 
-    @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(scenario, "_ID_BLOCK", block)
-        self.assert_whole_column_ids(scenario.ScenarioConfig(3, 20, seed=4))
-
-    def test_width_is_the_longest_id_not_the_longest_parts(self):
-        # a one-second incident in zone 99 starves zone 100, its departure
-        # side: no id starts v100-, so the column is one narrower than the
-        # widest zone, time and ordinal texts together
-        config = scenario.ScenarioConfig(101, 1, (scenario.IncidentEvent(99, 0, 1),), seed=0)
-        records = self.assert_whole_column_ids(config)
-        assert not np.any(records.zone == 100)
-        last_ordinal = np.unique(records.zone, return_counts=True)[1].max() - 1
-        widest_parts = len("v100-") + len("0-") + len(str(last_ordinal))
-        assert records.vehicle_id.dtype == np.dtype(f"U{widest_parts - 1}")
-
-    def test_corridor_without_records(self, monkeypatch):
-        monkeypatch.setattr(scenario, "BASE_RATE", 0.0)
-        records = self.assert_whole_column_ids(scenario.ScenarioConfig(120, 5, seed=0))
-        assert len(records) == 0 and records.vehicle_id.dtype == np.dtype("U1")
+    @pytest.mark.parametrize(
+        "config",
+        [scenario.ScenarioConfig(130, 40, seed=3), scenario.ScenarioConfig(1, 1, seed=0),
+         scenario.ScenarioConfig(56, 1500, seed=0)],
+    )
+    def test_codes_are_a_permutation(self, config):
+        records, _ = scenario.generate(config)
+        assert records.vehicle_id.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(records.vehicle_id), np.arange(len(records)))
 
 
 class TestGenerate:
