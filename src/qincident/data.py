@@ -25,14 +25,14 @@ value of a chunk.  The record writer spells a vehicle code ``v`` plus the
 code, zero-padded to the widest code.  Only the record CSV is read back, in
 two passes over its lines, a block at a time.  The first checks the bytes
 and finds the widest id; the second parses each block with ``np.loadtxt``
-into fixed-width rows and copies them into columns allocated once, so no
-more than a block is ever held as Python objects.  Each distinct id then
-becomes its rank among the file's ids as text.  A file that
-parse could read differently from ``csv.reader`` (a quote, CR, NUL,
-\x1c-\x1f, a blank or overlong line, a line without three commas), or
-whose values fail a check, is read again row by row through ``csv.reader``,
-which returns the same values or raises the same ``path:line: message``
-error.
+into fixed-width rows, the ids as UTF-8 bytes, and copies them into columns
+allocated once, so no more than a block is ever held as Python objects.
+Each distinct id then becomes its rank among the file's ids as text (UTF-8
+bytes sort in code-point order).  A file that parse could read differently
+from ``csv.reader`` (a quote, CR, NUL, \x1c-\x1f, a blank or overlong
+line, a line without three commas, bytes that are not UTF-8), or whose
+values fail a check, is read again row by row through ``csv.reader``, which
+returns the same values or raises the same ``path:line: message`` error.
 """
 
 from __future__ import annotations
@@ -373,8 +373,8 @@ def _read_bsm_blocks(path) -> Records | None:
     The file's bytes are dropped after pass 1.  Pass 2 allocates the four
     columns once, then reads each block again, parses it into rows whose id
     has the widest id's byte width, and copies them into the columns, so no
-    Python object or parsed row outlives its block.  The id column is then
-    coded and dropped.
+    Python object or parsed row outlives its block.  The id column holds
+    each id's UTF-8 bytes; it is then coded and dropped.
     """
     try:
         with open(path, "rb") as handle:
@@ -385,15 +385,19 @@ def _read_bsm_blocks(path) -> Records | None:
             return None
         head, blocks, width = plan
         n = sum(lines for _, lines in blocks)
-        columns = (np.empty(n, np.int64), np.empty(n, f"U{max(width, 1)}"),
+        columns = (np.empty(n, np.int64), np.empty(n, f"S{max(width, 1)}"),
                    np.empty(n, np.int64), np.empty(n, np.float64))
         row = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
         done = 0
         with open(path, "rb") as handle:
             handle.seek(head)
             for size, lines in blocks:
+                block = handle.read(size)
+                block.decode("utf-8")  # the row loop names a line that is not UTF-8
+                # latin-1 text has one character per byte, and the id column
+                # takes back those bytes
                 rows = np.loadtxt(
-                    handle.read(size).decode("utf-8").split("\n"),
+                    block.decode("latin-1").split("\n"),
                     dtype=row, delimiter=",", comments=None, ndmin=1,
                 )
                 if len(rows) != lines:
@@ -401,7 +405,7 @@ def _read_bsm_blocks(path) -> Records | None:
                 for name, column in zip(row.names, columns):
                     column[done : done + lines] = rows[name]
                 done += lines
-                del rows  # before the next block is parsed
+                del block, rows  # before the next block is read
         time, ids, zone, speed = columns
         return Records(time, _id_codes(ids), zone, speed)
     except Exception:  # the row loop decides what is wrong
@@ -433,10 +437,12 @@ def read_bsm_csv(path) -> Records:
 def _read_bsm_rows(path) -> Records:
     """The records of a CSV read row by row through ``csv.reader``: the
     header is checked, then each non-blank line's fields are parsed, and a
-    ``ValueError`` from a line becomes a ``ParseError`` naming the path and
-    line number."""
+    ``ValueError`` from a line, bytes that are not UTF-8 among them, becomes
+    a ``ParseError`` naming the path and line number."""
     times, vids, zones, speeds = [], [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, \udc80-\udcff,
+    # which its line reports
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != BSM_HEADER:
@@ -447,6 +453,11 @@ def _read_bsm_rows(path) -> Records:
             try:
                 if len(fields) != len(BSM_HEADER):
                     raise ValueError(f"expected {len(BSM_HEADER)} fields")
+                if not "".join(fields).isascii():
+                    for name, text in zip(BSM_HEADER, fields):
+                        if any("\udc80" <= char <= "\udcff" for char in text):
+                            raw = text.encode("utf-8", "surrogateescape")
+                            raise ValueError(f"{name} {raw!r} is not UTF-8")
                 time, zone, speed = int(fields[0]), int(fields[2]), float(fields[3])
                 if "\x00" in fields[1]:
                     # numpy strings drop trailing NULs, which would merge ids

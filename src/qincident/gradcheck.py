@@ -15,7 +15,9 @@ from different primitives:
   scalar loss over every trainable parameter, through the layers' run-axis
   path.  Both derivative suites stack their probes, one row per probe, in
   ``_central_differences``; a coordinate whose probes cross a ReLU kink
-  halves its own step and is probed again.
+  halves its own step and is probed again.  The probe rows are written in
+  place into one buffer per call, which holds ``base`` between passes, and
+  the hybrid stack is bound to each row count's view of it once per draw.
 
 Used by the test suite and by the ``gradcheck`` CLI command.
 """
@@ -147,13 +149,21 @@ def check_hybrid_gradients(
         label = np.array([float(rng.integers(0, 2))])
         _, grad = model_mod.loss_and_gradients(net, features, label)
 
+        bindings = {}  # row count -> (the rows' address, the stack bound to them)
+
         def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            address = rows.__array_interface__["data"][0]
+            bound = bindings.get(len(rows))
+            if bound is None or bound[0] != address:
+                # the passes of a draw probe leading row views of one buffer,
+                # so this runs once per row count
+                bound = bindings[len(rows)] = address, model_mod._bind(net, rows)
             # Each row of ``rows`` [R, P] is one parameter vector.  One walk
             # over the stack with the layers' arrays as [R, ...] views gives
             # every row's loss and which ReLU units are active (relu(z) > 0
             # exactly where z > 0).
             h, active = features, []
-            for layer in model_mod._bind(net, rows):
+            for layer in bound[1]:
                 h = layer.forward(h)
                 if getattr(layer, "activation", None) == "relu":
                     active.append(h[:, 0] > 0)
@@ -184,25 +194,33 @@ def _central_differences(
     ``probe(rows)`` returns the values [R, ...] (a loss [R], a readout
     [R, n]) and the ReLU pattern [R, U] at each of the parameter vectors
     ``rows`` [R, P].  Coordinates go in chunks of ``PROBE_CHUNK``: one pass
-    over a chunk stacks ``base`` + step at coordinate i in row i and
-    ``base`` - step there in row m + i.  A coordinate whose probes both
-    show the base pattern is resolved; any other has its own step halved
-    and is probed again in the next pass, until that step falls below
-    ``MIN_STEP``.
+    over m of a chunk's coordinates probes ``base`` + step at coordinate i in
+    row i and ``base`` - step there in row m + i.  A coordinate whose probes
+    both show the base pattern is resolved; any other has its own step
+    halved and is probed again in the next pass, until that step falls
+    below ``MIN_STEP``.
+
+    The rows of every pass are the leading 2m rows of one buffer, filled
+    with ``base`` once per call: a pass writes its 2m stepped entries, probes
+    that view and writes ``base`` back into those entries.  So ``probe``
+    sees the same view, rows at the same address, for each row count of a
+    call, and may keep views of it across passes; what it returns must not
+    be a view of ``rows``.
     """
     base_values, base_pattern = probe(base[np.newaxis])
     out = np.full((len(coords),) + base_values.shape[1:], np.nan)
     if step < MIN_STEP:
         return out
+    buffer = np.repeat(base[np.newaxis], 2 * min(PROBE_CHUNK, len(coords)), axis=0)
     for first in range(0, len(coords), PROBE_CHUNK):
         todo = np.arange(first, min(first + PROBE_CHUNK, len(coords)))
         steps = np.full(len(todo), float(step))
         while len(todo):
             m, ks = len(todo), coords[todo]
-            rows = np.repeat(base[np.newaxis], 2 * m, axis=0)
-            rows[np.arange(m), ks] = base[ks] + steps
-            rows[np.arange(m, 2 * m), ks] = base[ks] - steps
+            rows, probed = buffer[: 2 * m], (np.arange(2 * m), np.tile(ks, 2))
+            rows[probed] = np.concatenate((base[ks] + steps, base[ks] - steps))
             values, pattern = probe(rows)
+            rows[probed] = base[probed[1]]
             kept = np.all(pattern == base_pattern, axis=-1)
             resolved = kept[:m] & kept[m:]
             # with the coordinate axis last, each step broadcasts over its own values

@@ -40,8 +40,20 @@ class Mutant(NamedTuple):
 
 DATA, SCENARIO = "src/qincident/data.py", "src/qincident/scenario.py"
 NN, QSIM = "src/qincident/nn.py", "src/qincident/qsim.py"
+MODEL, GRADCHECK, CLI = "src/qincident/model.py", "src/qincident/gradcheck.py", "src/qincident/cli.py"
 TEST_DATA, TEST_SCENARIO = "tests/test_data.py", "tests/test_scenario.py"
 TEST_NN, TEST_QSIM = "tests/test_nn.py", "tests/test_qsim.py"
+TEST_MODEL, TEST_GRADCHECK, TEST_CLI = "tests/test_model.py", "tests/test_gradcheck.py", "tests/test_cli.py"
+
+# the hybrid probe's binding of the stack, from its cache to its check
+_BINDING = (
+    "        bindings = {}  # row count -> (the rows' address, the stack bound to them)\n"
+    "\n"
+    "        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:\n"
+    "            address = rows.__array_interface__[\"data\"][0]\n"
+    "            bound = bindings.get(len(rows))\n"
+    "            if bound is None or bound[0] != address:\n"
+)
 
 MUTANTS = [
     # vehicle codes
@@ -90,6 +102,12 @@ MUTANTS = [
         (TEST_DATA,),
     ),
     Mutant(
+        "loadtxt-takes-bytes-that-are-not-utf8", DATA,
+        '                block.decode("utf-8")  # the row loop names a line that is not UTF-8\n',
+        "",
+        (TEST_DATA,),
+    ),
+    Mutant(
         "loadtxt-takes-nul", DATA,
         '_LOADTXT_UNSAFE = (b\'"\', b"\\r", b"\\x00", ',
         '_LOADTXT_UNSAFE = (b\'"\', b"\\r", ',
@@ -130,6 +148,33 @@ MUTANTS = [
         "    out = slots.take(table[..., -1], axis=-1)\n"
         "    for k in range(table.shape[-1] - 2, -1, -1):\n",
         (TEST_QSIM,),
+    ),
+    Mutant(
+        "one-step-plan-for-every-batch-size", MODEL,
+        "            loss, grad = loss_and_gradients(model, features[batch], y, plans[len(y)])\n",
+        "            loss, grad = loss_and_gradients(model, features[batch], y, plans[max(plans)])\n",
+        (TEST_MODEL,),
+    ),
+    # the gradient oracles
+    Mutant(
+        "probe-buffer-not-restored", GRADCHECK,
+        "            rows[probed] = base[probed[1]]\n",
+        "",
+        (TEST_GRADCHECK,),
+    ),
+    Mutant(
+        "stack-bound-once-for-all-draws", GRADCHECK,
+        _BINDING,
+        _BINDING.replace("bindings = {}", 'bindings = vars(check_hybrid_gradients).setdefault("bindings", {})')
+        .replace("if bound is None or bound[0] != address:", "if bound is None:"),
+        (TEST_GRADCHECK,),
+    ),
+    # the command line
+    Mutant(
+        "parse-error-exits-1", CLI,
+        "    except (ParseError, FormatError, OSError) as exc:\n",
+        "    except (FormatError, OSError) as exc:\n",
+        (TEST_CLI,),
     ),
 ]
 

@@ -178,6 +178,20 @@ class TestFeatures:
         assert capsys.readouterr().err.startswith(f"error: {schedule}: {message}")
         assert not features.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [(b"1,v\xff2,0,2.5", "vehicle_id b'v\\xff2' is not UTF-8"),
+         (b"1,v2,0,2.5\xff", "speed_mps b'2.5\\xff' is not UTF-8")],
+    )
+    def test_bytes_that_are_not_utf8_exit_3_naming_the_line(self, tmp_path, capsys, line, message):
+        bsm = tmp_path / "bsm.csv"
+        bsm.write_bytes(",".join(data.BSM_HEADER).encode() + b"\n0,v1,0,1.5\n" + line + b"\n2,v3,1,3.5\n")
+        out = tmp_path / "features.csv"
+        assert run_cli(["features", "--bsm", str(bsm), "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error: {bsm}:3: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zones_flag_keeps_a_trailing_zone_without_records(self, tmp_path):
         bsm, schedule = self.make_inputs(tmp_path)
         records = data.read_bsm_csv(bsm)

@@ -504,12 +504,13 @@ class TestCsvMemory:
             tracemalloc.stop()
 
     def test_reader_peak(self, pipeline_files):
-        # the held columns plus the parsed id column that ``_id_codes`` sorts:
-        # 22.65 MiB peak against 15.97 MiB, 1.42x (numpy 2.4, Python 3.11)
+        # the held columns plus the parsed id column of UTF-8 bytes that
+        # ``_id_codes`` sorts: 17.05 MiB peak against 10.38 MiB, 1.64x (numpy
+        # 2.4, Python 3.11); 22.65 MiB when the ids were parsed as str
         recs, peak = self.peak(data.read_bsm_csv, pipeline_files)
         held = sum(column.nbytes for column in vars(recs).values())
         widest_id = len("v") + len(str(recs.vehicle_id.max()))
-        ids = len(recs) * np.dtype(f"U{widest_id}").itemsize
+        ids = len(recs) * np.dtype(f"S{widest_id}").itemsize
         assert peak <= 1.75 * (held + ids)
 
     def test_feature_writer_peak(self, pipeline_files, tmp_path):
@@ -619,6 +620,25 @@ class TestCsvReaderAgreement:
         assert got == read_outcome(data._read_bsm_rows, path)
         codes = np.unique(ids, return_inverse=True)[1].astype(np.int64)
         assert got["vehicle_id"] == ("<i8", (len(ids),), codes.tobytes())
+
+    @pytest.mark.parametrize("block_lines", [1, 2, data._BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "line",
+        # bytes that are not UTF-8: stray ones, an encoded surrogate, an
+        # overlong and a cut-off sequence
+        [b"1,v\xff,0,2.5", b"1,v2,0,2.5\xff", b"1\xff,v2,0,2.5", b"1,v2,\xc30,2.5",
+         b"1,v\xe9,0,2.5", b"1,v\xed\xa0\x80,0,2.5", b"1,v\xc0\xaf,0,2.5", b"1,v\xe2\x82,0,2.5",
+         # a NUL, which the parsed id would drop at its end
+         b"1,v\x00,0,2.5", b"1,v\x002,0,2.5"],
+    )
+    def test_lines_the_parse_declines_get_the_row_loops_error(self, tmp_path, line, block_lines):
+        path = tmp_path / "bsm.csv"
+        path.write_bytes(",".join(data.BSM_HEADER).encode() + b"\n0,v1,0,1.5\n" + line + b"\n2,v3,1,3.5\n")
+        with mock.patch.object(data, "_BLOCK_LINES", block_lines):
+            assert data._read_bsm_blocks(path) is None
+            got = read_outcome(data.read_bsm_csv, path)
+        assert got == read_outcome(data._read_bsm_rows, path)
+        assert got[0] is ParseError and got[1].startswith(f"{path}:3: ")
 
     @pytest.mark.parametrize(
         "line, parses",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qincident import gradcheck, qsim
+from qincident import model as model_mod
 
 
 def kron_circuit(inputs, weights):
@@ -209,6 +210,62 @@ class TestCentralDifference:
         assert fd.shape == (3, 2)
         np.testing.assert_allclose(fd[:2], [[1.0, 2.0], [1.0, 2.0]], rtol=1e-9)
         assert np.isnan(fd[2]).all()
+
+    def test_each_pass_steps_only_its_own_coordinates(self, monkeypatch):
+        # chunks of 2: coordinate 1 retries alone before the second chunk
+        # probes two coordinates again and the third retries 13 times, so an
+        # entry a pass left stepped would show in a later pass's rows
+        monkeypatch.setattr(gradcheck, "PROBE_CHUNK", 2)
+        base = np.array([0.5, 3e-5, -0.25, 2.0, 0.0])
+        passes, addresses = [], set()
+
+        def probe(rows):
+            if len(rows) > 1:
+                m = len(rows) // 2
+                stepped = rows != base
+                # one coordinate per row, the same in plus row i and minus row m + i
+                assert stepped.sum(axis=1).tolist() == [1] * (2 * m)
+                assert np.array_equal(stepped[:m], stepped[m:])
+                coords = np.nonzero(stepped[:m])[1]
+                assert np.all(rows[:m][stepped[:m]] > base[coords])
+                assert np.all(rows[m:][stepped[m:]] < base[coords])
+                passes.append(coords.tolist())
+                addresses.add(rows.__array_interface__["data"][0])
+            return self.relu_probe(rows)
+
+        fd = gradcheck._central_differences(probe, base, np.arange(5), 1e-4)
+        assert passes == [[0, 1], [1], [1], [2, 3]] + [[4]] * 14
+        # every pass probes the leading rows of one buffer
+        assert len(addresses) == 1
+        np.testing.assert_allclose(fd[:4], [1.0, 1.0, 0.0, 1.0], rtol=1e-9)
+        assert np.isnan(fd[4])
+
+    @pytest.mark.parametrize("seed", [3, 1])  # seed 1's second draw retries kinks
+    def test_the_stack_is_bound_once_per_row_count_and_draw(self, monkeypatch, seed):
+        binds = []
+        bind = model_mod._bind
+
+        def counting(net, params):
+            binds.append(params.shape)
+            return bind(net, params)
+
+        monkeypatch.setattr(model_mod, "_bind", counting)
+        got = gradcheck.check_hybrid_gradients(seed=seed, n_draws=2)
+        # build_model binds the draw's [P] vector, then the probes bind [R, P] rows
+        starts = [i for i, shape in enumerate(binds) if len(shape) == 1]
+        assert len(starts) == 2
+        for start, stop in zip(starts, starts[1:] + [len(binds)]):
+            counts = [shape[0] for shape in binds[start + 1 : stop]]
+            assert counts[0] == 1 and len(counts) == len(set(counts))
+        # the same suite when every pass probes rows of its own, bound anew
+        central = gradcheck._central_differences
+        monkeypatch.setattr(
+            gradcheck, "_central_differences",
+            lambda probe, *args: central(lambda rows: probe(rows.copy()), *args),
+        )
+        n_binds, binds[:] = len(binds), []
+        assert gradcheck.check_hybrid_gradients(seed=seed, n_draws=2) == got
+        assert len(binds) > n_binds
 
     def test_chunk_size_does_not_change_the_suite(self, monkeypatch):
         want = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
