@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -50,11 +49,9 @@ _VALUE_TYPES = {
 }
 
 
-# the least value of each integer field; n_incidents None means auto
-_MINIMUMS = {
-    "zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0,
-    "n_runs": 1, "epochs": 1, "batch_size": 1,
-}
+# the least value of each integer field that nn.TrainConfig does not check;
+# n_incidents None means auto
+_MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
 
 @dataclass
@@ -93,8 +90,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         if self.schedule_path is not None and self.n_incidents is not None:
             raise ConfigError(
                 "schedule_path and n_incidents are exclusive: a schedule file fixes the incidents"
@@ -226,6 +221,7 @@ def _build_splits(config: ExperimentConfig) -> dict[str, data.DatasetSplit]:
 
 def cmd_experiment(args) -> int:
     config = _experiment_config(args)
+    # checks epochs, batch_size and learning_rate before any output
     train_config = nn.TrainConfig(
         epochs=config.epochs,
         batch_size=config.batch_size,

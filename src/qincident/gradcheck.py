@@ -17,7 +17,7 @@ from different primitives:
   ``_central_differences``; a coordinate whose probes cross a ReLU kink
   halves its own step and is probed again.  The probe rows are written in
   place into one buffer per call, which holds ``base`` between passes, and
-  the hybrid stack is bound to each row count's view of it once per draw.
+  the hybrid probe walks the stack over views of those rows.
 
 Used by the test suite and by the ``gradcheck`` CLI command.
 """
@@ -149,22 +149,14 @@ def check_hybrid_gradients(
         label = np.array([float(rng.integers(0, 2))])
         _, grad = model_mod.loss_and_gradients(net, features, label)
 
-        bindings = {}  # row count -> (the rows' address, the stack bound to them)
-
         def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            address = rows.__array_interface__["data"][0]
-            bound = bindings.get(len(rows))
-            if bound is None or bound[0] != address:
-                # the passes of a draw probe leading row views of one buffer,
-                # so this runs once per row count
-                bound = bindings[len(rows)] = address, model_mod._bind(net, rows)
             # Each row of ``rows`` [R, P] is one parameter vector.  One walk
             # over the stack with the layers' arrays as [R, ...] views gives
             # every row's loss and which ReLU units are active (relu(z) > 0
             # exactly where z > 0).
             h, active = features, []
-            for layer in bound[1]:
-                h = layer.forward(h)
+            for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):
+                h = layer.forward(arrays, h)
                 if getattr(layer, "activation", None) == "relu":
                     active.append(h[:, 0] > 0)
             return np.mean(nn.bce_loss(h[..., 0], label), axis=-1), np.concatenate(active, axis=-1)
@@ -202,10 +194,8 @@ def _central_differences(
 
     The rows of every pass are the leading 2m rows of one buffer, filled
     with ``base`` once per call: a pass writes its 2m stepped entries, probes
-    that view and writes ``base`` back into those entries.  So ``probe``
-    sees the same view, rows at the same address, for each row count of a
-    call, and may keep views of it across passes; what it returns must not
-    be a view of ``rows``.
+    that view and writes ``base`` back into those entries, so what ``probe``
+    returns must not be a view of ``rows``.
     """
     base_values, base_pattern = probe(base[np.newaxis])
     out = np.full((len(coords),) + base_values.shape[1:], np.nan)

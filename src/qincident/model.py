@@ -11,23 +11,27 @@ The 2-qubit hybrid narrows the pre- and post-quantum dense layers to width 2.
 Training is plain mini-batch Adam on mean binary cross-entropy; everything is
 deterministic for a fixed seed.
 
-Every layer (``nn.DenseLayer``, ``QuantumLayer``) follows one protocol:
-``forward(x)``; ``plan(lead, first)`` -> the buffers of a training step
-over rows of leading shape ``lead``; ``forward_cached(x, buffers)`` ->
-(out, cache) and ``backward(cache, d_out, grads)`` -> d_in, writing the
-gradients of its ``param_names`` arrays into ``grads``; ``to_dict``, the
-layer's entry in the saved-model document.  A model keeps all trainable
-numbers in one float64 vector, ``Model.params``.  ``Model.layout``,
-computed once, places each layer's arrays in it: they are views of
-``params``, and the ``grads`` are views of one gradient vector, so Adam
-works on flat vectors.  The hidden widths and the decision threshold are
-the module constants ``HIDDEN_WIDTHS`` and ``OUTPUT_THRESHOLD``.
+Every layer (``nn.DenseLayer``, ``QuantumLayer``) is a frozen description
+that holds no arrays: its ``shapes`` name the arrays it trains, and every
+method takes them as ``arrays``.  The protocol: ``forward(arrays, x)``;
+``plan(lead, first)`` -> the buffers of a training step over rows of
+leading shape ``lead``; ``forward_cached(arrays, x, buffers)`` ->
+(out, cache) and ``backward(arrays, cache, d_out, grads)`` -> d_in,
+writing the gradients of its arrays into ``grads``; ``to_dict(arrays)``,
+the layer's entry in the saved-model document.  Every trainable number of
+a model lives in one float64 vector, ``Model.params``, and only there.
+``Model.layout``, computed once from the shapes, places each layer's
+arrays in it; ``_views`` cuts a parameter or gradient vector into those
+arrays, so Adam works on flat vectors.  The hidden widths and the decision
+threshold are the module constants ``HIDDEN_WIDTHS`` and
+``OUTPUT_THRESHOLD``.
 
 ``train`` checks its rows once, then makes a step plan (``_plan``) per
-batch size, for the full batches and a final partial one: the gradient
-vector, its per-layer views and each layer's buffers, which every step of
-that size writes into; ``loss_and_gradients`` without a plan makes a
-one-shot one.  ``forward`` refuses non-finite features and outputs.
+batch size, for the full batches and a final partial one: the views of
+``params``, which Adam updates in place, the gradient vector and its
+views, and each layer's buffers, which every step of that size writes
+into; ``loss_and_gradients`` without a plan makes a one-shot one.
+``forward`` refuses non-finite features and outputs.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -42,11 +46,9 @@ per-run results carry the model's run axis, (R, ...) for a population.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -83,54 +85,49 @@ class HybridModelConfig:
         return "classical" if self.kind == "classical" else f"hybrid-{self.n_qubits}q"
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumLayer:
-    """The ``qsim`` circuit as a layer: weights [n_entangler_layers, n_qubits],
-    with a leading run axis in a population.
+    """The ``qsim`` circuit as a layer: its one array is the weights
+    [n_entangler_layers, n_qubits], with a leading run axis in a population.
 
     Reaches the kernels through ``_QUANTUM_FORWARD`` and
     ``_QUANTUM_GRADIENTS`` at call time, so they can be swapped out.
     """
 
-    weights: np.ndarray
-    param_names: ClassVar[tuple[str, ...]] = ("weights",)
+    n_qubits: int
+    n_entangler_layers: int
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be a 2-d [layers, qubits] array")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
+    @property
+    def shapes(self) -> tuple[tuple[int, int]]:
+        return ((self.n_entangler_layers, self.n_qubits),)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return _QUANTUM_FORWARD(x, self.weights)
+    def forward(self, arrays: list, x: np.ndarray) -> np.ndarray:
+        return _QUANTUM_FORWARD(x, arrays[0])
 
     def forward_bytes(self) -> int:
         """The bytes ``forward`` holds per row (``qsim.forward_bytes``)."""
-        n_layers, n_qubits = self.weights.shape[-2:]
-        return qsim.forward_bytes(n_qubits, n_layers)
+        return qsim.forward_bytes(self.n_qubits, self.n_entangler_layers)
 
     def plan(self, lead: tuple, first: bool) -> None:
         """No buffers: the kernels make their own arrays."""
 
-    def forward_cached(self, x: np.ndarray, buffers: None) -> tuple[np.ndarray, tuple]:
-        values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, self.weights)
+    def forward_cached(self, arrays: list, x: np.ndarray, buffers: None) -> tuple[np.ndarray, tuple]:
+        values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, arrays[0])
         return values, (d_inputs, d_weights)
 
-    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray:
+    def backward(self, arrays: list, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray:
         """Chain rule through the exact Jacobians: d_inputs [..., B, n, n]
         and d_weights [..., B, L, n, n]."""
         d_inputs, d_weights = cache
         np.einsum("...blij,...bj->...li", d_weights, d_out, out=grads[0])
         return np.einsum("...bij,...bj->...bi", d_inputs, d_out)
 
-    def to_dict(self) -> dict:
-        n_layers, n_qubits = self.weights.shape
+    def to_dict(self, arrays: list) -> dict:
         return {
             "type": "quantum",
-            "n_qubits": n_qubits,
-            "n_entangler_layers": n_layers,
-            "weights": self.weights.ravel().tolist(),
+            "n_qubits": self.n_qubits,
+            "n_entangler_layers": self.n_entangler_layers,
+            "weights": arrays[0].ravel().tolist(),
         }
 
 
@@ -141,54 +138,34 @@ def _views(flat: np.ndarray, layout: tuple) -> list:
     return [[flat[..., part].reshape(lead + shape) for part, shape in entry] for entry in layout]
 
 
-def _bind(model: "Model", params: np.ndarray) -> list:
-    """Shallow copies of ``model.layers`` whose arrays are views of ``params``."""
-    bound = []
-    for layer, views in zip(model.layers, _views(params, model.layout)):
-        part = copy.copy(layer)
-        for name, view in zip(layer.param_names, views):
-            setattr(part, name, view)
-        bound.append(part)
-    return bound
-
-
 @dataclass
 class Model:
     """A (possibly trained) model, or a population of R of them.
 
     ``layers`` is the stack, dense and quantum layers alike; every trainable
     number lives in ``params``, [P] for one model and [R, P] for a
-    population, of which the layers' arrays are views.  After training the
-    model carries its per-epoch history.  It takes features already scaled
-    by ``data.split``.
+    population, where ``layout`` places each layer's arrays.  After
+    training the model carries its per-epoch history.  It takes features
+    already scaled by ``data.split``.
     """
 
     config: HybridModelConfig
     layers: list
+    params: np.ndarray = field(repr=False)
     seed: int
     history: dict = field(default_factory=dict)
-    params: np.ndarray = field(init=False, repr=False)
     layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        # per layer, the (slice of ``params``, shape) of each ``param_names`` array
-        arrays, layout, offset = [], [], 0
+        # per layer, the (slice of ``params``, shape) of each of its arrays
+        layout, offset = [], 0
         for layer in self.layers:
             entry = []
-            for name in layer.param_names:
-                array = getattr(layer, name)
-                entry.append((slice(offset, offset + array.size), array.shape))
-                arrays.append(array.ravel())
-                offset += array.size
+            for shape in layer.shapes:
+                entry.append((slice(offset, offset + math.prod(shape)), shape))
+                offset += math.prod(shape)
             layout.append(tuple(entry))
         self.layout = tuple(layout)
-        self.params = np.concatenate(arrays)
-        self.layers = _bind(self, self.params)
-
-    def __setstate__(self, state: dict):
-        # pickle and deepcopy copy views as separate arrays: bind them again
-        self.__dict__.update(state)
-        self.layers = _bind(self, self.params)
 
 
 N_FEATURES = 6
@@ -198,18 +175,18 @@ def build_model(config: HybridModelConfig, seed: int) -> Model:
     """Fresh model with Glorot dense layers and uniform [0, 2*pi) quantum angles."""
     rng = np.random.default_rng(seed)
     w1, w2 = HIDDEN_WIDTHS
-    layers = [nn.init_layer(N_FEATURES, w1, rng, "relu"), nn.init_layer(w1, w2, rng, "relu")]
+    stack = [nn.init_layer(N_FEATURES, w1, rng, "relu"), nn.init_layer(w1, w2, rng, "relu")]
     if config.kind == "classical":
-        layers.append(nn.init_layer(w2, 1, rng, "sigmoid"))
+        stack.append(nn.init_layer(w2, 1, rng, "sigmoid"))
     else:
         n_q = config.n_qubits
-        layers.append(nn.init_layer(w2, n_q, rng, "relu"))
-        layers.append(
-            QuantumLayer(rng.uniform(0.0, 2.0 * np.pi, size=(config.n_entangler_layers, n_q)))
-        )
-        layers.append(nn.init_layer(n_q, n_q, rng, "relu"))
-        layers.append(nn.init_layer(n_q, 1, rng, "sigmoid"))
-    return Model(config=config, layers=layers, seed=seed)
+        stack.append(nn.init_layer(w2, n_q, rng, "relu"))
+        quantum = QuantumLayer(n_q, config.n_entangler_layers)
+        stack.append((quantum, [rng.uniform(0.0, 2.0 * np.pi, size=quantum.shapes[0])]))
+        stack.append(nn.init_layer(n_q, n_q, rng, "relu"))
+        stack.append(nn.init_layer(n_q, 1, rng, "sigmoid"))
+    params = np.concatenate([array.ravel() for _, arrays in stack for array in arrays])
+    return Model(config, [layer for layer, _ in stack], params, seed)
 
 
 def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model:
@@ -219,10 +196,7 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     members = [build_model(config, seed + r) for r in range(n_runs)]
-    population = members[0]
-    population.params = np.stack([m.params for m in members])
-    population.layers = _bind(population, population.params)
-    return population
+    return Model(config, members[0].layers, np.stack([m.params for m in members]), seed)
 
 
 # A stacked forward pass goes one group of runs at a time, so that no layer
@@ -236,9 +210,10 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
 _FORWARD_BYTES = 48 << 20
 
 
-def _forward_layers(layers: list, h: np.ndarray) -> np.ndarray:
-    for layer in layers:
-        h = layer.forward(h)
+def _forward_layers(model: Model, params: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The stack's outputs for the parameter vectors ``params`` [..., P]."""
+    for layer, arrays in zip(model.layers, _views(params, model.layout)):
+        h = layer.forward(arrays, h)
     return h[..., 0]
 
 
@@ -265,13 +240,11 @@ def forward(model: Model, features) -> np.ndarray:
     run_bytes = max(layer.forward_bytes() for layer in model.layers) * max(1, len(h))
     group = max(1, _FORWARD_BYTES // run_bytes)
     if not runs or runs[0] <= group:
-        probs = _forward_layers(model.layers, h)
+        probs = _forward_layers(model, model.params, h)
     else:
         probs = np.concatenate(
-            [
-                _forward_layers(_bind(model, model.params[start : start + group]), h)
-                for start in range(0, runs[0], group)
-            ]
+            [_forward_layers(model, model.params[start : start + group], h)
+             for start in range(0, runs[0], group)]
         )
     bad = np.argwhere(~np.isfinite(probs))
     if len(bad):
@@ -288,11 +261,11 @@ def predict(model: Model, features) -> np.ndarray:
 
 def _plan(model: Model, lead: tuple) -> tuple:
     """The state of a training step over rows of leading shape ``lead``
-    (the run axis, then the batch): the gradient vector, its per-layer
-    views and each layer's buffers."""
+    (the run axis, then the batch): the per-layer views of ``params``, the
+    gradient vector and its per-layer views, and each layer's buffers."""
     grad = np.empty_like(model.params)
     buffers = [layer.plan(lead, first=i == 0) for i, layer in enumerate(model.layers)]
-    return grad, _views(grad, model.layout), buffers
+    return _views(model.params, model.layout), grad, _views(grad, model.layout), buffers
 
 
 def loss_and_gradients(
@@ -312,17 +285,19 @@ def loss_and_gradients(
     if plan is None:
         features, labels = _feature_rows(features), np.asarray(labels, dtype=float)
         plan = _plan(model, model.params.shape[:-1] + features.shape[:1])
-    grad, views, buffers = plan
+    arrays, grad, grads, buffers = plan
     h, caches = features, []
-    for layer, layer_buffers in zip(model.layers, buffers):
-        h, cache = layer.forward_cached(h, layer_buffers)
+    for layer, layer_arrays, layer_buffers in zip(model.layers, arrays, buffers):
+        h, cache = layer.forward_cached(layer_arrays, h, layer_buffers)
         caches.append(cache)
     probs = h[..., 0]
     loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
 
     d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
-    for layer, cache, grads in zip(reversed(model.layers), reversed(caches), reversed(views)):
-        d_out = layer.backward(cache, d_out, grads)
+    for layer, layer_arrays, cache, layer_grads in zip(
+        reversed(model.layers), reversed(arrays), reversed(caches), reversed(grads)
+    ):
+        d_out = layer.backward(layer_arrays, cache, d_out, layer_grads)
     return loss, grad
 
 
@@ -410,7 +385,9 @@ def model_to_dict(model: Model) -> dict:
             "n_entangler_layers": model.config.n_entangler_layers,
             "output_threshold": OUTPUT_THRESHOLD,
         },
-        "layers": [layer.to_dict() for layer in model.layers],
+        "layers": [
+            layer.to_dict(arrays) for layer, arrays in zip(model.layers, _views(model.params, model.layout))
+        ],
         "seed": model.seed,
         "history": model.history,
     }

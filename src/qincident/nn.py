@@ -2,7 +2,7 @@
 Glorot initialization, and Adam.
 
 Layers work on batches of rows along the second-to-last axis.  A layer of a
-population of R models holds its arrays with a leading run axis, weights
+population of R models takes its arrays with a leading run axis, weights
 [R, out, in] and biases [R, out], and maps an input of [B, in] (one batch
 shared by every run) or [R, B, in] to [R, B, out]; each run's slice is the
 same arithmetic as one model's.  Batch losses are averaged (not summed),
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "sigmoid")
 BCE_EPS = 1e-7
 
 
@@ -55,43 +53,26 @@ def activate_deriv(kind: str, output) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """Fully connected layer: weights [out, in], biases [out], each with a
-    leading run axis in a population.
+    """Fully connected layer: its arrays, weights [out_dim, in_dim] and
+    biases [out_dim] (``shapes``), each with a leading run axis in a
+    population, are passed to every method; the layer holds none.
 
     Follows the layer protocol of ``model`` (``forward``, ``plan``,
-    ``forward_cached``, ``backward`` into gradient views, ``to_dict``);
-    ``param_names`` lists the trainable arrays in their flat-vector order.
+    ``forward_cached``, ``backward`` into gradient views, ``to_dict``).
     """
 
-    weights: np.ndarray
-    biases: np.ndarray
+    in_dim: int
+    out_dim: int
     activation: str = "relu"
-    param_names: ClassVar[tuple[str, ...]] = ("weights", "biases")
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.biases = np.asarray(self.biases, dtype=float)
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"inconsistent layer shapes {self.weights.shape} / {self.biases.shape}"
-            )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise ValueError("layer parameters must be finite")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
-    def in_dim(self) -> int:
-        return self.weights.shape[-1]
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return (self.out_dim, self.in_dim), (self.out_dim,)
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[-2]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return dense_forward(self, x)
+    def forward(self, arrays: list, x: np.ndarray) -> np.ndarray:
+        return dense_forward(self, arrays, x)
 
     def forward_bytes(self) -> int:
         """The bytes ``forward`` makes per row: the output, activated in
@@ -105,48 +86,51 @@ class DenseLayer:
         out = np.empty(lead + (self.out_dim,))
         return out, np.empty_like(out), None if first else np.empty(lead + (self.in_dim,))
 
-    def forward_cached(self, x: np.ndarray, buffers: tuple) -> tuple[np.ndarray, tuple]:
-        out = dense_forward(self, x, buffers[0])
+    def forward_cached(self, arrays: list, x: np.ndarray, buffers: tuple) -> tuple[np.ndarray, tuple]:
+        out = dense_forward(self, arrays, x, buffers[0])
         return out, (x,) + buffers
 
-    def backward(self, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray | None:
+    def backward(self, arrays: list, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray | None:
         x, out, dz, d_in = cache
-        return dense_backward(self, x, out, d_out, grads, dz, d_in)
+        return dense_backward(self, arrays, x, out, d_out, grads, dz, d_in)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: list) -> dict:
+        weights, biases = arrays
         return {
             "type": "dense",
             "in_dim": self.in_dim,
             "out_dim": self.out_dim,
             "activation": self.activation,
-            "weights": self.weights.ravel().tolist(),
-            "biases": self.biases.tolist(),
+            "weights": weights.ravel().tolist(),
+            "biases": biases.tolist(),
         }
 
 
 def init_layer(
     in_dim: int, out_dim: int, rng: np.random.Generator, activation: str = "relu"
-) -> DenseLayer:
-    """Glorot-uniform weights in +/- sqrt(6/(in+out)) drawn from ``rng``
-    (a model draws all of its layers from one stream), zero biases."""
+) -> tuple[DenseLayer, list]:
+    """A layer and its arrays: Glorot-uniform weights in +/- sqrt(6/(in+out))
+    drawn from ``rng`` (a model draws all of its layers from one stream),
+    zero biases."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError("layer dimensions must be >= 1")
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-    return DenseLayer(weights, np.zeros(out_dim), activation)
+    return DenseLayer(in_dim, out_dim, activation), [weights, np.zeros(out_dim)]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, out=None) -> np.ndarray:
+def dense_forward(layer: DenseLayer, arrays: list, x: np.ndarray, out=None) -> np.ndarray:
     """The output for a float ``x`` [..., batch, in]: the pre-activation,
     written into ``out`` if given, then activated in place."""
-    z = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out)
-    z += layer.biases[..., np.newaxis, :]
+    weights, biases = arrays
+    z = np.matmul(x, weights.swapaxes(-1, -2), out=out)
+    z += biases[..., np.newaxis, :]
     return activate(layer.activation, z, z)
 
 
 def dense_backward(
-    layer: DenseLayer, x: np.ndarray, out: np.ndarray, d_out: np.ndarray, grads: list,
-    dz: np.ndarray, d_in: np.ndarray | None,
+    layer: DenseLayer, arrays: list, x: np.ndarray, out: np.ndarray, d_out: np.ndarray,
+    grads: list, dz: np.ndarray, d_in: np.ndarray | None,
 ) -> np.ndarray | None:
     """Chain-rule step for a [..., batch, in] input and the layer's output:
     writes d_out * f'(z) into ``dz``, (d_weights, d_biases), summed over the
@@ -156,7 +140,7 @@ def dense_backward(
     d_weights, d_biases = grads
     np.matmul(dz.swapaxes(-1, -2), x, out=d_weights)
     np.add.reduce(dz, axis=-2, out=d_biases)
-    return None if d_in is None else np.matmul(dz, layer.weights, out=d_in)
+    return None if d_in is None else np.matmul(dz, arrays[0], out=d_in)
 
 
 def bce_loss(prediction, label) -> np.ndarray:

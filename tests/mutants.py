@@ -45,16 +45,6 @@ TEST_DATA, TEST_SCENARIO = "tests/test_data.py", "tests/test_scenario.py"
 TEST_NN, TEST_QSIM = "tests/test_nn.py", "tests/test_qsim.py"
 TEST_MODEL, TEST_GRADCHECK, TEST_CLI = "tests/test_model.py", "tests/test_gradcheck.py", "tests/test_cli.py"
 
-# the hybrid probe's binding of the stack, from its cache to its check
-_BINDING = (
-    "        bindings = {}  # row count -> (the rows' address, the stack bound to them)\n"
-    "\n"
-    "        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:\n"
-    "            address = rows.__array_interface__[\"data\"][0]\n"
-    "            bound = bindings.get(len(rows))\n"
-    "            if bound is None or bound[0] != address:\n"
-)
-
 MUTANTS = [
     # vehicle codes
     Mutant(
@@ -142,12 +132,37 @@ MUTANTS = [
         (TEST_NN,),
     ),
     Mutant(
+        "learning-rate-zero-taken", NN,
+        "math.isfinite(self.learning_rate) and self.learning_rate > 0",
+        "math.isfinite(self.learning_rate) and self.learning_rate >= 0",
+        (TEST_CLI,),
+    ),
+    Mutant(
         "products-right-to-left", QSIM,
         "    out = slots.take(table[..., 0], axis=-1)\n"
         "    for k in range(1, table.shape[-1]):\n",
         "    out = slots.take(table[..., -1], axis=-1)\n"
         "    for k in range(table.shape[-1] - 2, -1, -1):\n",
         (TEST_QSIM,),
+    ),
+    # the parameter vector and its layout
+    Mutant(
+        "layout-offset-not-advanced", MODEL,
+        "                offset += math.prod(shape)\n",
+        "",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "run-groups-read-the-first-runs", MODEL,
+        "            [_forward_layers(model, model.params[start : start + group], h)\n",
+        "            [_forward_layers(model, model.params[:group], h)\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "plan-views-a-copy-of-params", MODEL,
+        "    return _views(model.params, model.layout), grad,",
+        "    return _views(model.params.copy(), model.layout), grad,",
+        (TEST_MODEL,),
     ),
     Mutant(
         "one-step-plan-for-every-batch-size", MODEL,
@@ -163,10 +178,9 @@ MUTANTS = [
         (TEST_GRADCHECK,),
     ),
     Mutant(
-        "stack-bound-once-for-all-draws", GRADCHECK,
-        _BINDING,
-        _BINDING.replace("bindings = {}", 'bindings = vars(check_hybrid_gradients).setdefault("bindings", {})')
-        .replace("if bound is None or bound[0] != address:", "if bound is None:"),
+        "probe-reads-its-rows-reversed", GRADCHECK,
+        "            for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):\n",
+        "            for layer, arrays in zip(net.layers, model_mod._views(rows[::-1], net.layout)):\n",
         (TEST_GRADCHECK,),
     ),
     # the command line

@@ -1,6 +1,7 @@
 """Model assembly, forward/predict semantics, training, serialization."""
 
 import copy
+import dataclasses
 import json
 import pickle
 import re
@@ -15,6 +16,11 @@ from hypothesis import strategies as st
 
 from qincident import model, nn, qsim
 from qincident.errors import DataError
+
+
+def views_of(net):
+    """Per layer, its arrays as views of ``net.params``."""
+    return model._views(net.params, net.layout)
 
 
 def zeroed(net):
@@ -58,9 +64,9 @@ class TestBuildModel:
 
     def test_quantum_weights_in_natural_domain(self):
         net = model.build_model(model.HybridModelConfig(kind="hybrid"), seed=1)
-        quantum = net.layers[3]
-        assert quantum.to_dict()["type"] == "quantum"
-        assert np.all((quantum.weights >= 0) & (quantum.weights < 2 * np.pi))
+        quantum, (weights,) = net.layers[3], views_of(net)[3]
+        assert quantum.to_dict([weights])["type"] == "quantum"
+        assert np.all((weights >= 0) & (weights < 2 * np.pi))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -120,12 +126,12 @@ class TestForward:
     @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
     def test_dense_layer_activates_in_place_with_the_two_array_bits(self, relu, runs):
         rng = np.random.default_rng(6)
-        layer = nn.DenseLayer(np.zeros((5, 4)), np.zeros(5), "relu" if relu else "sigmoid")
-        layer.weights, layer.biases = rng.normal(0, 30, runs + (5, 4)), rng.normal(0, 30, runs + (5,))
+        layer = nn.DenseLayer(4, 5, "relu" if relu else "sigmoid")
+        arrays = [rng.normal(0, 30, runs + (5, 4)), rng.normal(0, 30, runs + (5,))]
         x = rng.normal(size=(9, 4))
-        got = layer.forward(x)
-        assert got.tobytes() == nn.dense_forward(layer, x).tobytes()
-        assert got.tobytes() == reference_dense_forward(layer, x)[1].tobytes()
+        got = layer.forward(arrays, x)
+        assert got.tobytes() == nn.dense_forward(layer, arrays, x).tobytes()
+        assert got.tobytes() == reference_dense_forward(layer, arrays, x)[1].tobytes()
         assert np.isclose(got, 0.0).any() and (got > 0).any()  # both branches taken
 
 
@@ -210,10 +216,17 @@ class TestTrain:
         assert net.params.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
-    def test_layers_stay_views_of_params(self, kind):
+    def test_params_is_the_one_owner_of_the_trainable_numbers(self, kind):
         net = model.build_model(model.HybridModelConfig(kind=kind), seed=2)
         model.train(net, separable_rows(40), nn.TrainConfig(epochs=2, seed=2))
-        arrays = [getattr(layer, name) for layer in net.layers for name in layer.param_names]
+        # no layer holds an array, and params is the only array the model holds
+        for layer in net.layers:
+            fields = [getattr(layer, f.name) for f in dataclasses.fields(layer)]
+            assert not any(isinstance(value, np.ndarray) for value in fields)
+        assert [name for name, value in vars(net).items() if isinstance(value, np.ndarray)] == ["params"]
+        # the layout cuts params into the layers' arrays, in stack order
+        arrays = [a for entry in views_of(net) for a in entry]
+        assert [a.shape for a in arrays] == [shape for layer in net.layers for shape in layer.shapes]
         assert all(np.shares_memory(a, net.params) for a in arrays)
         assert sum(a.size for a in arrays) == net.params.size
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), net.params)
@@ -309,27 +322,18 @@ class TestPopulation:
         # 39 MiB measured for the 48 MiB budget; one stacked pass peaks at 390 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
 
-    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
-    def test_copy_keeps_the_run_axis_and_the_views(self, copier):
-        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=3)
-        twin = copier(population)
-        assert twin.params.shape == population.params.shape == (3, 2065)
-        arrays = [getattr(layer, name) for layer in twin.layers for name in layer.param_names]
-        assert all(a.shape[0] == 3 and np.shares_memory(a, twin.params) for a in arrays)
-        features = np.ones((2, 6))
-        assert model.forward(twin, features).tobytes() == model.forward(population, features).tobytes()
-
     def test_a_population_has_no_single_model_document(self):
         population = model.build_population(model.HybridModelConfig(kind="classical"), 0, n_runs=2)
         with pytest.raises(ValueError, match="population"):
             model.model_to_dict(population)
 
 
-def reference_dense_forward(layer, x):
+def reference_dense_forward(layer, arrays, x):
     """(pre-activation, output) of a dense layer in the earlier two-array
     form, which the in-place activation must match bit for bit."""
-    z = x @ layer.weights.swapaxes(-1, -2)
-    z += layer.biases[..., np.newaxis, :]
+    weights, biases = arrays
+    z = x @ weights.swapaxes(-1, -2)
+    z += biases[..., np.newaxis, :]
     if layer.activation == "relu":
         return z, np.maximum(z, 0.0)
     e = np.exp(-np.abs(z))
@@ -339,11 +343,11 @@ def reference_dense_forward(layer, x):
 def reference_forward(net, features):
     """The forward pass in that form, one stacked pass."""
     h = features
-    for layer in net.layers:
+    for layer, arrays in zip(net.layers, views_of(net)):
         if isinstance(layer, nn.DenseLayer):
-            h = reference_dense_forward(layer, h)[1]
+            h = reference_dense_forward(layer, arrays, h)[1]
         else:
-            h = qsim.forward_batch(h, layer.weights)
+            h = qsim.forward_batch(h, arrays[0])
     return h[..., 0]
 
 
@@ -352,29 +356,29 @@ def reference_loss_and_gradients(net, features, labels):
     made anew, each layer's gradient arrays are returned, the flat gradient
     is their concatenation in stack order, and every layer, the first too,
     makes its input gradient."""
-    h, caches = features, []
-    for layer in net.layers:
+    h, caches, views = features, [], views_of(net)
+    for layer, arrays in zip(net.layers, views):
         if isinstance(layer, nn.DenseLayer):
-            z, out = reference_dense_forward(layer, h)
+            z, out = reference_dense_forward(layer, arrays, h)
             caches.append((h, z))
         else:
-            out, d_inputs, d_weights = qsim.gradients_batch(h, layer.weights)
+            out, d_inputs, d_weights = qsim.gradients_batch(h, arrays[0])
             caches.append((d_inputs, d_weights))
         h = out
     probs = h[..., 0]
     loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
     d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
     grads_reversed = []
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+    for layer, arrays, cache in zip(reversed(net.layers), reversed(views), reversed(caches)):
         if isinstance(layer, nn.DenseLayer):
             x, z = cache
             if layer.activation == "relu":
                 dz = d_out * (z > 0)
             else:
-                s = reference_dense_forward(layer, x)[1]
+                s = reference_dense_forward(layer, arrays, x)[1]
                 dz = d_out * (s * (1.0 - s))
             grads = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2))
-            d_out = dz @ layer.weights
+            d_out = dz @ arrays[0]
         else:
             d_inputs, d_weights = cache
             grads = (np.einsum("...blij,...bj->...li", d_weights, d_out),)
@@ -458,7 +462,7 @@ class TestPlannedTraining:
 
     def test_the_first_layer_makes_no_input_gradient(self):
         net = model.build_model(CONFIGS[2], seed=0)
-        _, _, buffers = model._plan(net, (16,))
+        buffers = model._plan(net, (16,))[-1]
         assert buffers[0][2] is None
         for layer, layer_buffers in zip(net.layers[1:], buffers[1:]):
             if layer_buffers is not None:  # a dense layer
@@ -510,9 +514,9 @@ class TestGradients:
         rng = np.random.default_rng(8)
         feats = rng.uniform(0, 1, (5, 6))
         got = model.forward(net, feats)
-        h = feats
-        for layer in net.layers[:3] + net.layers[4:]:  # the dense layers
-            h = nn.dense_forward(layer, h)
+        h, views = feats, views_of(net)
+        for i in (0, 1, 2, 4, 5):  # the dense layers
+            h = nn.dense_forward(net.layers[i], views[i], h)
         np.testing.assert_allclose(got, h[:, 0], atol=1e-12)
 
 
@@ -553,13 +557,20 @@ class TestSerialization:
 
 class TestCopies:
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
-    def test_copy_keeps_layers_as_views_of_its_params(self, copier):
-        net = model.build_model(model.HybridModelConfig(kind="hybrid", n_qubits=2), seed=3)
+    @pytest.mark.parametrize("n_runs", [None, 3], ids=["model", "population"])
+    def test_a_copy_is_a_twin_that_owns_its_params(self, copier, n_runs):
+        config = model.HybridModelConfig(kind="hybrid", n_qubits=2)
+        net = model.build_model(config, 3) if n_runs is None else model.build_population(config, 3, n_runs)
         twin = copier(net)
-        assert np.array_equal(twin.params, net.params)
+        assert twin.params.shape == net.params.shape and not np.shares_memory(twin.params, net.params)
+        features = np.random.default_rng(3).uniform(0, 1, (9, 6))
+        assert model.forward(twin, features).tobytes() == model.forward(net, features).tobytes()
+        before = net.params.copy()
+        model.train(twin, separable_rows(20), nn.TrainConfig(epochs=1, seed=3))
+        assert twin.params.tobytes() != before.tobytes()
+        assert net.params.tobytes() == before.tobytes()
         twin.params[:] = 0.0
-        assert model.forward(twin, np.ones((1, 6))) == pytest.approx([0.5])
-        assert np.any(net.params != 0.0)
+        assert model.forward(twin, np.ones((1, 6))) == pytest.approx(0.5)
 
 
 class TestJsonDocument:
@@ -580,8 +591,8 @@ class TestJsonDocument:
         assert params.tobytes() == net.params.tobytes()
         for entry, layer in zip(doc["layers"], net.layers, strict=True):
             if entry["type"] == "dense":
-                assert (entry["out_dim"], entry["in_dim"]) == layer.weights.shape
+                assert (entry["out_dim"], entry["in_dim"]) == layer.shapes[0]
                 assert entry["activation"] == layer.activation
             else:
-                assert (entry["n_entangler_layers"], entry["n_qubits"]) == layer.weights.shape
+                assert (entry["n_entangler_layers"], entry["n_qubits"]) == layer.shapes[0]
         assert doc["config"]["kind"] == kind

@@ -58,43 +58,56 @@ class TestActivations:
             nn.activate("tanh", 0.0)
 
 
+def dense(weights, biases, activation="relu"):
+    """A dense layer and its arrays [weights, biases]."""
+    weights, biases = np.asarray(weights, dtype=float), np.asarray(biases, dtype=float)
+    return nn.DenseLayer(weights.shape[-1], weights.shape[-2], activation), [weights, biases]
+
+
 class TestDenseForward:
     def test_zero_layer_relu(self):
-        layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-        out = nn.dense_forward(layer, np.array([[1.0, -2.0]]))
+        layer, arrays = dense(np.zeros((3, 2)), np.zeros(3))
+        out = nn.dense_forward(layer, arrays, np.array([[1.0, -2.0]]))
         np.testing.assert_allclose(out, np.zeros((1, 3)))
 
     def test_identity_layer(self):
         # identity weights: relu passes the non-negative entries through
-        layer = nn.DenseLayer(np.eye(4), np.zeros(4), "relu")
+        layer, arrays = dense(np.eye(4), np.zeros(4))
         x = np.array([[1.0, -2.0, 3.0, 0.5]])
-        out = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, arrays, x)
         np.testing.assert_allclose(out, [[1.0, 0.0, 3.0, 0.5]])
 
     def test_hand_computed_case(self):
-        layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "relu")
-        out = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
+        layer, arrays = dense(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+        out = nn.dense_forward(layer, arrays, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[3.0, 7.0]])
 
     def test_writes_into_the_buffer_it_is_given(self):
-        layer = nn.DenseLayer(np.array([[1.0, 2.0], [-3.0, 4.0]]), np.zeros(2), "relu")
+        layer, arrays = dense(np.array([[1.0, 2.0], [-3.0, 4.0]]), np.zeros(2))
         buffer = np.full((1, 2), np.nan)
-        assert nn.dense_forward(layer, np.array([[1.0, 0.0]]), buffer) is buffer
+        assert nn.dense_forward(layer, arrays, np.array([[1.0, 0.0]]), buffer) is buffer
         np.testing.assert_array_equal(buffer, [[1.0, 0.0]])
 
     def test_dimension_mismatch(self):
-        layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
+        layer, arrays = dense(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            nn.dense_forward(layer, np.zeros((1, 4)))
+            nn.dense_forward(layer, arrays, np.zeros((1, 4)))
 
     def test_batched_matches_rows(self):
         rng = np.random.default_rng(0)
-        layer = nn.DenseLayer(rng.normal(size=(5, 3)), rng.normal(size=5), "relu")
+        layer, arrays = dense(rng.normal(size=(5, 3)), rng.normal(size=5))
         batch = rng.normal(size=(7, 3))
-        out = nn.dense_forward(layer, batch)
+        out = nn.dense_forward(layer, arrays, batch)
         for i, row in enumerate(batch):
-            single = nn.dense_forward(layer, row[np.newaxis])
+            single = nn.dense_forward(layer, arrays, row[np.newaxis])
             np.testing.assert_allclose(out[i], single[0], atol=1e-12)
+
+    def test_the_layer_is_a_description_of_its_arrays(self):
+        layer = nn.DenseLayer(4, 3, "sigmoid")
+        assert layer.shapes == ((3, 4), (3,))
+        assert layer.forward_bytes() == 8 * 3
+        with pytest.raises(AttributeError):
+            layer.out_dim = 5  # frozen
 
 
 class TestBceLoss:
@@ -126,10 +139,10 @@ class TestBceLoss:
                 assert nn.bce_grad(p, y) == pytest.approx(fd, rel=1e-5)
 
 
-def gradient_arrays(layer):
+def gradient_arrays(arrays):
     """(d_weights, d_biases) buffers for ``dense_backward``, filled with NaN
     so that an entry it leaves unwritten shows."""
-    return np.full(layer.weights.shape, np.nan), np.full(layer.biases.shape, np.nan)
+    return tuple(np.full(array.shape, np.nan) for array in arrays)
 
 
 def step_buffers(out, x):
@@ -140,92 +153,94 @@ def step_buffers(out, x):
 class TestDenseBackward:
     def test_zero_upstream_gradient(self):
         rng = np.random.default_rng(2)
-        layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
+        layer, arrays = dense(rng.normal(size=(3, 4)), rng.normal(size=3))
         x = rng.normal(size=(1, 4))
-        out = nn.dense_forward(layer, x)
-        d_w, d_b = gradient_arrays(layer)
-        d_x = nn.dense_backward(layer, x, out, np.zeros((1, 3)), (d_w, d_b), *step_buffers(out, x))
+        out = nn.dense_forward(layer, arrays, x)
+        d_w, d_b = gradient_arrays(arrays)
+        d_x = nn.dense_backward(layer, arrays, x, out, np.zeros((1, 3)), (d_w, d_b), *step_buffers(out, x))
         assert not np.any(d_w) and not np.any(d_b) and not np.any(d_x)
 
     def test_a_first_layer_makes_no_input_gradient(self):
         rng = np.random.default_rng(2)
-        layer = nn.DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu")
+        layer, arrays = dense(rng.normal(size=(3, 4)), rng.normal(size=3))
         x = rng.normal(size=(2, 4))
-        out = nn.dense_forward(layer, x)
-        d_w, d_b = gradient_arrays(layer)
+        out = nn.dense_forward(layer, arrays, x)
+        d_w, d_b = gradient_arrays(arrays)
         dz, _ = step_buffers(out, x)
-        assert nn.dense_backward(layer, x, out, np.ones((2, 3)), (d_w, d_b), dz, None) is None
+        assert nn.dense_backward(layer, arrays, x, out, np.ones((2, 3)), (d_w, d_b), dz, None) is None
         np.testing.assert_array_equal(dz, out > 0)
         assert not np.isnan(d_w).any() and not np.isnan(d_b).any()
 
     def test_writes_into_strided_views_of_a_population_gradient(self):
         # two runs' [3, 4] weights and [3] biases as views of a [2, 15] vector
         rng = np.random.default_rng(4)
-        layer = nn.DenseLayer(np.zeros((3, 4)), np.zeros(3), "relu")
-        layer.weights, layer.biases = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
+        layer, arrays = dense(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3)))
         x = rng.normal(size=(5, 4))
-        out = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, arrays, x)
         d_out = rng.normal(size=(2, 5, 3))
         flat = np.full((2, 15), np.nan)
         d_w, d_b = flat[:, :12].reshape(2, 3, 4), flat[:, 12:]
-        d_x = nn.dense_backward(layer, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
+        d_x = nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
         dz = d_out * (out > 0)
         np.testing.assert_array_equal(d_w, dz.swapaxes(-1, -2) @ x)
         np.testing.assert_array_equal(d_b, dz.sum(axis=-2))
-        np.testing.assert_array_equal(d_x, dz @ layer.weights)
+        np.testing.assert_array_equal(d_x, dz @ arrays[0])
         assert np.shares_memory(d_w, flat) and not np.isnan(flat).any()
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
     def test_single_layer_finite_difference(self, activation):
         rng = np.random.default_rng(3)
-        layer = nn.DenseLayer(rng.normal(size=(1, 4)), rng.normal(size=1), activation)
+        layer, arrays = dense(rng.normal(size=(1, 4)), rng.normal(size=1), activation)
+        weights = arrays[0]
         x = rng.normal(size=(1, 4)) + 0.1  # keep relu units away from the kink
         label = 1.0
 
         def loss():
-            out = nn.dense_forward(layer, x)
+            out = nn.dense_forward(layer, arrays, x)
             prob = out[0, 0] if activation == "sigmoid" else nn.activate("sigmoid", out[0, 0])
             return float(nn.bce_loss(prob, label))
 
-        out = nn.dense_forward(layer, x)
+        out = nn.dense_forward(layer, arrays, x)
         prob = out[0, 0] if activation == "sigmoid" else float(nn.activate("sigmoid", out[0, 0]))
         d_prob = nn.bce_grad(prob, label)
         if activation == "sigmoid":
             d_out = np.array([[d_prob]])
         else:
             d_out = np.array([[d_prob * prob * (1 - prob)]])
-        d_w, d_b = gradient_arrays(layer)
-        nn.dense_backward(layer, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
+        d_w, d_b = gradient_arrays(arrays)
+        nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
 
         h = 1e-6
-        for idx in np.ndindex(layer.weights.shape):
-            layer.weights[idx] += h
+        for idx in np.ndindex(weights.shape):
+            weights[idx] += h
             up = loss()
-            layer.weights[idx] -= 2 * h
+            weights[idx] -= 2 * h
             down = loss()
-            layer.weights[idx] += h
+            weights[idx] += h
             fd = (up - down) / (2 * h)
             assert d_w[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestInitLayer:
     def test_deterministic(self):
-        a = nn.init_layer(6, 48, np.random.default_rng(9))
-        b = nn.init_layer(6, 48, np.random.default_rng(9))
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.biases, b.biases)
+        layer_a, (w_a, b_a) = nn.init_layer(6, 48, np.random.default_rng(9))
+        layer_b, (w_b, b_b) = nn.init_layer(6, 48, np.random.default_rng(9))
+        assert layer_a == layer_b == nn.DenseLayer(6, 48, "relu")
+        assert np.array_equal(w_a, w_b)
+        assert np.array_equal(b_a, b_b)
 
     def test_bound_and_zero_bias(self):
-        layer = nn.init_layer(10, 20, np.random.default_rng(0))
+        layer, (weights, biases) = nn.init_layer(10, 20, np.random.default_rng(0))
         limit = np.sqrt(6.0 / 30.0)
-        assert np.all(np.abs(layer.weights) <= limit)
-        assert not np.any(layer.biases)
+        assert (weights.shape, biases.shape) == layer.shapes == ((20, 10), (20,))
+        assert np.all(np.abs(weights) <= limit)
+        assert not np.any(biases)
 
     def test_mean_near_zero(self):
-        layer = nn.init_layer(100, 100, np.random.default_rng(4))  # 10^4 draws
+        _, (weights, _) = nn.init_layer(100, 100, np.random.default_rng(4))  # 10^4 draws
         limit = np.sqrt(6.0 / 200.0)
         sigma = limit / np.sqrt(3.0)
-        assert abs(layer.weights.mean()) <= 3 * sigma / 100.0
+        assert abs(weights.mean()) <= 3 * sigma / 100.0
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):

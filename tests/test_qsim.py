@@ -163,7 +163,8 @@ class TestSpecValidation:
 
     def test_random_params_shape_and_range(self):
         config = model.HybridModelConfig(kind="hybrid", n_qubits=4, n_entangler_layers=3)
-        weights = model.build_model(config, seed=0).layers[3].weights
+        net = model.build_model(config, seed=0)
+        (weights,) = model._views(net.params, net.layout)[3]
         assert weights.shape == (3, 4)
         assert np.all((weights >= 0) & (weights < 2 * np.pi))
 
