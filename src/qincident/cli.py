@@ -53,6 +53,16 @@ _VALUE_TYPES = {
 # n_incidents None means auto
 _MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
+# The most runs an experiment may ask for: the runs of a split train and
+# predict as one population, so its memory grows with ``n_runs``.  The cap
+# is the largest power of two whose experiment on the default corridor
+# stayed under 1 GiB: DS-1, DS-2 and DS-3 with one model and one epoch
+# peak at 107, 518 and 957 MiB for 64, 512 and 1024 runs, about 0.9 MiB a
+# run, most of it the predictions over DS-2's 55,000 test rows; for 1024
+# runs, DS-3 with classical and hybrid-4q peaks at 215 MiB and a 2-zone,
+# 30 s corridor at 193 MiB.  A larger corridor costs more a run.
+MAX_RUNS = 1024
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,7 +89,8 @@ class ExperimentConfig:
         self.models = tuple(self.models)
         if not self.splits or any(s not in SPLIT_NAMES for s in self.splits):
             raise ConfigError(f"splits must be a non-empty subset of {SPLIT_NAMES}")
-        if not self.models or any(m not in MODELS for m in self.models):
+        # a name that is not a string could not be looked up in MODELS
+        if not self.models or any(not isinstance(m, str) or m not in MODELS for m in self.models):
             raise ConfigError(f"models must be a non-empty subset of {tuple(MODELS)}")
         for name in ("splits", "models"):
             names = getattr(self, name)
@@ -90,6 +101,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if self.n_runs > MAX_RUNS:
+            raise ConfigError(f"n_runs must be <= {MAX_RUNS} (cli.MAX_RUNS), got {self.n_runs}")
         if self.schedule_path is not None and self.n_incidents is not None:
             raise ConfigError(
                 "schedule_path and n_incidents are exclusive: a schedule file fixes the incidents"
@@ -175,6 +188,7 @@ def cmd_features(args) -> int:
         )
     _corridor(n_zones, duration_s, events=events, path=args.schedule)
     table = data.build_dataset(records, events, n_zones, args.bucket, duration_s)
+    del records  # not held while the table is written
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0
     print(f"wrote {args.out}: {len(table)} rows, prevalence {prevalence:.4f}")

@@ -178,14 +178,21 @@ def aggregate(
     key += zones
     key *= duration
     key += times
-    _, first = np.unique(key, return_index=True)
-    cell = zones[first] * duration + times[first]
-    grids = np.stack(
-        [
-            np.bincount(cell, minlength=grid_size).astype(float),
-            np.bincount(cell, weights=records.speed[first], minlength=grid_size),
-        ]
-    ).reshape(2, n_zones, duration)
+    order, new = _sorted_runs(key)
+    del key
+    first = order[new]
+    del order, new
+    speed = records.speed[first]
+    # each kept record's cell overwrites its index, a block at a time
+    cell = first
+    for start in range(0, len(cell), _SORTED_BLOCK):
+        kept = cell[start : start + _SORTED_BLOCK]
+        kept[:] = zones[kept] * duration + times[kept]
+    grids = np.empty((2, grid_size))
+    grids[0] = np.bincount(cell, minlength=grid_size)
+    grids[1] = np.bincount(cell, weights=speed, minlength=grid_size)
+    del cell, speed
+    grids = grids.reshape(2, n_zones, duration)
 
     starts = np.arange(0, duration, bucket_seconds)
     sums = np.empty((2, len(starts), n_zones))
@@ -299,25 +306,36 @@ _BLOCK_BYTES = 1 << 20
 
 _INT64 = np.iinfo(np.int64)
 
-# sorted neighbours ``_id_codes`` compares at once
-_ID_BLOCK = 1 << 14
+# sorted neighbours ``_sorted_runs`` compares at once
+_SORTED_BLOCK = 1 << 14
+
+
+def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new): the stable argsort of ``values`` and, per sorted
+    position, whether its value differs from the one before (the first
+    always does), so ``order[new]`` indexes each distinct value's first
+    occurrence, as ``np.unique(values, return_index=True)`` gives.  The sort
+    is stable, so it runs fast on values that come partly in order, as
+    written records do.  Neighbours in sorted order are gathered
+    ``_SORTED_BLOCK`` at a time, so no sorted copy of ``values`` is made."""
+    order = np.argsort(values, kind="stable")
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    for start in range(0, len(values) - 1, _SORTED_BLOCK):
+        ordered = values[order[start : start + _SORTED_BLOCK + 1]]
+        new[start + 1 : start + _SORTED_BLOCK + 1] = ordered[1:] != ordered[:-1]
+    return order, new
 
 
 def _id_codes(ids: np.ndarray) -> np.ndarray:
     """Each id's rank among the distinct ids, as int64: the inverse that
-    ``np.unique(ids, return_inverse=True)`` gives.  The sort is stable, so it
-    runs fast on ids that come partly in order, as written records do.
-    Neighbours in sorted order are gathered ``_ID_BLOCK`` at a time, so no
-    sorted copy of the ids is made."""
-    order = np.argsort(ids, kind="stable")
-    # changed[i]: the id at sorted position i + 1 differs from the one before
-    changed = np.empty(max(len(ids) - 1, 0), dtype=bool)
-    for start in range(0, len(changed), _ID_BLOCK):
-        ordered = ids[order[start : start + _ID_BLOCK + 1]]
-        changed[start : start + _ID_BLOCK] = ordered[1:] != ordered[:-1]
-    codes = np.zeros(len(ids), dtype=np.int64)
+    ``np.unique(ids, return_inverse=True)`` gives (``_sorted_runs``)."""
+    order, new = _sorted_runs(ids)
+    codes = np.empty(len(ids), dtype=np.int64)
     # the first id in sorted order has rank 0; each change of id adds one
-    codes[order[1:]] = np.cumsum(changed)
+    ranks = np.cumsum(new)
+    ranks -= 1
+    codes[order] = ranks
     return codes
 
 

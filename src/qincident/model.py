@@ -105,8 +105,9 @@ class QuantumLayer:
         return _QUANTUM_FORWARD(x, arrays[0])
 
     def forward_bytes(self) -> int:
-        """The bytes ``forward`` holds per row (``qsim.forward_bytes``)."""
-        return qsim.forward_bytes(self.n_qubits, self.n_entangler_layers)
+        """The bytes ``forward`` holds per row: its input and what
+        ``qsim.forward_bytes`` counts."""
+        return 8 * self.n_qubits + qsim.forward_bytes(self.n_qubits, self.n_entangler_layers)
 
     def plan(self, lead: tuple, first: bool) -> None:
         """No buffers: the kernels make their own arrays."""
@@ -200,14 +201,17 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
 
 
 # A stacked forward pass goes one group of runs at a time, so that no layer
-# holds more than this for a group (each layer's ``forward_bytes`` a
-# run-row).  The dense stacks' widest layer (48 units) makes 384 bytes a
-# run-row, so they keep groups of 131,072 run-rows.  At the term cap (n=6,
-# L=3) the quantum layer counts 6,600 bytes a run-row (6,790 measured by
-# tracemalloc), so a group takes about 7,600 run-rows; a training step's
-# gradients, which are not grouped, take about 164 KiB a run-row there,
-# 77 MiB for 30 runs at batch 16.
-_FORWARD_BYTES = 48 << 20
+# holds more than this for a group: its input and its output, each layer's
+# ``forward_bytes`` a run-row.  The dense stacks' widest pass (48 -> 32
+# units) holds 640 bytes a run-row, so they keep groups of 19,660 run-rows:
+# the 30-run DS-3 prediction over 1,250 rows goes in two groups of 15 runs
+# and peaks at 11.7 MiB (tracemalloc), where one pass of all 30 peaked at
+# 23.0 MiB.  At the term cap (n=6, L=3) the quantum layer counts 6,648
+# bytes a run-row (about 6,680 measured over 2,048 rows), so a group takes
+# about 1,890 run-rows, and a run of more rows goes alone: 2,048 rows peak
+# at 13.5 MiB.  A training step's gradients, which are not grouped, take
+# about 164 KiB a run-row there, 77 MiB for 30 runs at batch 16.
+_FORWARD_BYTES = 12 << 20
 
 
 def _forward_layers(model: Model, params: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -75,9 +75,9 @@ class DenseLayer:
         return dense_forward(self, arrays, x)
 
     def forward_bytes(self) -> int:
-        """The bytes ``forward`` makes per row: the output, activated in
-        place."""
-        return 8 * self.out_dim
+        """The bytes ``forward`` holds per row: its input and its output,
+        activated in place."""
+        return 8 * (self.in_dim + self.out_dim)
 
     def plan(self, lead: tuple, first: bool) -> tuple:
         """A training step's buffers for rows of leading shape ``lead``: the

@@ -54,10 +54,10 @@ EARLY_QUOTA = 8
 # default 56-zone, 1250 s corridor: every per-cell grid is sized from the
 # config, so a larger corridor is refused before anything is allocated.  The
 # cap was set as the largest power of two whose peak RSS stayed under 1 GiB.
-# ``gen`` peaks at 110, 184 and 330 MiB for 2**18, 2**19 and 2**20 cells
-# (256, 512 and 1024 zones x 1024 s, the last under ``ulimit -v`` 1 GiB),
-# about 0.29 KiB a cell; ``features`` at 115, 200 and 370 MiB, about
-# 0.33 KiB a cell.  2**21 cells would fit in about 710 MiB; the cap is kept.
+# ``gen`` peaks at 82, 127 and 226 MiB for 2**18, 2**19 and 2**20 cells
+# (256, 512 and 1024 zones x 1024 s, each under ``ulimit -v`` 1 GiB),
+# about 0.22 KiB a cell; ``features`` at 102, 170 and 281 MiB, about
+# 0.27 KiB a cell.  2**21 cells would fit in about 500 MiB; the cap is kept.
 MAX_CELLS = 2**20
 
 
@@ -158,17 +158,21 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     before "2"), so each cell sums its speeds in the order that ids
     ``v{zone:02d}-{time}-{ordinal}`` would sort in.
     """
-    speed_mean, rate = _zone_profiles(config)
-    counts, speeds = _draw(config.seed, speed_mean, rate)
-    n_zones, duration = counts.shape
+    counts, speeds = _draw(config.seed, *_zone_profiles(config))
+    n_zones = counts.shape[0]
+    most = int(counts.max())
     # time-major cell t * n_zones + z holds the records of (t, z)
     cell_counts = counts.T.ravel()
-    times = np.repeat(np.arange(duration), counts.sum(axis=0))
-    zones = np.repeat(np.tile(np.arange(n_zones), duration), cell_counts)
-    codes = np.repeat(np.cumsum(cell_counts) - cell_counts, cell_counts)
-    ordinals = np.arange(len(speeds))
-    ordinals -= codes
-    codes += _ordinal_ranks(int(counts.max()))[np.repeat(cell_counts, cell_counts), ordinals]
+    cell_starts = np.cumsum(cell_counts) - cell_counts
+    cells = np.repeat(np.arange(len(cell_counts)), cell_counts)
+    # record i of a cell has ordinal i - start, whose rank sits at row
+    # count, column ordinal of the ranks: flat index count * most + i - start
+    codes = (cell_counts * most - cell_starts)[cells]
+    codes += np.arange(len(codes))
+    codes = _ordinal_ranks(most).ravel()[codes]
+    codes += cell_starts[cells]
+    # the zones overwrite the cells
+    times, zones = np.divmod(cells, n_zones, out=(np.empty_like(cells), cells))
     return data.Records(times, codes, zones, speeds), list(config.incidents or ())
 
 

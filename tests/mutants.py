@@ -61,16 +61,28 @@ MUTANTS = [
     ),
     Mutant(
         "id-codes-by-first-appearance", DATA,
-        "    codes[order[1:]] = np.cumsum(changed)\n    return codes\n",
-        "    codes[order[1:]] = np.cumsum(changed)\n"
+        "    codes[order] = ranks\n    return codes\n",
+        "    codes[order] = ranks\n"
         "    return np.unique(codes, return_index=True)[1].argsort().argsort()[codes]\n",
         (TEST_DATA,),
     ),
     Mutant(
         "aggregate-sums-in-record-order", DATA,
-        "    _, first = np.unique(key, return_index=True)\n",
-        "    first = np.sort(np.unique(key, return_index=True)[1])\n",
+        "    first = order[new]\n",
+        "    first = np.sort(order[new])\n",
         (TEST_DATA,),
+    ),
+    Mutant(
+        "aggregate-keeps-the-last-duplicate", DATA,
+        "    first = order[new]\n",
+        "    first = order[np.append(new[1:], True)]\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "generate-swaps-times-and-zones", SCENARIO,
+        "    times, zones = np.divmod(cells, n_zones,",
+        "    zones, times = np.divmod(cells, n_zones,",
+        (TEST_SCENARIO,),
     ),
     Mutant(
         "negative-codes-taken", DATA,
@@ -153,6 +165,12 @@ MUTANTS = [
         (TEST_MODEL,),
     ),
     Mutant(
+        "forward-budget-counts-only-outputs", NN,
+        "        return 8 * (self.in_dim + self.out_dim)\n",
+        "        return 8 * self.out_dim\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
         "run-groups-read-the-first-runs", MODEL,
         "            [_forward_layers(model, model.params[start : start + group], h)\n",
         "            [_forward_layers(model, model.params[:group], h)\n",
@@ -185,6 +203,12 @@ MUTANTS = [
     ),
     # the command line
     Mutant(
+        "runs-above-the-cap-taken", CLI,
+        "        if self.n_runs > MAX_RUNS:\n",
+        "        if self.n_runs > MAX_RUNS + 1:\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
         "parse-error-exits-1", CLI,
         "    except (ParseError, FormatError, OSError) as exc:\n",
         "    except (FormatError, OSError) as exc:\n",
@@ -209,7 +233,8 @@ def run(mutants: list[Mutant], work: Path) -> dict[str, list[str]]:
         started = time.perf_counter()
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--hypothesis-seed=0", *mutant.tests],
                 cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
         finally:

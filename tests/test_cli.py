@@ -702,7 +702,8 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "key, value",
         [("n_runs", "3"), ("zones", "8"), ("epochs", 2.0),
-         ("learning_rate", "0.1"), ("ds3_duration_s", "1500"), ("schedule_path", 1), ("splits", "DS-1")],
+         ("learning_rate", "0.1"), ("ds3_duration_s", "1500"), ("schedule_path", 1), ("splits", "DS-1"),
+         ("splits", [["DS-1"]]), ("models", [["classical"]]), ("models", [{}])],
     )
     def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys, key, value):
         config_path = tmp_path / "config.json"
@@ -785,6 +786,23 @@ class TestExperiment:
         code = run_cli(["experiment", "--config", str(config_path), "--out", str(out)])
         assert code == cli.EXIT_FAIL
         assert f"error: {key} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config file", "flag"])
+    def test_runs_above_the_cap_exit_1_before_any_output(self, tmp_path, capsys, where):
+        # one run above the cap: were the cap not checked, the experiment
+        # would run on the 2-zone, 30 s corridor in a few hundred MiB
+        out, runs = tmp_path / "exp", cli.MAX_RUNS + 1
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "zones": 2, "duration_s": 30, "splits": ["DS-1"], "models": ["classical"],
+            "n_runs": runs if where == "config file" else 1, "epochs": 1, "out_dir": str(out),
+        }))
+        argv = ["experiment", "--config", str(config_path)]
+        if where == "flag":
+            argv += ["--runs", str(runs)]
+        assert run_cli(argv) == cli.EXIT_FAIL
+        assert capsys.readouterr().err == f"error: n_runs must be <= {runs - 1} (cli.MAX_RUNS), got {runs}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -98,6 +98,23 @@ class TestAggregate:
         speed = data.aggregate(recs, 1, 1, 1)[1]
         assert speed[0, 0] == (1.0 + 1.0 + 1e16) / 3 != (1e16 + 1.0 + 1.0) / 3
 
+    @pytest.mark.parametrize("block", [1, 2, 5, data._SORTED_BLOCK])
+    def test_first_observations_at_block_edges_match_np_unique(self, monkeypatch, block):
+        monkeypatch.setattr(data, "_SORTED_BLOCK", block)
+        rng = np.random.default_rng(4)
+        n = 60  # about three observations of each (vehicle, zone, second)
+        recs = records(*zip(rng.integers(0, 3, n), rng.integers(0, 3, n), rng.integers(0, 2, n),
+                            rng.uniform(0, 30, n)))
+        key = (recs.vehicle_id * 2 + recs.zone) * 3 + recs.time
+        first = np.unique(key, return_index=True)[1]
+        cell = recs.zone[first] * 3 + recs.time[first]
+        count = np.bincount(cell, minlength=6).reshape(2, 3).T
+        speed_sum = np.bincount(cell, weights=recs.speed[first], minlength=6).reshape(2, 3).T
+        _, speed, got = data.aggregate(recs, 1, 2, 3)
+        assert got.tobytes() == count.astype(float).tobytes()
+        want = np.where(count > 0, speed_sum / np.maximum(count, 1), data.EMPTY_SPEED_FILL)
+        assert speed.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_zones, duration", [(1, 2), (3, 7), (56, 1250)])
     def test_codes_that_overflow_the_key_are_refused(self, n_zones, duration):
         cells = n_zones * duration
@@ -125,13 +142,13 @@ class TestAggregate:
     def test_id_codes_over_more_rows_than_one_block(self):
         rng = np.random.default_rng(2)
         pool = np.array([f"v{z:02d}-{t}-{o}" for z in range(40) for t in range(30) for o in range(3)])
-        ids = pool[rng.integers(0, len(pool), 2 * data._ID_BLOCK + 7)]  # every id drawn ~9 times
+        ids = pool[rng.integers(0, len(pool), 2 * data._SORTED_BLOCK + 7)]  # every id drawn ~9 times
         codes = data._id_codes(ids)
         np.testing.assert_array_equal(codes, np.unique(ids, return_inverse=True)[1])
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_id_codes_at_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(data, "_ID_BLOCK", block)
+        monkeypatch.setattr(data, "_SORTED_BLOCK", block)
         ids = np.array(["b", "a", "b", "", "c", "a", "a", "ab", "b", "c", "", "a"])
         for n in range(len(ids) + 1):
             want = np.unique(ids[:n], return_inverse=True)[1]

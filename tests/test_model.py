@@ -293,10 +293,20 @@ class TestPopulation:
         population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=5)
         features = np.random.default_rng(0).uniform(0, 1, (9, 6))
         whole = model.forward(population, features)
-        # the widest dense layer makes 384 bytes a run-row: two runs of 9 rows per pass
-        assert max(layer.forward_bytes() for layer in population.layers) == 384
-        monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 384)
+        # the widest pass (48 -> 32 units) holds its input and its output,
+        # 640 bytes a run-row: two runs of 9 rows per pass
+        assert max(layer.forward_bytes() for layer in population.layers) == 640
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 640)
+        groups = []
+        forward_layers = model._forward_layers
+
+        def recording(net, params, h):
+            groups.append(len(params))
+            return forward_layers(net, params, h)
+
+        monkeypatch.setattr(model, "_forward_layers", recording)
         assert model.forward(population, features).tobytes() == whole.tobytes()
+        assert groups == [2, 2, 1]
 
     def test_forward_at_the_term_cap_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
         config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
@@ -319,8 +329,25 @@ class TestPopulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 39 MiB measured for the 48 MiB budget; one stacked pass peaks at 390 MiB
+        # 13.5 MiB measured for the 12 MiB budget, where one run of 2,048 rows
+        # exceeds it and goes alone; one stacked pass peaks at 390 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
+
+    @pytest.mark.parametrize("kind", ["classical", "hybrid"])
+    def test_the_30_run_ds3_prediction_goes_in_groups_within_the_budget(self, kind):
+        population = model.build_population(model.HybridModelConfig(kind=kind), 0, n_runs=30)
+        features = np.random.default_rng(3).uniform(0, 1, (1250, 6))  # the DS-3 test rows
+        one_pass = 30 * 1250 * max(layer.forward_bytes() for layer in population.layers)
+        assert model._FORWARD_BYTES < one_pass  # more than one group
+        tracemalloc.start()
+        try:
+            model.forward(population, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 11.7 MiB measured for the 12 MiB budget; one pass of all 30 runs
+        # peaked at 23.0 MiB
+        assert peak < 1.1 * model._FORWARD_BYTES
 
     def test_a_population_has_no_single_model_document(self):
         population = model.build_population(model.HybridModelConfig(kind="classical"), 0, n_runs=2)

@@ -105,7 +105,7 @@ class TestDenseForward:
     def test_the_layer_is_a_description_of_its_arrays(self):
         layer = nn.DenseLayer(4, 3, "sigmoid")
         assert layer.shapes == ((3, 4), (3,))
-        assert layer.forward_bytes() == 8 * 3
+        assert layer.forward_bytes() == 8 * (4 + 3)  # the input and the output
         with pytest.raises(AttributeError):
             layer.out_dim = 5  # frozen
 
