@@ -53,14 +53,12 @@ _VALUE_TYPES = {
 # n_incidents None means auto
 _MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
-# The most runs an experiment may ask for: the runs of a split train and
-# predict as one population, so its memory grows with ``n_runs``.  The cap
-# is the largest power of two whose experiment on the default corridor
-# stayed under 1 GiB: DS-1, DS-2 and DS-3 with one model and one epoch
-# peak at 107, 518 and 957 MiB for 64, 512 and 1024 runs, about 0.9 MiB a
-# run, most of it the predictions over DS-2's 55,000 test rows; for 1024
-# runs, DS-3 with classical and hybrid-4q peaks at 215 MiB and a 2-zone,
-# 30 s corridor at 193 MiB.  A larger corridor costs more a run.
+# The most runs an experiment may ask for: a split's runs train as one
+# population, so its parameters, Adam state and step buffers grow with
+# ``n_runs``; predictions go one run group at a time.  On the default
+# corridor, DS-1, DS-2 and DS-3 (one model, one epoch) peak at 86, 133 and
+# 211 MiB for 64, 512 and 1024 runs, 0.13 MiB a run; at 1024 runs, DS-3 with
+# classical and hybrid-4q peaks at 213 MiB, a 2-zone 30 s corridor 193 MiB.
 MAX_RUNS = 1024
 
 

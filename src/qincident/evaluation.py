@@ -121,20 +121,21 @@ def run_experiment(
 
     The runs train as one population, each with its own seed for both
     initialization and training (``train_config.seed`` is replaced), and
-    each run's confusion counts come from its own row of predictions.
+    each run's confusion counts come from its row of its group's predictions.
     """
     population = model_mod.build_population(model_config, base_seed, n_runs)
     model_mod.train(
         population, (split.train_x, split.train_y), dc_replace(train_config, seed=base_seed)
     )
-    predictions = model_mod.predict(population, split.test_x)
     return RunAggregate(
         model_label=model_config.label,
         split_name=split.name,
         train_size=len(split.train_y),
         test_size=len(split.test_y),
         base_seed=base_seed,
-        per_run=[metrics(confusion(row, split.test_y)) for row in predictions],
+        per_run=[metrics(confusion(row, split.test_y))
+                 for group in model_mod.run_groups(population, len(split.test_y))
+                 for row in model_mod.predict(group, split.test_x)],
     )
 
 

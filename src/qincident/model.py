@@ -41,7 +41,9 @@ the same order, so only the initial parameters differ.  Run r is bit for
 bit the model ``build_model(config, seed + r)`` trained with seed + r.  A
 single model is the same code with no run axis: ``train``,
 ``loss_and_gradients``, ``forward`` and ``predict`` serve both, and their
-per-run results carry the model's run axis, (R, ...) for a population.
+per-run results carry the model's run axis, (R, ...) for a population;
+``train``'s accuracy pass and ``evaluation.run_experiment`` reduce one run
+group (``run_groups``) at a time, so no [R, rows] array outlives its group.
 """
 
 from __future__ import annotations
@@ -200,25 +202,30 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     return Model(config, members[0].layers, np.stack([m.params for m in members]), seed)
 
 
-# A stacked forward pass goes one group of runs at a time, so that no layer
-# holds more than this for a group: its input and its output, each layer's
-# ``forward_bytes`` a run-row.  The dense stacks' widest pass (48 -> 32
-# units) holds 640 bytes a run-row, so they keep groups of 19,660 run-rows:
-# the 30-run DS-3 prediction over 1,250 rows goes in two groups of 15 runs
-# and peaks at 11.7 MiB (tracemalloc), where one pass of all 30 peaked at
-# 23.0 MiB.  At the term cap (n=6, L=3) the quantum layer counts 6,648
-# bytes a run-row (about 6,680 measured over 2,048 rows), so a group takes
-# about 1,890 run-rows, and a run of more rows goes alone: 2,048 rows peak
-# at 13.5 MiB.  A training step's gradients, which are not grouped, take
-# about 164 KiB a run-row there, 77 MiB for 30 runs at batch 16.
+# ``run_groups`` sizes a population's groups so that no layer of a group's
+# forward pass holds more than this: its input and output, ``forward_bytes``
+# a run-row.  The dense stacks' widest pass (48 -> 32 units) holds 640 bytes
+# a run-row, so they keep groups of 19,660 run-rows: the 30-run DS-3
+# prediction over 1,250 rows goes in two groups of 15 runs and peaks at
+# 11.7 MiB (tracemalloc), where one pass of all 30 peaked at 23.0 MiB.  At
+# the term cap (n=6, L=3) the quantum layer counts 6,648 bytes a run-row
+# (about 6,680 measured over 2,048 rows), so a group takes about 1,890
+# run-rows, and a run of more rows goes alone: 2,048 rows peak at 14.2 MiB.
+# A training step's gradients, which are not grouped, take about 164 KiB a
+# run-row there, 77 MiB for 30 runs at batch 16.
 _FORWARD_BYTES = 12 << 20
 
 
-def _forward_layers(model: Model, params: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The stack's outputs for the parameter vectors ``params`` [..., P]."""
-    for layer, arrays in zip(model.layers, _views(params, model.layout)):
-        h = layer.forward(arrays, h)
-    return h[..., 0]
+def run_groups(model: Model, n_rows: int) -> list[Model]:
+    """The runs of ``model`` in groups that pass ``n_rows`` rows within
+    ``_FORWARD_BYTES``: each a ``Model`` over a view of its runs' ``params``
+    with its first run's seed.  A single model is its own one group."""
+    if model.params.ndim == 1:
+        return [model]
+    run_bytes = max(layer.forward_bytes() for layer in model.layers) * max(1, n_rows)
+    group = max(1, _FORWARD_BYTES // run_bytes)
+    return [Model(model.config, model.layers, model.params[start : start + group], model.seed + start)
+            for start in range(0, len(model.params), group)]
 
 
 def _feature_rows(features) -> np.ndarray:
@@ -240,16 +247,9 @@ def forward(model: Model, features) -> np.ndarray:
     one model, [R, B] for a population.  A non-finite output raises
     ``DataError`` naming the row and the seed of the run."""
     h = _feature_rows(features)
-    runs = model.params.shape[:-1]
-    run_bytes = max(layer.forward_bytes() for layer in model.layers) * max(1, len(h))
-    group = max(1, _FORWARD_BYTES // run_bytes)
-    if not runs or runs[0] <= group:
-        probs = _forward_layers(model, model.params, h)
-    else:
-        probs = np.concatenate(
-            [_forward_layers(model, model.params[start : start + group], h)
-             for start in range(0, runs[0], group)]
-        )
+    for layer, arrays in zip(model.layers, _views(model.params, model.layout)):
+        h = layer.forward(arrays, h)
+    probs = h[..., 0]
     bad = np.argwhere(~np.isfinite(probs))
     if len(bad):
         *run, row = bad[0]
@@ -333,7 +333,7 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
         )
     if n_rows == 0:
         raise ValueError("training set is empty")
-    runs = model.params.shape[:-1]
+    runs, positive = model.params.shape[:-1], labels > 0.5
     seeds = config.seed + np.arange(math.prod(runs))
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     n_batches = math.ceil(n_rows / config.batch_size)
@@ -358,11 +358,12 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
             running += loss * len(y)
         loss_history.append(running / n_rows)
         try:
-            probs = forward(model, features)
+            correct = [np.count_nonzero(predict(group, features) == positive, axis=-1)
+                       for group in run_groups(model, n_rows)]
         except DataError as exc:
             raise DataError(f"training diverged by the end of epoch {epoch + 1}/{config.epochs}: "
                             f"{exc}") from None
-        accuracy_history.append(np.mean((probs >= OUTPUT_THRESHOLD) == (labels > 0.5), axis=-1))
+        accuracy_history.append(np.hstack(correct).reshape(runs) / n_rows)
     model.history = {
         "loss": np.stack(loss_history, axis=-1).tolist(),
         "train_accuracy": np.stack(accuracy_history, axis=-1).tolist(),

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 DATA, SCENARIO = "src/qincident/data.py", "src/qincident/scenario.py"
 NN, QSIM = "src/qincident/nn.py", "src/qincident/qsim.py"
 MODEL, GRADCHECK, CLI = "src/qincident/model.py", "src/qincident/gradcheck.py", "src/qincident/cli.py"
+EVALUATION, TEST_EVALUATION = "src/qincident/evaluation.py", "tests/test_evaluation.py"
 TEST_DATA, TEST_SCENARIO = "tests/test_data.py", "tests/test_scenario.py"
 TEST_NN, TEST_QSIM = "tests/test_nn.py", "tests/test_qsim.py"
 TEST_MODEL, TEST_GRADCHECK, TEST_CLI = "tests/test_model.py", "tests/test_gradcheck.py", "tests/test_cli.py"
@@ -171,12 +172,6 @@ MUTANTS = [
         (TEST_MODEL,),
     ),
     Mutant(
-        "run-groups-read-the-first-runs", MODEL,
-        "            [_forward_layers(model, model.params[start : start + group], h)\n",
-        "            [_forward_layers(model, model.params[:group], h)\n",
-        (TEST_MODEL,),
-    ),
-    Mutant(
         "plan-views-a-copy-of-params", MODEL,
         "    return _views(model.params, model.layout), grad,",
         "    return _views(model.params.copy(), model.layout), grad,",
@@ -187,6 +182,25 @@ MUTANTS = [
         "            loss, grad = loss_and_gradients(model, features[batch], y, plans[len(y)])\n",
         "            loss, grad = loss_and_gradients(model, features[batch], y, plans[max(plans)])\n",
         (TEST_MODEL,),
+    ),
+    # run groups and the experiment
+    Mutant(
+        "run-groups-read-the-first-runs", MODEL,
+        "model.params[start : start + group], model.seed + start)",
+        "model.params[:group], model.seed + start)",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "run-groups-drop-the-seed-offset", MODEL,
+        "model.params[start : start + group], model.seed + start)",
+        "model.params[start : start + group], model.seed)",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "experiment-predicts-the-whole-population", EVALUATION,
+        "                 for row in model_mod.predict(group, split.test_x)],\n",
+        "                 for row in model_mod.predict(population, split.test_x)],\n",
+        (TEST_EVALUATION,),
     ),
     # the gradient oracles
     Mutant(

@@ -842,12 +842,18 @@ class TestExperiment:
         assert err.startswith("error: training diverged: loss nan at epoch 1/2, batch 2/")
         assert err.count("\n") == 1
 
-    def test_invalid_config_json_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"zones": 8,', "invalid JSON"), ("[1, 2]", "expected a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_invalid_config_json_exits_3(self, tmp_path, capsys, text, message):
         config_path = tmp_path / "config.json"
-        config_path.write_text('{"zones": 8,')
+        config_path.write_text(text)
         code = run_cli(["experiment", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_IO
-        assert f"error: {config_path}: invalid JSON" in capsys.readouterr().err
+        assert f"error: {config_path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestScheduleFile:

@@ -289,47 +289,80 @@ class TestPopulation:
         with pytest.raises(DataError, match=rf"epoch 1/2, batch 1/3 \(seed {seed}\)$"):
             model.train(population, separable_rows(40), nn.TrainConfig(epochs=2, seed=10))
 
-    def test_forward_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
-        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 0, n_runs=5)
+    def test_a_later_groups_divergence_names_its_own_seed(self, monkeypatch):
+        # groups of one run; only run 2 (seed 12) goes non-finite, and only
+        # in the accuracy pass, which alone calls the quantum forward
+        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 10, n_runs=4)
+
+        def nan_in_run_2(x, weights):
+            values = qsim.forward_batch(x, weights)
+            for run, run_weights in enumerate(weights):
+                if np.shares_memory(run_weights, population.params[2]):
+                    values[run] = np.nan
+            return values
+
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 1)
+        monkeypatch.setattr(model, "_QUANTUM_FORWARD", nan_in_run_2)
+        with pytest.raises(DataError, match=r"^training diverged by the end of epoch 1/2: "
+                                            r"the model of seed 12 gives output nan for feature row 0$"):
+            model.train(population, separable_rows(40), nn.TrainConfig(epochs=2, seed=10))
+
+    def test_a_population_has_no_single_model_document(self):
+        population = model.build_population(model.HybridModelConfig(kind="classical"), 0, n_runs=2)
+        with pytest.raises(ValueError, match="population"):
+            model.model_to_dict(population)
+
+
+class TestRunGroups:
+    def test_groups_are_views_of_the_runs_and_match_one_stacked_pass(self, monkeypatch):
+        population = model.build_population(model.HybridModelConfig(kind="hybrid"), 7, n_runs=5)
         features = np.random.default_rng(0).uniform(0, 1, (9, 6))
         whole = model.forward(population, features)
         # the widest pass (48 -> 32 units) holds its input and its output,
-        # 640 bytes a run-row: two runs of 9 rows per pass
+        # 640 bytes a run-row: two runs of 9 rows per group
         assert max(layer.forward_bytes() for layer in population.layers) == 640
         monkeypatch.setattr(model, "_FORWARD_BYTES", 2 * 9 * 640)
-        groups = []
-        forward_layers = model._forward_layers
+        groups = model.run_groups(population, len(features))
+        assert [len(group.params) for group in groups] == [2, 2, 1]
+        assert [group.seed for group in groups] == [7, 9, 11]
+        for start, group in zip([0, 2, 4], groups):
+            runs = slice(start, start + len(group.params))
+            assert group.layers == population.layers
+            assert np.shares_memory(group.params, population.params)
+            assert group.params.tobytes() == population.params[runs].tobytes()
+            assert model.forward(group, features).tobytes() == whole[runs].tobytes()
 
-        def recording(net, params, h):
-            groups.append(len(params))
-            return forward_layers(net, params, h)
+    def test_a_single_model_is_its_own_one_group(self, monkeypatch):
+        net = model.build_model(model.HybridModelConfig(kind="classical"), seed=3)
+        monkeypatch.setattr(model, "_FORWARD_BYTES", 1)
+        groups = model.run_groups(net, 1000)
+        assert len(groups) == 1 and groups[0] is net
 
-        monkeypatch.setattr(model, "_forward_layers", recording)
-        assert model.forward(population, features).tobytes() == whole.tobytes()
-        assert groups == [2, 2, 1]
-
-    def test_forward_at_the_term_cap_in_run_groups_matches_one_stacked_pass(self, monkeypatch):
+    def test_groups_at_the_term_cap_match_one_stacked_pass(self, monkeypatch):
         config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
         population = model.build_population(config, 0, n_runs=30)
         features = np.random.default_rng(1).uniform(0, 1, (384, 6))
-        grouped = model.forward(population, features)
+        whole = model.forward(population, features)
         assert model._FORWARD_BYTES < 30 * 384 * qsim.forward_bytes(6, 3)  # more than one group
-        monkeypatch.setattr(model, "_FORWARD_BYTES", 7 * 384 * qsim.forward_bytes(6, 3))
-        assert model.forward(population, features).tobytes() == grouped.tobytes()
-        monkeypatch.setattr(model, "_FORWARD_BYTES", 1 << 40)  # one pass
-        assert model.forward(population, features).tobytes() == grouped.tobytes()
+        for budget in (model._FORWARD_BYTES, 7 * 384 * qsim.forward_bytes(6, 3)):
+            monkeypatch.setattr(model, "_FORWARD_BYTES", budget)
+            groups = model.run_groups(population, len(features))
+            assert len(groups) > 1
+            grouped = b"".join(model.forward(group, features).tobytes() for group in groups)
+            assert grouped == whole.tobytes()
 
-    def test_forward_at_the_term_cap_stays_within_the_byte_budget(self):
+    def test_groups_at_the_term_cap_stay_within_the_byte_budget(self):
         config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
         population = model.build_population(config, 0, n_runs=30)
         features = np.random.default_rng(2).uniform(0, 1, (2048, 6))
         tracemalloc.start()
         try:
-            model.forward(population, features)
+            for group in model.run_groups(population, len(features)):
+                model.forward(group, features)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 13.5 MiB measured for the 12 MiB budget, where one run of 2,048 rows
+        # 14.2 MiB measured for the 12 MiB budget, where one run of 2,048 rows
         # exceeds it and goes alone; one stacked pass peaks at 390 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
 
@@ -341,18 +374,14 @@ class TestPopulation:
         assert model._FORWARD_BYTES < one_pass  # more than one group
         tracemalloc.start()
         try:
-            model.forward(population, features)
+            for group in model.run_groups(population, len(features)):
+                model.predict(group, features)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # 11.7 MiB measured for the 12 MiB budget; one pass of all 30 runs
         # peaked at 23.0 MiB
         assert peak < 1.1 * model._FORWARD_BYTES
-
-    def test_a_population_has_no_single_model_document(self):
-        population = model.build_population(model.HybridModelConfig(kind="classical"), 0, n_runs=2)
-        with pytest.raises(ValueError, match="population"):
-            model.model_to_dict(population)
 
 
 def reference_dense_forward(layer, arrays, x):
