@@ -20,7 +20,7 @@ config = scenario.ScenarioConfig(
     n_zones=12, duration_s=600, seed=3, incidents=tuple(events)
 )
 
-# Generate the records, aggregate per second, build the six-feature rows,
+# Draw the traffic, sum it per second and zone, build the six-feature rows,
 # attach labels.
 table = scenario.synthetic_dataset(config, bucket_seconds=1)
 positives = int(table.labels.sum())

@@ -1,17 +1,18 @@
 """Feature pipeline, in columns from the vehicle records to the splits.
 
 ``Records`` holds vehicle observations as parallel arrays, each vehicle an
-int64 code; id text exists only in the record CSV.  One builder,
-``build_dataset``, turns them into a ``Dataset`` in three array stages:
-``aggregate`` sums per (zone, second) grids of distinct-vehicle counts and
-speeds into one- or sixty-second buckets; ``build_features`` forms six
-features per (bucket, zone), the zone's own mean speed and count then its
-upstream and downstream neighbor's; ``label`` marks rows that overlap an
-incident.  The corridor's two directions of travel are fixed, zones
-[0, ceil(n/2)) and [ceil(n/2), n), and ``neighbor_index`` gives each zone's
-neighbors along them.  ``split`` cuts a ``Dataset`` into the chronological
-DS-1/DS-2/DS-3 regimes, min-max scaled by ``normalize`` with bounds fitted
-on the training rows.
+int64 code; id text exists only in the record CSV.  A ``Dataset`` comes
+from the [2, n_zones, duration] vehicle counts and speed sums per (zone,
+second) cell, made by ``aggregate`` from records (``build_dataset``) or by
+``scenario.cell_grids`` from the generator's draws, through one tail,
+``grid_dataset``: the cells sum into one- or sixty-second buckets;
+``build_features`` forms six features per (bucket, zone), the zone's own
+mean speed and count then its upstream and downstream neighbor's; ``label``
+marks rows that overlap an incident.  The corridor's two directions of
+travel are fixed, zones [0, ceil(n/2)) and [ceil(n/2), n), and
+``neighbor_index`` gives each zone's neighbors along them.  ``split`` cuts
+a ``Dataset`` into the chronological DS-1/DS-2/DS-3 regimes, min-max scaled
+by ``normalize`` with bounds fitted on the training rows.
 
 File formats (all UTF-8, LF):
 
@@ -129,34 +130,20 @@ def build_dataset(
     duration_s: int,
 ) -> Dataset:
     """One labeled row per (bucket, zone) over [0, duration_s), empties
-    included: ``aggregate``, then ``build_features``, then ``label``.
+    included: ``aggregate``'s grids, then ``grid_dataset``.
 
     ``events`` are ``scenario.IncidentEvent``s.
     """
-    starts, speed, count = aggregate(records, bucket_seconds, n_zones, duration_s)
-    bucket_start = np.repeat(starts, n_zones)
-    zone_id = np.tile(np.arange(n_zones), len(starts))
-    return Dataset(
-        bucket_start=bucket_start,
-        zone_id=zone_id,
-        features=build_features(speed, count),
-        labels=label(bucket_start, zone_id, events, bucket_seconds),
-    )
+    return grid_dataset(aggregate(records, n_zones, duration_s), events, bucket_seconds)
 
 
-def aggregate(
-    records: Records, bucket_seconds: int, n_zones: int, duration_s: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bucket starts [B], mean speed [B, n_zones], count [B, n_zones]).
+def aggregate(records: Records, n_zones: int, duration_s: int) -> np.ndarray:
+    """The [2, n_zones, duration_s] distinct-vehicle counts and speed sums
+    per (zone, second) cell.
 
     Repeated observations of a vehicle within one (zone, second) count once,
-    so one-second counts are distinct-vehicle counts; a longer bucket's
-    count is the mean of its per-second counts over the seconds it covers,
-    and its speed the mean over all its observations.  An empty bucket has
-    count 0 and speed ``EMPTY_SPEED_FILL``.
+    the first of them; each cell sums its speeds in vehicle-code order.
     """
-    if bucket_seconds not in BUCKET_SIZES:
-        raise ConfigError(f"bucket_seconds must be one of {BUCKET_SIZES}, got {bucket_seconds}")
     if n_zones < 1:
         raise ConfigError("n_zones must be >= 1")
     times, zones = records.time, records.zone
@@ -191,9 +178,18 @@ def aggregate(
     grids = np.empty((2, grid_size))
     grids[0] = np.bincount(cell, minlength=grid_size)
     grids[1] = np.bincount(cell, weights=speed, minlength=grid_size)
-    del cell, speed
-    grids = grids.reshape(2, n_zones, duration)
+    return grids.reshape(2, n_zones, duration)
 
+
+def grid_dataset(grids: np.ndarray, events, bucket_seconds: int) -> Dataset:
+    """The labeled rows of ``grids``, each cell's vehicle count and speed
+    sum [2, n_zones, duration]: buckets, then ``build_features``, ``label``.
+    A bucket's count is the mean of its per-second counts over the seconds
+    it covers, and its speed the mean over all its vehicles; an empty
+    bucket has count 0 and speed ``EMPTY_SPEED_FILL``."""
+    if bucket_seconds not in BUCKET_SIZES:
+        raise ConfigError(f"bucket_seconds must be one of {BUCKET_SIZES}, got {bucket_seconds}")
+    _, n_zones, duration = grids.shape
     starts = np.arange(0, duration, bucket_seconds)
     sums = np.empty((2, len(starts), n_zones))
     for b, start in enumerate(starts):
@@ -201,17 +197,27 @@ def aggregate(
     count, speed_sum = sums
     speed = np.where(count > 0, speed_sum / np.where(count > 0, count, 1.0), EMPTY_SPEED_FILL)
     covered = np.minimum(starts + bucket_seconds, duration) - starts
-    return starts, speed, count / covered[:, np.newaxis]
+    count = count / covered[:, np.newaxis]
+    del sums, speed_sum  # before the features are built
+    bucket_start = np.repeat(starts, n_zones)
+    zone_id = np.tile(np.arange(n_zones), len(starts))
+    return Dataset(
+        bucket_start=bucket_start,
+        zone_id=zone_id,
+        features=build_features(speed, count),
+        labels=label(bucket_start, zone_id, events, bucket_seconds),
+    )
 
 
 def build_features(speed: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Six features per (bucket, zone) row, buckets outer: own (speed,
     count), then upstream, then downstream (``neighbor_index``).  A
     boundary zone substitutes its own values for the missing neighbor."""
-    up, down = neighbor_index(speed.shape[1])
-    features = np.stack(
-        [speed, count, speed[:, up], count[:, up], speed[:, down], count[:, down]], axis=-1
-    )
+    features = np.empty(speed.shape + (6,))
+    # one zone column at a time, not a stacked copy of all six
+    for column, zones in enumerate((np.arange(speed.shape[1]), *neighbor_index(speed.shape[1]))):
+        features[..., 2 * column] = speed[:, zones]
+        features[..., 2 * column + 1] = count[:, zones]
     return features.reshape(-1, 6)
 
 

@@ -108,7 +108,8 @@ class QuantumLayer:
 
     def forward_bytes(self) -> int:
         """The bytes ``forward`` holds per row: its input and what
-        ``qsim.forward_bytes`` counts."""
+        ``qsim.forward_bytes`` counts.  The kernel's term products, a block
+        of rows within ``qsim._BLOCK_BYTES``, do not grow with the rows."""
         return 8 * self.n_qubits + qsim.forward_bytes(self.n_qubits, self.n_entangler_layers)
 
     def plan(self, lead: tuple, first: bool) -> None:
@@ -205,15 +206,14 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
 # ``run_groups`` sizes a population's groups so that no layer of a group's
 # forward pass holds more than this: its input and output, ``forward_bytes``
 # a run-row.  The dense stacks' widest pass (48 -> 32 units) holds 640 bytes
-# a run-row, so they keep groups of 19,660 run-rows: the 30-run DS-3
-# prediction over 1,250 rows goes in two groups of 15 runs and peaks at
-# 11.7 MiB (tracemalloc), where one pass of all 30 peaked at 23.0 MiB.  At
-# the term cap (n=6, L=3) the quantum layer counts 6,648 bytes a run-row
-# (about 6,680 measured over 2,048 rows), so a group takes about 1,890
-# run-rows, and a run of more rows goes alone: 2,048 rows peak at 14.2 MiB.
-# A training step's gradients, which are not grouped, take about 164 KiB a
-# run-row there, 77 MiB for 30 runs at batch 16.
-_FORWARD_BYTES = 12 << 20
+# a run-row, so they keep groups of 6,553 run-rows: the 30-run DS-3
+# prediction over 1,250 rows goes in six groups of 5 runs and peaks at
+# 3.9 MiB (tracemalloc).  At the term cap (n=6, L=3) the quantum layer
+# counts 808 bytes a run-row (about 745 measured) beside its block of term
+# products (``qsim._BLOCK_BYTES``), so 2,048 rows go two runs a group and
+# peak at 4.3 MiB.  A training step's gradients, which are not grouped,
+# take about 164 KiB a run-row there, 77 MiB for 30 runs at batch 16.
+_FORWARD_BYTES = 4 << 20
 
 
 def run_groups(model: Model, n_rows: int) -> list[Model]:
@@ -294,10 +294,10 @@ def loss_and_gradients(
     for layer, layer_arrays, layer_buffers in zip(model.layers, arrays, buffers):
         h, cache = layer.forward_cached(layer_arrays, h, layer_buffers)
         caches.append(cache)
-    probs = h[..., 0]
-    loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
-
-    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
+    losses, d_probs = nn.bce(h[..., 0], labels)
+    # the sum and one divide are the steps ``np.mean`` takes, with its bits
+    loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
+    d_out = (d_probs / losses.shape[-1])[..., np.newaxis]
     for layer, layer_arrays, cache, layer_grads in zip(
         reversed(model.layers), reversed(arrays), reversed(caches), reversed(grads)
     ):

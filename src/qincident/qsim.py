@@ -42,6 +42,7 @@ differentiates it, one stacked row per finite-difference probe.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -171,13 +172,18 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+# the most bytes of term products ``forward_batch`` holds at once: a block of
+# rows holds two [..., rows, n, T] tables at a time
+_BLOCK_BYTES = 1 << 20
+
+
 def forward_bytes(n: int, n_layers: int) -> int:
     """About the bytes ``forward_batch`` holds at its peak per input row,
-    from the circuit's term tables: the angles, their cos and sin and the
-    slots made of them, or later two [n, T] products (the running product
-    and one gathered factor) beside the angles and the slots."""
-    n_readouts, n_terms, n_angles = _terms(n, n_layers).factors.shape
-    return 8 * max(5 * (n_angles + 1), 3 * (n_angles + 1) + 2 * n_readouts * n_terms)
+    besides the block of term products that ``_BLOCK_BYTES`` bounds: the
+    angles, their cos and sin and the slots made of them, or later the
+    angles, the slots and the row's values."""
+    n_angles = n * n_layers
+    return 8 * max(5 * (n_angles + 1), 3 * (n_angles + 1) + n)
 
 
 def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
@@ -185,10 +191,20 @@ def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations, (B, n) or a population's (R, B, n)."""
+    """Z expectations, (B, n) or a population's (R, B, n), a block of rows
+    at a time, each row with the same arithmetic in any block."""
     terms, phi = _angles(inputs, weights)
     # the factors take no -sin slot
-    return _values(terms, np.concatenate((np.cos(phi), np.sin(phi)), axis=-1))
+    slots = np.concatenate((np.cos(phi), np.sin(phi)), axis=-1)
+    *runs, n_rows, _ = slots.shape
+    block = max(1, _BLOCK_BYTES // (16 * terms.signs.size * math.prod(runs)))
+    if block >= n_rows:
+        return _values(terms, slots)
+    values = np.empty(slots.shape[:-1] + terms.signs.shape[:1])
+    for start in range(0, n_rows, block):
+        rows = slice(start, start + block)
+        values[..., rows, :] = _values(terms, slots[..., rows, :])
+    return values
 
 
 def gradients_batch(

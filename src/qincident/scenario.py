@@ -22,7 +22,9 @@ bit-reproducible and zones could be generated in parallel.  The records come
 out in (time, zone, ordinal) order, the ordinal numbering the vehicles of
 one (second, zone) cell, and their vehicle codes are a permutation of
 0..n-1; each zone's draws are placed among the others by cell offsets, not
-sorted.
+sorted.  ``cell_grids`` sums the same draws, one zone at a time, straight
+into the per-cell grids that ``data.aggregate`` makes of the records, so
+``synthetic_dataset`` never holds a record.
 """
 
 from __future__ import annotations
@@ -146,34 +148,79 @@ def _zone_profiles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return speed_mean, rate
 
 
+def _zone_draws(seed: int, speed_mean: np.ndarray, rate: np.ndarray):
+    """Zone by zone, the counts [duration] and then the (time, ordinal)
+    ordered speeds that the zone's (seed, zone) stream draws."""
+    for zone in range(len(rate)):
+        rng = np.random.default_rng([seed, zone])
+        counts = rng.poisson(rate[zone])
+        speeds = rng.normal(np.repeat(speed_mean[zone], counts), SPEED_NOISE_SD)
+        yield counts, np.maximum(speeds, 0.0, out=speeds)
+
+
+def _code_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell of each draw that ``counts`` lays out cell after cell, and
+    its place in vehicle-code order: the cell's start plus the rank of its
+    ordinal as text among the cell's ordinals ("10" before "2")."""
+    most = int(counts.max(initial=0))
+    starts = np.cumsum(counts) - counts
+    cells = np.repeat(np.arange(len(counts)), counts)
+    # draw i of a cell has ordinal i - start, whose rank sits at row count,
+    # column ordinal of the ranks: flat index count * most + i - start
+    position = (counts * most - starts)[cells]
+    position += np.arange(len(position))
+    position = _ordinal_ranks(most).ravel()[position]
+    position += starts[cells]
+    return cells, position
+
+
 def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]:
     """Vehicle record stream plus the incident schedule that shaped it.
 
     Records are in (time, zone, ordinal) order, where the ordinal numbers a
-    vehicle within its (second, zone) cell.  Each zone draws its counts and
-    then its speeds from its own (seed, zone) stream; the draws are then
-    placed by cell offsets, cell (t, z) starting at the exclusive cumulative
-    sum of the time-major counts.  A record's vehicle code is its cell's
-    start plus its ordinal's rank as text among the cell's ordinals ("10"
-    before "2"), so each cell sums its speeds in the order that ids
+    vehicle within its (second, zone) cell.  Each zone's draws
+    (``_zone_draws``) move to their cells' time-major starts one zone at a
+    time, so no zone-major copy of all of them is made; a record's vehicle
+    code is its place in code order (``_code_order``), the order that ids
     ``v{zone:02d}-{time}-{ordinal}`` would sort in.
     """
-    counts, speeds = _draw(config.seed, *_zone_profiles(config))
-    n_zones = counts.shape[0]
-    most = int(counts.max())
+    n_zones, duration = config.n_zones, config.duration_s
+    # the counts are made before the draws and the profiles freed only after
+    # the placement: in that order the freed draws go back to the system
+    speed_mean, rate = _zone_profiles(config)
+    counts = np.empty((n_zones, duration), dtype=np.int64)
+    drawn = []
+    for zone, (counts[zone], values) in enumerate(_zone_draws(config.seed, speed_mean, rate)):
+        drawn.append(values)
+    cell_start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(duration, n_zones)
+    speeds = np.empty(int(counts.sum()))
+    for zone, (zone_counts, values) in enumerate(zip(counts, drawn)):
+        # the draws of cell (t, zone) move from their offset among the zone's
+        # draws to the cell's time-major start
+        place = np.repeat(cell_start[:, zone] - (np.cumsum(zone_counts) - zone_counts), zone_counts)
+        place += np.arange(len(values))
+        speeds[place] = values
+    del drawn, speed_mean, rate
     # time-major cell t * n_zones + z holds the records of (t, z)
-    cell_counts = counts.T.ravel()
-    cell_starts = np.cumsum(cell_counts) - cell_counts
-    cells = np.repeat(np.arange(len(cell_counts)), cell_counts)
-    # record i of a cell has ordinal i - start, whose rank sits at row
-    # count, column ordinal of the ranks: flat index count * most + i - start
-    codes = (cell_counts * most - cell_starts)[cells]
-    codes += np.arange(len(codes))
-    codes = _ordinal_ranks(most).ravel()[codes]
-    codes += cell_starts[cells]
+    cells, codes = _code_order(counts.T.ravel())
     # the zones overwrite the cells
     times, zones = np.divmod(cells, n_zones, out=(np.empty_like(cells), cells))
     return data.Records(times, codes, zones, speeds), list(config.incidents or ())
+
+
+def cell_grids(config: ScenarioConfig) -> np.ndarray:
+    """The [2, n_zones, duration_s] vehicle counts and speed sums per
+    (zone, second) cell of ``generate``'s records, bit for bit what
+    ``data.aggregate`` makes of them, summed from each zone's draws one zone
+    at a time: each cell sums its speeds in vehicle-code order."""
+    grids = np.empty((2, config.n_zones, config.duration_s))
+    for zone, (counts, speeds) in enumerate(_zone_draws(config.seed, *_zone_profiles(config))):
+        cells, position = _code_order(counts)
+        ordered = np.empty_like(speeds)
+        ordered[position] = speeds
+        grids[0, zone] = counts
+        grids[1, zone] = np.bincount(cells, weights=ordered, minlength=config.duration_s)
+    return grids
 
 
 def _ordinal_ranks(most: int) -> np.ndarray:
@@ -186,36 +233,12 @@ def _ordinal_ranks(most: int) -> np.ndarray:
     return ranks
 
 
-def _draw(seed: int, speed_mean: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The counts [n_zones, duration] and, in (time, zone, ordinal) order,
-    the speeds of the records, each zone's drawn from its (seed, zone)
-    stream.  A zone's speeds move to their cells' time-major starts one zone
-    at a time, so no zone-major copy of all of them is made."""
-    n_zones, duration = rate.shape
-    counts = np.empty((n_zones, duration), dtype=np.int64)
-    drawn = []
-    for zone in range(n_zones):
-        rng = np.random.default_rng([seed, zone])
-        counts[zone] = rng.poisson(rate[zone])
-        speeds = rng.normal(np.repeat(speed_mean[zone], counts[zone]), SPEED_NOISE_SD)
-        drawn.append(np.maximum(speeds, 0.0, out=speeds))
-    cell_start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(duration, n_zones)
-    speeds = np.empty(int(counts.sum()))
-    for zone, values in enumerate(drawn):
-        # the draws of cell (t, zone) move from their offset among the zone's
-        # draws to the cell's time-major start
-        shift = cell_start[:, zone] - (np.cumsum(counts[zone]) - counts[zone])
-        place = np.repeat(shift, counts[zone])
-        place += np.arange(len(values))
-        speeds[place] = values
-    return counts, speeds
-
-
 def synthetic_dataset(
     config: ScenarioConfig, bucket_seconds: int, n_incidents: int | None = None
 ) -> data.Dataset:
     """The labeled rows of one synthetic corridor: ``default_schedule``,
-    ``generate`` and ``data.build_dataset`` over [0, config.duration_s).
+    ``cell_grids`` and ``data.grid_dataset`` over [0, config.duration_s),
+    the rows ``data.build_dataset`` makes of ``generate``'s records.
 
     ``config.incidents`` is the schedule when it is given, even empty;
     when it is None, ``default_schedule`` places ``n_incidents`` (default:
@@ -225,10 +248,8 @@ def synthetic_dataset(
         events = default_schedule(config, n_incidents=n_incidents, bucket_seconds=bucket_seconds)
     else:
         events = list(config.incidents)
-    records, _ = generate(replace(config, incidents=tuple(events)))
-    return data.build_dataset(
-        records, events, config.n_zones, bucket_seconds, duration_s=config.duration_s
-    )
+    grids = cell_grids(replace(config, incidents=tuple(events)))
+    return data.grid_dataset(grids, events, bucket_seconds)
 
 
 def _affected_zones(zone: int, neighbors: tuple[np.ndarray, np.ndarray]) -> set[int]:

@@ -80,6 +80,12 @@ MUTANTS = [
         (TEST_DATA,),
     ),
     Mutant(
+        "grids-sum-in-draw-order", SCENARIO,
+        "        ordered = np.empty_like(speeds)\n        ordered[position] = speeds\n",
+        "        ordered = speeds\n",
+        (TEST_SCENARIO,),
+    ),
+    Mutant(
         "generate-swaps-times-and-zones", SCENARIO,
         "    times, zones = np.divmod(cells, n_zones,",
         "    zones, times = np.divmod(cells, n_zones,",
@@ -156,6 +162,12 @@ MUTANTS = [
         "    for k in range(1, table.shape[-1]):\n",
         "    out = slots.take(table[..., -1], axis=-1)\n"
         "    for k in range(table.shape[-1] - 2, -1, -1):\n",
+        (TEST_QSIM,),
+    ),
+    Mutant(
+        "forward-blocks-written-at-the-first-rows", QSIM,
+        "        values[..., rows, :] = _values(terms, slots[..., rows, :])\n",
+        "        values[..., : rows.stop - rows.start, :] = _values(terms, slots[..., rows, :])\n",
         (TEST_QSIM,),
     ),
     # the parameter vector and its layout

@@ -95,8 +95,8 @@ class TestAggregate:
         # 1e16 + 1 rounds back to 1e16, so the sum's bits follow its order:
         # codes 0 and 1 come first although their records come last
         recs = records((0, 2, 0, 1e16), (0, 0, 0, 1.0), (0, 1, 0, 1.0))
-        speed = data.aggregate(recs, 1, 1, 1)[1]
-        assert speed[0, 0] == (1.0 + 1.0 + 1e16) / 3 != (1e16 + 1.0 + 1.0) / 3
+        speed_sum = data.aggregate(recs, 1, 1)[1]
+        assert speed_sum[0, 0] == 1.0 + 1.0 + 1e16 != 1e16 + 1.0 + 1.0
 
     @pytest.mark.parametrize("block", [1, 2, 5, data._SORTED_BLOCK])
     def test_first_observations_at_block_edges_match_np_unique(self, monkeypatch, block):
@@ -108,21 +108,20 @@ class TestAggregate:
         key = (recs.vehicle_id * 2 + recs.zone) * 3 + recs.time
         first = np.unique(key, return_index=True)[1]
         cell = recs.zone[first] * 3 + recs.time[first]
-        count = np.bincount(cell, minlength=6).reshape(2, 3).T
-        speed_sum = np.bincount(cell, weights=recs.speed[first], minlength=6).reshape(2, 3).T
-        _, speed, got = data.aggregate(recs, 1, 2, 3)
-        assert got.tobytes() == count.astype(float).tobytes()
-        want = np.where(count > 0, speed_sum / np.maximum(count, 1), data.EMPTY_SPEED_FILL)
-        assert speed.tobytes() == want.tobytes()
+        count = np.bincount(cell, minlength=6).reshape(2, 3)
+        speed_sum = np.bincount(cell, weights=recs.speed[first], minlength=6).reshape(2, 3)
+        got_count, got_speed_sum = data.aggregate(recs, 2, 3)
+        assert got_count.tobytes() == count.astype(float).tobytes()
+        assert got_speed_sum.tobytes() == speed_sum.tobytes()
 
     @pytest.mark.parametrize("n_zones, duration", [(1, 2), (3, 7), (56, 1250)])
     def test_codes_that_overflow_the_key_are_refused(self, n_zones, duration):
         cells = n_zones * duration
         largest = (np.iinfo(np.int64).max - cells + 1) // cells  # its last cell's key fits
         fits = records((duration - 1, largest, n_zones - 1, 1.0))
-        assert data.aggregate(fits, 1, n_zones, duration)[2][-1, -1] == 1.0
+        assert data.aggregate(fits, n_zones, duration)[0, -1, -1] == 1.0
         with pytest.raises(DataError, match=f"^vehicle code {largest + 1} overflows"):
-            data.aggregate(records((0, largest + 1, 0, 1.0)), 1, n_zones, duration)
+            data.aggregate(records((0, largest + 1, 0, 1.0)), n_zones, duration)
 
     @pytest.mark.parametrize("order", ["generated", "shuffled", "repeated"])
     def test_id_codes_are_the_unique_inverse(self, order):

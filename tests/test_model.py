@@ -362,8 +362,9 @@ class TestRunGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 14.2 MiB measured for the 12 MiB budget, where one run of 2,048 rows
-        # exceeds it and goes alone; one stacked pass peaks at 390 MiB
+        # 4.3 MiB measured for the 4 MiB budget, in groups of two runs, with
+        # the quantum term products a block of rows at a time; one stacked
+        # pass peaks at 47 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
@@ -379,8 +380,8 @@ class TestRunGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 11.7 MiB measured for the 12 MiB budget; one pass of all 30 runs
-        # peaked at 23.0 MiB
+        # 3.9 MiB measured for the 4 MiB budget, in six groups of 5 runs; one
+        # pass of all 30 runs peaked at 23.0 MiB
         assert peak < 1.1 * model._FORWARD_BYTES
 
 
@@ -423,7 +424,9 @@ def reference_loss_and_gradients(net, features, labels):
         h = out
     probs = h[..., 0]
     loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
-    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
+    clamped = np.clip(probs, nn.BCE_EPS, 1.0 - nn.BCE_EPS)
+    d_probs = (clamped - labels) / (clamped * (1.0 - clamped))
+    d_out = (d_probs / probs.shape[-1])[..., np.newaxis]
     grads_reversed = []
     for layer, arrays, cache in zip(reversed(net.layers), reversed(views), reversed(caches)):
         if isinstance(layer, nn.DenseLayer):

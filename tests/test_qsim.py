@@ -6,6 +6,7 @@ pinned against the Kronecker-product reference ``qsim.quantum_forward``,
 which ``tests/test_gradcheck.py`` pins gate by gate.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -325,3 +326,32 @@ class TestKernelsBitForBit:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestRowBlocks:
+    """``forward_batch`` holds its term products a block of rows at a time;
+    each row's arithmetic is the same in any block."""
+
+    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
+    @pytest.mark.parametrize("rows_per_block", [1, 4])  # 4 does not divide the 10 rows
+    def test_blocks_match_one_unblocked_pass(self, monkeypatch, n, layers, runs, rows_per_block):
+        rng = np.random.default_rng(n * 10 + layers)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
+        monkeypatch.setattr(qsim, "_BLOCK_BYTES", 1 << 40)
+        whole = qsim.forward_batch(inputs, weights)
+        # a block's two products, [runs..., rows, n, T] each
+        row_bytes = 16 * qsim._terms(n, layers).signs.size * math.prod(runs)
+        monkeypatch.setattr(qsim, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes - 1)
+        blocks, values = [], qsim._values
+
+        def counted(terms, slots):
+            blocks.append(slots.shape[-2])
+            return values(terms, slots)
+
+        monkeypatch.setattr(qsim, "_values", counted)
+        got = qsim.forward_batch(inputs, weights)
+        assert blocks == {1: [1] * 10, 4: [4, 4, 2]}[rows_per_block]
+        assert got.shape == whole.shape
+        np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))

@@ -130,6 +130,67 @@ class TestVehicleCodes:
         np.testing.assert_array_equal(np.sort(records.vehicle_id), np.arange(len(records)))
 
 
+class TestCellGrids:
+    """``cell_grids`` sums each zone's draws straight into the per-cell
+    grids that ``data.aggregate`` makes of ``generate``'s records."""
+
+    @pytest.mark.parametrize(
+        "config, queued",
+        [
+            # zone 5's incident queues zone 4 up to three times base demand
+            (scenario.ScenarioConfig(8, 60, (scenario.IncidentEvent(5, 0, 60),), seed=1), True),
+            (scenario.ScenarioConfig(6, 300, (), seed=3), False),
+            (scenario.ScenarioConfig(1, 50, (), seed=0), False),
+            # zones 2 and 5 hold no records at all
+            (scenario.ScenarioConfig(6, 1, (scenario.IncidentEvent(1, 0, 1),
+                                            scenario.IncidentEvent(4, 0, 1)), seed=3), False),
+        ],
+        ids=["incident-queue", "incident-free", "one-zone", "starved-zones"],
+    )
+    def test_grids_equal_the_records_grids_bit_for_bit(self, config, queued):
+        records, _ = scenario.generate(config)
+        want = data.aggregate(records, config.n_zones, config.duration_s)
+        got = scenario.cell_grids(config)
+        assert got.shape == (2, config.n_zones, config.duration_s)
+        assert got.tobytes() == want.tobytes()
+        if queued:
+            # ordinals 0..10 and beyond: "10" sorts before "2", so a cell's
+            # code order differs from its draw order
+            assert got[0].max() >= 11
+
+    def test_a_cell_sums_its_speeds_in_code_order(self, monkeypatch):
+        # 1e16 + 1.0 rounds back to 1e16, so a sum's bits follow its order.
+        # Ordinals 0 and 10 carry 1.0 and ordinal 2 carries 1e16: in code
+        # order ("10" before "2") a cell of 11 or more sums 1e16 + 2, in
+        # draw order 1e16
+        draws = scenario._zone_draws
+
+        def probe_speeds(*args):
+            for counts, speeds in draws(*args):
+                ordinals = np.arange(len(speeds)) - np.repeat(np.cumsum(counts) - counts, counts)
+                speeds[:] = np.select([ordinals == 2, (ordinals == 0) | (ordinals == 10)],
+                                      [1e16, 1.0], 0.0)
+                yield counts, speeds
+
+        monkeypatch.setattr(scenario, "_zone_draws", probe_speeds)
+        config = scenario.ScenarioConfig(8, 60, (scenario.IncidentEvent(5, 0, 60),), seed=1)
+        counts, sums = scenario.cell_grids(config)
+        want = np.select([counts >= 11, counts >= 3, counts >= 1], [1e16 + 2.0, 1e16, 1.0], 0.0)
+        assert np.any(counts >= 11) and sums.tobytes() == want.tobytes()
+        records, _ = scenario.generate(config)
+        assert data.aggregate(records, 8, 60)[1].tobytes() == sums.tobytes()
+
+    def test_synthetic_rows_equal_the_rows_of_the_records(self):
+        config = scenario.ScenarioConfig(n_zones=12, duration_s=300, seed=4)
+        for bucket in data.BUCKET_SIZES:
+            events = scenario.default_schedule(config, bucket_seconds=bucket)
+            records, _ = scenario.generate(replace(config, incidents=tuple(events)))
+            want = data.build_dataset(records, events, 12, bucket, duration_s=300)
+            got = scenario.synthetic_dataset(config, bucket)
+            for column in ("bucket_start", "zone_id", "features", "labels"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+
 class TestGenerate:
     def test_empty_schedule_free_flow(self):
         config = scenario.ScenarioConfig(n_zones=6, duration_s=300, seed=0)
@@ -231,25 +292,19 @@ class TestSyntheticDataset:
         config = scenario.ScenarioConfig(n_zones=8, duration_s=400, seed=5, incidents=())
         assert not scenario.synthetic_dataset(config, bucket_seconds=1).labels.any()
 
-    def test_ds3_corridor_holds_its_records_plus_a_few_columns(self):
+    def test_ds3_corridor_peaks_under_4_mib(self):
         config = scenario.ScenarioConfig(n_zones=56, duration_s=1500, seed=0)
-        events = scenario.default_schedule(config, bucket_seconds=60)
-        records, _ = scenario.generate(replace(config, incidents=tuple(events)))
-        held = sum(column.nbytes for column in vars(records).values())
-        column = held // 4
-        del records
         tracemalloc.start()
         try:
             scenario.synthetic_dataset(config, bucket_seconds=60)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the records' 4 columns plus 2.75 more measured (17.4 MiB, numpy
-        # 2.4, Python 3.11): ``aggregate`` holds the records beside the kept
-        # cells, their speeds and the per-cell grids; 10.1 columns when
-        # ``generate`` gathered ranks by a 2-D index and ``aggregate``
-        # called ``np.unique``
-        assert peak <= held + 4 * column
+        # 2.9 MiB measured (3.7 MiB on a process's first call; numpy 2.4,
+        # Python 3.11): the two zone profiles and the two cell grids, each
+        # 0.64 MiB, and one zone's draws.  18.1 MiB when ``generate``'s
+        # 338k records went through ``data.aggregate``
+        assert peak < 4 << 20
 
 
 def reference_schedule(config, n_incidents=None, bucket_seconds=1):
