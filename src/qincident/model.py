@@ -294,10 +294,10 @@ def loss_and_gradients(
     for layer, layer_arrays, layer_buffers in zip(model.layers, arrays, buffers):
         h, cache = layer.forward_cached(layer_arrays, h, layer_buffers)
         caches.append(cache)
-    losses, d_probs = nn.bce(h[..., 0], labels)
-    # the sum and one divide are the steps ``np.mean`` takes, with its bits
-    loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    d_out = (d_probs / losses.shape[-1])[..., np.newaxis]
+    probs = h[..., 0]
+    loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
+
+    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
     for layer, layer_arrays, cache, layer_grads in zip(
         reversed(model.layers), reversed(arrays), reversed(caches), reversed(grads)
     ):

@@ -150,12 +150,11 @@ def bce_loss(prediction, label) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def bce(prediction, label) -> tuple[np.ndarray, np.ndarray]:
-    """``bce_loss`` and its derivative in the prediction, both at the
-    prediction clamped once, for a training step."""
+def bce_grad(prediction, label) -> np.ndarray:
+    """d loss / d prediction, evaluated at the clamped prediction."""
     p = np.clip(np.asarray(prediction, dtype=float), BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(label, dtype=float)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), (p - y) / (p * (1.0 - p))
+    return (p - y) / (p * (1.0 - p))
 
 
 @dataclass

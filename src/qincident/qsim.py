@@ -42,7 +42,6 @@ differentiates it, one stacked row per finite-difference probe.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -173,7 +172,8 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 # the most bytes of term products ``forward_batch`` holds at once: a block of
-# rows holds two [..., rows, n, T] tables at a time
+# run-rows holds two [rows, n, T] tables at a time, 16 n T bytes a run-row,
+# 6 KiB at the term cap
 _BLOCK_BYTES = 1 << 20
 
 
@@ -191,20 +191,17 @@ def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations, (B, n) or a population's (R, B, n), a block of rows
-    at a time, each row with the same arithmetic in any block."""
+    """Z expectations, (B, n) or a population's (R, B, n), a block of
+    run-rows at a time, each row with the same arithmetic in any block."""
     terms, phi = _angles(inputs, weights)
     # the factors take no -sin slot
     slots = np.concatenate((np.cos(phi), np.sin(phi)), axis=-1)
-    *runs, n_rows, _ = slots.shape
-    block = max(1, _BLOCK_BYTES // (16 * terms.signs.size * math.prod(runs)))
-    if block >= n_rows:
-        return _values(terms, slots)
-    values = np.empty(slots.shape[:-1] + terms.signs.shape[:1])
-    for start in range(0, n_rows, block):
-        rows = slice(start, start + block)
-        values[..., rows, :] = _values(terms, slots[..., rows, :])
-    return values
+    rows = slots.reshape(-1, slots.shape[-1])
+    values = np.empty(rows.shape[:1] + terms.signs.shape[:1])
+    block = max(1, _BLOCK_BYTES // (16 * terms.signs.size))
+    for start in range(0, len(rows), block):
+        values[start : start + block] = _values(terms, rows[start : start + block])
+    return values.reshape(slots.shape[:-1] + terms.signs.shape[:1])
 
 
 def gradients_batch(

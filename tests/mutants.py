@@ -166,8 +166,8 @@ MUTANTS = [
     ),
     Mutant(
         "forward-blocks-written-at-the-first-rows", QSIM,
-        "        values[..., rows, :] = _values(terms, slots[..., rows, :])\n",
-        "        values[..., : rows.stop - rows.start, :] = _values(terms, slots[..., rows, :])\n",
+        "        values[start : start + block] = _values(terms, rows[start : start + block])\n",
+        "        values[:block] = _values(terms, rows[start : start + block])\n",
         (TEST_QSIM,),
     ),
     # the parameter vector and its layout

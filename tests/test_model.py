@@ -363,7 +363,7 @@ class TestRunGroups:
         finally:
             tracemalloc.stop()
         # 4.3 MiB measured for the 4 MiB budget, in groups of two runs, with
-        # the quantum term products a block of rows at a time; one stacked
+        # the quantum term products a block of run-rows at a time; one stacked
         # pass peaks at 47 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
 
@@ -424,9 +424,7 @@ def reference_loss_and_gradients(net, features, labels):
         h = out
     probs = h[..., 0]
     loss = np.mean(nn.bce_loss(probs, labels), axis=-1)
-    clamped = np.clip(probs, nn.BCE_EPS, 1.0 - nn.BCE_EPS)
-    d_probs = (clamped - labels) / (clamped * (1.0 - clamped))
-    d_out = (d_probs / probs.shape[-1])[..., np.newaxis]
+    d_out = (nn.bce_grad(probs, labels) / probs.shape[-1])[..., np.newaxis]
     grads_reversed = []
     for layer, arrays, cache in zip(reversed(net.layers), reversed(views), reversed(caches)):
         if isinstance(layer, nn.DenseLayer):

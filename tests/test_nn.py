@@ -128,15 +128,15 @@ class TestBceLoss:
 
     def test_gradient_formula(self):
         # (p - y) / (p (1 - p)) at the clamped prediction
-        assert nn.bce(0.5, 1)[1] == pytest.approx(-2.0)
-        assert nn.bce(0.5, 0)[1] == pytest.approx(2.0)
+        assert nn.bce_grad(0.5, 1) == pytest.approx(-2.0)
+        assert nn.bce_grad(0.5, 0) == pytest.approx(2.0)
 
     def test_gradient_matches_finite_difference(self):
         h = 1e-7
         for p in (0.2, 0.5, 0.9):
             for y in (0, 1):
                 fd = (nn.bce_loss(p + h, y) - nn.bce_loss(p - h, y)) / (2 * h)
-                assert nn.bce(p, y)[1] == pytest.approx(fd, rel=1e-5)
+                assert nn.bce_grad(p, y) == pytest.approx(fd, rel=1e-5)
 
 
 def gradient_arrays(arrays):
@@ -202,7 +202,7 @@ class TestDenseBackward:
 
         out = nn.dense_forward(layer, arrays, x)
         prob = out[0, 0] if activation == "sigmoid" else float(nn.activate("sigmoid", out[0, 0]))
-        d_prob = nn.bce(prob, label)[1]
+        d_prob = nn.bce_grad(prob, label)
         if activation == "sigmoid":
             d_out = np.array([[d_prob]])
         else:

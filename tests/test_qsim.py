@@ -329,20 +329,20 @@ class TestKernelsBitForBit:
 
 
 class TestRowBlocks:
-    """``forward_batch`` holds its term products a block of rows at a time;
-    each row's arithmetic is the same in any block."""
+    """``forward_batch`` holds its term products a block of run-rows at a
+    time; each row's arithmetic is the same in any block."""
 
     @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
     @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
-    @pytest.mark.parametrize("rows_per_block", [1, 4])  # 4 does not divide the 10 rows
+    @pytest.mark.parametrize("rows_per_block", [1, 4])  # 4 divides neither 10 nor 30 run-rows
     def test_blocks_match_one_unblocked_pass(self, monkeypatch, n, layers, runs, rows_per_block):
         rng = np.random.default_rng(n * 10 + layers)
         inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
         weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
         monkeypatch.setattr(qsim, "_BLOCK_BYTES", 1 << 40)
         whole = qsim.forward_batch(inputs, weights)
-        # a block's two products, [runs..., rows, n, T] each
-        row_bytes = 16 * qsim._terms(n, layers).signs.size * math.prod(runs)
+        # a block's two products, [rows, n, T] each
+        row_bytes = 16 * qsim._terms(n, layers).signs.size
         monkeypatch.setattr(qsim, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes - 1)
         blocks, values = [], qsim._values
 
@@ -352,6 +352,7 @@ class TestRowBlocks:
 
         monkeypatch.setattr(qsim, "_values", counted)
         got = qsim.forward_batch(inputs, weights)
-        assert blocks == {1: [1] * 10, 4: [4, 4, 2]}[rows_per_block]
+        n_rows = 10 * math.prod(runs)
+        assert blocks == {1: [1] * n_rows, 4: [4] * (n_rows // 4) + [2]}[rows_per_block]
         assert got.shape == whole.shape
         np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))

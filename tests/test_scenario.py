@@ -293,6 +293,8 @@ class TestSyntheticDataset:
         assert not scenario.synthetic_dataset(config, bucket_seconds=1).labels.any()
 
     def test_ds3_corridor_peaks_under_4_mib(self):
+        # a first call also counts numpy's lazy imports; make them beforehand
+        scenario.synthetic_dataset(scenario.ScenarioConfig(n_zones=2, duration_s=60), 60)
         config = scenario.ScenarioConfig(n_zones=56, duration_s=1500, seed=0)
         tracemalloc.start()
         try:
@@ -300,8 +302,7 @@ class TestSyntheticDataset:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2.9 MiB measured (3.7 MiB on a process's first call; numpy 2.4,
-        # Python 3.11): the two zone profiles and the two cell grids, each
+        # 2.9 MiB measured (numpy 2.4, Python 3.11): the two zone profiles and the two cell grids, each
         # 0.64 MiB, and one zone's draws.  18.1 MiB when ``generate``'s
         # 338k records went through ``data.aggregate``
         assert peak < 4 << 20
