@@ -54,11 +54,12 @@ _VALUE_TYPES = {
 _MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
 # The most runs an experiment may ask for: a split's runs train as one
-# population, so its parameters, Adam state and step buffers grow with
-# ``n_runs``; predictions go one run group at a time.  On the default
-# corridor, DS-1, DS-2 and DS-3 (one model, one epoch) peak at 85, 132 and
-# 213 MiB for 64, 512 and 1024 runs, 0.13 MiB a run; at 1024 runs, DS-3 with
-# classical and hybrid-4q peaks at 211 MiB, a 2-zone 30 s corridor 185 MiB.
+# population, so its parameters, two Adam moments, one gradient and step
+# buffers grow with ``n_runs``; Adam's work and the quantum gradients go a
+# block at a time, and predictions one run group at a time.  On the default
+# corridor, DS-1, DS-2 and DS-3 (one model, one epoch) peak at 81, 113 and
+# 157 MiB for 64, 512 and 1024 runs, 0.08 MiB a run; at 1024 runs, DS-3 with
+# classical and hybrid-4q peaks at 144 MiB, a 2-zone 30 s corridor 126 MiB.
 MAX_RUNS = 1024
 
 

@@ -152,13 +152,11 @@ def check_hybrid_gradients(
         def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # Each row of ``rows`` [R, P] is one parameter vector.  One walk
             # over the stack with the layers' arrays as [R, ...] views gives
-            # every row's loss and which ReLU units are active (relu(z) > 0
-            # exactly where z > 0).
+            # every row's loss and which gated units (ReLU) pass their input.
             h, active = features, []
             for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):
                 h = layer.forward(arrays, h)
-                if getattr(layer, "activation", None) == "relu":
-                    active.append(h[:, 0] > 0)
+                active.append(layer.gates(h[:, 0]))
             return np.mean(nn.bce_loss(h[..., 0], label), axis=-1), np.concatenate(active, axis=-1)
 
         coords = np.flatnonzero(np.abs(grad) > grad_floor)

@@ -17,7 +17,10 @@ method takes them as ``arrays``.  The protocol: ``forward(arrays, x)``;
 ``plan(lead, first)`` -> the buffers of a training step over rows of
 leading shape ``lead``; ``forward_cached(arrays, x, buffers)`` ->
 (out, cache) and ``backward(arrays, cache, d_out, grads)`` -> d_in,
-writing the gradients of its arrays into ``grads``; ``to_dict(arrays)``,
+writing the gradients of its arrays into ``grads`` (and free to write
+over its own output, which the next layer's backward has already read);
+``gates(out)`` -> which of its output units pass their input, for units
+with a kink (ReLU), an empty pattern for the others; ``to_dict(arrays)``,
 the layer's entry in the saved-model document.  Every trainable number of
 a model lives in one float64 vector, ``Model.params``, and only there.
 ``Model.layout``, computed once from the shapes, places each layer's
@@ -26,12 +29,15 @@ arrays, so Adam works on flat vectors.  The hidden widths and the decision
 threshold are the module constants ``HIDDEN_WIDTHS`` and
 ``OUTPUT_THRESHOLD``.
 
-``train`` checks its rows once, then makes a step plan (``_plan``) per
-batch size, for the full batches and a final partial one: the views of
-``params``, which Adam updates in place, the gradient vector and its
-views, and each layer's buffers, which every step of that size writes
-into; ``loss_and_gradients`` without a plan makes a one-shot one.
-``forward`` refuses non-finite features and outputs.
+``train`` checks its rows once and makes one gradient vector, then a step
+plan (``_plan``) per batch size, for the full batches and a final partial
+one: the views of ``params``, which Adam updates in place, the gradient
+vector and its views, and each layer's buffers, which every step of that
+size writes into; ``loss_and_gradients`` without a plan makes a one-shot
+one.  Every array of a step thus exists once per ``train`` call; Adam's
+work arrays and the quantum kernels' term products go a block at a time
+within a fixed byte bound, and inference a run group (``run_groups``) at
+a time.  ``forward`` refuses non-finite features and outputs.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -114,6 +120,10 @@ class QuantumLayer:
 
     def plan(self, lead: tuple, first: bool) -> None:
         """No buffers: the kernels make their own arrays."""
+
+    def gates(self, out: np.ndarray) -> np.ndarray:
+        """No unit of the circuit is gated: an empty [..., 0] pattern."""
+        return out[..., :0] > 0
 
     def forward_cached(self, arrays: list, x: np.ndarray, buffers: None) -> tuple[np.ndarray, tuple]:
         values, d_inputs, d_weights = _QUANTUM_GRADIENTS(x, arrays[0])
@@ -206,14 +216,16 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
 # ``run_groups`` sizes a population's groups so that no layer of a group's
 # forward pass holds more than this: its input and output, ``forward_bytes``
 # a run-row.  The dense stacks' widest pass (48 -> 32 units) holds 640 bytes
-# a run-row, so they keep groups of 6,553 run-rows: the 30-run DS-3
-# prediction over 1,250 rows goes in six groups of 5 runs and peaks at
-# 3.9 MiB (tracemalloc).  At the term cap (n=6, L=3) the quantum layer
-# counts 808 bytes a run-row (about 745 measured) beside its block of term
-# products (``qsim._BLOCK_BYTES``), so 2,048 rows go two runs a group and
-# peak at 4.3 MiB.  A training step's gradients, which are not grouped,
-# take about 164 KiB a run-row there, 77 MiB for 30 runs at batch 16.
-_FORWARD_BYTES = 4 << 20
+# a run-row, so they keep groups of 3,276 run-rows: the 30-run DS-3
+# prediction over 1,250 rows goes in 15 groups of 2 runs and peaks at
+# 1.9 MiB (tracemalloc), and ``train``'s accuracy pass over the 150 DS-3
+# train rows in groups of 21 and 9 runs.  At the term cap (n=6, L=3) the
+# quantum layer counts 808 bytes a run-row (about 745 measured) beside its
+# block of term products (``qsim._BLOCK_BYTES``), so 2,048 rows go one run
+# a group and peak at 2.1 MiB.  A training step is not grouped: its
+# quantum gradients go a block of run-rows at a time within
+# ``qsim._BLOCK_BYTES``, so a 30-run step at batch 16 peaks at 2.2 MiB there.
+_FORWARD_BYTES = 2 << 20
 
 
 def run_groups(model: Model, n_rows: int) -> list[Model]:
@@ -263,11 +275,11 @@ def predict(model: Model, features) -> np.ndarray:
     return (forward(model, features) >= OUTPUT_THRESHOLD).astype(int)
 
 
-def _plan(model: Model, lead: tuple) -> tuple:
+def _plan(model: Model, lead: tuple, grad: np.ndarray) -> tuple:
     """The state of a training step over rows of leading shape ``lead``
-    (the run axis, then the batch): the per-layer views of ``params``, the
-    gradient vector and its per-layer views, and each layer's buffers."""
-    grad = np.empty_like(model.params)
+    (the run axis, then the batch) that writes its gradient into ``grad``,
+    laid out like ``params``: the per-layer views of ``params``, ``grad``
+    and its per-layer views, and each layer's buffers."""
     buffers = [layer.plan(lead, first=i == 0) for i, layer in enumerate(model.layers)]
     return _views(model.params, model.layout), grad, _views(grad, model.layout), buffers
 
@@ -288,7 +300,7 @@ def loss_and_gradients(
     """
     if plan is None:
         features, labels = _feature_rows(features), np.asarray(labels, dtype=float)
-        plan = _plan(model, model.params.shape[:-1] + features.shape[:1])
+        plan = _plan(model, model.params.shape[:-1] + features.shape[:1], np.empty_like(model.params))
     arrays, grad, grads, buffers = plan
     h, caches = features, []
     for layer, layer_arrays, layer_buffers in zip(model.layers, arrays, buffers):
@@ -337,9 +349,11 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     seeds = config.seed + np.arange(math.prod(runs))
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     n_batches = math.ceil(n_rows / config.batch_size)
-    # one plan for the full batches and one for a final partial batch
+    # one plan for the full batches and one for a final partial batch, both
+    # writing into one gradient vector
     sizes = {min(config.batch_size, n_rows), n_rows - (n_batches - 1) * config.batch_size}
-    plans = {size: _plan(model, runs + (size,)) for size in sizes}
+    grad = np.empty_like(model.params)
+    plans = {size: _plan(model, runs + (size,), grad) for size in sizes}
     loss_history, accuracy_history = [], []
     for epoch in range(config.epochs):
         running = np.zeros(runs)

@@ -11,7 +11,10 @@ and the final partial batch of an epoch is used at its natural size.
 A dense layer applies its activation in place on the pre-activation, so
 its forward pass makes one array, and takes the derivative from that
 output.  In training, ``dense_forward`` and ``dense_backward`` write into
-the buffers ``DenseLayer.plan`` makes once per ``train`` call and batch size.
+the buffers ``DenseLayer.plan`` makes once per ``train`` call and batch size:
+the output, over which the backward pass writes d_out * f'(z), and the input
+gradient.  ``adam_step`` works a block of elements at a time, so its work
+arrays do not grow with the parameters.
 """
 
 from __future__ import annotations
@@ -81,18 +84,23 @@ class DenseLayer:
 
     def plan(self, lead: tuple, first: bool) -> tuple:
         """A training step's buffers for rows of leading shape ``lead``: the
-        output, its ``dz`` and the input gradient, which the first layer of
-        a stack does not make (None), since nothing reads it."""
-        out = np.empty(lead + (self.out_dim,))
-        return out, np.empty_like(out), None if first else np.empty(lead + (self.in_dim,))
+        output and the input gradient, which the first layer of a stack
+        does not make (None), since nothing reads it."""
+        return np.empty(lead + (self.out_dim,)), None if first else np.empty(lead + (self.in_dim,))
 
     def forward_cached(self, arrays: list, x: np.ndarray, buffers: tuple) -> tuple[np.ndarray, tuple]:
         out = dense_forward(self, arrays, x, buffers[0])
         return out, (x,) + buffers
 
     def backward(self, arrays: list, cache: tuple, d_out: np.ndarray, grads: list) -> np.ndarray | None:
-        x, out, dz, d_in = cache
-        return dense_backward(self, arrays, x, out, d_out, grads, dz, d_in)
+        x, out, d_in = cache
+        return dense_backward(self, arrays, x, out, d_out, grads, d_in)
+
+    def gates(self, out: np.ndarray) -> np.ndarray:
+        """Which of the units of an output [..., out_dim] pass their input:
+        a ReLU's, exactly where z > 0 (relu(z) > 0); a sigmoid gates none,
+        an empty [..., 0] pattern."""
+        return out > 0 if self.activation == "relu" else out[..., :0] > 0
 
     def to_dict(self, arrays: list) -> dict:
         weights, biases = arrays
@@ -130,13 +138,14 @@ def dense_forward(layer: DenseLayer, arrays: list, x: np.ndarray, out=None) -> n
 
 def dense_backward(
     layer: DenseLayer, arrays: list, x: np.ndarray, out: np.ndarray, d_out: np.ndarray,
-    grads: list, dz: np.ndarray, d_in: np.ndarray | None,
+    grads: list, d_in: np.ndarray | None,
 ) -> np.ndarray | None:
     """Chain-rule step for a [..., batch, in] input and the layer's output:
-    writes d_out * f'(z) into ``dz``, (d_weights, d_biases), summed over the
-    batch axis, into ``grads``, and d_input into ``d_in``, which it returns;
-    a None ``d_in`` skips d_input."""
-    np.multiply(d_out, activate_deriv(layer.activation, out), out=dz)
+    writes dz = d_out * f'(z) over ``out``, which a stack has no further use
+    for once the next layer's backward has run, (d_weights, d_biases),
+    summed over the batch axis, into ``grads``, and d_input into ``d_in``,
+    which it returns; a None ``d_in`` skips d_input."""
+    dz = np.multiply(d_out, activate_deriv(layer.activation, out), out=out)
     d_weights, d_biases = grads
     np.matmul(dz.swapaxes(-1, -2), x, out=d_weights)
     np.add.reduce(dz, axis=-2, out=d_biases)
@@ -178,13 +187,17 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# the elements ``adam_step`` updates at a time: each of its two work arrays
+# holds this many, 128 KiB, however many parameters a population has
+_ADAM_BLOCK = 1 << 14
+
 
 @dataclass
 class AdamState:
     """First/second moments laid out like the flat parameters, plus the
     step counter, which every run of a population shares because all runs
-    take every step together.  ``scratch`` holds two work arrays of that
-    shape, made on the first step."""
+    take every step together.  ``scratch`` holds two work arrays of a block
+    of elements (``_ADAM_BLOCK``), made on the first step."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -200,32 +213,41 @@ class AdamState:
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of the flat ``params``, in place.
 
-    Element-wise, so a population's [R, P] parameters update as R models.
-    The moments update in place too, and the intermediate terms go to the
-    two scratch arrays ``state`` keeps, so a step allocates nothing after
-    the first.  Each term is computed in the order of the expressions
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + ((1-beta2)*g)*g`` and
-    ``params -= lr*(m/mc) / (sqrt(v/vc) + eps)``, which fixes its bits."""
-    m, v = state.first_moment, state.second_moment
-    if params.shape != grad.shape or params.shape != m.shape:
+    Element-wise, so a population's [R, P] parameters update as R models,
+    and so it runs over the elements one block of ``_ADAM_BLOCK`` at a
+    time.  The moments update in place too, and the intermediate terms go
+    to the two block-sized scratch arrays ``state`` keeps, so a step
+    allocates nothing after the first; ``grad`` is only read.  Each term is
+    computed in the order of the expressions ``m = beta1*m + (1-beta1)*g``,
+    ``v = beta2*v + ((1-beta2)*g)*g`` and
+    ``params -= lr*(m/mc) / (sqrt(v/vc) + eps)``, which fixes its bits.
+    ``params`` must be C-contiguous (``Model.params`` is), and the moments
+    are laid out like it."""
+    if params.shape != grad.shape or params.shape != state.first_moment.shape:
         raise ValueError("params, grad and state must have matching shapes")
+    if not params.flags.c_contiguous:
+        raise ValueError("params must be C-contiguous, so that a step updates it as one vector")
+    p, g, m, v = (array.reshape(-1) for array in (params, grad, state.first_moment, state.second_moment))
     if state.scratch is None:
-        state.scratch = (np.empty_like(params), np.empty_like(params))
-    a, b = state.scratch
+        state.scratch = (np.empty(min(p.size, _ADAM_BLOCK)), np.empty(min(p.size, _ADAM_BLOCK)))
     state.step_count += 1
     mc = 1.0 - ADAM_BETA1**state.step_count
     vc = 1.0 - ADAM_BETA2**state.step_count
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(1.0 - ADAM_BETA1, grad, out=a)
-    m += a
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(1.0 - ADAM_BETA2, grad, out=a)
-    a *= grad
-    v += a
-    np.divide(m, mc, out=a)
-    a *= state.learning_rate
-    np.divide(v, vc, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPSILON
-    a /= b
-    params -= a
+    for start in range(0, p.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        a, b = (work[: len(pb)] for work in state.scratch)
+        np.multiply(mb, ADAM_BETA1, out=mb)
+        np.multiply(1.0 - ADAM_BETA1, gb, out=a)
+        mb += a
+        np.multiply(vb, ADAM_BETA2, out=vb)
+        np.multiply(1.0 - ADAM_BETA2, gb, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, mc, out=a)
+        a *= state.learning_rate
+        np.divide(vb, vc, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPSILON
+        a /= b
+        pb -= a

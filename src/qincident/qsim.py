@@ -171,17 +171,20 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-# the most bytes of term products ``forward_batch`` holds at once: a block of
-# run-rows holds two [rows, n, T] tables at a time, 16 n T bytes a run-row,
-# 6 KiB at the term cap
-_BLOCK_BYTES = 1 << 20
+# the most bytes of term products a kernel holds at once, a block of
+# run-rows at a time: ``forward_batch`` holds two [rows, n, T] tables,
+# 16 n T bytes a run-row (6 KiB at the term cap, 64 bytes for hybrid-4q),
+# and ``gradients_batch`` three [rows, K, n, T] ones, 24 K n T bytes a
+# run-row (162 KiB at the term cap, so one run-row a block there; 384
+# bytes for hybrid-4q)
+_BLOCK_BYTES = 1 << 18
 
 
 def forward_bytes(n: int, n_layers: int) -> int:
     """About the bytes ``forward_batch`` holds at its peak per input row,
-    besides the block of term products that ``_BLOCK_BYTES`` bounds: the
-    angles, their cos and sin and the slots made of them, or later the
-    angles, the slots and the row's values."""
+    besides the block of term products that ``_BLOCK_BYTES`` bounds (at
+    least one run-row): the angles, their cos and sin and the slots made of
+    them, or later the angles, the slots and the row's values."""
     n_angles = n * n_layers
     return 8 * max(5 * (n_angles + 1), 3 * (n_angles + 1) + n)
 
@@ -212,17 +215,26 @@ def gradients_batch(
 
     A term's slope in angle k is the derivative of factor k times the product
     of the other factors, not the full product divided by factor k (maybe 0).
-    As theta_i = x_i + w_0i, d/dx_i = d/dw_0i.
+    As theta_i = x_i + w_0i, d/dx_i = d/dw_0i.  Like ``forward_batch``, it
+    runs a block of run-rows at a time, each row with the same arithmetic
+    in any block.
     """
     terms, phi = _angles(inputs, weights)
     sin = np.sin(phi)
     slots = np.concatenate((np.cos(phi), sin, -sin), axis=-1)
-    slopes = slots.take(terms.slopes, axis=-1)
-    slopes *= terms.signs
-    slopes *= _products(slots, terms.rest)
-    d_angles = np.add.reduce(slopes, axis=-1)
-    d_weights = d_angles.reshape(d_angles.shape[:-2] + np.shape(weights)[-2:] + (-1,))
-    return _values(terms, slots), d_weights[..., 0, :, :], d_weights
+    rows = slots.reshape(-1, slots.shape[-1])
+    n_angles, n = terms.slopes.shape[:2]
+    values, d_angles = np.empty((len(rows), n)), np.empty((len(rows), n_angles, n))
+    block = max(1, _BLOCK_BYTES // (24 * terms.slopes.size))
+    for start in range(0, len(rows), block):
+        part = rows[start : start + block]
+        slopes = part.take(terms.slopes, axis=-1)
+        slopes *= terms.signs
+        slopes *= _products(part, terms.rest)
+        np.add.reduce(slopes, axis=-1, out=d_angles[start : start + block])
+        values[start : start + block] = _values(terms, part)
+    d_weights = d_angles.reshape(slots.shape[:-1] + np.shape(weights)[-2:] + (n,))
+    return values.reshape(slots.shape[:-1] + (n,)), d_weights[..., 0, :, :], d_weights
 
 
 def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -151,6 +151,18 @@ MUTANTS = [
         (TEST_NN,),
     ),
     Mutant(
+        "adam-skips-the-last-block", NN,
+        "    for start in range(0, p.size, _ADAM_BLOCK):\n",
+        "    for start in range(0, p.size - _ADAM_BLOCK, _ADAM_BLOCK):\n",
+        (TEST_NN,),
+    ),
+    Mutant(
+        "dz-in-a-buffer-of-its-own", NN,
+        "    dz = np.multiply(d_out, activate_deriv(layer.activation, out), out=out)\n",
+        "    dz = np.multiply(d_out, activate_deriv(layer.activation, out))\n",
+        (TEST_NN,),
+    ),
+    Mutant(
         "learning-rate-zero-taken", NN,
         "math.isfinite(self.learning_rate) and self.learning_rate > 0",
         "math.isfinite(self.learning_rate) and self.learning_rate >= 0",
@@ -170,6 +182,12 @@ MUTANTS = [
         "        values[:block] = _values(terms, rows[start : start + block])\n",
         (TEST_QSIM,),
     ),
+    Mutant(
+        "gradient-blocks-written-at-the-first-rows", QSIM,
+        "        np.add.reduce(slopes, axis=-1, out=d_angles[start : start + block])\n",
+        "        np.add.reduce(slopes, axis=-1, out=d_angles[: len(part)])\n",
+        (TEST_QSIM,),
+    ),
     # the parameter vector and its layout
     Mutant(
         "layout-offset-not-advanced", MODEL,
@@ -187,6 +205,13 @@ MUTANTS = [
         "plan-views-a-copy-of-params", MODEL,
         "    return _views(model.params, model.layout), grad,",
         "    return _views(model.params.copy(), model.layout), grad,",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "plans-make-their-own-gradient", MODEL,
+        "    buffers = [layer.plan(lead, first=i == 0) for i, layer in enumerate(model.layers)]\n",
+        "    grad = np.empty_like(grad)\n"
+        "    buffers = [layer.plan(lead, first=i == 0) for i, layer in enumerate(model.layers)]\n",
         (TEST_MODEL,),
     ),
     Mutant(

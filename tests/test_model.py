@@ -355,6 +355,8 @@ class TestRunGroups:
         config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
         population = model.build_population(config, 0, n_runs=30)
         features = np.random.default_rng(2).uniform(0, 1, (2048, 6))
+        # a first forward also counts numpy's lazy imports; make them beforehand
+        model.forward(population, features[:2])
         tracemalloc.start()
         try:
             for group in model.run_groups(population, len(features)):
@@ -362,9 +364,9 @@ class TestRunGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4.3 MiB measured for the 4 MiB budget, in groups of two runs, with
-        # the quantum term products a block of run-rows at a time; one stacked
-        # pass peaks at 47 MiB
+        # 2.1 MiB measured for the 2 MiB budget, in groups of one run, with
+        # the quantum term products a block of run-rows at a time (3.2 MiB
+        # without the warm-up); one stacked pass peaks at 47 MiB
         assert peak < 1.25 * model._FORWARD_BYTES
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
@@ -380,9 +382,51 @@ class TestRunGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 3.9 MiB measured for the 4 MiB budget, in six groups of 5 runs; one
+        # 1.9 MiB measured for the 2 MiB budget, in 15 groups of 2 runs; one
         # pass of all 30 runs peaked at 23.0 MiB
         assert peak < 1.1 * model._FORWARD_BYTES
+
+
+class TestStepMemory:
+    """Every array of a training step exists once per ``train`` call, and
+    what grows with the runs and rows goes a block at a time."""
+
+    @pytest.mark.parametrize("kind", ["classical", "hybrid"])
+    def test_a_30_run_ds3_train_stays_within_5_mib(self, kind):
+        config = model.HybridModelConfig(kind=kind)
+        rng = np.random.default_rng(4)
+        rows = (rng.uniform(0, 1, (150, 6)), rng.integers(0, 2, 150).astype(float))  # the DS-3 train rows
+        # a first training also counts numpy's lazy imports; make them beforehand
+        model.train(model.build_model(config, 0), (rows[0][:20], rows[1][:20]), nn.TrainConfig(epochs=1))
+        population = model.build_population(config, 0, n_runs=30)
+        tracemalloc.start()
+        try:
+            model.train(population, rows, nn.TrainConfig(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.4 / 4.5 MiB measured (classical / hybrid-4q), with one gradient,
+        # dz over each output, Adam's work in blocks and 2 MiB run groups;
+        # 6.7 / 7.0 MiB with a gradient per plan, a dz beside every output,
+        # two [R, P] work arrays and 4 MiB groups
+        assert peak <= 5 << 20
+
+    def test_a_30_run_step_at_the_term_cap_stays_within_4_mib(self):
+        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
+        rng = np.random.default_rng(5)
+        features, labels = rng.uniform(0, 1, (16, 6)), rng.integers(0, 2, 16).astype(float)
+        # the term tables, built once per shape, and numpy's lazy imports beforehand
+        model.loss_and_gradients(model.build_model(config, 0), features[:1], labels[:1])
+        population = model.build_population(config, 0, n_runs=30)
+        tracemalloc.start()
+        try:
+            model.loss_and_gradients(population, features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.2 MiB measured, the quantum gradient one run-row (162 KiB of
+        # term tables) a block; 77.9 MiB with all 480 run-rows in one pass
+        assert peak <= 4 << 20
 
 
 def reference_dense_forward(layer, arrays, x):
@@ -500,11 +544,13 @@ class TestPlannedTraining:
         assert 0.4 < np.min(want_accuracy) and np.max(want_accuracy) < 0.6  # not all one class
 
     def test_a_plan_is_reused_across_steps_and_made_per_batch_size(self, monkeypatch):
-        made = []
+        made, gradients = [], []
 
-        def plan(net, lead):
+        def plan(net, lead, grad):
             made.append(lead)
-            return planner(net, lead)
+            planned = planner(net, lead, grad)
+            gradients.append(planned[1])
+            return planned
 
         planner = model._plan
         monkeypatch.setattr(model, "_plan", plan)
@@ -513,17 +559,20 @@ class TestPlannedTraining:
         rows = (rng.uniform(0, 1, (38, 6)), rng.integers(0, 2, 38).astype(float))
         model.train(population, rows, nn.TrainConfig(epochs=3, batch_size=16))
         assert sorted(made) == [(2, 6), (2, 16)]
+        # both plans write into one gradient vector, laid out like params
+        assert gradients[0] is gradients[1] and gradients[0].shape == population.params.shape
         made.clear()
         model.train(population, (rows[0][:32], rows[1][:32]), nn.TrainConfig(epochs=2, batch_size=16))
         assert made == [(2, 16)]
 
     def test_the_first_layer_makes_no_input_gradient(self):
         net = model.build_model(CONFIGS[2], seed=0)
-        buffers = model._plan(net, (16,))[-1]
-        assert buffers[0][2] is None
-        for layer, layer_buffers in zip(net.layers[1:], buffers[1:]):
-            if layer_buffers is not None:  # a dense layer
-                assert layer_buffers[2].shape == (16, layer.in_dim)
+        buffers = model._plan(net, (16,), np.empty_like(net.params))[-1]
+        for i, (layer, layer_buffers) in enumerate(zip(net.layers, buffers)):
+            if layer_buffers is not None:  # a dense layer: its output, which dz is written over, and d_in
+                out, d_in = layer_buffers
+                assert out.shape == (16, layer.out_dim)
+                assert d_in is None if i == 0 else d_in.shape == (16, layer.in_dim)
 
 
 class TestGradients:

@@ -1,5 +1,7 @@
 """Dense layer primitives, loss, initialization, Adam."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,9 @@ def gradient_arrays(arrays):
     return tuple(np.full(array.shape, np.nan) for array in arrays)
 
 
-def step_buffers(out, x):
-    """``dense_backward``'s dz and d_input buffers, filled with NaN."""
-    return np.full(out.shape, np.nan), np.full(out.shape[:-1] + x.shape[-1:], np.nan)
+def input_gradient(out, x):
+    """``dense_backward``'s d_input buffer, filled with NaN."""
+    return np.full(out.shape[:-1] + x.shape[-1:], np.nan)
 
 
 class TestDenseBackward:
@@ -157,18 +159,18 @@ class TestDenseBackward:
         x = rng.normal(size=(1, 4))
         out = nn.dense_forward(layer, arrays, x)
         d_w, d_b = gradient_arrays(arrays)
-        d_x = nn.dense_backward(layer, arrays, x, out, np.zeros((1, 3)), (d_w, d_b), *step_buffers(out, x))
+        d_x = nn.dense_backward(layer, arrays, x, out, np.zeros((1, 3)), (d_w, d_b), input_gradient(out, x))
         assert not np.any(d_w) and not np.any(d_b) and not np.any(d_x)
 
     def test_a_first_layer_makes_no_input_gradient(self):
-        rng = np.random.default_rng(2)
+        rng = np.random.default_rng(4)  # 4 of the 6 units active
         layer, arrays = dense(rng.normal(size=(3, 4)), rng.normal(size=3))
         x = rng.normal(size=(2, 4))
         out = nn.dense_forward(layer, arrays, x)
         d_w, d_b = gradient_arrays(arrays)
-        dz, _ = step_buffers(out, x)
-        assert nn.dense_backward(layer, arrays, x, out, np.ones((2, 3)), (d_w, d_b), dz, None) is None
-        np.testing.assert_array_equal(dz, out > 0)
+        active = out > 0
+        assert nn.dense_backward(layer, arrays, x, out, np.ones((2, 3)), (d_w, d_b), None) is None
+        np.testing.assert_array_equal(out, active)  # dz, written over the output
         assert not np.isnan(d_w).any() and not np.isnan(d_b).any()
 
     def test_writes_into_strided_views_of_a_population_gradient(self):
@@ -180,8 +182,9 @@ class TestDenseBackward:
         d_out = rng.normal(size=(2, 5, 3))
         flat = np.full((2, 15), np.nan)
         d_w, d_b = flat[:, :12].reshape(2, 3, 4), flat[:, 12:]
-        d_x = nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
         dz = d_out * (out > 0)
+        d_x = nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), input_gradient(out, x))
+        np.testing.assert_array_equal(out, dz)  # written over the output, the step's one dz
         np.testing.assert_array_equal(d_w, dz.swapaxes(-1, -2) @ x)
         np.testing.assert_array_equal(d_b, dz.sum(axis=-2))
         np.testing.assert_array_equal(d_x, dz @ arrays[0])
@@ -208,7 +211,7 @@ class TestDenseBackward:
         else:
             d_out = np.array([[d_prob * prob * (1 - prob)]])
         d_w, d_b = gradient_arrays(arrays)
-        nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), *step_buffers(out, x))
+        nn.dense_backward(layer, arrays, x, out, d_out, (d_w, d_b), input_gradient(out, x))
 
         h = 1e-6
         for idx in np.ndindex(weights.shape):
@@ -294,7 +297,10 @@ def expression_adam(params, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e
 
 class TestAdamInPlace:
     @pytest.mark.parametrize("shape", [(23,), (4, 23)])
-    def test_matches_the_expression_form_bit_for_bit(self, shape):
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_matches_the_expression_form_bit_for_bit(self, monkeypatch, shape, block):
+        if block is not None:  # 7 divides neither 23 nor 92 elements
+            monkeypatch.setattr(nn, "_ADAM_BLOCK", block)
         rng = np.random.default_rng(11)
         params = rng.normal(size=shape)
         lr = 0.003
@@ -311,6 +317,12 @@ class TestAdamInPlace:
             np.testing.assert_array_equal(params, expected)
             np.testing.assert_array_equal(state.first_moment, m)
             np.testing.assert_array_equal(state.second_moment, v)
+        assert all(len(work) == min(math.prod(shape), nn._ADAM_BLOCK) for work in state.scratch)
+
+    def test_params_that_are_not_one_vector_raise(self):
+        params = np.zeros((3, 8))[:, ::2]  # a strided view
+        with pytest.raises(ValueError, match="contiguous"):
+            nn.adam_step(params, np.ones((3, 4)), nn.AdamState.for_params(params))
 
     def test_layer_views_of_a_population_see_each_step(self):
         params = np.zeros((3, 5))

@@ -329,8 +329,9 @@ class TestKernelsBitForBit:
 
 
 class TestRowBlocks:
-    """``forward_batch`` holds its term products a block of run-rows at a
-    time; each row's arithmetic is the same in any block."""
+    """``forward_batch`` and ``gradients_batch`` hold their term products a
+    block of run-rows at a time; each row's arithmetic is the same in any
+    block."""
 
     @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
     @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
@@ -356,3 +357,29 @@ class TestRowBlocks:
         assert blocks == {1: [1] * n_rows, 4: [4] * (n_rows // 4) + [2]}[rows_per_block]
         assert got.shape == whole.shape
         np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
+    @pytest.mark.parametrize("rows_per_block", [1, 4])
+    def test_gradient_blocks_match_one_unblocked_pass(self, monkeypatch, n, layers, runs, rows_per_block):
+        rng = np.random.default_rng(n * 10 + layers + 1)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
+        monkeypatch.setattr(qsim, "_BLOCK_BYTES", 1 << 40)
+        whole = qsim.gradients_batch(inputs, weights)
+        # a block's slopes, products and gathered factor, [rows, K, n, T] each
+        row_bytes = 24 * qsim._terms(n, layers).slopes.size
+        monkeypatch.setattr(qsim, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes - 1)
+        blocks, values = [], qsim._values
+
+        def counted(terms, slots):
+            blocks.append(slots.shape[-2])
+            return values(terms, slots)
+
+        monkeypatch.setattr(qsim, "_values", counted)
+        got = qsim.gradients_batch(inputs, weights)
+        n_rows = 10 * math.prod(runs)
+        assert blocks == {1: [1] * n_rows, 4: [4] * (n_rows // 4) + [2]}[rows_per_block]
+        for got_array, whole_array in zip(got, whole):
+            assert got_array.shape == whole_array.shape
+            np.testing.assert_array_equal(got_array.view(np.int64), whole_array.view(np.int64))
