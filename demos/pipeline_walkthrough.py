@@ -20,9 +20,10 @@ config = scenario.ScenarioConfig(
     n_zones=12, duration_s=600, seed=3, incidents=tuple(events)
 )
 
-# Draw the traffic, sum it per second and zone, build the six-feature rows,
-# attach labels.
-table = scenario.synthetic_dataset(config, bucket_seconds=1)
+# Generate the vehicle records, sum them per second and zone, build the
+# six-feature rows, attach labels.
+records, _ = scenario.generate(config)
+table = data.build_dataset(records, events, config.n_zones, 1, config.duration_s)
 positives = int(table.labels.sum())
 print(f"{len(table)} rows from {config.n_zones} zones x {config.duration_s}s, "
       f"{positives} labeled positive ({positives / len(table):.1%})")

@@ -186,8 +186,9 @@ def cmd_features(args) -> int:
             f"the corridor of {n_zones} zones x {duration_s} s"
         )
     _corridor(n_zones, duration_s, events=events, path=args.schedule)
-    table = data.build_dataset(records, events, n_zones, args.bucket, duration_s)
-    del records  # not held while the table is written
+    grids = data.aggregate(records, n_zones, duration_s)
+    del records  # not held while the rows are built and written
+    table = data.grid_dataset(grids, events, args.bucket)
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0
     print(f"wrote {args.out}: {len(table)} rows, prevalence {prevalence:.4f}")

@@ -338,10 +338,15 @@ def _id_codes(ids: np.ndarray) -> np.ndarray:
     ``np.unique(ids, return_inverse=True)`` gives (``_sorted_runs``)."""
     order, new = _sorted_runs(ids)
     codes = np.empty(len(ids), dtype=np.int64)
-    # the first id in sorted order has rank 0; each change of id adds one
-    ranks = np.cumsum(new)
-    ranks -= 1
-    codes[order] = ranks
+    # the first id in sorted order has rank 0; each change of id adds one.
+    # The ranks go ``_SORTED_BLOCK`` at a time, each block carrying on from
+    # the last rank of the one before.
+    last = -1
+    for start in range(0, len(ids), _SORTED_BLOCK):
+        ranks = np.cumsum(new[start : start + _SORTED_BLOCK])
+        ranks += last
+        codes[order[start : start + _SORTED_BLOCK]] = ranks
+        last = ranks[-1]
     return codes
 
 

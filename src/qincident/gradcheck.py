@@ -10,14 +10,18 @@ from different primitives:
 * the layer's exact gradients (derivatives of the term formula) vs central
   finite differences of ``qsim.quantum_forward``, printed as
   ``parameter-shift`` for the benchmark's checks, though no parameter shift
-  runs since the term formula replaced the shifted circuits;
+  runs since the term formula replaced the shifted circuits; whole cases
+  of one shape share an oracle call of at most ``SHIFT_ROWS`` probe rows;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
   scalar loss over every trainable parameter, through the layers' run-axis
-  path.  Both derivative suites stack their probes, one row per probe, in
+  path.  Its probes are stacked, one row per probe, in
   ``_central_differences``; a coordinate whose probes cross a ReLU kink
   halves its own step and is probed again.  The probe rows are written in
   place into one buffer per call, which holds ``base`` between passes, and
   the hybrid probe walks the stack over views of those rows.
+
+Both derivative suites take each difference as (plus - minus) / (2 step)
+of probes at ``base[k]`` +- step.
 
 Used by the test suite and by the ``gradcheck`` CLI command.
 """
@@ -88,23 +92,49 @@ def check_parameter_shift(
     tol: float = 1e-6,
 ) -> SuiteResult:
     """quantum_gradients against central finite differences of quantum_forward,
-    probed along one vector of a case's inputs and weights."""
+    probed along one vector of a case's inputs and weights.
+
+    A case of m inputs and weights probes ``base`` + step at coordinate k in
+    row k and ``base`` - step there in row m + k, with no probe at ``base``
+    itself.  Whole cases of one shape ``(n, layers)``, in draw order, share
+    one ``quantum_forward`` call of at most ``SHIFT_ROWS`` rows; a row's
+    values have the same bits whatever rows share its call.  Below
+    ``MIN_STEP`` no probe runs and every difference is NaN, a failure.
+    """
     rng = np.random.default_rng(seed)
-    max_err, worst = 0.0, ""
+    bases, analytic, shapes = [], [], {}
     for case in range(n_cases):
         n = int(rng.integers(1, 5))
         layers = int(rng.integers(1, 3))
         inputs = rng.uniform(-np.pi, np.pi, size=n)
         weights = rng.uniform(-np.pi, np.pi, size=(layers, n))
         _, d_inputs, d_weights = qsim.quantum_gradients(inputs, weights)
+        bases.append(np.concatenate((inputs, weights.ravel())))
+        analytic.append(np.concatenate((d_inputs, d_weights.reshape(-1, n))))
+        shapes.setdefault((n, layers), []).append(case)
 
-        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
-            return values, np.empty((len(rows), 0), dtype=bool)  # no ReLU to cross
+    fd = [np.full_like(grad, np.nan) for grad in analytic]
+    if step >= MIN_STEP:
+        for (n, layers), cases in shapes.items():
+            m = n + layers * n
+            per_call = SHIFT_ROWS // (2 * m)
+            k = np.arange(m)
+            for first in range(0, len(cases), per_call):
+                group = cases[first : first + per_call]
+                base = np.array([bases[case] for case in group])  # [C, m]
+                rows = np.repeat(base[:, np.newaxis], 2 * m, axis=1)  # [C, 2m, m]
+                rows[:, k, k] += step
+                rows[:, m + k, k] -= step
+                rows = rows.reshape(-1, m)
+                values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
+                values = values.reshape(len(group), 2 * m, n)
+                for case, diff in zip(group, (values[:, :m] - values[:, m:]) / (2 * step)):
+                    fd[case] = diff
 
-        base = np.concatenate((inputs, weights.ravel()))
-        fd = _central_differences(probe, base, np.arange(len(base)), step)
-        err = np.max(np.abs(np.concatenate((d_inputs, d_weights.reshape(-1, n))) - fd), axis=1)
+    max_err, worst = 0.0, ""
+    for case, (grad, diff) in enumerate(zip(analytic, fd)):
+        n = grad.shape[1]
+        err = np.max(np.abs(grad - diff), axis=1)
         err[np.isnan(err)] = np.inf
         if err.max() > max_err:
             k = int(np.argmax(err))
@@ -116,6 +146,11 @@ def check_parameter_shift(
 # Smallest finite-difference step tried before a coordinate whose probes
 # keep crossing a ReLU kink is counted as a failure.
 MIN_STEP = 1e-8
+
+# Probe rows in one call of the parameter-shift suite: a case of n qubits
+# and L layers probes 2 (n + L n) rows, so this is what the largest drawn
+# case (n=4, L=2) probes alone, and it bounds the stacked 16 x 16 gates.
+SHIFT_ROWS = 24
 
 # Coordinates probed together: a pass stacks two probe rows per coordinate,
 # so this bounds the probe matrix and every stacked activation (64 rows of
@@ -181,14 +216,14 @@ def _central_differences(
     """Central differences [len(coords), ...] of the values along coordinates
     ``coords`` of the parameter vector ``base``; NaN where unresolved.
 
-    ``probe(rows)`` returns the values [R, ...] (a loss [R], a readout
-    [R, n]) and the ReLU pattern [R, U] at each of the parameter vectors
-    ``rows`` [R, P].  Coordinates go in chunks of ``PROBE_CHUNK``: one pass
-    over m of a chunk's coordinates probes ``base`` + step at coordinate i in
-    row i and ``base`` - step there in row m + i.  A coordinate whose probes
-    both show the base pattern is resolved; any other has its own step
-    halved and is probed again in the next pass, until that step falls
-    below ``MIN_STEP``.
+    ``probe(rows)`` returns the values [R, ...] (the hybrid suite's loss
+    [R], or a vector per row) and the ReLU pattern [R, U] at each of the
+    parameter vectors ``rows`` [R, P].  Coordinates go in chunks of
+    ``PROBE_CHUNK``: one pass over m of a chunk's coordinates probes
+    ``base`` + step at coordinate i in row i and ``base`` - step there in
+    row m + i.  A coordinate whose probes both show the base pattern is
+    resolved; any other has its own step halved and is probed again in the
+    next pass, until that step falls below ``MIN_STEP``.
 
     The rows of every pass are the leading 2m rows of one buffer, filled
     with ``base`` once per call: a pass writes its 2m stepped entries, probes

@@ -62,9 +62,14 @@ MUTANTS = [
     ),
     Mutant(
         "id-codes-by-first-appearance", DATA,
-        "    codes[order] = ranks\n    return codes\n",
-        "    codes[order] = ranks\n"
+        "    return codes\n",
         "    return np.unique(codes, return_index=True)[1].argsort().argsort()[codes]\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "id-ranks-restart-each-block", DATA,
+        "        last = ranks[-1]\n",
+        "",
         (TEST_DATA,),
     ),
     Mutant(
@@ -250,6 +255,18 @@ MUTANTS = [
         "probe-reads-its-rows-reversed", GRADCHECK,
         "            for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):\n",
         "            for layer, arrays in zip(net.layers, model_mod._views(rows[::-1], net.layout)):\n",
+        (TEST_GRADCHECK,),
+    ),
+    Mutant(
+        "pshift-probes-around-the-first-case", GRADCHECK,
+        "                rows = np.repeat(base[:, np.newaxis], 2 * m, axis=1)  # [C, 2m, m]\n",
+        "                rows = np.repeat(base[[0] * len(group), np.newaxis], 2 * m, axis=1)\n",
+        (TEST_GRADCHECK,),
+    ),
+    Mutant(
+        "pshift-one-call-per-shape", GRADCHECK,
+        "            per_call = SHIFT_ROWS // (2 * m)\n",
+        "            per_call = len(cases)\n",
         (TEST_GRADCHECK,),
     ),
     # the command line

@@ -153,6 +153,23 @@ class TestAggregate:
             want = np.unique(ids[:n], return_inverse=True)[1]
             np.testing.assert_array_equal(data._id_codes(ids[:n]), want)
 
+    def test_id_codes_peak_over_many_blocks(self):
+        # the codes, the sort order and its run flags, with the ranks made a
+        # block at a time: 18.5 bytes per id measured (numpy 2.4, Python
+        # 3.11), 33 with one cumulative sum over every id
+        n = 1 << 18
+        ids = np.char.add(b"v", np.random.default_rng(0).integers(0, n // 4, n).astype("S"))
+        want = np.unique(ids, return_inverse=True)[1]
+        data._id_codes(ids[:2])  # numpy's lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            codes = data._id_codes(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(codes, want)
+        assert peak <= 24 * n
+
     def test_partial_final_minute_divides_by_covered_seconds(self):
         # 30-second tail bucket with one vehicle per second: count stays 1
         recs = records(*[(t, t, 0, 10.0) for t in range(90)])

@@ -132,6 +132,50 @@ class TestSuites:
         result = gradcheck.check_parameter_shift(seed=3, n_cases=2, step=1e-9)
         assert not result.passed and result.max_err == np.inf
 
+    @pytest.mark.parametrize(
+        "seed, n_cases, step", [(0, 50, 1e-5), (3, 10, 1e-5), (12, 50, 1e-5), (3, 2, 1e-9)]
+    )
+    def test_parameter_shift_matches_one_case_per_call(self, seed, n_cases, step):
+        # the suite's draws, in its order, each probed through
+        # ``_central_differences`` in calls of its own
+        rng = np.random.default_rng(seed)
+        max_err, worst = 0.0, ""
+        for case in range(n_cases):
+            n = int(rng.integers(1, 5))
+            layers = int(rng.integers(1, 3))
+            inputs = rng.uniform(-np.pi, np.pi, size=n)
+            weights = rng.uniform(-np.pi, np.pi, size=(layers, n))
+            _, d_inputs, d_weights = qsim.quantum_gradients(inputs, weights)
+
+            def probe(rows):
+                values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
+                return values, np.empty((len(rows), 0), dtype=bool)
+
+            base = np.concatenate((inputs, weights.ravel()))
+            fd = gradcheck._central_differences(probe, base, np.arange(len(base)), step)
+            err = np.max(np.abs(np.concatenate((d_inputs, d_weights.reshape(-1, n))) - fd), axis=1)
+            err[np.isnan(err)] = np.inf
+            if err.max() > max_err:
+                k = int(np.argmax(err))
+                max_err, (layer, qubit) = float(err[k]), divmod(k - n, n)
+                worst = f"case {case} " + (f"input {k}" if k < n else f"weight ({layer},{qubit})")
+        want = gradcheck.SuiteResult("parameter-shift", max_err <= 1e-6, max_err, 1e-6, n_cases, worst)
+        assert gradcheck.check_parameter_shift(seed=seed, n_cases=n_cases, step=step) == want
+
+    def test_parameter_shift_calls_the_oracle_per_shape_within_the_row_bound(self, monkeypatch):
+        # 50 cases in 8 shapes: 36 calls at seed 0, where one call per case
+        # and a base-point call for each made 100
+        oracle, rows = qsim.quantum_forward, []
+
+        def recording(inputs, weights):
+            rows.append(len(inputs))
+            return oracle(inputs, weights)
+
+        monkeypatch.setattr(qsim, "quantum_forward", recording)
+        assert gradcheck.check_parameter_shift(seed=0).passed
+        assert max(rows) <= gradcheck.SHIFT_ROWS == 24
+        assert len(rows) <= 40
+
     def test_hybrid_gradients_pass(self):
         result = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
         assert result.passed
