@@ -13,12 +13,15 @@ from different primitives:
   runs since the term formula replaced the shifted circuits; whole cases
   of one shape share an oracle call of at most ``SHIFT_ROWS`` probe rows;
 * hybrid stack: backpropagated loss gradients vs finite differences of the
-  scalar loss over every trainable parameter, through the layers' run-axis
-  path.  Its probes are stacked, one row per probe, in
-  ``_central_differences``; a coordinate whose probes cross a ReLU kink
-  halves its own step and is probed again.  The probe rows are written in
-  place into one buffer per call, which holds ``base`` between passes, and
-  the hybrid probe walks the stack over views of those rows.
+  scalar loss over every trainable parameter, one layer's parameters at a
+  time (``_layer_differences``).  One base forward through the layers'
+  run-axis path records each layer's input and ReLU pattern; the probes of
+  layer l's coordinates are stacked, one row of layer l's parameters per
+  probe, in ``_central_differences``, which writes them in place into one
+  buffer per call that holds the base segment between passes.  A probe
+  runs layer l per row from its recorded input, then each later layer once
+  over all rows with the shared base arrays.  A coordinate whose probes
+  cross a ReLU kink halves its own step and is probed again.
 
 Both derivative suites take each difference as (plus - minus) / (2 step)
 of probes at ``base[k]`` +- step.
@@ -153,9 +156,11 @@ MIN_STEP = 1e-8
 SHIFT_ROWS = 24
 
 # Coordinates probed together: a pass stacks two probe rows per coordinate,
-# so this bounds the probe matrix and every stacked activation (64 rows of
-# hybrid-4q's 2,065 parameters, about 1 MiB).
-PROBE_CHUNK = 32
+# each holding one layer's parameters, so this bounds the probe matrix and
+# every stacked activation.  hybrid-4q's widest layer, 48 -> 32 units, has
+# 1,568 parameters: 72 rows of it take about 0.9 MiB, below the 1 MiB that
+# 64 rows of all 2,065 parameters took when a probe row held them all.
+PROBE_CHUNK = 36
 
 
 def check_hybrid_gradients(
@@ -169,11 +174,11 @@ def check_hybrid_gradients(
 
     Relative error is checked per coordinate wherever the analytic gradient
     magnitude exceeds ``grad_floor``.  The loss at each probe comes from the
-    forward pass alone.  A draw's probes run as stacked populations, one
-    row per probe, ``PROBE_CHUNK`` coordinates at a time.  A probe pair
-    that crosses a ReLU kink measures the slope of a different linear
-    piece, so that coordinate's step is halved until both probes keep the
-    base point's activation pattern (see ``_central_differences``).
+    forward pass alone, one layer's coordinates at a time, ``PROBE_CHUNK``
+    of them a pass (see ``_layer_differences``).  A probe pair that crosses
+    a ReLU kink measures the slope of a different linear piece, so that
+    coordinate's step is halved until both probes keep the base point's
+    activation pattern; one that never does is unresolved, a failure.
     """
     rng = np.random.default_rng(seed)
     config = model_mod.HybridModelConfig(kind="hybrid", n_qubits=4)
@@ -183,20 +188,9 @@ def check_hybrid_gradients(
         features = rng.uniform(0.0, 1.0, size=(1, 6))
         label = np.array([float(rng.integers(0, 2))])
         _, grad = model_mod.loss_and_gradients(net, features, label)
-
-        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # Each row of ``rows`` [R, P] is one parameter vector.  One walk
-            # over the stack with the layers' arrays as [R, ...] views gives
-            # every row's loss and which gated units (ReLU) pass their input.
-            h, active = features, []
-            for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):
-                h = layer.forward(arrays, h)
-                active.append(layer.gates(h[:, 0]))
-            return np.mean(nn.bce_loss(h[..., 0], label), axis=-1), np.concatenate(active, axis=-1)
-
         coords = np.flatnonzero(np.abs(grad) > grad_floor)
         n_checked += len(coords)
-        fd = _central_differences(probe, net.params, coords, step)
+        fd = _layer_differences(net, features, label, coords, step)
         analytic = grad[coords]
         rel = np.abs(fd - analytic) / np.maximum(np.abs(fd), np.abs(analytic))
         rel[np.isnan(fd)] = np.inf
@@ -204,33 +198,78 @@ def check_hybrid_gradients(
             i = int(np.argmax(rel))
             max_rel, worst = float(rel[i]), f"draw {draw} coord {coords[i]}"
             if np.isnan(fd[i]):
-                worst += " (probes cross a ReLU kink)"
+                worst += " (unresolved: no probe pair of step >= MIN_STEP kept the base pattern)"
     return SuiteResult(
         "hybrid-backprop", max_rel <= rel_tol, max_rel, rel_tol, n_checked, worst
     )
 
 
+def _layer_differences(
+    net: model_mod.Model, features: np.ndarray, label: np.ndarray, coords: np.ndarray, step: float
+) -> np.ndarray:
+    """Central differences [len(coords)] of one model's loss at the row
+    ``features`` [1, 6] with ``label`` [1] along the parameter coordinates
+    ``coords``, one layer's coordinates at a time; NaN where unresolved.
+
+    One base forward, with a run axis of one, records each layer's input
+    and its ReLU pattern.  The probe rows of layer l hold only its segment
+    of ``params``: a probe runs layer l per row from its recorded input,
+    which every row shares, so the earlier layers are not run again; each
+    later layer then runs once over all rows with its shared base arrays,
+    as one [rows, in] product.  A probe keeps the base pattern when the
+    units of layer l and of every later layer do.
+    """
+    inputs, patterns, h = [], [], features
+    for layer, arrays in zip(net.layers, model_mod._views(net.params[np.newaxis], net.layout)):
+        # the input of every probe row of a pass: 2 PROBE_CHUNK rows at most
+        inputs.append(np.broadcast_to(h, (2 * PROBE_CHUNK,) + h.shape[-2:]))
+        h = layer.forward(arrays, h)
+        patterns.append(layer.gates(h[:, 0]))
+    base_loss = nn.bce_loss(h[:, 0, 0], label)
+    shared = model_mod._views(net.params, net.layout)
+    out = np.full(len(coords), np.nan)
+    for l, (layer, entry) in enumerate(zip(net.layers, net.layout)):
+        first, stop = entry[0][0].start, entry[-1][0].stop
+        mine = (coords >= first) & (coords < stop)
+        own = tuple((slice(part.start - first, part.stop - first), shape) for part, shape in entry)
+
+        def probe(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # each row of ``rows`` [R, P_l] is one vector of layer l's parameters
+            h = layer.forward(model_mod._views(rows, (own,))[0], inputs[l][: len(rows)])[:, 0]
+            active = [layer.gates(h)]
+            for later, arrays in zip(net.layers[l + 1 :], shared[l + 1 :]):
+                h = later.forward(arrays, h)
+                active.append(later.gates(h))
+            return nn.bce_loss(h[:, 0], label), np.concatenate(active, axis=-1)
+
+        at_base = base_loss, np.concatenate(patterns[l:], axis=-1)
+        segment = net.params[first:stop]
+        out[mine] = _central_differences(probe, segment, coords[mine] - first, step, at_base)
+    return out
+
+
 def _central_differences(
-    probe, base: np.ndarray, coords: np.ndarray, step: float
+    probe, base: np.ndarray, coords: np.ndarray, step: float, at_base: tuple
 ) -> np.ndarray:
     """Central differences [len(coords), ...] of the values along coordinates
     ``coords`` of the parameter vector ``base``; NaN where unresolved.
 
     ``probe(rows)`` returns the values [R, ...] (the hybrid suite's loss
     [R], or a vector per row) and the ReLU pattern [R, U] at each of the
-    parameter vectors ``rows`` [R, P].  Coordinates go in chunks of
-    ``PROBE_CHUNK``: one pass over m of a chunk's coordinates probes
-    ``base`` + step at coordinate i in row i and ``base`` - step there in
-    row m + i.  A coordinate whose probes both show the base pattern is
-    resolved; any other has its own step halved and is probed again in the
-    next pass, until that step falls below ``MIN_STEP``.
+    parameter vectors ``rows`` [R, P]; ``at_base`` is what it returns at
+    ``base`` itself, [1, ...] and [1, U], which no pass probes.
+    Coordinates go in chunks of ``PROBE_CHUNK``: one pass over m of a
+    chunk's coordinates probes ``base`` + step at coordinate i in row i and
+    ``base`` - step there in row m + i.  A coordinate whose probes both show
+    the base pattern is resolved; any other has its own step halved and is
+    probed again in the next pass, until that step falls below ``MIN_STEP``.
 
     The rows of every pass are the leading 2m rows of one buffer, filled
     with ``base`` once per call: a pass writes its 2m stepped entries, probes
     that view and writes ``base`` back into those entries, so what ``probe``
     returns must not be a view of ``rows``.
     """
-    base_values, base_pattern = probe(base[np.newaxis])
+    base_values, base_pattern = at_base
     out = np.full((len(coords),) + base_values.shape[1:], np.nan)
     if step < MIN_STEP:
         return out
@@ -240,7 +279,7 @@ def _central_differences(
         steps = np.full(len(todo), float(step))
         while len(todo):
             m, ks = len(todo), coords[todo]
-            rows, probed = buffer[: 2 * m], (np.arange(2 * m), np.tile(ks, 2))
+            rows, probed = buffer[: 2 * m], (np.arange(2 * m), np.concatenate((ks, ks)))
             rows[probed] = np.concatenate((base[ks] + steps, base[ks] - steps))
             values, pattern = probe(rows)
             rows[probed] = base[probed[1]]

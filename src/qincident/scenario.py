@@ -181,8 +181,8 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
     vehicle within its (second, zone) cell.  Each zone's draws
     (``_zone_draws``) move to their cells' time-major starts one zone at a
     time, so no zone-major copy of all of them is made; a record's vehicle
-    code is its place in code order (``_code_order``), the order that ids
-    ``v{zone:02d}-{time}-{ordinal}`` would sort in.
+    code is its place in code order (``_code_order``): by time, then zone,
+    then the ordinal as text, so that ordinal 10 comes before ordinal 2.
     """
     n_zones, duration = config.n_zones, config.duration_s
     # the counts are made before the draws and the profiles freed only after

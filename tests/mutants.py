@@ -253,8 +253,20 @@ MUTANTS = [
     ),
     Mutant(
         "probe-reads-its-rows-reversed", GRADCHECK,
-        "            for layer, arrays in zip(net.layers, model_mod._views(rows, net.layout)):\n",
-        "            for layer, arrays in zip(net.layers, model_mod._views(rows[::-1], net.layout)):\n",
+        "            h = layer.forward(model_mod._views(rows, (own,))[0], inputs[l][: len(rows)])[:, 0]\n",
+        "            h = layer.forward(model_mod._views(rows[::-1], (own,))[0], inputs[l][: len(rows)])[:, 0]\n",
+        (TEST_GRADCHECK,),
+    ),
+    Mutant(
+        "layer-probe-starts-from-the-features", GRADCHECK,
+        "            h = layer.forward(model_mod._views(rows, (own,))[0], inputs[l][: len(rows)])[:, 0]\n",
+        "            h = layer.forward(model_mod._views(rows, (own,))[0], inputs[0][: len(rows)])[:, 0]\n",
+        (TEST_GRADCHECK,),
+    ),
+    Mutant(
+        "base-pattern-from-the-next-layer-on", GRADCHECK,
+        "        at_base = base_loss, np.concatenate(patterns[l:], axis=-1)\n",
+        "        at_base = base_loss, np.concatenate(patterns[l + 1 :], axis=-1)\n",
         (TEST_GRADCHECK,),
     ),
     Mutant(

@@ -1,11 +1,12 @@
 """The verification suites themselves: oracle pinning and negative controls."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from qincident import gradcheck, qsim
+from qincident import gradcheck, model, nn, qsim
 
 
 def kron_circuit(inputs, weights):
@@ -35,6 +36,12 @@ def kron_circuit(inputs, weights):
         for control, target in ring:
             unitary = cnot(control, target) @ unitary
     return unitary
+
+
+def central_differences(probe, base, coords, step):
+    """``gradcheck._central_differences`` given what ``probe`` returns at
+    ``base`` itself."""
+    return gradcheck._central_differences(probe, base, coords, step, probe(base[np.newaxis]))
 
 
 class TestDenseMatrixOracle:
@@ -152,7 +159,7 @@ class TestSuites:
                 return values, np.empty((len(rows), 0), dtype=bool)
 
             base = np.concatenate((inputs, weights.ravel()))
-            fd = gradcheck._central_differences(probe, base, np.arange(len(base)), step)
+            fd = central_differences(probe, base, np.arange(len(base)), step)
             err = np.max(np.abs(np.concatenate((d_inputs, d_weights.reshape(-1, n))) - fd), axis=1)
             err[np.isnan(err)] = np.inf
             if err.max() > max_err:
@@ -175,6 +182,14 @@ class TestSuites:
         assert gradcheck.check_parameter_shift(seed=0).passed
         assert max(rows) <= gradcheck.SHIFT_ROWS == 24
         assert len(rows) <= 40
+
+    def test_hybrid_step_below_min_step_fails_as_unresolved(self):
+        # no probe runs below MIN_STEP, so no kink is to blame
+        result = gradcheck.check_hybrid_gradients(seed=0, n_draws=1, step=1e-9)
+        assert not result.passed and result.max_err == np.inf
+        assert result.worst == (
+            "draw 0 coord 0 (unresolved: no probe pair of step >= MIN_STEP kept the base pattern)"
+        )
 
     def test_hybrid_gradients_pass(self):
         result = gradcheck.check_hybrid_gradients(seed=3, n_draws=2)
@@ -206,15 +221,15 @@ class TestCentralDifference:
 
     def test_step_halved_until_probes_keep_the_base_pattern(self):
         # at step 1e-4 the minus probe lands on the flat piece: slope 0.65
-        fd = gradcheck._central_differences(self.relu_probe, np.array([3e-5]), np.array([0]), 1e-4)
+        fd = central_differences(self.relu_probe, np.array([3e-5]), np.array([0]), 1e-4)
         assert fd[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_base_point_on_a_kink_is_unresolved(self):
-        fd = gradcheck._central_differences(self.relu_probe, np.array([0.0]), np.array([0]), 1e-4)
+        fd = central_differences(self.relu_probe, np.array([0.0]), np.array([0]), 1e-4)
         assert np.isnan(fd[0])
 
     def test_no_probe_when_the_first_step_is_below_min_step(self):
-        fd = gradcheck._central_differences(self.relu_probe, np.array([1.0]), np.array([0]), 1e-9)
+        fd = central_differences(self.relu_probe, np.array([1.0]), np.array([0]), 1e-9)
         assert np.isnan(fd[0])
 
     def test_each_coordinate_halves_its_own_step(self):
@@ -230,7 +245,7 @@ class TestCentralDifference:
                 passes.append([int(k) for k in np.nonzero(rows[:m] != base)[1]])
             return self.relu_probe(rows)
 
-        fd = gradcheck._central_differences(probe, base, np.arange(3), 1e-4)
+        fd = central_differences(probe, base, np.arange(3), 1e-4)
         assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
         assert fd[:2] == pytest.approx([1.0, 1.0], rel=1e-9)
         assert np.isnan(fd[2])
@@ -248,7 +263,7 @@ class TestCentralDifference:
             loss, pattern = self.relu_probe(rows)
             return np.stack((loss, 2 * rows.sum(axis=1)), axis=1), pattern
 
-        fd = gradcheck._central_differences(probe, base, np.arange(3), 1e-4)
+        fd = central_differences(probe, base, np.arange(3), 1e-4)
         assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
         assert fd.shape == (3, 2)
         np.testing.assert_allclose(fd[:2], [[1.0, 2.0], [1.0, 2.0]], rtol=1e-9)
@@ -276,7 +291,7 @@ class TestCentralDifference:
                 addresses.add(rows.__array_interface__["data"][0])
             return self.relu_probe(rows)
 
-        fd = gradcheck._central_differences(probe, base, np.arange(5), 1e-4)
+        fd = central_differences(probe, base, np.arange(5), 1e-4)
         assert passes == [[0, 1], [1], [1], [2, 3]] + [[4]] * 14
         # every pass probes the leading rows of one buffer
         assert len(addresses) == 1
@@ -295,3 +310,101 @@ class TestCentralDifference:
         assert gradcheck.check_hybrid_gradients(seed=seed, n_draws=2) == want
         monkeypatch.setattr(gradcheck, "PROBE_CHUNK", 1)
         assert gradcheck.check_hybrid_gradients(seed=seed, n_draws=2) == want
+
+
+def hybrid_draws(seed, n_draws):
+    """The hybrid suite's draws, in its order: each model, feature row,
+    label and the coordinates whose analytic gradient it checks."""
+    rng = np.random.default_rng(seed)
+    config = model.HybridModelConfig(kind="hybrid", n_qubits=4)
+    for draw in range(n_draws):
+        net = model.build_model(config, seed=seed * 1000 + draw)
+        features = rng.uniform(0.0, 1.0, size=(1, 6))
+        label = np.array([float(rng.integers(0, 2))])
+        _, grad = model.loss_and_gradients(net, features, label)
+        yield net, features, label, np.flatnonzero(np.abs(grad) > 1e-6)
+
+
+def whole_stack_differences(net, features, label, coords, step):
+    """The hybrid suite's differences with every probe row holding all of
+    the parameters and the whole stack run over the layout's views of them,
+    one product per row and layer."""
+
+    def probe(rows):
+        h, active = features, []
+        for layer, arrays in zip(net.layers, model._views(rows, net.layout)):
+            h = layer.forward(arrays, h)
+            active.append(layer.gates(h[:, 0]))
+        return np.mean(nn.bce_loss(h[..., 0], label), axis=-1), np.concatenate(active, axis=-1)
+
+    return central_differences(probe, net.params, coords, step)
+
+
+class TestLayerDifferences:
+    """``_layer_differences`` probes one layer's parameters at a time; the
+    whole-stack probe it replaced is the reference."""
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-2, 1e-9])  # 1e-2 retries many kinks
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_difference_matches_the_whole_stack_probe(self, seed, step):
+        # a later layer's [rows, in] product moves the loss in its last bits:
+        # at step 1e-4 that moves a difference by up to about 1e-11, 1e-6 of
+        # one near the 1e-6 gradient floor, so each difference is held to
+        # 1e-9 of the draw's largest
+        n_cases = 0
+        for net, features, label, coords in hybrid_draws(seed, 3):
+            n_cases += len(coords)
+            want = whole_stack_differences(net, features, label, coords, step)
+            got = gradcheck._layer_differences(net, features, label, coords, step)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            if step >= gradcheck.MIN_STEP:
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+        assert gradcheck.check_hybrid_gradients(seed=seed, n_draws=3, step=step).n_cases == n_cases
+
+    def test_a_unit_on_its_kink_leaves_the_same_coordinates_unresolved(self):
+        # the first layer's unit 0 gets pre-activation exactly 0: a step of
+        # its bias or of a weight on a positive feature turns it on, however
+        # small, so those 7 coordinates stay unresolved on both routes
+        net, features, label, _ = next(hybrid_draws(0, 1))
+        weights, biases = model._views(net.params, net.layout)[0]
+        biases[0] = -(features @ weights.T)[0, 0]
+        coords = np.arange(len(net.params))
+        want = whole_stack_differences(net, features, label, coords, 1e-4)
+        got = gradcheck._layer_differences(net, features, label, coords, 1e-4)
+        unresolved = np.flatnonzero(np.isnan(want))
+        assert unresolved.tolist() == [0, 1, 2, 3, 4, 5, 288]
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        resolved = ~np.isnan(want)
+        np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-9,
+                                   atol=1e-9 * np.abs(want[resolved]).max())
+
+    def test_the_base_point_is_not_probed(self, monkeypatch):
+        # the base forward gives each layer's base loss and pattern, so every
+        # probe is a pass of stepped rows, two a coordinate
+        passes, central = [], gradcheck._central_differences
+
+        def recording(probe, base, coords, step, at_base):
+            def counted(rows):
+                passes.append(len(rows))
+                return probe(rows)
+
+            return central(counted, base, coords, step, at_base)
+
+        monkeypatch.setattr(gradcheck, "_central_differences", recording)
+        net, features, label, coords = next(hybrid_draws(0, 1))
+        gradcheck._layer_differences(net, features, label, coords, 1e-4)
+        assert passes and all(rows % 2 == 0 for rows in passes)
+        assert max(passes) == 2 * gradcheck.PROBE_CHUNK
+
+    def test_the_suite_peaks_below_the_whole_stack_probe(self):
+        # warm: numpy's first calls allocate what a later call does not; the
+        # whole-stack probe's 64 rows of 2,065 parameters peaked at 1.16 MiB
+        gradcheck.check_hybrid_gradients(seed=0, n_draws=1)
+        tracemalloc.start()
+        try:
+            gradcheck.check_hybrid_gradients(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.16 * 2**20

@@ -119,6 +119,26 @@ class TestVehicleCodes:
             ranks = np.argsort(np.argsort([str(o) for o in range(count)]))
             np.testing.assert_array_equal(records.vehicle_id[start : start + count], start + ranks)
 
+    def test_codes_rank_time_then_zone_then_ordinal_text(self):
+        # the default schedule queues cells of up to 16 records here, so
+        # ordinal 10 must come before ordinal 2
+        config = scenario.ScenarioConfig(4, 200, seed=0)
+        events = tuple(scenario.default_schedule(config))
+        records, _ = scenario.generate(replace(config, incidents=events))
+        _, starts, counts = np.unique(
+            records.time * 4 + records.zone, return_index=True, return_counts=True
+        )
+        assert counts.max() >= 11
+        ordinal = (np.arange(len(records)) - np.repeat(starts, counts)).astype(str)
+
+        def rank(*keys):
+            ranks = np.empty(len(records), dtype=np.int64)
+            ranks[np.lexsort(keys[::-1])] = np.arange(len(records))
+            return ranks
+
+        np.testing.assert_array_equal(records.vehicle_id, rank(records.time, records.zone, ordinal))
+        assert not np.array_equal(records.vehicle_id, rank(records.zone, records.time, ordinal))
+
     @pytest.mark.parametrize(
         "config",
         [scenario.ScenarioConfig(130, 40, seed=3), scenario.ScenarioConfig(1, 1, seed=0),
