@@ -1,8 +1,8 @@
 """From raw vehicle records to a trained detector, at desk scale.
 
 Generates a small corridor with two incidents and builds its labeled
-feature rows (zone aggregation, the six features, incident labels) in one
-call, splits them chronologically with normalization fitted on the
+feature rows (zone aggregation, then the six features and incident labels),
+splits them chronologically with normalization fitted on the
 training rows, then trains the classical and hybrid models and prints
 their test metrics.
 """
@@ -23,7 +23,8 @@ config = scenario.ScenarioConfig(
 # Generate the vehicle records, sum them per second and zone, build the
 # six-feature rows, attach labels.
 records, _ = scenario.generate(config)
-table = data.build_dataset(records, events, config.n_zones, 1, config.duration_s)
+grids = data.aggregate(records, config.n_zones, config.duration_s)
+table = data.grid_dataset(grids, events, 1)
 positives = int(table.labels.sum())
 print(f"{len(table)} rows from {config.n_zones} zones x {config.duration_s}s, "
       f"{positives} labeled positive ({positives / len(table):.1%})")

@@ -53,13 +53,11 @@ _VALUE_TYPES = {
 # n_incidents None means auto
 _MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
-# The most runs an experiment may ask for: a split's runs train as one
+# The most runs an experiment may ask for.  A split's runs train as one
 # population, so its parameters, two Adam moments, one gradient and step
-# buffers grow with ``n_runs``; Adam's work and the quantum gradients go a
-# block at a time, and predictions one run group at a time.  On the default
-# corridor, DS-1, DS-2 and DS-3 (one model, one epoch) peak at 81, 113 and
-# 157 MiB for 64, 512 and 1024 runs, 0.08 MiB a run; at 1024 runs, DS-3 with
-# classical and hybrid-4q peaks at 144 MiB, a 2-zone 30 s corridor 126 MiB.
+# buffers grow linearly with ``n_runs``, and this caps them; Adam's work,
+# the quantum gradients and the predictions go a block or a run group at a
+# time, within byte budgets that do not grow with the runs.
 MAX_RUNS = 1024
 
 
@@ -178,16 +176,12 @@ def cmd_features(args) -> int:
         _corridor(n_zones, duration_s)  # both >= 1, and within the cap
     except ConfigError as exc:
         raise ConfigError(f"{args.bsm}: {exc}") from None
-    outside = (records.zone < 0) | (records.zone >= n_zones) | (records.time >= duration_s)
-    if outside.any():
-        row = int(outside.argmax())
-        raise DataError(
-            f"{args.bsm}: record at {records.time[row]} s in zone {records.zone[row]} outside "
-            f"the corridor of {n_zones} zones x {duration_s} s"
-        )
-    _corridor(n_zones, duration_s, events=events, path=args.schedule)
-    grids = data.aggregate(records, n_zones, duration_s)
+    try:
+        grids = data.aggregate(records, n_zones, duration_s)
+    except DataError as exc:
+        raise DataError(f"{args.bsm}: {exc}") from None
     del records  # not held while the rows are built and written
+    _corridor(n_zones, duration_s, events=events, path=args.schedule)
     table = data.grid_dataset(grids, events, args.bucket)
     data.write_feature_csv(table, args.out)
     prevalence = table.labels.sum() / len(table) if len(table) else 0.0

@@ -3,7 +3,7 @@
 ``Records`` holds vehicle observations as parallel arrays, each vehicle an
 int64 code; id text exists only in the record CSV.  A ``Dataset`` comes
 from the [2, n_zones, duration] vehicle counts and speed sums per (zone,
-second) cell, made by ``aggregate`` from records (``build_dataset``) or by
+second) cell, made by ``aggregate`` from records or by
 ``scenario.cell_grids`` from the generator's draws, through one tail,
 ``grid_dataset``: the cells sum into one- or sixty-second buckets;
 ``build_features`` forms six features per (bucket, zone), the zone's own
@@ -120,38 +120,22 @@ def neighbor_index(n_zones: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-# -- the builder ----------------------------------------------------------------
-
-def build_dataset(
-    records: Records,
-    events,
-    n_zones: int,
-    bucket_seconds: int,
-    duration_s: int,
-) -> Dataset:
-    """One labeled row per (bucket, zone) over [0, duration_s), empties
-    included: ``aggregate``'s grids, then ``grid_dataset``.
-
-    ``events`` are ``scenario.IncidentEvent``s.
-    """
-    return grid_dataset(aggregate(records, n_zones, duration_s), events, bucket_seconds)
-
-
 def aggregate(records: Records, n_zones: int, duration_s: int) -> np.ndarray:
     """The [2, n_zones, duration_s] distinct-vehicle counts and speed sums
     per (zone, second) cell.
 
     Repeated observations of a vehicle within one (zone, second) count once,
-    the first of them; each cell sums its speeds in vehicle-code order.
+    the first of them; each cell sums its speeds in vehicle-code order.  A
+    record outside the corridor is a ``DataError`` naming the first one.
     """
-    if n_zones < 1:
-        raise ConfigError("n_zones must be >= 1")
     times, zones = records.time, records.zone
-    if np.any((zones < 0) | (zones >= n_zones)):
-        raise DataError(f"zone id outside [0, {n_zones}) in records")
     duration = int(duration_s)
-    if np.any(times >= duration):
-        raise DataError("record time beyond the stated duration")
+    outside = (zones < 0) | (zones >= n_zones) | (times >= duration)
+    if outside.any():
+        row = int(outside.argmax())
+        raise DataError(f"record at {times[row]} s in zone {zones[row]} outside "
+                        f"the corridor of {n_zones} zones x {duration} s")
+    del outside
     grid_size = n_zones * duration
     if np.any(records.vehicle_id > (_INT64.max - grid_size + 1) // max(grid_size, 1)):
         raise DataError(
@@ -350,13 +334,17 @@ def _id_codes(ids: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _write_lines(path, header: list[str], n_rows: int, lines) -> None:
-    """The header, then ``lines(start, stop)``, the text of rows [start,
-    stop), one chunk at a time."""
+def _write_lines(path, header: list[str], line: str, n_rows: int, columns) -> None:
+    """The header, then each row of [0, n_rows) as ``line`` %-formatted with
+    its cells of ``columns(start, stop)``, the columns of rows [start, stop)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            handle.write(lines(start, start + _CHUNK_ROWS))
+            chunk = columns(start, start + _CHUNK_ROWS)
+            cells = np.empty((len(chunk[0]), len(chunk)), dtype=object)
+            for i, column in enumerate(chunk):
+                cells[:, i] = column
+            handle.write((line * len(cells)) % tuple(cells.ravel()))
 
 
 def _bsm_blocks(raw: bytes) -> tuple[int, list, int] | None:
@@ -448,14 +436,8 @@ def write_bsm_csv(records: Records, path) -> None:
     width = len(str(records.vehicle_id.max(initial=0)))
     line = f"%d,v%0{width}d,%d,%r\n"
     columns = (records.time, records.vehicle_id, records.zone, records.speed)
-
-    def lines(start, stop):
-        cells = np.empty((min(stop, len(records)) - start, len(columns)), dtype=object)
-        for i, column in enumerate(columns):
-            cells[:, i] = column[start:stop]
-        return (line * len(cells)) % tuple(cells.ravel())
-
-    _write_lines(path, BSM_HEADER, len(records), lines)
+    _write_lines(path, BSM_HEADER, line, len(records),
+                 lambda start, stop: [column[start:stop] for column in columns])
 
 
 def read_bsm_csv(path) -> Records:
@@ -512,17 +494,12 @@ def write_feature_csv(table: Dataset, path) -> None:
     features = np.ascontiguousarray(table.features, dtype=np.float64)
     line = ",".join(["%s"] * len(FEATURE_HEADER)) + "\n"
 
-    def lines(start, stop):
-        chunk = features[start:stop]
+    def columns(start, stop):
         # one repr per distinct float64 bit pattern of the chunk (so -0.0
         # keeps its sign): the neighbor columns repeat the own-zone values
-        bits, where = np.unique(chunk.view(np.int64), return_inverse=True)
+        bits, where = np.unique(features[start:stop].view(np.int64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        cells = np.empty((len(chunk), len(FEATURE_HEADER)), dtype=object)
-        cells[:, 0] = table.bucket_start[start:stop]
-        cells[:, 1] = table.zone_id[start:stop]
-        cells[:, 2:8] = texts[where.reshape(-1, 6)]
-        cells[:, 8] = table.labels[start:stop]
-        return (line * len(cells)) % tuple(cells.ravel())
+        return (table.bucket_start[start:stop], table.zone_id[start:stop],
+                *texts[where.reshape(-1, 6)].T, table.labels[start:stop])
 
-    _write_lines(path, FEATURE_HEADER, len(table), lines)
+    _write_lines(path, FEATURE_HEADER, line, len(table), columns)

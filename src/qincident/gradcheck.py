@@ -150,16 +150,16 @@ def check_parameter_shift(
 # keep crossing a ReLU kink is counted as a failure.
 MIN_STEP = 1e-8
 
-# Probe rows in one call of the parameter-shift suite: a case of n qubits
-# and L layers probes 2 (n + L n) rows, so this is what the largest drawn
-# case (n=4, L=2) probes alone, and it bounds the stacked 16 x 16 gates.
+# The most probe rows in one ``quantum_forward`` call of the
+# parameter-shift suite, and so the most stacked gate matrices: a case of n
+# qubits and L layers probes 2 (n + L n) rows, and the largest drawn case
+# (n=4, L=2) fits alone.
 SHIFT_ROWS = 24
 
 # Coordinates probed together: a pass stacks two probe rows per coordinate,
-# each holding one layer's parameters, so this bounds the probe matrix and
-# every stacked activation.  hybrid-4q's widest layer, 48 -> 32 units, has
-# 1,568 parameters: 72 rows of it take about 0.9 MiB, below the 1 MiB that
-# 64 rows of all 2,065 parameters took when a probe row held them all.
+# each holding one layer's parameters, so the probe matrix holds at most
+# 2 PROBE_CHUNK rows of one layer's parameters, and every stacked
+# activation 2 PROBE_CHUNK rows.
 PROBE_CHUNK = 36
 
 
@@ -225,7 +225,6 @@ def _layer_differences(
         inputs.append(np.broadcast_to(h, (2 * PROBE_CHUNK,) + h.shape[-2:]))
         h = layer.forward(arrays, h)
         patterns.append(layer.gates(h[:, 0]))
-    base_loss = nn.bce_loss(h[:, 0, 0], label)
     shared = model_mod._views(net.params, net.layout)
     out = np.full(len(coords), np.nan)
     for l, (layer, entry) in enumerate(zip(net.layers, net.layout)):
@@ -242,22 +241,21 @@ def _layer_differences(
                 active.append(later.gates(h))
             return nn.bce_loss(h[:, 0], label), np.concatenate(active, axis=-1)
 
-        at_base = base_loss, np.concatenate(patterns[l:], axis=-1)
-        segment = net.params[first:stop]
-        out[mine] = _central_differences(probe, segment, coords[mine] - first, step, at_base)
+        segment, base_pattern = net.params[first:stop], np.concatenate(patterns[l:], axis=-1)
+        out[mine] = _central_differences(probe, segment, coords[mine] - first, step, base_pattern)
     return out
 
 
 def _central_differences(
-    probe, base: np.ndarray, coords: np.ndarray, step: float, at_base: tuple
+    probe, base: np.ndarray, coords: np.ndarray, step: float, base_pattern: np.ndarray
 ) -> np.ndarray:
-    """Central differences [len(coords), ...] of the values along coordinates
+    """Central differences [len(coords)] of a scalar value along coordinates
     ``coords`` of the parameter vector ``base``; NaN where unresolved.
 
-    ``probe(rows)`` returns the values [R, ...] (the hybrid suite's loss
-    [R], or a vector per row) and the ReLU pattern [R, U] at each of the
-    parameter vectors ``rows`` [R, P]; ``at_base`` is what it returns at
-    ``base`` itself, [1, ...] and [1, U], which no pass probes.
+    ``probe(rows)`` returns the value [R] (the hybrid suite's loss) and the
+    ReLU pattern [R, U] at each of the parameter vectors ``rows`` [R, P];
+    ``base_pattern`` [1, U] is the pattern at ``base`` itself, which no
+    pass probes.
     Coordinates go in chunks of ``PROBE_CHUNK``: one pass over m of a
     chunk's coordinates probes ``base`` + step at coordinate i in row i and
     ``base`` - step there in row m + i.  A coordinate whose probes both show
@@ -269,8 +267,7 @@ def _central_differences(
     that view and writes ``base`` back into those entries, so what ``probe``
     returns must not be a view of ``rows``.
     """
-    base_values, base_pattern = at_base
-    out = np.full((len(coords),) + base_values.shape[1:], np.nan)
+    out = np.full(len(coords), np.nan)
     if step < MIN_STEP:
         return out
     buffer = np.repeat(base[np.newaxis], 2 * min(PROBE_CHUNK, len(coords)), axis=0)
@@ -285,8 +282,7 @@ def _central_differences(
             rows[probed] = base[probed[1]]
             kept = np.all(pattern == base_pattern, axis=-1)
             resolved = kept[:m] & kept[m:]
-            # with the coordinate axis last, each step broadcasts over its own values
-            out[todo[resolved]] = ((values[:m] - values[m:])[resolved].T / (2 * steps[resolved])).T
+            out[todo[resolved]] = (values[:m] - values[m:])[resolved] / (2 * steps[resolved])
             steps = steps * 0.5
             left = ~resolved & (steps >= MIN_STEP)
             todo, steps = todo[left], steps[left]

@@ -213,21 +213,11 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     return Model(config, members[0].layers, np.stack([m.params for m in members]), seed)
 
 
-# ``run_groups`` sizes a population's groups so that no layer of a group's
-# forward pass holds more than this, its input and output, ``forward_bytes``
-# a run-row, as long as one run's pass fits.  A group holds at least one
-# run and rows are not blocked, so one run over more rows holds
-# ``forward_bytes`` x rows: one classical run over 16,384 rows peaks at
-# 10.1 MiB (tracemalloc).  The dense stacks' widest pass (48 -> 32 units)
-# holds 640 bytes a run-row, so they keep groups of 3,276 run-rows: the
-# 30-run DS-3 prediction over 1,250 rows goes in 15 groups of 2 runs and
-# peaks at 1.9 MiB (tracemalloc), and ``train``'s accuracy pass over the
-# 150 DS-3 train rows in groups of 21 and 9 runs.  At the term cap (n=6,
-# L=3) the quantum layer counts 808 bytes a run-row (about 745 measured)
-# beside its block of term products (``qsim._BLOCK_BYTES``), so 2,048 rows
-# go one run a group and peak at 2.1 MiB.  A training step is not grouped:
-# its quantum gradients go a block of run-rows at a time within
-# ``qsim._BLOCK_BYTES``, so a 30-run step at batch 16 peaks at 2.2 MiB there.
+# The most bytes that any layer's input and output hold in one run group's
+# forward pass, at ``forward_bytes`` a run-row (``run_groups``).  A group
+# holds at least one run and rows are not blocked, so one run whose pass
+# alone exceeds this is a group of its own.  A training step is not
+# grouped: its quantum gradients go within ``qsim._BLOCK_BYTES`` instead.
 _FORWARD_BYTES = 2 << 20
 
 

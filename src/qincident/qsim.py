@@ -173,10 +173,9 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 # the most bytes of term products a kernel holds at once, a block of
 # run-rows at a time: ``forward_batch`` holds two [rows, n, T] tables,
-# 16 n T bytes a run-row (6 KiB at the term cap, 64 bytes for hybrid-4q),
-# and ``gradients_batch`` three [rows, K, n, T] ones, 24 K n T bytes a
-# run-row (162 KiB at the term cap, so one run-row a block there; 384
-# bytes for hybrid-4q)
+# 16 n T bytes a run-row, and ``gradients_batch`` three [rows, K, n, T]
+# ones, 24 K n T bytes a run-row; a block holds at least one run-row, so
+# a run-row above this goes alone
 _BLOCK_BYTES = 1 << 18
 
 

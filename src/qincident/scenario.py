@@ -53,13 +53,9 @@ EARLY_WINDOW_S = 110  # first incidents land here so prefix splits see positives
 EARLY_QUOTA = 8
 
 # The most (zone, second) cells a corridor may hold, about 15 times the
-# default 56-zone, 1250 s corridor: every per-cell grid is sized from the
-# config, so a larger corridor is refused before anything is allocated.  The
-# cap was set as the largest power of two whose peak RSS stayed under 1 GiB.
-# ``gen`` peaks at 82, 127 and 226 MiB for 2**18, 2**19 and 2**20 cells
-# (256, 512 and 1024 zones x 1024 s, each under ``ulimit -v`` 1 GiB),
-# about 0.22 KiB a cell; ``features`` at 102, 170 and 281 MiB, about
-# 0.27 KiB a cell.  2**21 cells would fit in about 500 MiB; the cap is kept.
+# default 56-zone, 1250 s corridor.  Every per-cell grid is sized from the
+# config and the records ``gen`` draws grow with the cells, so this caps
+# both; a larger corridor is refused before anything is allocated.
 MAX_CELLS = 2**20
 
 
@@ -238,7 +234,7 @@ def synthetic_dataset(
 ) -> data.Dataset:
     """The labeled rows of one synthetic corridor: ``default_schedule``,
     ``cell_grids`` and ``data.grid_dataset`` over [0, config.duration_s),
-    the rows ``data.build_dataset`` makes of ``generate``'s records.
+    the rows ``data.aggregate`` then ``grid_dataset`` make of ``generate``'s records.
 
     ``config.incidents`` is the schedule when it is given, even empty;
     when it is None, ``default_schedule`` places ``n_incidents`` (default:

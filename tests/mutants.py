@@ -136,10 +136,22 @@ MUTANTS = [
     ),
     Mutant(
         "feature-writer-merges-signed-zeros", DATA,
-        "        bits, where = np.unique(chunk.view(np.int64), return_inverse=True)\n"
+        "        bits, where = np.unique(features[start:stop].view(np.int64), return_inverse=True)\n"
         "        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)\n",
-        "        bits, where = np.unique(chunk, return_inverse=True)\n"
+        "        bits, where = np.unique(features[start:stop], return_inverse=True)\n"
         "        texts = np.array([repr(v) for v in bits.tolist()], dtype=object)\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "csv-chunk-columns-transposed", DATA,
+        "                *texts[where.reshape(-1, 6)].T, table.labels[start:stop])\n",
+        "                *texts[where.reshape(-1, 6)], table.labels[start:stop])\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "aggregate-takes-the-last-second-plus-one", DATA,
+        "(zones >= n_zones) | (times >= duration)",
+        "(zones >= n_zones) | (times > duration)",
         (TEST_DATA,),
     ),
     # training and the quantum layer
@@ -265,8 +277,8 @@ MUTANTS = [
     ),
     Mutant(
         "base-pattern-from-the-next-layer-on", GRADCHECK,
-        "        at_base = base_loss, np.concatenate(patterns[l:], axis=-1)\n",
-        "        at_base = base_loss, np.concatenate(patterns[l + 1 :], axis=-1)\n",
+        "base_pattern = net.params[first:stop], np.concatenate(patterns[l:], axis=-1)\n",
+        "base_pattern = net.params[first:stop], np.concatenate(patterns[l + 1 :], axis=-1)\n",
         (TEST_GRADCHECK,),
     ),
     Mutant(
@@ -286,6 +298,12 @@ MUTANTS = [
         "runs-above-the-cap-taken", CLI,
         "        if self.n_runs > MAX_RUNS:\n",
         "        if self.n_runs > MAX_RUNS + 1:\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "features-drops-the-bsm-prefix", CLI,
+        '        raise DataError(f"{args.bsm}: {exc}") from None\n',
+        "        raise DataError(str(exc)) from None\n",
         (TEST_CLI,),
     ),
     Mutant(

@@ -72,7 +72,7 @@ class TestGen:
         printed = capsys.readouterr().out.splitlines()[-1]
         records = data.read_bsm_csv(out / "bsm.csv")
         events = scenario.read_schedule_json(out / "schedule.json")
-        table = data.build_dataset(records, events, zones, 1, duration_s=duration)
+        table = data.grid_dataset(data.aggregate(records, zones, duration), events, 1)
         prevalence = table.labels.sum() / len(table)
         assert prevalence > 0
         assert printed == f"feature rows: {len(table)}  positive prevalence: {prevalence:.4f}"
@@ -232,6 +232,21 @@ class TestFeatures:
         assert run_cli(["features", "--bsm", str(bsm), *flags, "--out", str(out)]) == cli.EXIT_FAIL
         err = capsys.readouterr().err
         assert f"error: {bsm}: record at " in err and message in err
+        assert not out.exists()
+
+    def test_records_are_checked_before_the_schedule(self, tmp_path, capsys):
+        # both the records from 200 s on and the [250, 270) incident lie outside
+        bsm, _ = self.make_inputs(tmp_path)
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps([{"zone": 1, "start_s": 250, "duration_s": 20}]))
+        out = tmp_path / "features.csv"
+        args = ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--duration", "200"]
+        assert run_cli([*args, "--out", str(out)]) == cli.EXIT_FAIL
+        records = data.read_bsm_csv(bsm)
+        zone = records.zone[np.argmax(records.time >= 200)]
+        assert capsys.readouterr().err == (
+            f"error: {bsm}: record at 200 s in zone {zone} outside the corridor of 6 zones x 200 s\n"
+        )
         assert not out.exists()
 
     def test_schedule_is_checked_against_the_given_corridor(self, tmp_path, capsys):

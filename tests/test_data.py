@@ -19,6 +19,11 @@ def records(*rows):
     return data.Records(*columns)
 
 
+def dataset(recs, events, n_zones, bucket_seconds, duration_s):
+    """The labeled rows of ``recs``: ``aggregate``'s grids, then ``grid_dataset``."""
+    return data.grid_dataset(data.aggregate(recs, n_zones, duration_s), events, bucket_seconds)
+
+
 def at(table, bucket_start, zone_id):
     """The features of the (bucket_start, zone_id) row."""
     hit = (table.bucket_start == bucket_start) & (table.zone_id == zone_id)
@@ -51,13 +56,13 @@ class TestRecords:
 class TestAggregate:
     def test_simple_mean_and_count(self):
         recs = records((12, 0, 5, 20.0), (12, 1, 5, 30.0))
-        table = data.build_dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=13)
+        table = dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=13)
         speed, count = at(table, 12, 5)[:2]
         assert speed == pytest.approx(25.0)
         assert count == 2
 
     def test_empty_bucket_gets_fill(self):
-        table = data.build_dataset(records((0, 0, 0, 10.0)), [], 2, 1, duration_s=2)
+        table = dataset(records((0, 0, 0, 10.0)), [], 2, 1, duration_s=2)
         speed, count = at(table, 0, 1)[:2]
         assert count == 0
         assert speed == data.EMPTY_SPEED_FILL
@@ -65,31 +70,40 @@ class TestAggregate:
     def test_per_minute_constant_stream(self):
         # one vehicle at speed 10 every second: avg 10, count 1
         recs = records(*[(t, t, 0, 10.0) for t in range(60)])
-        table = data.build_dataset(recs, [], 1, 60, duration_s=60)
+        table = dataset(recs, [], 1, 60, duration_s=60)
         assert len(table) == 1
         assert table.features[0, 0] == pytest.approx(10.0)
         assert table.features[0, 1] == pytest.approx(1.0)
 
     def test_duplicate_vehicle_within_second_counted_once(self):
         recs = records((3, 4, 0, 10.0), (3, 4, 0, 99.0), (3, 0, 0, 20.0))
-        table = data.build_dataset(recs, [], 1, 1, duration_s=4)
+        table = dataset(recs, [], 1, 1, duration_s=4)
         speed, count = at(table, 3, 0)[:2]
         assert count == 2
         assert speed == pytest.approx(15.0)
 
     def test_full_grid_emitted(self):
-        table = data.build_dataset(records((0, 0, 0, 1.0)), [], 3, 1, duration_s=5)
+        table = dataset(records((0, 0, 0, 1.0)), [], 3, 1, duration_s=5)
         assert len(table) == 15
         keys = list(zip(table.bucket_start.tolist(), table.zone_id.tolist()))
         assert keys == sorted(keys)
 
     def test_bad_bucket_size(self):
         with pytest.raises(ConfigError):
-            data.build_dataset(records(), [], 1, 30, duration_s=10)
+            dataset(records(), [], 1, 30, duration_s=10)
 
-    def test_zone_out_of_range(self):
-        with pytest.raises(DataError):
-            data.build_dataset(records((0, 0, 7, 1.0)), [], 3, 1, duration_s=1)
+    @pytest.mark.parametrize("time, zone", [(0, -1), (0, 3), (5, 0)], ids=["zone-1", "zone-3", "time-5"])
+    def test_the_first_record_outside_the_corridor_is_named(self, time, zone):
+        # the corridor is 3 zones x [0, 5 s); the last record is outside too
+        recs = records((4, 0, 2, 1.0), (time, 1, zone, 2.0), (0, 2, 7, 3.0))
+        with pytest.raises(DataError) as excinfo:
+            data.aggregate(recs, 3, 5)
+        assert str(excinfo.value) == f"record at {time} s in zone {zone} outside the corridor of 3 zones x 5 s"
+
+    def test_a_corridor_without_zones_refuses_every_record(self):
+        with pytest.raises(DataError) as excinfo:
+            data.aggregate(records((2, 0, 0, 1.0)), 0, 5)
+        assert str(excinfo.value) == "record at 2 s in zone 0 outside the corridor of 0 zones x 5 s"
 
     def test_a_cell_sums_its_speeds_in_code_order(self):
         # 1e16 + 1 rounds back to 1e16, so the sum's bits follow its order:
@@ -173,7 +187,7 @@ class TestAggregate:
     def test_partial_final_minute_divides_by_covered_seconds(self):
         # 30-second tail bucket with one vehicle per second: count stays 1
         recs = records(*[(t, t, 0, 10.0) for t in range(90)])
-        table = data.build_dataset(recs, [], 1, 60, duration_s=90)
+        table = dataset(recs, [], 1, 60, duration_s=90)
         assert len(table) == 2
         assert table.features[1, 1] == pytest.approx(1.0)
 
@@ -201,7 +215,7 @@ class TestBuildFeatures:
             (0, 1, 1, 15.0), (0, 2, 1, 25.0),
             (0, 3, 2, 30.0), (0, 4, 2, 30.0), (0, 5, 2, 30.0),
         )
-        return data.build_dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=1)
+        return dataset(recs, [], n_zones=6, bucket_seconds=1, duration_s=1)
 
     def test_interior_zone_copies_neighbors(self):
         assert at(self.make_table(), 0, 1).tolist() == [20.0, 2.0, 10.0, 1.0, 30.0, 3.0]
@@ -213,12 +227,12 @@ class TestBuildFeatures:
 
     def test_row_count_matches_grid(self):
         recs = records(*[(t, 4 * t + z, z, 25.0) for t in range(10) for z in range(4)])
-        assert len(data.build_dataset(recs, [], 4, 1, duration_s=10)) == 40
+        assert len(dataset(recs, [], 4, 1, duration_s=10)) == 40
 
 
 class TestLabel:
     def labels(self, events, n_zones=3, duration_s=5, bucket_seconds=1):
-        table = data.build_dataset(records(), events, n_zones, bucket_seconds, duration_s)
+        table = dataset(records(), events, n_zones, bucket_seconds, duration_s)
         return table.labels.reshape(-1, n_zones)  # [bucket, zone]
 
     def test_empty_schedule_all_zero(self):
@@ -548,7 +562,7 @@ class TestCsvMemory:
 
     def test_feature_writer_peak(self, pipeline_files, tmp_path):
         # 1.01x measured; 5.3x with a whole-table text array
-        table = data.build_dataset(data.read_bsm_csv(pipeline_files), [], 56, 1, 1250)
+        table = dataset(data.read_bsm_csv(pipeline_files), [], 56, 1, 1250)
         _, peak = self.peak(data.write_feature_csv, table, tmp_path / "features.csv")
         assert peak <= 2 * table.features.nbytes
 
@@ -750,7 +764,7 @@ class TestBuilderProperties:
     @given(corridors())
     def test_matches_the_per_row_reference(self, corridor):
         rows, events, n_zones, bucket, duration = corridor
-        table = data.build_dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
+        table = dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
         want = reference_rows(rows, events, n_zones, bucket, duration)
         assert len(table) == len(want)
         assert table.bucket_start.tolist() == [r[0] for r in want]
@@ -765,7 +779,7 @@ class TestBuilderProperties:
     @given(corridors())
     def test_counts_are_conserved(self, corridor):
         rows, events, n_zones, bucket, duration = corridor
-        table = data.build_dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
+        table = dataset(records(*rows), events, n_zones, bucket, duration_s=duration)
         covered = np.minimum(table.bucket_start + bucket, duration) - table.bucket_start
         distinct = {(vehicle, zone, time) for time, vehicle, zone, _ in rows}
         assert np.sum(table.features[:, 1] * covered) == pytest.approx(len(distinct))

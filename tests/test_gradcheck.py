@@ -39,9 +39,9 @@ def kron_circuit(inputs, weights):
 
 
 def central_differences(probe, base, coords, step):
-    """``gradcheck._central_differences`` given what ``probe`` returns at
-    ``base`` itself."""
-    return gradcheck._central_differences(probe, base, coords, step, probe(base[np.newaxis]))
+    """``gradcheck._central_differences`` given the pattern ``probe``
+    returns at ``base`` itself."""
+    return gradcheck._central_differences(probe, base, coords, step, probe(base[np.newaxis])[1])
 
 
 class TestDenseMatrixOracle:
@@ -143,8 +143,8 @@ class TestSuites:
         "seed, n_cases, step", [(0, 50, 1e-5), (3, 10, 1e-5), (12, 50, 1e-5), (3, 2, 1e-9)]
     )
     def test_parameter_shift_matches_one_case_per_call(self, seed, n_cases, step):
-        # the suite's draws, in its order, each probed through
-        # ``_central_differences`` in calls of its own
+        # the suite's draws, in its order, each coordinate's difference
+        # taken from two ``quantum_forward`` rows of a call of its own
         rng = np.random.default_rng(seed)
         max_err, worst = 0.0, ""
         for case in range(n_cases):
@@ -153,13 +153,16 @@ class TestSuites:
             inputs = rng.uniform(-np.pi, np.pi, size=n)
             weights = rng.uniform(-np.pi, np.pi, size=(layers, n))
             _, d_inputs, d_weights = qsim.quantum_gradients(inputs, weights)
-
-            def probe(rows):
-                values = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
-                return values, np.empty((len(rows), 0), dtype=bool)
-
             base = np.concatenate((inputs, weights.ravel()))
-            fd = central_differences(probe, base, np.arange(len(base)), step)
+            fd = np.full((len(base), n), np.nan)
+            for k in range(len(base)):
+                if step < gradcheck.MIN_STEP:
+                    break  # no probe runs: every difference stays NaN
+                rows = np.array([base, base])
+                rows[0, k] += step
+                rows[1, k] -= step
+                plus, minus = qsim.quantum_forward(rows[:, :n], rows[:, n:].reshape(-1, layers, n))
+                fd[k] = (plus - minus) / (2 * step)
             err = np.max(np.abs(np.concatenate((d_inputs, d_weights.reshape(-1, n))) - fd), axis=1)
             err[np.isnan(err)] = np.inf
             if err.max() > max_err:
@@ -247,27 +250,9 @@ class TestCentralDifference:
 
         fd = central_differences(probe, base, np.arange(3), 1e-4)
         assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
+        assert fd.shape == (3,)
         assert fd[:2] == pytest.approx([1.0, 1.0], rel=1e-9)
         assert np.isnan(fd[2])
-
-    def test_vector_values_give_one_row_per_coordinate(self):
-        # values (relu(v).sum(), 2 v.sum()) [R, 2]: coordinate 1 halves its
-        # step twice at the kink and 2 stays unresolved, as for a scalar loss
-        base = np.array([0.5, 3e-5, 0.0])
-        passes = []
-
-        def probe(rows):
-            if len(rows) > 1:
-                m = len(rows) // 2
-                passes.append([int(k) for k in np.nonzero(rows[:m] != base)[1]])
-            loss, pattern = self.relu_probe(rows)
-            return np.stack((loss, 2 * rows.sum(axis=1)), axis=1), pattern
-
-        fd = central_differences(probe, base, np.arange(3), 1e-4)
-        assert passes == [[0, 1, 2], [1, 2], [1, 2]] + [[2]] * 11
-        assert fd.shape == (3, 2)
-        np.testing.assert_allclose(fd[:2], [[1.0, 2.0], [1.0, 2.0]], rtol=1e-9)
-        assert np.isnan(fd[2]).all()
 
     def test_each_pass_steps_only_its_own_coordinates(self, monkeypatch):
         # chunks of 2: coordinate 1 retries alone before the second chunk
@@ -380,16 +365,16 @@ class TestLayerDifferences:
                                    atol=1e-9 * np.abs(want[resolved]).max())
 
     def test_the_base_point_is_not_probed(self, monkeypatch):
-        # the base forward gives each layer's base loss and pattern, so every
-        # probe is a pass of stepped rows, two a coordinate
+        # the base forward gives each layer's base pattern, so every probe
+        # is a pass of stepped rows, two a coordinate
         passes, central = [], gradcheck._central_differences
 
-        def recording(probe, base, coords, step, at_base):
+        def recording(probe, base, coords, step, base_pattern):
             def counted(rows):
                 passes.append(len(rows))
                 return probe(rows)
 
-            return central(counted, base, coords, step, at_base)
+            return central(counted, base, coords, step, base_pattern)
 
         monkeypatch.setattr(gradcheck, "_central_differences", recording)
         net, features, label, coords = next(hybrid_draws(0, 1))

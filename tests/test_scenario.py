@@ -205,7 +205,7 @@ class TestCellGrids:
         for bucket in data.BUCKET_SIZES:
             events = scenario.default_schedule(config, bucket_seconds=bucket)
             records, _ = scenario.generate(replace(config, incidents=tuple(events)))
-            want = data.build_dataset(records, events, 12, bucket, duration_s=300)
+            want = data.grid_dataset(data.aggregate(records, 12, 300), events, bucket)
             got = scenario.synthetic_dataset(config, bucket)
             for column in ("bucket_start", "zone_id", "features", "labels"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
