@@ -78,8 +78,6 @@ class Records:
         self.vehicle_id = np.asarray(self.vehicle_id, dtype=np.int64)
         self.zone = np.asarray(self.zone, dtype=np.int64)
         self.speed = np.asarray(self.speed, dtype=np.float64)
-        if not len(self.time) == len(self.vehicle_id) == len(self.zone) == len(self.speed):
-            raise ValueError("record columns differ in length")
         if np.any(self.time < 0):
             raise ValueError("record times must be >= 0")
         if np.any(self.vehicle_id < 0):
@@ -418,7 +416,7 @@ def _read_bsm_blocks(path) -> Records | None:
                     dtype=row, delimiter=",", comments=None, ndmin=1,
                 )
                 if len(rows) != lines:
-                    return None
+                    return None  # np.loadtxt read another row count than pass 1
                 for name, column in zip(row.names, columns):
                     column[done : done + lines] = rows[name]
                 done += lines
@@ -448,8 +446,9 @@ def read_bsm_csv(path) -> Records:
 def _read_bsm_rows(path) -> Records:
     """The records of a CSV read row by row through ``csv.reader``: the
     header is checked, then each non-blank line's fields are parsed, and a
-    ``ValueError`` from a line, bytes that are not UTF-8 among them, becomes
-    a ``ParseError`` naming the path and line number."""
+    ``ValueError`` from a line, bytes that are not UTF-8 among them, or a
+    field longer than csv's limit becomes a ``ParseError`` naming the path
+    and line number."""
     times, vids, zones, speeds = [], [], [], []
     # a byte that is not UTF-8 decodes to a lone surrogate, \udc80-\udcff,
     # which its line reports
@@ -458,10 +457,10 @@ def _read_bsm_rows(path) -> Records:
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != BSM_HEADER:
             raise FormatError(f"{path}: expected header {','.join(BSM_HEADER)}")
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
+        try:
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
                 if len(fields) != len(BSM_HEADER):
                     raise ValueError(f"expected {len(BSM_HEADER)} fields")
                 if not "".join(fields).isascii():
@@ -481,12 +480,14 @@ def _read_bsm_rows(path) -> Records:
                     raise ValueError(f"zone id {zone} is beyond the int64 range")
                 if not math.isfinite(speed) or speed < 0:
                     raise ValueError(f"speed must be finite and >= 0, got {speed}")
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            times.append(time)
-            vids.append(fields[1])
-            zones.append(zone)
-            speeds.append(speed)
+                times.append(time)
+                vids.append(fields[1])
+                zones.append(zone)
+                speeds.append(speed)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        except csv.Error as exc:  # a field longer than csv's limit
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return Records(times, _id_codes(np.array(vids, dtype=str)), zones, speeds)
 
 

@@ -156,8 +156,6 @@ def _format_metric(value: float | None) -> str:
 
 def compare(aggregates: list[RunAggregate]) -> tuple[dict, str]:
     """Comparison of all models on one split: (JSON document, aligned table)."""
-    if not aggregates:
-        raise ValueError("nothing to compare")
     first = aggregates[0]
     for agg in aggregates[1:]:
         if any(getattr(agg, name) != getattr(first, name) for name in SHARED_FIELDS):

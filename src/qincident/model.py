@@ -207,8 +207,6 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     """``n_runs`` models to train as one: run r is ``build_model(config,
     seed + r)``, its arrays stacked along a leading run axis.  The
     population's ``seed`` is run 0's."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     members = [build_model(config, seed + r) for r in range(n_runs)]
     return Model(config, members[0].layers, np.stack([m.params for m in members]), seed)
 
@@ -260,7 +258,7 @@ def forward(model: Model, features) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(probs))
     if len(bad):
         *run, row = bad[0]
-        raise DataError(f"the model of seed {model.seed + sum(run)} gives output "
+        raise DataError(f"the model of seed {model.seed + sum(map(int, run))} gives output "
                         f"{probs[tuple(bad[0])]} for feature row {row}")
     return probs
 
@@ -341,7 +339,7 @@ def train(model: Model, data, config: nn.TrainConfig) -> Model:
     if n_rows == 0:
         raise ValueError("training set is empty")
     runs, positive = model.params.shape[:-1], labels > 0.5
-    seeds = config.seed + np.arange(math.prod(runs))
+    seeds = config.seed + np.arange(math.prod(runs), dtype=object)  # Python ints: no int64 bound
     adam = nn.AdamState.for_params(model.params, learning_rate=config.learning_rate)
     n_batches = math.ceil(n_rows / config.batch_size)
     # one plan for the full batches and one for a final partial batch, both

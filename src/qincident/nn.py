@@ -51,9 +51,7 @@ def activate_deriv(kind: str, output) -> np.ndarray:
     temporary; sigmoid's is s * (1 - s) with s = f(z)."""
     if kind == "relu":
         return output > 0
-    if kind == "sigmoid":
-        return output * (1.0 - output)
-    raise ValueError(f"unknown activation {kind!r}")
+    return output * (1.0 - output)  # sigmoid, the one other kind ``activate`` takes
 
 
 @dataclass(frozen=True)

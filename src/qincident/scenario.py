@@ -65,10 +65,6 @@ class IncidentEvent:
     start_s: int
     duration_s: int
 
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-
     @property
     def end_s(self) -> int:
         return self.start_s + self.duration_s

@@ -103,6 +103,12 @@ MUTANTS = [
         (TEST_DATA,),
     ),
     Mutant(
+        "negative-times-taken", DATA,
+        "        if np.any(self.time < 0):\n",
+        "        if np.any(self.time < -1):\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
         "key-overflow-unguarded", DATA,
         "(_INT64.max - grid_size + 1) // max(grid_size, 1)):",
         "(_INT64.max - grid_size + 1) // max(grid_size, 1) + 1):",
@@ -113,6 +119,19 @@ MUTANTS = [
         "row-loop-takes-nul", DATA,
         '                if "\\x00" in fields[1]:\n',
         "                if False:\n",
+        (TEST_DATA,),
+    ),
+    Mutant(
+        "csv-error-uncaught", DATA,
+        "        except csv.Error as exc:  # a field longer than csv's limit\n"
+        '            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc\n',
+        "",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "window-overlong-line-taken", DATA,
+        "        if not len(ends):  # a line longer than the window\n            return None\n",
+        "",
         (TEST_DATA,),
     ),
     Mutant(
@@ -255,6 +274,18 @@ MUTANTS = [
         "                 for row in model_mod.predict(group, split.test_x)],\n",
         "                 for row in model_mod.predict(population, split.test_x)],\n",
         (TEST_EVALUATION,),
+    ),
+    Mutant(
+        "run-seeds-int64", MODEL,
+        "    seeds = config.seed + np.arange(math.prod(runs), dtype=object)",
+        "    seeds = config.seed + np.arange(math.prod(runs))",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "forward-seed-int64", MODEL,
+        "{model.seed + sum(map(int, run))}",
+        "{model.seed + sum(run)}",
+        (TEST_CLI,),
     ),
     # the gradient oracles
     Mutant(

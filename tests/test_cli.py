@@ -298,6 +298,17 @@ class TestFeatures:
         assert f"above the cap of {scenario.MAX_CELLS}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_field_beyond_the_csv_limit_exits_3_naming_the_line(self, tmp_path, capsys):
+        # a line longer than the reader's 1 MiB window, which pass 1 declines,
+        # holding an id longer than csv's field limit
+        bad = tmp_path / "long.csv"
+        bad.write_text(f"time_s,vehicle_id,zone_id,speed_mps\n0,a,0,1.5\n1,{'v' * (1 << 20)},0,2.5\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["features", "--bsm", str(bad), "--zones", "1", "--duration", "2", "--out", str(out)])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error: {bad}:3: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["features", "--bsm", str(tmp_path / "nope.csv"), "--out", "x.csv"])
         assert code == cli.EXIT_IO
@@ -856,6 +867,26 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged: loss nan at epoch 1/2, batch 2/")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**64])
+    def test_run_seeds_beyond_int64_keep_their_values(self, tmp_path, monkeypatch, seed):
+        # as int64, run 1 of seed 2^63 - 1 would wrap to -2^63, and 2^64 overflows
+        histories, train = [], model.train
+        monkeypatch.setattr(model, "train", lambda *args: histories.append(train(*args).history) or args[0])
+        assert run_cli(SMALL_EXPERIMENT + ["--seed", str(seed), "--out", str(tmp_path / "exp")]) == 0
+        assert histories[0]["seed"] == [seed, seed + 1]
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [("16", "training diverged: loss nan at epoch 1/2, batch 2/115 (seed 18446744073709551616)"),
+         # one batch an epoch: the accuracy pass finds the divergence, first in run 1
+         ("100000", "training diverged by the end of epoch 1/2: "
+                    "the model of seed 18446744073709551617 gives output nan for feature row 0")],
+    )
+    def test_divergence_names_a_seed_beyond_int64(self, tmp_path, capsys, batch, message):
+        args = ["--lr", "1e300", "--batch", batch, "--seed", str(2**64), "--out", str(tmp_path / "exp")]
+        assert run_cli(SMALL_EXPERIMENT + args) == cli.EXIT_FAIL
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "text, message",

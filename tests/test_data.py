@@ -676,7 +676,9 @@ class TestCsvReaderAgreement:
         [b"1,v\xff,0,2.5", b"1,v2,0,2.5\xff", b"1\xff,v2,0,2.5", b"1,v2,\xc30,2.5",
          b"1,v\xe9,0,2.5", b"1,v\xed\xa0\x80,0,2.5", b"1,v\xc0\xaf,0,2.5", b"1,v\xe2\x82,0,2.5",
          # a NUL, which the parsed id would drop at its end
-         b"1,v\x00,0,2.5", b"1,v\x002,0,2.5"],
+         b"1,v\x00,0,2.5", b"1,v\x002,0,2.5",
+         # a negative time, which the parse takes and ``Records`` refuses
+         b"-1,v2,0,2.5"],
     )
     def test_lines_the_parse_declines_get_the_row_loops_error(self, tmp_path, line, block_lines):
         path = tmp_path / "bsm.csv"
@@ -686,6 +688,11 @@ class TestCsvReaderAgreement:
             got = read_outcome(data.read_bsm_csv, path)
         assert got == read_outcome(data._read_bsm_rows, path)
         assert got[0] is ParseError and got[1].startswith(f"{path}:3: ")
+
+    def test_a_line_longer_than_the_window_is_declined(self):
+        raw = ",".join(data.BSM_HEADER).encode() + b"\n0,v1,0,1.5\n1,v" + b"2" * 40 + b",0,2.5\n"
+        with mock.patch.object(data, "_BLOCK_BYTES", 32):
+            assert data._bsm_blocks(raw) is None
 
     @pytest.mark.parametrize(
         "line, parses",
