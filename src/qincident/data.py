@@ -448,7 +448,7 @@ def _read_bsm_rows(path) -> Records:
     header is checked, then each non-blank line's fields are parsed, and a
     ``ValueError`` from a line, bytes that are not UTF-8 among them, or a
     field longer than csv's limit becomes a ``ParseError`` naming the path
-    and line number."""
+    and the line the row ends on."""
     times, vids, zones, speeds = [], [], [], []
     # a byte that is not UTF-8 decodes to a lone surrogate, \udc80-\udcff,
     # which its line reports
@@ -458,7 +458,7 @@ def _read_bsm_rows(path) -> Records:
         if first is None or [h.strip() for h in first] != BSM_HEADER:
             raise FormatError(f"{path}: expected header {','.join(BSM_HEADER)}")
         try:
-            for lineno, fields in enumerate(reader, start=2):
+            for fields in reader:
                 if not fields:
                     continue
                 if len(fields) != len(BSM_HEADER):
@@ -484,9 +484,7 @@ def _read_bsm_rows(path) -> Records:
                 vids.append(fields[1])
                 zones.append(zone)
                 speeds.append(speed)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        except csv.Error as exc:  # a field longer than csv's limit
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field longer than csv's limit
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return Records(times, _id_codes(np.array(vids, dtype=str)), zones, speeds)
 

@@ -67,7 +67,7 @@ MODEL_KINDS = ("classical", "hybrid")
 HIDDEN_WIDTHS = (48, 32)
 OUTPUT_THRESHOLD = 0.5
 
-# patch point for test harnesses that swap the quantum layer for an identity map
+# patch points: tests swap the quantum kernels out, and bench/spans.py wraps them in spans
 _QUANTUM_FORWARD = qsim.forward_batch
 _QUANTUM_GRADIENTS = qsim.gradients_batch
 

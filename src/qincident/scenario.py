@@ -19,11 +19,10 @@ After the incident all three zones relax linearly back to base over
 ``RECOVERY_S`` seconds.  Generation is a pure function of the config: each
 zone draws from its own (seed, zone) random stream, so streams are
 bit-reproducible and zones could be generated in parallel.  The records come
-out in (time, zone, ordinal) order, the ordinal numbering the vehicles of
-one (second, zone) cell, and their vehicle codes are a permutation of
-0..n-1; each zone's draws are placed among the others by cell offsets, not
-sorted.  ``cell_grids`` sums the same draws, one zone at a time, straight
-into the per-cell grids that ``data.aggregate`` makes of the records, so
+out in (time, zone, draw) order, and record i has vehicle code i; each
+zone's draws are placed among the others by cell offsets, not sorted.
+``cell_grids`` sums the same draws, one zone at a time, straight into the
+per-cell grids that ``data.aggregate`` makes of the records, so
 ``synthetic_dataset`` never holds a record.
 """
 
@@ -150,31 +149,13 @@ def _zone_draws(seed: int, speed_mean: np.ndarray, rate: np.ndarray):
         yield counts, np.maximum(speeds, 0.0, out=speeds)
 
 
-def _code_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cell of each draw that ``counts`` lays out cell after cell, and
-    its place in vehicle-code order: the cell's start plus the rank of its
-    ordinal as text among the cell's ordinals ("10" before "2")."""
-    most = int(counts.max(initial=0))
-    starts = np.cumsum(counts) - counts
-    cells = np.repeat(np.arange(len(counts)), counts)
-    # draw i of a cell has ordinal i - start, whose rank sits at row count,
-    # column ordinal of the ranks: flat index count * most + i - start
-    position = (counts * most - starts)[cells]
-    position += np.arange(len(position))
-    position = _ordinal_ranks(most).ravel()[position]
-    position += starts[cells]
-    return cells, position
-
-
 def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]:
     """Vehicle record stream plus the incident schedule that shaped it.
 
-    Records are in (time, zone, ordinal) order, where the ordinal numbers a
-    vehicle within its (second, zone) cell.  Each zone's draws
-    (``_zone_draws``) move to their cells' time-major starts one zone at a
-    time, so no zone-major copy of all of them is made; a record's vehicle
-    code is its place in code order (``_code_order``): by time, then zone,
-    then the ordinal as text, so that ordinal 10 comes before ordinal 2.
+    Records are in (time, zone, draw) order, and a record's vehicle code is
+    its index.  Each zone's draws (``_zone_draws``) move to their cells'
+    time-major starts one zone at a time, so no zone-major copy of all of
+    them is made.
     """
     n_zones, duration = config.n_zones, config.duration_s
     # the counts are made before the draws and the profiles freed only after
@@ -193,36 +174,25 @@ def generate(config: ScenarioConfig) -> tuple[data.Records, list[IncidentEvent]]
         place += np.arange(len(values))
         speeds[place] = values
     del drawn, speed_mean, rate
-    # time-major cell t * n_zones + z holds the records of (t, z)
-    cells, codes = _code_order(counts.T.ravel())
-    # the zones overwrite the cells
+    # time-major cell t * n_zones + z holds the records of (t, z); the zones
+    # overwrite the cells
+    cells = np.repeat(np.arange(n_zones * duration), counts.T.ravel())
     times, zones = np.divmod(cells, n_zones, out=(np.empty_like(cells), cells))
-    return data.Records(times, codes, zones, speeds), list(config.incidents or ())
+    return data.Records(times, np.arange(len(speeds)), zones, speeds), list(config.incidents or ())
 
 
 def cell_grids(config: ScenarioConfig) -> np.ndarray:
     """The [2, n_zones, duration_s] vehicle counts and speed sums per
     (zone, second) cell of ``generate``'s records, bit for bit what
     ``data.aggregate`` makes of them, summed from each zone's draws one zone
-    at a time: each cell sums its speeds in vehicle-code order."""
-    grids = np.empty((2, config.n_zones, config.duration_s))
+    at a time: each cell sums its speeds in draw order, which is code order."""
+    duration = config.duration_s
+    grids = np.empty((2, config.n_zones, duration))
     for zone, (counts, speeds) in enumerate(_zone_draws(config.seed, *_zone_profiles(config))):
-        cells, position = _code_order(counts)
-        ordered = np.empty_like(speeds)
-        ordered[position] = speeds
         grids[0, zone] = counts
-        grids[1, zone] = np.bincount(cells, weights=ordered, minlength=config.duration_s)
+        grids[1, zone] = np.bincount(np.repeat(np.arange(duration), counts), weights=speeds,
+                                     minlength=duration)
     return grids
-
-
-def _ordinal_ranks(most: int) -> np.ndarray:
-    """[most + 1, most]: row c holds each ordinal's rank, as text, among the
-    ordinals 0..c-1 of a cell of c records ("10" sorts before "2")."""
-    text = np.array([str(o) for o in range(most)], dtype=str)
-    order = np.argsort(np.argsort(text))
-    ranks = np.zeros((most + 1, most), dtype=np.int64)
-    np.cumsum(order[:, np.newaxis] < order, axis=0, out=ranks[1:])
-    return ranks
 
 
 def synthetic_dataset(

@@ -1,7 +1,6 @@
 """Command-line driver: file outputs, determinism, exit codes."""
 
 import argparse
-import collections
 import contextlib
 import csv
 import dataclasses
@@ -109,33 +108,34 @@ class TestFeatures:
         assert code == 0
         assert len(read_features(out)["label"]) == 6 * 240
 
-    @pytest.mark.parametrize("bucket", ["1", "60"])
-    def test_the_old_id_spelling_gives_the_same_features(self, tmp_path, bucket):
-        # ids once read v{zone:02d}-{time}-{ordinal}, the ordinal counting a
-        # (second, zone) cell's records in file order; zone 5's incident
-        # queues zone 4 into cells of 11 records and more, where "10" < "2"
+    def gen_queued(self, tmp_path):
+        """``gen`` on a corridor where zone 5's incident queues zone 4 into
+        cells of 11 records and more; the config and the record CSV."""
+        event = scenario.IncidentEvent(5, 0, 60)
+        config = scenario.ScenarioConfig(8, 60, (event,), seed=1)
         schedule = tmp_path / "schedule.json"
-        scenario.write_schedule_json([scenario.IncidentEvent(5, 0, 60)], schedule)
-        gen = ["gen", "--zones", "8", "--duration", "120", "--seed", "1", "--schedule", str(schedule)]
+        scenario.write_schedule_json([event], schedule)
+        gen = ["gen", "--zones", "8", "--duration", "60", "--seed", "1", "--schedule", str(schedule)]
         assert run_cli(gen + ["--out", str(tmp_path / "gen")]) == 0
-        new = tmp_path / "gen" / "bsm.csv"
-        header, *lines = new.read_text().splitlines(keepends=True)
-        ordinals = collections.Counter()
-        old_lines = []
-        for line in lines:
-            time_s, _, zone, speed = line.split(",")
-            old_lines.append(f"{time_s},v{int(zone):02d}-{time_s}-{ordinals[time_s, zone]},{zone},{speed}")
-            ordinals[time_s, zone] += 1
-        assert max(ordinals.values()) >= 11
-        old = tmp_path / "old.csv"
-        old.write_text(header + "".join(old_lines))
-        outputs = []
-        for bsm in (new, old):
-            out = tmp_path / f"{bsm.stem}-features.csv"
-            argv = ["features", "--bsm", str(bsm), "--schedule", str(schedule), "--bucket", bucket]
-            assert run_cli(argv + ["--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        return config, tmp_path / "gen" / "bsm.csv"
+
+    def test_gen_writes_the_records_generate_returns(self, tmp_path):
+        config, bsm = self.gen_queued(tmp_path)
+        records, read = scenario.generate(config)[0], data.read_bsm_csv(bsm)
+        assert np.bincount(records.time * 8 + records.zone).max() >= 11
+        for column in ("time", "vehicle_id", "zone", "speed"):
+            want, got = getattr(records, column), getattr(read, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+    @pytest.mark.parametrize("bucket", data.BUCKET_SIZES)
+    def test_gen_then_features_write_the_rows_of_the_experiment_path(self, tmp_path, bucket):
+        config, bsm = self.gen_queued(tmp_path)
+        out, want = tmp_path / "f.csv", tmp_path / "want.csv"
+        argv = ["features", "--bsm", str(bsm), "--schedule", str(bsm.with_name("schedule.json")),
+                "--bucket", str(bucket)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        data.write_feature_csv(scenario.synthetic_dataset(config, bucket), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_per_minute_bucket(self, tmp_path):
         bsm, schedule = self.make_inputs(tmp_path)
@@ -307,6 +307,14 @@ class TestFeatures:
         code = run_cli(["features", "--bsm", str(bad), "--zones", "1", "--duration", "2", "--out", str(out)])
         assert code == cli.EXIT_IO
         assert capsys.readouterr().err == f"error: {bad}:3: field larger than field limit (131072)\n"
+        assert not out.exists()
+
+    def test_a_quoted_field_over_two_lines_shifts_no_line_number(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('time_s,vehicle_id,zone_id,speed_mps\n0,"a\nb",0,1.5\n1,c,0,x\n')
+        out = tmp_path / "o.csv"
+        assert run_cli(["features", "--bsm", str(bad), "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error: {bad}:4: could not convert string to float: 'x'\n"
         assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path):

@@ -67,13 +67,13 @@ PINS = {
     },
     "gen-features": {
         "features.1:exit": 0,
-        "features.1:f1.csv": "dc6d0407d307824285d8ba96132914bcc2cffd74ce1d9f3595d11eedaa918842",
+        "features.1:f1.csv": "afdcca270b4a359a6f51231a4591a0a283b905d5388bc3ade951359ad5e18133",
         "features.1:stdout": "b338c97b5b4ed80d3d296436630914fed01ab5f935a0ab40e88f872f359f8567",
         "features.2:exit": 0,
         "features.2:f60.csv": "6d9880aea8af423e5f2eddf78595caf1d36801e41722cc665930c725b8a3f6ab",
         "features.2:stdout": "105f94d78af8beec567469fb7737e9e437018926ac79b3d48ee34d616c4ac26e",
         "gen.0:exit": 0,
-        "gen.0:gen/bsm.csv": "9579eda6016fe83db3b66934b9c6ec7b8a24f478067a97864d7b665b44816787",
+        "gen.0:gen/bsm.csv": "3745f14db9998653f52dc2677130bf5f1081cf811f2a33a8a2134a434447ae89",
         "gen.0:gen/schedule.json": "cfc8fc8e489ffb4b3b18034ad17e70e127a4c5f727cbcb0a1ae58120874053b3",
         "gen.0:stdout": "abe03f53862d9dce656302e0e2068e9e97c8377c99cab7fc349b980f910a7f0b",
     },

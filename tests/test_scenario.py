@@ -22,7 +22,7 @@ def same_records(a, b):
 def reference_generate(config):
     """The generator written the direct way: each zone's records with
     per-cell ``arange`` ordinals, then one (time, zone, ordinal) sort of all
-    of them, and the vehicle codes from one (time, zone, ordinal text) sort."""
+    of them, each record coded by its index."""
     speed_mean, rate = scenario._zone_profiles(config)
     all_times, all_zones, all_speeds, all_ordinals = [], [], [], []
     for zone in range(config.n_zones):
@@ -42,10 +42,7 @@ def reference_generate(config):
         np.concatenate(parts) for parts in (all_times, all_zones, all_speeds, all_ordinals)
     )
     order = np.lexsort((ordinals, zones, times))
-    times, zones, speeds, ordinals = times[order], zones[order], speeds[order], ordinals[order]
-    codes = np.empty(len(times), dtype=np.int64)
-    codes[np.lexsort((ordinals.astype(str), zones, times))] = np.arange(len(times))
-    return data.Records(times, codes, zones, speeds)
+    return data.Records(times[order], np.arange(len(times)), zones[order], speeds[order])
 
 
 def assert_matches_reference(config):
@@ -104,40 +101,15 @@ class TestGenerateMatchesReference:
 
 
 class TestVehicleCodes:
-    """A record's code is its cell's time-major start plus its ordinal's rank
-    as text among the cell's ordinals."""
+    """A record's code is its index."""
 
-    def test_cells_of_eleven_or_more_records_code_ordinals_as_text(self):
+    def test_codes_are_the_record_indices_in_cells_of_eleven_or_more(self):
         # zone 5's incident queues zone 4 up to three times base demand
         event = scenario.IncidentEvent(zone=5, start_s=0, duration_s=60)
         records, _ = scenario.generate(scenario.ScenarioConfig(8, 60, (event,), seed=1))
-        _, starts, counts = np.unique(
-            records.time * 8 + records.zone, return_index=True, return_counts=True
-        )
-        assert counts.max() >= 11  # ordinals 0..10 and beyond
-        for start, count in zip(starts.tolist(), counts.tolist()):
-            ranks = np.argsort(np.argsort([str(o) for o in range(count)]))
-            np.testing.assert_array_equal(records.vehicle_id[start : start + count], start + ranks)
-
-    def test_codes_rank_time_then_zone_then_ordinal_text(self):
-        # the default schedule queues cells of up to 16 records here, so
-        # ordinal 10 must come before ordinal 2
-        config = scenario.ScenarioConfig(4, 200, seed=0)
-        events = tuple(scenario.default_schedule(config))
-        records, _ = scenario.generate(replace(config, incidents=events))
-        _, starts, counts = np.unique(
-            records.time * 4 + records.zone, return_index=True, return_counts=True
-        )
-        assert counts.max() >= 11
-        ordinal = (np.arange(len(records)) - np.repeat(starts, counts)).astype(str)
-
-        def rank(*keys):
-            ranks = np.empty(len(records), dtype=np.int64)
-            ranks[np.lexsort(keys[::-1])] = np.arange(len(records))
-            return ranks
-
-        np.testing.assert_array_equal(records.vehicle_id, rank(records.time, records.zone, ordinal))
-        assert not np.array_equal(records.vehicle_id, rank(records.zone, records.time, ordinal))
+        assert np.bincount(records.time * 8 + records.zone).max() >= 11
+        assert records.vehicle_id.dtype == np.int64
+        np.testing.assert_array_equal(records.vehicle_id, np.arange(len(records)))
 
     @pytest.mark.parametrize(
         "config",
@@ -174,15 +146,16 @@ class TestCellGrids:
         assert got.shape == (2, config.n_zones, config.duration_s)
         assert got.tobytes() == want.tobytes()
         if queued:
-            # ordinals 0..10 and beyond: "10" sorts before "2", so a cell's
-            # code order differs from its draw order
+            # cells of 11 records and more, where ordering the ordinals as
+            # text ("10" before "2") would differ from draw order
             assert got[0].max() >= 11
 
     def test_a_cell_sums_its_speeds_in_code_order(self, monkeypatch):
         # 1e16 + 1.0 rounds back to 1e16, so a sum's bits follow its order.
         # Ordinals 0 and 10 carry 1.0 and ordinal 2 carries 1e16: in code
-        # order ("10" before "2") a cell of 11 or more sums 1e16 + 2, in
-        # draw order 1e16
+        # order, which is draw order, a cell of 3 or more sums 1e16; ordinals
+        # ranked as text ("10" before "2") would sum 1e16 + 2 in a cell of 11
+        # or more
         draws = scenario._zone_draws
 
         def probe_speeds(*args):
@@ -195,7 +168,7 @@ class TestCellGrids:
         monkeypatch.setattr(scenario, "_zone_draws", probe_speeds)
         config = scenario.ScenarioConfig(8, 60, (scenario.IncidentEvent(5, 0, 60),), seed=1)
         counts, sums = scenario.cell_grids(config)
-        want = np.select([counts >= 11, counts >= 3, counts >= 1], [1e16 + 2.0, 1e16, 1.0], 0.0)
+        want = np.select([counts >= 3, counts >= 1], [1e16, 1.0], 0.0)
         assert np.any(counts >= 11) and sums.tobytes() == want.tobytes()
         records, _ = scenario.generate(config)
         assert data.aggregate(records, 8, 60)[1].tobytes() == sums.tobytes()
