@@ -1,7 +1,7 @@
 """qincident: hybrid quantum-classical neural networks for traffic incident
 detection from zone-aggregated connected-vehicle data.
 
-Subpackages:
+Modules:
 
 * ``qsim``        exact simulation of the quantum layer (one term formula, any depth)
 * ``nn``          dense layers, BCE loss, Adam, backprop primitives

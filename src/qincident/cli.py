@@ -8,9 +8,8 @@ Subcommands:
 * ``gradcheck``  verify the quantum oracle, parameter-shift and backprop suites
 
 Every command is deterministic given its flags; the seed is ``--seed``,
-else (``experiment``) the config file's, else the ``QINC_SEED`` environment
-variable, else 0.  Exit codes: 0 success, 1 verification or run failure,
-2 usage error, 3 I/O or parse error.
+else (``experiment``) the config file's, else 0.  Exit codes: 0 success,
+1 verification or run failure, 2 usage error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ def cmd_features(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    values: dict = {"seed": args.default_seed}
+    values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
@@ -294,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic scenario")
     gen.add_argument("--zones", type=int, default=56)
     gen.add_argument("--duration", type=int, default=1250, help="seconds")
-    gen.add_argument("--seed", type=_seed, default=None)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--incidents", type=int, default=None, help="incident count (default: auto)")
     gen.add_argument("--schedule", default=None, help="use this schedule JSON instead")
     gen.add_argument("--out", default="out", help="output directory")
@@ -326,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=cmd_experiment)
 
     grad = sub.add_parser("gradcheck", help="run the gradient verification suites")
-    grad.add_argument("--seed", type=_seed, default=None)
+    grad.add_argument("--seed", type=_seed, default=0)
     grad.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -334,13 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.default_seed = _seed(os.environ.get("QINC_SEED", "0"))
-    except argparse.ArgumentTypeError:
-        parser.error(f"QINC_SEED must be a non-negative integer, got {os.environ['QINC_SEED']!r}")
-    # _experiment_config puts a config file's seed between --seed and this
-    if args.command != "experiment" and getattr(args, "seed", None) is None:
-        args.seed = args.default_seed
     try:
         return args.func(args)
     except (ParseError, FormatError, OSError) as exc:

@@ -499,6 +499,6 @@ def write_feature_csv(table: Dataset, path) -> None:
         bits, where = np.unique(features[start:stop].view(np.int64), return_inverse=True)
         texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
         return (table.bucket_start[start:stop], table.zone_id[start:stop],
-                *texts[where.reshape(-1, 6)].T, table.labels[start:stop])
+                *texts[where.reshape(-1, 6).T], table.labels[start:stop])
 
     _write_lines(path, FEATURE_HEADER, line, len(table), columns)

@@ -34,11 +34,6 @@ class ConfusionCounts:
     fn: float
     tn: float
 
-    def __post_init__(self):
-        for name in COUNT_NAMES:
-            if (value := getattr(self, name)) < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-
     @property
     def total(self) -> float:
         return self.tp + self.fp + self.fn + self.tn
@@ -97,8 +92,6 @@ class RunAggregate:
     defined_runs: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.per_run:
-            raise ValueError("need at least one run")
         self.n_runs = len(self.per_run)
         self.mean_counts = ConfusionCounts(
             *(float(np.mean([getattr(r.counts, n) for r in self.per_run])) for n in COUNT_NAMES)
@@ -142,8 +135,6 @@ def run_experiment(
 # -- comparison output -----------------------------------------------------------
 
 TABLE_COLUMNS = ("TP", "FP", "FN", "Accuracy", "Precision", "Recall", "F2-score")
-# the fields every aggregate of one comparison must agree on
-SHARED_FIELDS = ("split_name", "train_size", "test_size", "n_runs", "base_seed")
 
 
 def _format_count(value: float) -> str:
@@ -155,14 +146,9 @@ def _format_metric(value: float | None) -> str:
 
 
 def compare(aggregates: list[RunAggregate]) -> tuple[dict, str]:
-    """Comparison of all models on one split: (JSON document, aligned table)."""
+    """(JSON document, aligned table) of the models' aggregates of one split,
+    all of the same seed and run count, as ``run_experiment`` makes them."""
     first = aggregates[0]
-    for agg in aggregates[1:]:
-        if any(getattr(agg, name) != getattr(first, name) for name in SHARED_FIELDS):
-            raise ValueError(
-                f"{agg.model_label} and {first.model_label} differ in one of {SHARED_FIELDS}"
-            )
-
     doc = {
         "split": first.split_name,
         "n_runs": first.n_runs,

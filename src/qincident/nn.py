@@ -118,8 +118,6 @@ def init_layer(
     """A layer and its arrays: Glorot-uniform weights in +/- sqrt(6/(in+out))
     drawn from ``rng`` (a model draws all of its layers from one stream),
     zero biases."""
-    if in_dim < 1 or out_dim < 1:
-        raise ValueError("layer dimensions must be >= 1")
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
     return DenseLayer(in_dim, out_dim, activation), [weights, np.zeros(out_dim)]

@@ -42,6 +42,7 @@ differentiates it, one stacked row per finite-difference probe.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -117,12 +118,8 @@ class _Terms(NamedTuple):
     rest: np.ndarray  # [K, n, T, K] the factors without factor k
 
 
-_TERMS_CACHE: dict[tuple[int, int], _Terms] = {}
-
-
+@cache
 def _terms(n: int, n_layers: int) -> _Terms:
-    if (n, n_layers) in _TERMS_CACHE:
-        return _TERMS_CACHE[n, n_layers]
     check_circuit(n, n_layers)
     width = n * n_layers + 1  # slots per block
     one, zero = width - 1, 2 * width - 1  # cos 0, sin 0
@@ -145,8 +142,7 @@ def _terms(n: int, n_layers: int) -> _Terms:
     slopes[by_angle == one] = zero
     rest = np.where(np.eye(width - 1, dtype=bool)[:, None, None, :], one, factors)
     rest[slopes == zero] = one  # so that a slope 0 stays +0.0
-    _TERMS_CACHE[n, n_layers] = _Terms(signs, factors, slopes, rest)
-    return _TERMS_CACHE[n, n_layers]
+    return _Terms(signs, factors, slopes, rest)
 
 
 def _angles(inputs, weights) -> tuple[_Terms, np.ndarray]:
@@ -240,10 +236,6 @@ def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """``gradients_batch`` for one embedding [n]: (values [n], d_inputs
     [n, n], d_weights [L, n, n]); ``d_inputs[i, j]`` is d<Z_j>/dx_i."""
     inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or inputs.shape != (weights.shape[1],):
-        raise ValueError(
-            f"expected inputs (n,) and weights (L, n), got {inputs.shape} and {weights.shape}"
-        )
     values, d_inputs, d_weights = gradients_batch(inputs[np.newaxis], weights)
     return values[0], d_inputs[0], d_weights[0]
 
@@ -273,13 +265,6 @@ def circuit_matrix(inputs, weights, columns: int | None = None) -> np.ndarray:
     their first ``columns`` columns: the gates multiplied onto as many
     columns of the identity."""
     inputs, weights = np.asarray(inputs, dtype=float), np.asarray(weights, dtype=float)
-    if weights.ndim < 2 or weights.shape[-1:] != inputs.shape[-1:] or (
-        weights.shape[:-2] not in ((), inputs.shape[:-1])
-    ):
-        raise ValueError(
-            f"expected inputs (..., n) and weights (L, n) or (..., L, n), "
-            f"got {inputs.shape} and {weights.shape}"
-        )
     n = inputs.shape[-1]
     # the CNOT ring as one permutation: CNOT(c, t) flips bit t where bit c is set
     ends = np.arange(2**n)

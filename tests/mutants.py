@@ -156,7 +156,7 @@ MUTANTS = [
     ),
     Mutant(
         "csv-chunk-columns-transposed", DATA,
-        "                *texts[where.reshape(-1, 6)].T, table.labels[start:stop])\n",
+        "                *texts[where.reshape(-1, 6).T], table.labels[start:stop])\n",
         "                *texts[where.reshape(-1, 6)], table.labels[start:stop])\n",
         (TEST_DATA,),
     ),

@@ -668,16 +668,7 @@ class TestExperiment:
         assert "must be a non-empty subset" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QINC_SEED", "5")
-        out = tmp_path / "env"
-        args = [a for a in SMALL_EXPERIMENT if a not in ("--seed", "5")]
-        assert run_cli(args + ["--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 5
-
-    def test_config_seed_ranks_below_the_flag_and_above_the_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QINC_SEED", "3")
+    def test_config_seed_ranks_below_the_flag(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "zones": 8, "duration_s": 400, "seed": 5, "splits": ["DS-1"],
@@ -1067,19 +1058,32 @@ class TestUsage:
         assert excinfo.value.code == 2
         assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
-    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("QINC_SEED", "-1")
+    def test_non_integer_seed_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(["gradcheck"])
+            run_cli(["gradcheck", "--seed", "abc"])
         assert excinfo.value.code == 2
-        assert "QINC_SEED must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got 'abc'" in capsys.readouterr().err
 
-    def test_non_integer_env_seed_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("QINC_SEED", "abc")
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(["gradcheck"])
-        assert excinfo.value.code == 2
-        assert "QINC_SEED" in capsys.readouterr().err
+    # a seed, a negative number and a non-integer: none of them reaches a command
+    @pytest.mark.parametrize("env_seed", ["5", "-1", "abc"])
+    @pytest.mark.parametrize("command", [
+        ["gen", "--zones", "4", "--duration", "200"],
+        ["gradcheck"],
+        [a for a in SMALL_EXPERIMENT if a not in ("--seed", "5")],
+    ], ids=["gen", "gradcheck", "experiment"])
+    def test_the_environment_sets_no_seed(self, tmp_path, monkeypatch, capsys, command, env_seed):
+        # without --seed (or a config file) the seed is 0, whatever QINC_SEED says
+        monkeypatch.setenv("QINC_SEED", env_seed)
+        outputs = {}
+        for name, seed in (("none", []), ("zero", ["--seed", "0"]), ("five", ["--seed", "5"])):
+            out = tmp_path / name
+            assert run_cli(command + seed + (["--out", str(out)] if command[0] != "gradcheck" else [])) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            files = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+                     for p in sorted(tmp_path.glob(f"{name}/*"))}
+            outputs[name] = stdout, files
+        assert outputs["none"] == outputs["zero"]
+        assert outputs["five"] != outputs["zero"]
 
 
 class TestModuleEntryPoint:

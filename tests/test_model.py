@@ -74,6 +74,12 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             model.HybridModelConfig(kind="hybrid", n_qubits=0)
 
+    @pytest.mark.parametrize("n_qubits", [0, -1])
+    def test_no_qubits_refused_before_a_layer_is_built(self, n_qubits):
+        # the config is the only check between a qubit count and nn.init_layer
+        with pytest.raises(ValueError, match=rf"^n_qubits must be >= 1, got {n_qubits}$"):
+            model.HybridModelConfig(kind="hybrid", n_qubits=n_qubits)
+
 
 class TestForward:
     def test_zero_parameter_hybrid_gives_half(self):

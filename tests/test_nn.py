@@ -245,10 +245,6 @@ class TestInitLayer:
         sigma = limit / np.sqrt(3.0)
         assert abs(weights.mean()) <= 3 * sigma / 100.0
 
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            nn.init_layer(0, 5, np.random.default_rng(0))
-
 
 class TestAdam:
     def test_zero_gradient_no_move(self):

@@ -52,26 +52,6 @@ class TestQuantumForward:
         out = qsim.quantum_forward([np.pi / 2, np.pi / 2], np.zeros((1, 2)))
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "inputs, weights",
-        [
-            (np.zeros(3), np.zeros((1, 4))),
-            ([0.0, 0.0], np.zeros((1, 4))),
-            (np.zeros(4), np.zeros(4)),
-            # per-row weights must match the rows
-            (np.zeros((5, 3)), np.zeros((4, 1, 3))),
-        ],
-    )
-    def test_shape_mismatch(self, inputs, weights):
-        with pytest.raises(ValueError):
-            qsim.quantum_forward(inputs, weights)
-        with pytest.raises(ValueError):
-            qsim.circuit_matrix(inputs, weights)
-
-    def test_quantum_gradients_take_one_row(self):
-        with pytest.raises(ValueError):
-            qsim.quantum_gradients(np.zeros((2, 4)), np.zeros((1, 4)))
-
     def test_matches_dense_matrix_oracle(self):
         result = gradcheck.check_forward_oracle(seed=11, cases_per_shape=20)
         assert result.passed, result.line()
@@ -223,7 +203,17 @@ class TestHotKernelAgainstOracles:
         assert counts == {(4, 1): 1, (4, 2): 4, (4, 3): 16, (6, 4): 2048}
         with pytest.raises(ValueError, match=f"2048 terms .* cap of {qsim.MAX_TERMS}"):
             qsim.forward_batch(np.zeros((1, 6)), np.zeros((4, 6)))
-        assert (6, 4) not in qsim._TERMS_CACHE
+        # the refused circuit left no entry: a second call checks it again
+        misses = qsim._terms.cache_info().misses
+        with pytest.raises(ValueError):
+            qsim._terms(6, 4)
+        assert qsim._terms.cache_info().misses == misses + 1
+
+    def test_tables_are_built_once_per_circuit(self):
+        assert qsim._terms(3, 2) is qsim._terms(3, 2)
+        hits = qsim._terms.cache_info().hits
+        qsim.forward_batch(np.zeros((2, 3)), np.zeros((2, 3)))
+        assert qsim._terms.cache_info().hits == hits + 1
 
     @settings(max_examples=60, deadline=None)
     @given(circuits())
