@@ -163,13 +163,13 @@ def cmd_features(args) -> int:
         events = []
     else:
         events = scenario.read_schedule_json(args.schedule)
-    # the corridor is the flags', else the one the records imply; records
-    # and incidents outside it are errors, not rows or entries to drop
+    # the corridor is the flags', else the one the records imply (>= 1 zone);
+    # records and incidents outside it are errors, not rows or entries to drop
     if not len(records) and (args.zones is None or args.duration is None):
         raise DataError(
             f"{args.bsm}: no records to infer the corridor from; give --zones and --duration"
         )
-    n_zones = args.zones if args.zones is not None else int(records.zone.max()) + 1
+    n_zones = args.zones if args.zones is not None else max(1, int(records.zone.max()) + 1)
     duration_s = args.duration if args.duration is not None else int(records.time.max()) + 1
     try:
         _corridor(n_zones, duration_s)  # both >= 1, and within the cap

@@ -5,7 +5,8 @@ Stacks (the input is the six zone features):
 
 * classical: 6 -> dense 48 relu -> dense 32 relu -> dense 1 sigmoid
 * hybrid:    6 -> dense 48 relu -> dense 32 relu -> dense n_q relu
-             -> quantum layer (n_q qubits) -> dense n_q relu -> dense 1 sigmoid
+             -> quantum layer (n_q qubits, one entangler layer)
+             -> dense n_q relu -> dense 1 sigmoid
 
 The 2-qubit hybrid narrows the pre- and post-quantum dense layers to width 2.
 Training is plain mini-batch Adam on mean binary cross-entropy; everything is
@@ -25,9 +26,9 @@ the layer's entry in the saved-model document.  Every trainable number of
 a model lives in one float64 vector, ``Model.params``, and only there.
 ``Model.layout``, computed once from the shapes, places each layer's
 arrays in it; ``_views`` cuts a parameter or gradient vector into those
-arrays, so Adam works on flat vectors.  The hidden widths and the decision
-threshold are the module constants ``HIDDEN_WIDTHS`` and
-``OUTPUT_THRESHOLD``.
+arrays, so Adam works on flat vectors.  The hidden widths, the quantum
+layer's depth and the decision threshold are the module constants
+``HIDDEN_WIDTHS``, ``ENTANGLER_LAYERS`` and ``OUTPUT_THRESHOLD``.
 
 ``train`` checks its rows once and makes one gradient vector, then a step
 plan (``_plan``) per batch size, for the full batches and a final partial
@@ -66,6 +67,7 @@ from .errors import DataError
 MODEL_KINDS = ("classical", "hybrid")
 HIDDEN_WIDTHS = (48, 32)
 OUTPUT_THRESHOLD = 0.5
+ENTANGLER_LAYERS = 1
 
 # patch points: tests swap the quantum kernels out, and bench/spans.py wraps them in spans
 _QUANTUM_FORWARD = qsim.forward_batch
@@ -76,17 +78,12 @@ _QUANTUM_GRADIENTS = qsim.gradients_batch
 class HybridModelConfig:
     kind: str = "hybrid"
     n_qubits: int = 4
-    n_entangler_layers: int = 1
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.kind == "hybrid":
-            if self.n_qubits < 1:
-                raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-            if self.n_entangler_layers < 1:
-                raise ValueError("n_entangler_layers must be >= 1")
-            qsim.check_circuit(self.n_qubits, self.n_entangler_layers)
+        if self.kind == "hybrid" and self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
 
     @property
     def label(self) -> str:
@@ -96,18 +93,17 @@ class HybridModelConfig:
 @dataclass(frozen=True)
 class QuantumLayer:
     """The ``qsim`` circuit as a layer: its one array is the weights
-    [n_entangler_layers, n_qubits], with a leading run axis in a population.
+    [ENTANGLER_LAYERS, n_qubits], with a leading run axis in a population.
 
     Reaches the kernels through ``_QUANTUM_FORWARD`` and
     ``_QUANTUM_GRADIENTS`` at call time, so they can be swapped out.
     """
 
     n_qubits: int
-    n_entangler_layers: int
 
     @property
     def shapes(self) -> tuple[tuple[int, int]]:
-        return ((self.n_entangler_layers, self.n_qubits),)
+        return ((ENTANGLER_LAYERS, self.n_qubits),)
 
     def forward(self, arrays: list, x: np.ndarray) -> np.ndarray:
         return _QUANTUM_FORWARD(x, arrays[0])
@@ -116,7 +112,7 @@ class QuantumLayer:
         """The bytes ``forward`` holds per row: its input and what
         ``qsim.forward_bytes`` counts.  The kernel's term products, a block
         of rows within ``qsim._BLOCK_BYTES``, do not grow with the rows."""
-        return 8 * self.n_qubits + qsim.forward_bytes(self.n_qubits, self.n_entangler_layers)
+        return 8 * self.n_qubits + qsim.forward_bytes(self.n_qubits, ENTANGLER_LAYERS)
 
     def plan(self, lead: tuple, first: bool) -> None:
         """No buffers: the kernels make their own arrays."""
@@ -140,7 +136,7 @@ class QuantumLayer:
         return {
             "type": "quantum",
             "n_qubits": self.n_qubits,
-            "n_entangler_layers": self.n_entangler_layers,
+            "n_entangler_layers": ENTANGLER_LAYERS,
             "weights": arrays[0].ravel().tolist(),
         }
 
@@ -195,7 +191,7 @@ def build_model(config: HybridModelConfig, seed: int) -> Model:
     else:
         n_q = config.n_qubits
         stack.append(nn.init_layer(w2, n_q, rng, "relu"))
-        quantum = QuantumLayer(n_q, config.n_entangler_layers)
+        quantum = QuantumLayer(n_q)
         stack.append((quantum, [rng.uniform(0.0, 2.0 * np.pi, size=quantum.shapes[0])]))
         stack.append(nn.init_layer(n_q, n_q, rng, "relu"))
         stack.append(nn.init_layer(n_q, 1, rng, "sigmoid"))
@@ -394,7 +390,7 @@ def model_to_dict(model: Model) -> dict:
             "kind": model.config.kind,
             "hidden_widths": list(HIDDEN_WIDTHS),
             "n_qubits": model.config.n_qubits,
-            "n_entangler_layers": model.config.n_entangler_layers,
+            "n_entangler_layers": ENTANGLER_LAYERS,
             "output_threshold": OUTPUT_THRESHOLD,
         },
         "layers": [

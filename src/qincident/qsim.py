@@ -26,10 +26,10 @@ arXiv:2008.08605).  At L=1, A is empty: <Z_j> = prod_{i in S_j} cos(x_i +
 w_i), where the ring XORs the input bits S_j (= anti_j) into bit j; for 4
 qubits S = {1,2,3}, {0,1}, {0,1,2}, {0,1,2,3}.  A readout sums
 2**(|anti_j| - rank) terms, the GF(2) rank of its X-strings: 1 at L=1, at
-most 4 at L=2 and 16 at L=3 for n <= 5, but 2048 for n=6, L=4, more than
-``MAX_TERMS``, which ``check_circuit`` refuses.
+most 4 at L=2 and 16 at L=3 for n <= 5, but 2048 for n=6, L=4.  Every model
+has L=1 (``model.ENTANGLER_LAYERS``); the deeper circuits serve the tests.
 
-``forward_batch`` and ``gradients_batch`` run the models at every (n, L),
+``forward_batch`` and ``gradients_batch`` evaluate every (n, L) circuit,
 inputs (B, n) with weights (L, n) or a population's (R, B, n) with
 (R, L, n).  The one reference they are held to is the circuit itself, as
 Kronecker-product gate matrices (I (x) RX (x) I per rotation, the CNOT ring
@@ -46,9 +46,6 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-
-# the most terms one readout may sum
-MAX_TERMS = 64
 
 
 def _ring(n: int) -> list[tuple[int, int]]:
@@ -92,21 +89,6 @@ def _null_space(masks: list[int]) -> list[int]:
     return basis
 
 
-def _term_count(n: int, n_layers: int) -> int:
-    """The most terms any readout sums, counted without enumerating them."""
-    return max(2 ** len(_null_space(masks)) for _, masks in _anticommuting(n, n_layers))
-
-
-def check_circuit(n_qubits: int, n_layers: int) -> None:
-    """ValueError when a readout needs more than ``MAX_TERMS`` terms."""
-    count = _term_count(n_qubits, n_layers)
-    if count > MAX_TERMS:
-        raise ValueError(
-            f"a {n_qubits}-qubit circuit with {n_layers} entangler layers needs "
-            f"{count} terms per readout, above the cap of {MAX_TERMS} (qsim.MAX_TERMS)"
-        )
-
-
 class _Terms(NamedTuple):
     """Index tables into the slots (cos, sin, -sin) of phi = (theta, 0): K
     angles, then a 0 whose cos and sin are the exact factor 1 and slope 0.
@@ -120,7 +102,6 @@ class _Terms(NamedTuple):
 
 @cache
 def _terms(n: int, n_layers: int) -> _Terms:
-    check_circuit(n, n_layers)
     width = n * n_layers + 1  # slots per block
     one, zero = width - 1, 2 * width - 1  # cos 0, sin 0
     readouts = [(anti, _null_space(masks)) for anti, masks in _anticommuting(n, n_layers)]

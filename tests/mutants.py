@@ -325,6 +325,12 @@ MUTANTS = [
         (TEST_CLI,),
     ),
     Mutant(
+        "inferred-corridor-of-no-zones", CLI,
+        "max(1, int(records.zone.max()) + 1)",
+        "int(records.zone.max()) + 1",
+        (TEST_CLI,),
+    ),
+    Mutant(
         "features-drops-the-bsm-prefix", CLI,
         '        raise DataError(f"{args.bsm}: {exc}") from None\n',
         "        raise DataError(str(exc)) from None\n",

@@ -298,6 +298,17 @@ class TestFeatures:
         assert f"above the cap of {scenario.MAX_CELLS}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_zone_ids_alone_name_the_record(self, tmp_path, capsys):
+        # the corridor the records imply holds at least one zone, so the
+        # error is the record outside it, not an inferred corridor of 0 zones
+        bsm = tmp_path / "neg.csv"
+        bsm.write_text("time_s,vehicle_id,zone_id,speed_mps\n0,a,-1,1\n")
+        out = tmp_path / "features.csv"
+        assert run_cli(["features", "--bsm", str(bsm), "--out", str(out)]) == cli.EXIT_FAIL
+        message = f"error: {bsm}: record at 0 s in zone -1 outside the corridor of 1 zones x 1 s"
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not out.exists()
+
     def test_field_beyond_the_csv_limit_exits_3_naming_the_line(self, tmp_path, capsys):
         # a line longer than the reader's 1 MiB window, which pass 1 declines,
         # holding an id longer than csv's field limit

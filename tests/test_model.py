@@ -243,11 +243,7 @@ def population_cases(draw):
     """A model config, a population size, and a training set and schedule
     whose last batch is partial."""
     kind = draw(st.sampled_from(["classical", "hybrid"]))
-    config = model.HybridModelConfig(
-        kind=kind,
-        n_qubits=draw(st.integers(1, 4)) if kind == "hybrid" else 4,
-        n_entangler_layers=draw(st.integers(1, 2)) if kind == "hybrid" else 1,
-    )
+    config = model.HybridModelConfig(kind=kind, n_qubits=draw(st.integers(1, 4)) if kind == "hybrid" else 4)
     batch_size = draw(st.integers(2, 12))
     n_rows = batch_size * draw(st.integers(0, 3)) + draw(st.integers(1, batch_size - 1))
     train_config = nn.TrainConfig(
@@ -344,37 +340,6 @@ class TestRunGroups:
         groups = model.run_groups(net, 1000)
         assert len(groups) == 1 and groups[0] is net
 
-    def test_groups_at_the_term_cap_match_one_stacked_pass(self, monkeypatch):
-        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
-        population = model.build_population(config, 0, n_runs=30)
-        features = np.random.default_rng(1).uniform(0, 1, (384, 6))
-        whole = model.forward(population, features)
-        assert model._FORWARD_BYTES < 30 * 384 * qsim.forward_bytes(6, 3)  # more than one group
-        for budget in (model._FORWARD_BYTES, 7 * 384 * qsim.forward_bytes(6, 3)):
-            monkeypatch.setattr(model, "_FORWARD_BYTES", budget)
-            groups = model.run_groups(population, len(features))
-            assert len(groups) > 1
-            grouped = b"".join(model.forward(group, features).tobytes() for group in groups)
-            assert grouped == whole.tobytes()
-
-    def test_groups_at_the_term_cap_stay_within_the_byte_budget(self):
-        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
-        population = model.build_population(config, 0, n_runs=30)
-        features = np.random.default_rng(2).uniform(0, 1, (2048, 6))
-        # a first forward also counts numpy's lazy imports; make them beforehand
-        model.forward(population, features[:2])
-        tracemalloc.start()
-        try:
-            for group in model.run_groups(population, len(features)):
-                model.forward(group, features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 2.1 MiB measured for the 2 MiB budget, in groups of one run, with
-        # the quantum term products a block of run-rows at a time (3.2 MiB
-        # without the warm-up); one stacked pass peaks at 47 MiB
-        assert peak < 1.25 * model._FORWARD_BYTES
-
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
     def test_the_30_run_ds3_prediction_goes_in_groups_within_the_budget(self, kind):
         population = model.build_population(model.HybridModelConfig(kind=kind), 0, n_runs=30)
@@ -416,23 +381,6 @@ class TestStepMemory:
         # 6.7 / 7.0 MiB with a gradient per plan, a dz beside every output,
         # two [R, P] work arrays and 4 MiB groups
         assert peak <= 5 << 20
-
-    def test_a_30_run_step_at_the_term_cap_stays_within_4_mib(self):
-        config = model.HybridModelConfig(kind="hybrid", n_qubits=6, n_entangler_layers=3)
-        rng = np.random.default_rng(5)
-        features, labels = rng.uniform(0, 1, (16, 6)), rng.integers(0, 2, 16).astype(float)
-        # the term tables, built once per shape, and numpy's lazy imports beforehand
-        model.loss_and_gradients(model.build_model(config, 0), features[:1], labels[:1])
-        population = model.build_population(config, 0, n_runs=30)
-        tracemalloc.start()
-        try:
-            model.loss_and_gradients(population, features, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 2.2 MiB measured, the quantum gradient one run-row (162 KiB of
-        # term tables) a block; 77.9 MiB with all 480 run-rows in one pass
-        assert peak <= 4 << 20
 
 
 def reference_dense_forward(layer, arrays, x):
@@ -690,11 +638,10 @@ class TestJsonDocument:
     @given(
         kind=st.sampled_from(["classical", "hybrid"]),
         n_qubits=st.integers(1, 4),
-        n_layers=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_layers_hold_the_params_and_their_shapes(self, tmp_path_factory, kind, n_qubits, n_layers, seed):
-        config = model.HybridModelConfig(kind=kind, n_qubits=n_qubits, n_entangler_layers=n_layers)
+    def test_layers_hold_the_params_and_their_shapes(self, tmp_path_factory, kind, n_qubits, seed):
+        config = model.HybridModelConfig(kind=kind, n_qubits=n_qubits)
         net = model.build_model(config, seed=seed)
         net.params += np.random.default_rng(seed).normal(0.0, 1e-3, net.params.size)
         path = tmp_path_factory.mktemp("doc") / "model.json"
