@@ -315,6 +315,10 @@ class TestPopulation:
             model.model_to_dict(population)
 
 
+# (kind, n_qubits) of the classical, hybrid-2q and hybrid-4q models
+SHIPPED_MODELS = [("classical", 4), ("hybrid", 2), ("hybrid", 4)]
+
+
 class TestRunGroups:
     def test_groups_are_views_of_the_runs_and_match_one_stacked_pass(self, monkeypatch):
         population = model.build_population(model.HybridModelConfig(kind="hybrid"), 7, n_runs=5)
@@ -339,6 +343,20 @@ class TestRunGroups:
         monkeypatch.setattr(model, "_FORWARD_BYTES", 1)
         groups = model.run_groups(net, 1000)
         assert len(groups) == 1 and groups[0] is net
+
+    @pytest.mark.parametrize("kind, n_qubits", SHIPPED_MODELS)
+    def test_every_group_size_matches_one_stacked_pass(self, monkeypatch, kind, n_qubits):
+        config = model.HybridModelConfig(kind=kind, n_qubits=n_qubits)
+        population = model.build_population(config, 0, n_runs=7)
+        features = np.random.default_rng(1).uniform(0, 1, (33, 6))
+        whole = model.forward(population, features)
+        run_bytes = 33 * max(layer.forward_bytes() for layer in population.layers)
+        for size in range(1, 8):
+            monkeypatch.setattr(model, "_FORWARD_BYTES", size * run_bytes)
+            groups = model.run_groups(population, len(features))
+            assert [len(group.params) for group in groups[:-1]] == [size] * (len(groups) - 1)
+            grouped = b"".join(model.forward(group, features).tobytes() for group in groups)
+            assert grouped == whole.tobytes()
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
     def test_the_30_run_ds3_prediction_goes_in_groups_within_the_budget(self, kind):
@@ -381,6 +399,23 @@ class TestStepMemory:
         # 6.7 / 7.0 MiB with a gradient per plan, a dz beside every output,
         # two [R, P] work arrays and 4 MiB groups
         assert peak <= 5 << 20
+
+    @pytest.mark.parametrize("kind, n_qubits", SHIPPED_MODELS)
+    def test_a_30_run_step_stays_within_2_mib(self, kind, n_qubits):
+        config = model.HybridModelConfig(kind=kind, n_qubits=n_qubits)
+        rng = np.random.default_rng(5)
+        features, labels = rng.uniform(0, 1, (16, 6)), rng.integers(0, 2, 16).astype(float)
+        # the term tables, built once per shape, and numpy's lazy imports beforehand
+        model.loss_and_gradients(model.build_model(config, 0), features[:1], labels[:1])
+        population = model.build_population(config, 0, n_runs=30)
+        tracemalloc.start()
+        try:
+            model.loss_and_gradients(population, features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.1 / 1.2 / 1.5 MiB measured (classical / hybrid-2q / hybrid-4q)
+        assert peak <= 2 << 20
 
 
 def reference_dense_forward(layer, arrays, x):
