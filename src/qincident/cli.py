@@ -53,10 +53,10 @@ _VALUE_TYPES = {
 _MINIMUMS = {"zones": 1, "duration_s": 1, "ds3_duration_s": 1, "seed": 0, "n_incidents": 0, "n_runs": 1}
 
 # The most runs an experiment may ask for.  A split's runs train as one
-# population, so its parameters, two Adam moments, one gradient and step
-# buffers grow linearly with ``n_runs``, and this caps them; Adam's work,
-# the quantum gradients and the predictions go a block or a run group at a
-# time, within byte budgets that do not grow with the runs.
+# population, so its parameters, two Adam moments, one gradient, step
+# buffers and quantum gradients grow linearly with ``n_runs``, and this caps
+# them; Adam's work and the predictions go a block or a run group at a time,
+# within byte budgets that do not grow with the runs.
 MAX_RUNS = 1024
 
 

@@ -69,7 +69,7 @@ class Records:
     same vehicle."""
 
     time: np.ndarray  # int64
-    vehicle_id: np.ndarray  # int64, >= 0
+    vehicle_id: np.ndarray  # int64 in [0, len): a record's index or its id's rank
     zone: np.ndarray  # int64
     speed: np.ndarray  # float64
 
@@ -80,8 +80,6 @@ class Records:
         self.speed = np.asarray(self.speed, dtype=np.float64)
         if np.any(self.time < 0):
             raise ValueError("record times must be >= 0")
-        if np.any(self.vehicle_id < 0):
-            raise ValueError("vehicle codes must be >= 0")
         if not np.all(np.isfinite(self.speed) & (self.speed >= 0)):
             raise ValueError("record speeds must be finite and >= 0")
 
@@ -135,10 +133,6 @@ def aggregate(records: Records, n_zones: int, duration_s: int) -> np.ndarray:
                         f"the corridor of {n_zones} zones x {duration} s")
     del outside
     grid_size = n_zones * duration
-    if np.any(records.vehicle_id > (_INT64.max - grid_size + 1) // max(grid_size, 1)):
-        raise DataError(
-            f"vehicle code {records.vehicle_id.max()} overflows an int64 key over {grid_size} cells"
-        )
 
     # distinct (vehicle, zone, second): keep the first observation.  The kept
     # records come in vehicle-code order, and each cell sums its speeds in

@@ -36,9 +36,9 @@ one: the views of ``params``, which Adam updates in place, the gradient
 vector and its views, and each layer's buffers, which every step of that
 size writes into; ``loss_and_gradients`` without a plan makes a one-shot
 one.  Every array of a step thus exists once per ``train`` call; Adam's
-work arrays and the quantum kernels' term products go a block at a time
-within a fixed byte bound, and inference a run group (``run_groups``) at
-a time.  ``forward`` refuses non-finite features and outputs.
+work arrays go a block at a time within a fixed byte bound, and inference
+a run group (``run_groups``) at a time.  ``forward`` refuses non-finite
+features and outputs.
 
 A population (``build_population``) is R models of one config that train
 together: ``params`` is [R, P], every layer array has a leading run axis,
@@ -110,8 +110,7 @@ class QuantumLayer:
 
     def forward_bytes(self) -> int:
         """The bytes ``forward`` holds per row: its input and what
-        ``qsim.forward_bytes`` counts.  The kernel's term products, a block
-        of rows within ``qsim._BLOCK_BYTES``, do not grow with the rows."""
+        ``qsim.forward_bytes`` counts, the kernel's term products included."""
         return 8 * self.n_qubits + qsim.forward_bytes(self.n_qubits, ENTANGLER_LAYERS)
 
     def plan(self, lead: tuple, first: bool) -> None:
@@ -207,11 +206,10 @@ def build_population(config: HybridModelConfig, seed: int, n_runs: int) -> Model
     return Model(config, members[0].layers, np.stack([m.params for m in members]), seed)
 
 
-# The most bytes that any layer's input and output hold in one run group's
-# forward pass, at ``forward_bytes`` a run-row (``run_groups``).  A group
-# holds at least one run and rows are not blocked, so one run whose pass
-# alone exceeds this is a group of its own.  A training step is not
-# grouped: its quantum gradients go within ``qsim._BLOCK_BYTES`` instead.
+# The most bytes that any layer holds in one run group's forward pass, at
+# ``forward_bytes`` a run-row (``run_groups``).  A group holds at least one
+# run and rows are not blocked, so one run whose pass alone exceeds this is
+# a group of its own.  A training step is not grouped.
 _FORWARD_BYTES = 2 << 20
 
 

@@ -31,12 +31,12 @@ has L=1 (``model.ENTANGLER_LAYERS``); the deeper circuits serve the tests.
 
 ``forward_batch`` and ``gradients_batch`` evaluate every (n, L) circuit,
 inputs (B, n) with weights (L, n) or a population's (R, B, n) with
-(R, L, n).  The one reference they are held to is the circuit itself, as
-Kronecker-product gate matrices (I (x) RX (x) I per rotation, the CNOT ring
-as one permutation) multiplied in gate order: ``circuit_matrix`` gives the
-2**n x 2**n unitaries, and ``quantum_forward`` the Z expectations of the
-state they make from |0...0>, for stacked embeddings [..., n] with shared
-or per-row weights.  ``gradcheck`` compares ``forward_batch`` with it and
+(R, L, n), all rows in one pass.  The one reference they are held to is
+the circuit itself, as Kronecker-product gate matrices (I (x) RX (x) I per
+rotation, the CNOT ring as one permutation) multiplied in gate order:
+``circuit_matrix`` gives the 2**n x 2**n unitaries, and ``quantum_forward``
+the Z expectations of the state they make from |0...0>, for stacked
+embeddings [..., n] with shared or per-row weights.  ``gradcheck`` compares ``forward_batch`` with it and
 differentiates it, one stacked row per finite-difference probe.
 """
 
@@ -148,21 +148,11 @@ def _products(slots: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-# the most bytes of term products a kernel holds at once, a block of
-# run-rows at a time: ``forward_batch`` holds two [rows, n, T] tables,
-# 16 n T bytes a run-row, and ``gradients_batch`` three [rows, K, n, T]
-# ones, 24 K n T bytes a run-row; a block holds at least one run-row, so
-# a run-row above this goes alone
-_BLOCK_BYTES = 1 << 18
-
-
 def forward_bytes(n: int, n_layers: int) -> int:
-    """About the bytes ``forward_batch`` holds at its peak per input row,
-    besides the block of term products that ``_BLOCK_BYTES`` bounds (at
-    least one run-row): the angles, their cos and sin and the slots made of
-    them, or later the angles, the slots and the row's values."""
-    n_angles = n * n_layers
-    return 8 * max(5 * (n_angles + 1), 3 * (n_angles + 1) + n)
+    """At most the bytes ``forward_batch`` holds at once per input row: the
+    angles, their cos and sin and the slots made of them, then two [n, T]
+    tables of term products beside the angles and slots."""
+    return 8 * (5 * (n * n_layers + 1) + 2 * _terms(n, n_layers).signs.size)
 
 
 def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
@@ -170,17 +160,10 @@ def _values(terms: _Terms, slots: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z expectations, (B, n) or a population's (R, B, n), a block of
-    run-rows at a time, each row with the same arithmetic in any block."""
+    """Z expectations, (B, n) or a population's (R, B, n), in one pass."""
     terms, phi = _angles(inputs, weights)
     # the factors take no -sin slot
-    slots = np.concatenate((np.cos(phi), np.sin(phi)), axis=-1)
-    rows = slots.reshape(-1, slots.shape[-1])
-    values = np.empty(rows.shape[:1] + terms.signs.shape[:1])
-    block = max(1, _BLOCK_BYTES // (16 * terms.signs.size))
-    for start in range(0, len(rows), block):
-        values[start : start + block] = _values(terms, rows[start : start + block])
-    return values.reshape(slots.shape[:-1] + terms.signs.shape[:1])
+    return _values(terms, np.concatenate((np.cos(phi), np.sin(phi)), axis=-1))
 
 
 def gradients_batch(
@@ -191,26 +174,17 @@ def gradients_batch(
 
     A term's slope in angle k is the derivative of factor k times the product
     of the other factors, not the full product divided by factor k (maybe 0).
-    As theta_i = x_i + w_0i, d/dx_i = d/dw_0i.  Like ``forward_batch``, it
-    runs a block of run-rows at a time, each row with the same arithmetic
-    in any block.
+    As theta_i = x_i + w_0i, d/dx_i = d/dw_0i.
     """
     terms, phi = _angles(inputs, weights)
     sin = np.sin(phi)
     slots = np.concatenate((np.cos(phi), sin, -sin), axis=-1)
-    rows = slots.reshape(-1, slots.shape[-1])
-    n_angles, n = terms.slopes.shape[:2]
-    values, d_angles = np.empty((len(rows), n)), np.empty((len(rows), n_angles, n))
-    block = max(1, _BLOCK_BYTES // (24 * terms.slopes.size))
-    for start in range(0, len(rows), block):
-        part = rows[start : start + block]
-        slopes = part.take(terms.slopes, axis=-1)
-        slopes *= terms.signs
-        slopes *= _products(part, terms.rest)
-        np.add.reduce(slopes, axis=-1, out=d_angles[start : start + block])
-        values[start : start + block] = _values(terms, part)
-    d_weights = d_angles.reshape(slots.shape[:-1] + np.shape(weights)[-2:] + (n,))
-    return values.reshape(slots.shape[:-1] + (n,)), d_weights[..., 0, :, :], d_weights
+    slopes = slots.take(terms.slopes, axis=-1)
+    slopes *= terms.signs
+    slopes *= _products(slots, terms.rest)
+    d_angles = np.add.reduce(slopes, axis=-1)  # [..., B, K, n]
+    d_weights = d_angles.reshape(slots.shape[:-1] + np.shape(weights)[-2:] + (-1,))
+    return _values(terms, slots), d_weights[..., 0, :, :], d_weights
 
 
 def quantum_gradients(inputs, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -91,21 +91,9 @@ MUTANTS = [
         (TEST_SCENARIO,),
     ),
     Mutant(
-        "negative-codes-taken", DATA,
-        "        if np.any(self.vehicle_id < 0):\n",
-        "        if np.any(self.vehicle_id < -1):\n",
-        (TEST_DATA,),
-    ),
-    Mutant(
         "negative-times-taken", DATA,
         "        if np.any(self.time < 0):\n",
         "        if np.any(self.time < -1):\n",
-        (TEST_DATA,),
-    ),
-    Mutant(
-        "key-overflow-unguarded", DATA,
-        "(_INT64.max - grid_size + 1) // max(grid_size, 1)):",
-        "(_INT64.max - grid_size + 1) // max(grid_size, 1) + 1):",
         (TEST_DATA,),
     ),
     # the record reader
@@ -206,15 +194,9 @@ MUTANTS = [
         (TEST_QSIM,),
     ),
     Mutant(
-        "forward-blocks-written-at-the-first-rows", QSIM,
-        "        values[start : start + block] = _values(terms, rows[start : start + block])\n",
-        "        values[:block] = _values(terms, rows[start : start + block])\n",
-        (TEST_QSIM,),
-    ),
-    Mutant(
-        "gradient-blocks-written-at-the-first-rows", QSIM,
-        "        np.add.reduce(slopes, axis=-1, out=d_angles[start : start + block])\n",
-        "        np.add.reduce(slopes, axis=-1, out=d_angles[: len(part)])\n",
+        "forward-bytes-leaves-out-the-products", QSIM,
+        "    return 8 * (5 * (n * n_layers + 1) + 2 * _terms(n, n_layers).signs.size)\n",
+        "    return 8 * 5 * (n * n_layers + 1)\n",
         (TEST_QSIM,),
     ),
     # the parameter vector and its layout

@@ -48,10 +48,6 @@ class TestRecords:
         recs = data.Records([0, 1], [3, 0], [0, 0], [1.0, 2.0])
         assert recs.vehicle_id.dtype == np.int64 and recs.vehicle_id.tolist() == [3, 0]
 
-    def test_a_negative_vehicle_code_is_refused(self):
-        with pytest.raises(ValueError, match="^vehicle codes must be >= 0$"):
-            data.Records([0, 1], [0, -1], [0, 0], [1.0, 2.0])
-
 
 class TestAggregate:
     def test_simple_mean_and_count(self):
@@ -127,15 +123,6 @@ class TestAggregate:
         got_count, got_speed_sum = data.aggregate(recs, 2, 3)
         assert got_count.tobytes() == count.astype(float).tobytes()
         assert got_speed_sum.tobytes() == speed_sum.tobytes()
-
-    @pytest.mark.parametrize("n_zones, duration", [(1, 2), (3, 7), (56, 1250)])
-    def test_codes_that_overflow_the_key_are_refused(self, n_zones, duration):
-        cells = n_zones * duration
-        largest = (np.iinfo(np.int64).max - cells + 1) // cells  # its last cell's key fits
-        fits = records((duration - 1, largest, n_zones - 1, 1.0))
-        assert data.aggregate(fits, n_zones, duration)[0, -1, -1] == 1.0
-        with pytest.raises(DataError, match=f"^vehicle code {largest + 1} overflows"):
-            data.aggregate(records((0, largest + 1, 0, 1.0)), n_zones, duration)
 
     @pytest.mark.parametrize("order", ["generated", "shuffled", "repeated"])
     def test_id_codes_are_the_unique_inverse(self, order):

@@ -378,7 +378,7 @@ class TestRunGroups:
 
 class TestStepMemory:
     """Every array of a training step exists once per ``train`` call, and
-    what grows with the runs and rows goes a block at a time."""
+    Adam's work goes a block at a time."""
 
     @pytest.mark.parametrize("kind", ["classical", "hybrid"])
     def test_a_30_run_ds3_train_stays_within_5_mib(self, kind):

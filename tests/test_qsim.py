@@ -6,7 +6,6 @@ pinned against the Kronecker-product reference ``qsim.quantum_forward``,
 which ``tests/test_gradcheck.py`` pins gate by gate.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qincident import gradcheck, model, qsim
+from qincident import cli, gradcheck, model, qsim
 
 
 class TestQuantumForward:
@@ -309,58 +308,23 @@ class TestKernelsBitForBit:
         assert peak < 16 * 2**20
 
 
-class TestRowBlocks:
-    """``forward_batch`` and ``gradients_batch`` hold their term products a
-    block of run-rows at a time; each row's arithmetic is the same in any
-    block."""
-
-    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
-    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
-    @pytest.mark.parametrize("rows_per_block", [1, 4])  # 4 divides neither 10 nor 30 run-rows
-    def test_blocks_match_one_unblocked_pass(self, monkeypatch, n, layers, runs, rows_per_block):
-        rng = np.random.default_rng(n * 10 + layers)
-        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
-        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
-        monkeypatch.setattr(qsim, "_BLOCK_BYTES", 1 << 40)
-        whole = qsim.forward_batch(inputs, weights)
-        # a block's two products, [rows, n, T] each
-        row_bytes = 16 * qsim._terms(n, layers).signs.size
-        monkeypatch.setattr(qsim, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes - 1)
-        blocks, values = [], qsim._values
-
-        def counted(terms, slots):
-            blocks.append(slots.shape[-2])
-            return values(terms, slots)
-
-        monkeypatch.setattr(qsim, "_values", counted)
-        got = qsim.forward_batch(inputs, weights)
-        n_rows = 10 * math.prod(runs)
-        assert blocks == {1: [1] * n_rows, 4: [4] * (n_rows // 4) + [2]}[rows_per_block]
-        assert got.shape == whole.shape
-        np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
-
-    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
-    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
-    @pytest.mark.parametrize("rows_per_block", [1, 4])
-    def test_gradient_blocks_match_one_unblocked_pass(self, monkeypatch, n, layers, runs, rows_per_block):
-        rng = np.random.default_rng(n * 10 + layers + 1)
-        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
-        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
-        monkeypatch.setattr(qsim, "_BLOCK_BYTES", 1 << 40)
-        whole = qsim.gradients_batch(inputs, weights)
-        # a block's slopes, products and gathered factor, [rows, K, n, T] each
-        row_bytes = 24 * qsim._terms(n, layers).slopes.size
-        monkeypatch.setattr(qsim, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes - 1)
-        blocks, values = [], qsim._values
-
-        def counted(terms, slots):
-            blocks.append(slots.shape[-2])
-            return values(terms, slots)
-
-        monkeypatch.setattr(qsim, "_values", counted)
-        got = qsim.gradients_batch(inputs, weights)
-        n_rows = 10 * math.prod(runs)
-        assert blocks == {1: [1] * n_rows, 4: [4] * (n_rows // 4) + [2]}[rows_per_block]
-        for got_array, whole_array in zip(got, whole):
-            assert got_array.shape == whole_array.shape
-            np.testing.assert_array_equal(got_array.view(np.int64), whole_array.view(np.int64))
+class TestForwardBytes:
+    def test_the_count_bounds_the_forward_peak(self):
+        # the kernel holds its term products for all rows at once, and the
+        # count includes them; at (4, 2) they outweigh the cos and sin
+        rng = np.random.default_rng(0)
+        for n, layers in [(2, 1), (4, 1), (4, 2)]:
+            inputs, weights = rng.uniform(0, 6, (4096, n)), rng.uniform(0, 6, (layers, n))
+            qsim.forward_batch(inputs[:1], weights)  # the term tables, built once per shape
+            tracemalloc.start()
+            try:
+                qsim.forward_batch(inputs, weights)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= qsim.forward_bytes(n, layers) * len(inputs), (n, layers)
+        # so the widest pass of every shipped model is still the 48 -> 32
+        # dense layer's, and its run groups do not move
+        for config in cli.MODELS.values():
+            layers = model.build_model(config, 0).layers
+            assert max(layer.forward_bytes() for layer in layers) == 640, config.label
