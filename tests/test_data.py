@@ -48,6 +48,25 @@ class TestRecords:
         recs = data.Records([0, 1], [3, 0], [0, 0], [1.0, 2.0])
         assert recs.vehicle_id.dtype == np.int64 and recs.vehicle_id.tolist() == [3, 0]
 
+    @pytest.mark.parametrize("source", ["generated", "fast-path", "row-loop"])
+    def test_vehicle_codes_lie_in_the_record_range(self, tmp_path, source):
+        # every code is a record's index or an id's rank, so no code is
+        # negative and the largest fits aggregate's int64 cell keys
+        recs, _ = scenario.generate(scenario.ScenarioConfig(n_zones=6, duration_s=120, seed=2))
+        if source != "generated":
+            path = tmp_path / "bsm.csv"
+            # unpadded ids rank in another order than the codes
+            data._write_lines(path, data.BSM_HEADER, "%d,v%d,%d,%r\n", len(recs),
+                              lambda start, stop: [recs.time[start:stop], recs.vehicle_id[start:stop],
+                                                   recs.zone[start:stop], recs.speed[start:stop]])
+            read = {"fast-path": data._read_bsm_blocks, "row-loop": data._read_bsm_rows}[source]
+            recs = read(path)
+            assert recs is not None, "the column parse declined a clean file"
+        codes = recs.vehicle_id
+        assert codes.dtype == np.int64 and len(codes) > 0
+        assert codes.min() == 0 and codes.max() < len(recs)
+        assert len(np.unique(codes)) == codes.max() + 1
+
 
 class TestAggregate:
     def test_simple_mean_and_count(self):

@@ -308,6 +308,47 @@ class TestKernelsBitForBit:
         assert peak < 16 * 2**20
 
 
+class TestRowIndependence:
+    """A row's bits do not depend on the rows called with it: run groups and
+    prediction groups cut the rows at any point, so the kernels' one pass
+    over all rows must equal the same rows taken a few at a time."""
+
+    @staticmethod
+    def in_slices(kernel, inputs, weights, rows_per_slice):
+        # the rows of each slice, along the batch axis of a model or a population
+        parts = [kernel(inputs[..., start : start + rows_per_slice, :], weights)
+                 for start in range(0, inputs.shape[-2], rows_per_slice)]
+        if kernel is qsim.forward_batch:
+            return np.concatenate(parts, axis=-2)
+        batch_axis = inputs.ndim - 2
+        return tuple(np.concatenate(arrays, axis=batch_axis) for arrays in zip(*parts))
+
+    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
+    @pytest.mark.parametrize("rows_per_slice", [1, 4])  # 4 does not divide 10 rows
+    def test_forward_slices_match_one_pass(self, n, layers, runs, rows_per_slice):
+        rng = np.random.default_rng(n * 10 + layers)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
+        whole = qsim.forward_batch(inputs, weights)
+        got = self.in_slices(qsim.forward_batch, inputs, weights, rows_per_slice)
+        assert got.shape == whole.shape
+        np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("n, layers", [(6, 3), (4, 1)], ids=["term-cap", "4q-1l"])
+    @pytest.mark.parametrize("runs", [(), (3,)], ids=["model", "population"])
+    @pytest.mark.parametrize("rows_per_slice", [1, 4])
+    def test_gradient_slices_match_one_pass(self, n, layers, runs, rows_per_slice):
+        rng = np.random.default_rng(n * 10 + layers + 1)
+        inputs = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (10, n))
+        weights = rng.uniform(-2 * np.pi, 2 * np.pi, runs + (layers, n))
+        whole = qsim.gradients_batch(inputs, weights)
+        got = self.in_slices(qsim.gradients_batch, inputs, weights, rows_per_slice)
+        for got_array, whole_array in zip(got, whole, strict=True):
+            assert got_array.shape == whole_array.shape
+            np.testing.assert_array_equal(got_array.view(np.int64), whole_array.view(np.int64))
+
+
 class TestForwardBytes:
     def test_the_count_bounds_the_forward_peak(self):
         # the kernel holds its term products for all rows at once, and the
